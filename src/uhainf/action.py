@@ -4,8 +4,11 @@ The lowering/raising generators move one entry in an odd row and one in the
 even row directly above it by +-1; the coefficient is a square root of an
 absolute value of a product/quotient of q-brackets of L-differences, where
 L(i, p) = M(i, p) - i.  Candidate targets that break the interlacing
-conditions are dropped (their coefficients are the ill-defined ones), which
-is realized here by validating the shifted array before any arithmetic.
+conditions are dropped (their coefficients are the ill-defined ones).  This
+is done before any arithmetic and before any pattern is built: each row's
+entries are first filtered to those that can move at all, then every
+surviving pair is checked in full on integers, and only a pair that passes
+becomes a target pattern.
 The index-(-1) pair acts on the single bottom entry with a two-bracket
 coefficient and no sign factor.  Diagonal generators multiply the pattern
 by an exact rational eigenvalue.
@@ -13,7 +16,7 @@ by an exact rational eigenvalue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -21,6 +24,8 @@ from .qnum import QValue, RadicalSum, qbracket, radical_of
 from .patterns import (
     CPattern,
     ModuleParams,
+    _movable_against_above,
+    _movable_against_below,
     row_range,
     shifted_if_valid,
     sign_s,
@@ -48,6 +53,8 @@ class GeneratorLabel:
 
     kind: str  # "E" | "F" | "H" | "C"
     index: Optional[int] = None
+    # hashed on every action-cache lookup
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("E", "F", "H", "C"):
@@ -57,6 +64,10 @@ class GeneratorLabel:
                 raise ValueError("C carries no index")
         elif self.index is None:
             raise ValueError(f"{self.kind} requires an index")
+        object.__setattr__(self, "_hash", hash((self.kind, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return self.kind if self.kind == "C" else f"{self.kind}_{self.index}"
@@ -152,6 +163,13 @@ def _br(x: int, qv: QValue) -> Fraction:
     return v
 
 
+def _product(factors: list[Fraction]) -> Fraction:
+    out = Fraction(1)
+    for f in factors:
+        out *= f
+    return out
+
+
 # Offsets for the four ladder cases, keyed by (kind, is_negative_side):
 # (o1, d1, o2, d2, delta).  o1/o2 shift the numerator bracket arguments of
 # the two square-root factors, d1/d2 the second denominator bracket, delta
@@ -164,9 +182,64 @@ _CASES = {
 }
 
 
+class _Ladder:
+    """The rows and L-values that E_index or F_index (index != -1) reads from p.
+
+    A candidate (j, l) moves (j, row_a) and (l, row_b) by delta, where
+    row_b = row_a + 1; its coefficient is a signed square root of a ratio
+    of bracket products over the L-values of the rows below, at and above.
+    """
+
+    def __init__(self, kind: str, index: int, p: CPattern):
+        if index >= 0:
+            self.row_a, self.nu = 2 * index + 1, 0
+        else:
+            self.row_a, self.nu = -2 * index - 2, 1  # index <= -2 here
+        self.row_b = self.row_a + 1
+        below, above = self.row_a - 1, self.row_b + 1
+        self.o1, self.d1, self.o2, self.d2, self.delta = _CASES[(kind, index < 0)]
+        self.la = {i: p.l_value(i, self.row_a) for i in row_range(self.row_a)}
+        self.lb = {i: p.l_value(i, self.row_b) for i in row_range(self.row_b)}
+        self.lbelow = [p.l_value(i, below) for i in row_range(below)]
+        self.labove = [p.l_value(i, above) for i in row_range(above)]
+
+    def moves(self, j: int, l: int) -> list[tuple[int, int, int]]:
+        return [(j, self.row_a, self.delta), (l, self.row_b, self.delta)]
+
+    def factors(
+        self, j: int, l: int, qv: QValue
+    ) -> tuple[list[Fraction], list[Fraction]]:
+        """Numerator and denominator bracket factors of candidate (j, l)."""
+        o1, d1, o2, d2 = self.o1, self.d1, self.o2, self.d2
+        la, lb = self.la, self.lb
+        lj, ll = la[j], lb[l]
+        num = [_br(v - lj + o1, qv) for i, v in lb.items() if i != l]
+        num += [_br(v - lj + o1, qv) for v in self.lbelow]
+        num += [_br(v - ll + o2, qv) for v in self.labove]
+        num += [_br(v - ll + o2, qv) for i, v in la.items() if i != j]
+        den = []
+        for i, v in la.items():
+            if i != j:
+                den += (_br(v - lj, qv), _br(v - lj + d1, qv))
+        for i, v in lb.items():
+            if i != l:
+                den += (_br(v - ll, qv), _br(v - ll + d2, qv))
+        return num, den
+
+
 def _ladder_action(
     kind: str, index: int, p: CPattern, params: ModuleParams
 ) -> PatternVector:
+    """E_index or F_index on one pattern: filter, then check, then build.
+
+    A candidate target moves (j, row_a) and (l, row_b = row_a + 1) by the
+    same delta.  Entries are filtered before they are paired: j must keep
+    the row below row_a interlaced (a condition free of l), and l must stay
+    between its neighbors in the row above row_b, which does not move.  The
+    filter is only a necessary condition, so each surviving pair still goes
+    through shifted_if_valid, which checks every touched constraint on
+    integers and builds the target pattern only if all of them hold.
+    """
     qv = params.qv
     out = PatternVector()
 
@@ -186,55 +259,24 @@ def _ladder_action(
         out.add_term(target, radical_of(abs(prod)))
         return out
 
-    if index >= 0:
-        k = index
-        below, row_a, row_b, above = 2 * k, 2 * k + 1, 2 * k + 2, 2 * k + 3
-        nu = 0
-        case = _CASES[(kind, False)]
-    else:
-        k = -index  # k >= 2 here
-        below, row_a, row_b, above = 2 * k - 3, 2 * k - 2, 2 * k - 1, 2 * k
-        nu = 1
-        case = _CASES[(kind, True)]
-    o1, d1, o2, d2, delta = case
-
-    la = {i: p.l_value(i, row_a) for i in row_range(row_a)}
-    lb = {i: p.l_value(i, row_b) for i in row_range(row_b)}
-    lbelow = [p.l_value(i, below) for i in row_range(below)]
-    labove = [p.l_value(i, above) for i in row_range(above)]
-
-    for j in row_range(row_a):
-        for l in row_range(row_b):
-            target = shifted_if_valid(p, [(j, row_a, delta), (l, row_b, delta)])
+    lad = _Ladder(kind, index, p)
+    ls = _movable_against_above(p, lad.row_b, lad.delta)
+    for j in _movable_against_below(p, lad.row_a, lad.delta):
+        for l in ls:
+            target = shifted_if_valid(p, lad.moves(j, l))
             if target is None:
                 continue
-            lj, ll = la[j], lb[l]
-            num = Fraction(1)
-            for i, v in lb.items():
-                if i != l:
-                    num *= _br(v - lj + o1, qv)
-            for v in lbelow:
-                num *= _br(v - lj + o1, qv)
-            for v in labove:
-                num *= _br(v - ll + o2, qv)
-            for i, v in la.items():
-                if i != j:
-                    num *= _br(v - ll + o2, qv)
+            num_f, den_f = lad.factors(j, l, qv)
+            num = _product(num_f)
             if not num:
                 continue
-            den = Fraction(1)
-            for i, v in la.items():
-                if i != j:
-                    den *= _br(v - lj, qv) * _br(v - lj + d1, qv)
-            for i, v in lb.items():
-                if i != l:
-                    den *= _br(v - ll, qv) * _br(v - ll + d2, qv)
+            den = _product(den_f)
             if not den:
                 raise ZeroDenominatorError(
                     f"{kind}_{index}: zero denominator on valid target "
                     f"(j={j}, l={l}) of {p!r}"
                 )
-            coeff = radical_of(abs(num / den)).scale(-sign_s(j, l, nu))
+            coeff = radical_of(abs(num / den)).scale(-sign_s(j, l, lad.nu))
             out.add_term(target, coeff)
     return out
 
@@ -245,54 +287,26 @@ def deletion_diagnostics(
     """Per-candidate view of the deletion convention for a ladder generator.
 
     Returns (j, l, target_valid, numerator_zero, denominator_zero) for every
-    candidate target, evaluating the coefficient products unconditionally.
+    candidate target, evaluating the coefficient factors unconditionally.
     Used by the verification suite to confirm that skipped targets are
     exactly the ill-defined ones: valid targets never divide by zero, and
     invalid targets always have a vanishing numerator or denominator.
+    Unlike _ladder_action it sweeps every (j, l) pair, with no entry
+    filter, so it is an oracle for the filters.  It shares shifted_if_valid
+    and the bracket factors (_Ladder.factors) with the action, so it does
+    not check those.  A product of exact brackets vanishes exactly when one
+    of its factors does.
     """
     if index == -1:
         raise ValueError("the index -1 action has a single explicit candidate")
     qv = params.qv
-    if index >= 0:
-        k = index
-        below, row_a, row_b, above = 2 * k, 2 * k + 1, 2 * k + 2, 2 * k + 3
-        case = _CASES[(kind, False)]
-    else:
-        k = -index
-        below, row_a, row_b, above = 2 * k - 3, 2 * k - 2, 2 * k - 1, 2 * k
-        case = _CASES[(kind, True)]
-    o1, d1, o2, d2, delta = case
-    la = {i: p.l_value(i, row_a) for i in row_range(row_a)}
-    lb = {i: p.l_value(i, row_b) for i in row_range(row_b)}
-    lbelow = [p.l_value(i, below) for i in row_range(below)]
-    labove = [p.l_value(i, above) for i in row_range(above)]
+    lad = _Ladder(kind, index, p)
     out = []
-    for j in row_range(row_a):
-        for l in row_range(row_b):
-            valid = (
-                shifted_if_valid(p, [(j, row_a, delta), (l, row_b, delta)])
-                is not None
-            )
-            lj, ll = la[j], lb[l]
-            num = Fraction(1)
-            for i, v in lb.items():
-                if i != l:
-                    num *= _br(v - lj + o1, qv)
-            for v in lbelow:
-                num *= _br(v - lj + o1, qv)
-            for v in labove:
-                num *= _br(v - ll + o2, qv)
-            for i, v in la.items():
-                if i != j:
-                    num *= _br(v - ll + o2, qv)
-            den = Fraction(1)
-            for i, v in la.items():
-                if i != j:
-                    den *= _br(v - lj, qv) * _br(v - lj + d1, qv)
-            for i, v in lb.items():
-                if i != l:
-                    den *= _br(v - ll, qv) * _br(v - ll + d2, qv)
-            out.append((j, l, valid, num == 0, den == 0))
+    for j in row_range(lad.row_a):
+        for l in row_range(lad.row_b):
+            valid = shifted_if_valid(p, lad.moves(j, l)) is not None
+            num_f, den_f = lad.factors(j, l, qv)
+            out.append((j, l, valid, 0 in num_f, 0 in den_f))
     return out
 
 

@@ -87,9 +87,9 @@ class RunConfig:
                 sig = Signature.from_json(sig_raw)
             except (KeyError, ValueError) as exc:
                 raise ConfigError(f"bad signature: {exc}") from exc
-        q_raw = raw.get("q", "3/2")
-        q = None if str(q_raw) == "classical" else parse_rational(str(q_raw))
         try:
+            q_raw = str(raw.get("q", "3/2"))
+            q = None if q_raw == "classical" else parse_rational(q_raw)
             cfg = cls(
                 signature=sig,
                 xi0=parse_rational(str(raw.get("xi0", 0))),
@@ -106,7 +106,11 @@ class RunConfig:
             cfg.params  # force validation
             if cfg.level < 2:
                 raise ConfigError("level must exceed 1")
-        except (ValueError, ConfigError) as exc:
+            if cfg.window < 0:
+                raise ConfigError("window must be nonnegative")
+            if cfg.trials < 1:
+                raise ConfigError("trials must be positive")
+        except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(str(exc)) from exc
         return cfg
 
@@ -233,6 +237,12 @@ def cmd_check(cfg: RunConfig, suite: str) -> int:
     if suite not in _SUITES:
         raise ConfigError(f"unknown suite {suite!r}")
     reports = _run_suite(cfg, suite)
+    if not reports:
+        # zero checks must not count as a pass
+        raise ConfigError(
+            f"suite {suite!r} selects no checks at level {cfg.level}, "
+            f"window {cfg.window}"
+        )
     ok = all(r.passed for r in reports)
     doc = {
         "schema": SCHEMA,

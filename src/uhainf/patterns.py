@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .qnum import QValue, format_rational, parse_rational
 
@@ -66,6 +66,8 @@ class Signature:
     m: int
     n: int
     values: tuple[int, ...]
+    # row p -> row(p), filled on first use; not part of equality or hashing
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(int(v) for v in self.values))
@@ -88,7 +90,10 @@ class Signature:
 
     def row(self, p: int) -> tuple[int, ...]:
         """Row p of the stabilized region: entries M_i over the row's range."""
-        return tuple(self.value(i) for i in row_range(p))
+        r = self._rows.get(p)
+        if r is None:
+            r = self._rows[p] = tuple(self.value(i) for i in row_range(p))
+        return r
 
     def to_json(self) -> dict:
         return {"m": self.m, "n": self.n, "values": list(self.values)}
@@ -107,6 +112,8 @@ class ModuleParams:
     xi1: Fraction
     qv: QValue
     mode: str = "a_infinity"  # "a_infinity" | "A_infinity"
+    # every action-cache lookup hashes the params; the Fractions are slow to hash
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "xi0", Fraction(self.xi0))
@@ -119,6 +126,11 @@ class ModuleParams:
                 raise ValueError(
                     "A_infinity mode requires xi0 = M_m and xi1 = M_n"
                 )
+        object.__setattr__(self, "_hash", hash(
+            (self.signature, self.xi0, self.xi1, self.qv, self.mode)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 class CPattern:
@@ -159,14 +171,9 @@ class CPattern:
         return self.sig.row(p)
 
     def entry(self, i: int, p: int) -> int:
-        if p <= len(self.rows):
-            r = self.rows[p - 1]
-        else:
+        if p > len(self.rows):
             return self.sig.value(i)
-        pos = i + p // 2
-        if not 0 <= pos < p:
-            raise IndexError(f"index {i} outside row {p}")
-        return r[pos]
+        return self.rows[p - 1][_position(i, p)]
 
     def l_value(self, i: int, p: int) -> int:
         return self.entry(i, p) - i
@@ -203,20 +210,23 @@ class CPattern:
 
 def validate(p: CPattern) -> bool:
     """Full interlacing check against all stored rows and the row above them."""
-    for row_p in range(1, p.N):
-        for i in row_range(row_p):
-            v = p.entry(i, row_p)
-            if row_p % 2:  # odd row: upper neighbors i-1 and i
-                hi, lo = i - 1, i
-            else:  # even row: upper neighbors i and i+1
-                hi, lo = i, i + 1
-            if not p.entry(hi, row_p + 1) >= v >= p.entry(lo, row_p + 1):
-                return False
-    return True
+    return all(
+        _fits_above(p.entry, i, row_p)
+        for row_p in range(1, p.N)
+        for i in row_range(row_p)
+    )
 
 
 def l_value(p: CPattern, i: int, row: int) -> int:
     return p.l_value(i, row)
+
+
+def _position(i: int, row: int) -> int:
+    """Offset of entry (i, row) within its row; IndexError when outside."""
+    pos = i + row // 2
+    if not 0 <= pos < row:
+        raise IndexError(f"index {i} outside row {row}")
+    return pos
 
 
 def shift(p: CPattern, moves: Sequence[tuple[int, int, int]]) -> CPattern:
@@ -229,50 +239,79 @@ def shift(p: CPattern, moves: Sequence[tuple[int, int, int]]) -> CPattern:
     top = max(len(p.rows), max(row for _, row, _ in moves))
     rows = [list(p.row(q)) for q in range(1, top + 1)]
     for i, row, delta in moves:
-        pos = i + row // 2
-        if not 0 <= pos < row:
-            raise IndexError(f"index {i} outside row {row}")
-        rows[row - 1][pos] += delta
+        rows[row - 1][_position(i, row)] += delta
     return CPattern(p.sig, rows)
 
 
-def _entry_ok(p: CPattern, i: int, row_p: int) -> bool:
-    if row_p % 2:
-        hi, lo = i - 1, i
-    else:
-        hi, lo = i, i + 1
-    v = p.entry(i, row_p)
-    return p.entry(hi, row_p + 1) >= v >= p.entry(lo, row_p + 1)
+def _upper_neighbors(i: int, row: int) -> tuple[int, int]:
+    """(hi, lo): the entries of row + 1 that bound entry (i, row)."""
+    return (i - 1, i) if row % 2 else (i, i + 1)
+
+
+def _lower_neighbors(i: int, row: int) -> list[int]:
+    """Indices of the entries of row - 1 that entry (i, row) bounds."""
+    below = row - 1
+    if below < 1:
+        return []
+    rng = row_range(below)
+    return [i2 for i2 in ((i + 1, i) if below % 2 else (i, i - 1)) if i2 in rng]
+
+
+def _overlaid(p: CPattern, overlay: dict) -> Callable[[int, int], int]:
+    """Entry reader for p with overlay[(i, row)] added to the listed entries."""
+    get = overlay.get
+    return lambda i, row: p.entry(i, row) + get((i, row), 0)
+
+
+def _fits_above(entry: Callable[[int, int], int], i: int, row: int) -> bool:
+    """Entry (i, row) lies between its two neighbors in row + 1."""
+    hi, lo = _upper_neighbors(i, row)
+    return entry(hi, row + 1) >= entry(i, row) >= entry(lo, row + 1)
+
+
+def _fits_below(entry: Callable[[int, int], int], i: int, row: int) -> bool:
+    """Every entry of row - 1 bounded by (i, row) still lies between its neighbors."""
+    return all(_fits_above(entry, i2, row - 1) for i2 in _lower_neighbors(i, row))
 
 
 def shifted_if_valid(
     p: CPattern, moves: Sequence[tuple[int, int, int]]
 ) -> Optional[CPattern]:
-    """Shift and validate locally; returns None if the result interlaces badly.
+    """Shift p if the result still interlaces; None if it does not.
 
-    Assumes p itself is valid, so only constraints touching a moved entry
-    need rechecking: the moved entry against the row above it, and the
-    entries one row below whose upper neighbors include the moved slot.
+    Checks first, builds after: entries are read as integers from p plus an
+    overlay {(i, row): delta} of the moves, and shift builds the pattern
+    only when every check passes.  Assumes p itself is valid, so only
+    constraints touching a moved entry need checking: the moved entry
+    against the row above it, and the entries one row below whose upper
+    neighbors include the moved slot.  An out-of-range move raises
+    IndexError, as in shift.
     """
-    cand = shift(p, moves)
-    checks: set[tuple[int, int]] = set()
-    for i, row, _ in moves:
-        checks.add((i, row))
-        below = row - 1
-        if below >= 1:
-            # entries of the row below having (i, row) as a neighbor
-            if below % 2:
-                lower = (i + 1, i)
-            else:
-                lower = (i, i - 1)
-            rng = row_range(below)
-            for i2 in lower:
-                if i2 in rng:
-                    checks.add((i2, below))
-    for i, row in sorted(checks):
-        if not _entry_ok(cand, i, row):
+    overlay: dict[tuple[int, int], int] = {}
+    for i, row, delta in moves:
+        _position(i, row)  # range check only
+        overlay[(i, row)] = overlay.get((i, row), 0) + delta
+    entry = _overlaid(p, overlay)
+    for i, row in overlay:
+        if not (_fits_above(entry, i, row) and _fits_below(entry, i, row)):
             return None
-    return cand
+    return shift(p, moves)
+
+
+def _movable_against_above(p: CPattern, row: int, delta: int) -> list[int]:
+    """Indices i of row whose entry, moved alone by delta, still lies between
+    its neighbors in row + 1.  A necessary condition for any set of moves
+    that shifts (i, row) by delta and leaves row + 1 alone."""
+    return [i for i in row_range(row)
+            if _fits_above(_overlaid(p, {(i, row): delta}), i, row)]
+
+
+def _movable_against_below(p: CPattern, row: int, delta: int) -> list[int]:
+    """Indices i of row whose move by delta keeps row - 1 interlaced under
+    it.  A necessary condition for any set of moves that shifts (i, row) by
+    delta and leaves the rest of row and row - 1 alone."""
+    return [i for i in row_range(row)
+            if _fits_below(_overlaid(p, {(i, row): delta}), i, row)]
 
 
 def highest_weight_pattern(sig: Signature) -> CPattern:
@@ -298,10 +337,7 @@ def enumerate_basis(sig: Signature, N: int) -> list[CPattern]:
         row_above_level = p + 1
         ranges = []
         for i in row_range(p):
-            if p % 2:
-                hi, lo = i - 1, i
-            else:
-                hi, lo = i, i + 1
+            hi, lo = _upper_neighbors(i, p)
             off = row_above_level // 2
             hi_v = above[hi + off]
             lo_v = above[lo + off]

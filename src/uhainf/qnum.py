@@ -12,7 +12,7 @@ every verification verdict in this package decidable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Mapping, Optional, Union
@@ -261,15 +261,16 @@ class RadicalSum:
         return "RadicalSum(" + " + ".join(parts) + ")"
 
     def to_decimal(self, digits: int = 50) -> str:
-        ctx_prec = digits + 10
-        getcontext().prec = ctx_prec
-        total = Decimal(0)
-        for k, c in self._terms.items():
-            val = Decimal(c.numerator) / Decimal(c.denominator)
-            if k != 1:
-                val *= Decimal(k).sqrt()
-            total += val
-        return str(+total.quantize(Decimal(1).scaleb(-digits)) if False else +total)
+        # a local context: the caller's decimal precision is left alone
+        with localcontext() as ctx:
+            ctx.prec = digits + 10
+            total = Decimal(0)
+            for k, c in self._terms.items():
+                val = Decimal(c.numerator) / Decimal(c.denominator)
+                if k != 1:
+                    val *= Decimal(k).sqrt()
+                total += val
+            return str(+total)
 
     def to_json(self, decimal_digits: Optional[int] = None) -> list | dict:
         arr = [

@@ -18,7 +18,7 @@ from uhainf import (
     highest_weight_pattern,
 )
 from uhainf.action import ZeroDenominatorError, deletion_diagnostics
-from uhainf.patterns import row_range, weight_eigenvalue
+from uhainf.patterns import row_range, shift, weight_eigenvalue
 
 
 def E(i):
@@ -201,6 +201,33 @@ class TestDeletionConvention:
                             seen_invalid += 1
                             assert num0 or den0, (kind, k, j, l, p)
         assert seen_invalid > 0
+
+    def test_targets_are_the_valid_candidates(self, params_mid):
+        """The pruned action reaches exactly the targets that the full
+        candidate sweep calls valid, on V_5 for every ladder index in
+        [-4, 4]; indices 3, 4 and -4 act only on rows above level 5.  Rows
+        and shifts are spelled out here, independently of the library's
+        case table."""
+        basis = enumerate_basis(params_mid.signature, 5)
+        reached = 0
+        for p in basis:
+            for k in range(-4, 5):
+                if k == -1:
+                    continue
+                row_a = 2 * k + 1 if k >= 0 else -2 * k - 2
+                for kind in ("E", "F"):
+                    delta = 1 if (kind == "E") == (k >= 0) else -1
+                    want = {
+                        shift(p, [(j, row_a, delta), (l, row_a + 1, delta)])
+                        for j, l, valid, num0, den0 in deletion_diagnostics(
+                            kind, k, p, params_mid
+                        )
+                        if valid
+                    }
+                    got = apply_generator(GeneratorLabel(kind, k), p, params_mid)
+                    assert set(got.terms) == want, (kind, k, p)
+                    reached += len(want)
+        assert reached > 0
 
     def test_index_minus1_rejected(self, params_mid):
         hw = highest_weight_pattern(params_mid.signature)

@@ -80,6 +80,41 @@ class TestConfigHandling:
                                     "--level", "4"])
         assert json.loads(out)["count"] == 20
 
+    def test_bad_q_is_usage_error(self, capsys):
+        for q in ("abc", "1/0"):
+            code, out, err = run(capsys, [
+                "check", f"--signature={SIG}", "--xi0", "2", "--xi1", "0",
+                "--q", q, "--suite", "hw",
+            ])
+            assert code == 2, q
+            assert out == ""
+            assert err.startswith("error:")
+
+    def test_negative_window_is_usage_error(self, capsys):
+        code, out, err = run(capsys, [
+            "check", *BASE, "--suite", "cartan", "--window", "-3",
+        ])
+        assert code == 2
+        assert out == ""
+        assert "window" in err
+
+    def test_zero_trials_is_usage_error(self, capsys):
+        code, out, err = run(capsys, [
+            "check", *BASE, "--suite", "identities", "--trials", "0",
+        ])
+        assert code == 2
+        assert out == ""
+        assert "trials" in err
+
+    def test_run_without_checks_is_usage_error(self, capsys):
+        # on this signature no boundary index k fits level 5
+        code, out, err = run(capsys, [
+            "check", *BASE, "--suite", "boundary", "--level", "5",
+        ])
+        assert code == 2
+        assert out == ""
+        assert "no checks" in err
+
     def test_classical_q(self, capsys):
         code, out, _ = run(capsys, [
             "check", f"--signature={SIG}", "--xi0", "2", "--xi1", "0",

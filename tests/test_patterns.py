@@ -15,6 +15,8 @@ from uhainf import (
     weight_of,
 )
 from uhainf.patterns import (
+    _movable_against_above,
+    _movable_against_below,
     row_range,
     shift,
     shifted_if_valid,
@@ -101,6 +103,16 @@ class TestSignature:
         assert s.row(3) == (2, 1, 0)
         assert s.row(4) == (2, 2, 1, 0)
 
+    def test_row_cache_is_invisible(self):
+        s = Signature(-1, 1, (2, 1, 0))
+        fresh = Signature(-1, 1, (2, 1, 0))
+        assert s.row(5) is s.row(5)
+        assert s.row(5) == (2, 2, 1, 0, 0)
+        assert s.row(0) == ()
+        assert s == fresh and hash(s) == hash(fresh)
+        assert repr(s) == repr(fresh)
+        assert s.to_json() == fresh.to_json()
+
     def test_rejects_increasing(self):
         with pytest.raises(ValueError):
             Signature(0, 1, (0, 1))
@@ -124,6 +136,18 @@ class TestModuleParams:
             ModuleParams(s, 2, 0, QValue.quantum(2), "A_infinity")
         # lowercase mode has free labels
         ModuleParams(s, 7, -3, QValue.quantum(2), "a_infinity")
+
+    def test_hash_is_structural(self):
+        s = Signature(-1, 1, (2, 1, 0))
+        a = ModuleParams(s, Fraction(2), Fraction(0),
+                         QValue.quantum(Fraction(3, 2)), "a_infinity")
+        b = ModuleParams(Signature(-1, 1, (2, 1, 0)), 2, 0,
+                         QValue.quantum(Fraction(3, 2)))
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        c = ModuleParams(s, Fraction(1), Fraction(0),
+                         QValue.quantum(Fraction(3, 2)))
+        assert a != c
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
@@ -270,6 +294,61 @@ class TestShift:
             got = shifted_if_valid(p, moves)
             full = shift(p, moves)
             assert (got is not None) == validate(full)
+
+    def test_out_of_range_move_raises(self, sig_mid):
+        p = highest_weight_pattern(sig_mid)
+        for moves in ([(1, 1, 1)], [(0, 1, -1), (2, 3, -1)], [(0, 0, 1)]):
+            with pytest.raises(IndexError):
+                shift(p, moves)
+            with pytest.raises(IndexError):
+                shifted_if_valid(p, moves)
+
+    def test_movable_filters_are_necessary(self, sig_mid):
+        """Every valid ladder-shaped move (j, row), (l, row + 1) by the same
+        delta passes both entry filters."""
+        kept = 0
+        for p in enumerate_basis(sig_mid, 5):
+            for row in range(1, 7):
+                for delta in (-1, 1):
+                    js = _movable_against_below(p, row, delta)
+                    ls = _movable_against_above(p, row + 1, delta)
+                    for j in row_range(row):
+                        for l in row_range(row + 1):
+                            moves = [(j, row, delta), (l, row + 1, delta)]
+                            if shifted_if_valid(p, moves) is not None:
+                                assert j in js and l in ls, (p, moves)
+                                kept += 1
+        assert kept > 0
+
+
+V5_MID = enumerate_basis(Signature(-1, 1, (2, 1, 0)), 5)
+
+
+@st.composite
+def moves_on_v5(draw):
+    """A pattern of V_5 on -1:1:2,1,0 and one or two in-range moves; the
+    second move lands in the same row or an adjacent one half the time."""
+    p = draw(st.sampled_from(V5_MID))
+    moves = []
+    row = draw(st.integers(1, 6))
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.sampled_from(list(row_range(row))))
+        moves.append((i, row, draw(st.sampled_from((-2, -1, 1, 2)))))
+        row = draw(st.one_of(st.integers(1, 6),
+                             st.sampled_from((max(row - 1, 1), row, row + 1))))
+    return p, moves
+
+
+@settings(max_examples=400, deadline=None)
+@given(moves_on_v5())
+def test_property_shifted_if_valid_is_shift_then_validate(case):
+    p, moves = case
+    full = shift(p, moves)
+    got = shifted_if_valid(p, moves)
+    if validate(full):
+        assert got == full
+    else:
+        assert got is None
 
 
 class TestWeights:

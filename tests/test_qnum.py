@@ -1,3 +1,4 @@
+import decimal
 import random
 from fractions import Fraction
 
@@ -166,6 +167,19 @@ class TestRadicalSum:
     def test_decimal_rendering(self):
         s = RadicalSum({2: Fraction(1)})
         assert s.to_decimal(20).startswith("1.4142135623730950488")
+
+    def test_decimal_rendering_keeps_caller_precision(self):
+        s = RadicalSum({2: Fraction(1, 3), 1: Fraction(1)})
+        with decimal.localcontext() as ctx:
+            ctx.prec = 7
+            text = s.to_decimal(50)
+            assert decimal.getcontext().prec == 7
+        # the rendering depends on its own digits only, not on the caller's
+        assert s.to_decimal(50) == text
+        assert len(text.split(".")[1]) >= 50
+        before = decimal.getcontext().prec
+        s.to_decimal(80)
+        assert decimal.getcontext().prec == before
 
 
 class TestRationalSerialization:
