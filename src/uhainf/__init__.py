@@ -1,15 +1,14 @@
 """Exact highest-weight representations on pattern bases, with verification
-suites for the defining relations and the q-bracket identity corpus."""
+suites for the defining relations and the q-bracket identity corpus.
 
-from .qnum import (
-    QValue,
-    RadicalSum,
-    qbracket,
-    radical_of,
-    radsum_add,
-    radsum_is_zero,
-    radsum_mul,
-)
+The scalar, pattern and identity layers load with the package; the action
+layer and the relation suites load on first use of one of their names, so
+``import uhainf.identities`` stays clear of them.
+"""
+
+from importlib import import_module
+
+from .qnum import QValue, RadicalSum, qbracket, radical_of
 from .patterns import (
     CPattern,
     ModuleParams,
@@ -19,16 +18,7 @@ from .patterns import (
     highest_weight_pattern,
     weight_of,
 )
-from .action import GeneratorLabel, PatternVector, apply_generator, apply_to_vector, apply_word
-from .relations import (
-    CheckReport,
-    check_boundary_f,
-    check_cartan,
-    check_charge,
-    check_highest_weight,
-    check_restrictedness,
-    check_serre,
-)
+from .report import CheckReport
 from .identities import (
     Assignment,
     IdentityId,
@@ -37,5 +27,23 @@ from .identities import (
     fuzz_identity,
     random_generic_assignment,
 )
+
+_LAZY = {
+    "action": ("GeneratorLabel", "PatternVector", "apply_generator",
+               "apply_to_vector", "apply_word"),
+    "relations": ("check_boundary_f", "check_cartan", "check_charge",
+                  "check_highest_weight", "check_restrictedness", "check_serre"),
+}
+_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return import_module(f".{name}", __name__)
+    module = _LAZY_HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
 
 __version__ = "0.1.0"

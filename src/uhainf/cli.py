@@ -10,20 +10,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .qnum import QValue, parse_rational
-from .patterns import (
-    CPattern,
-    ModuleParams,
-    Signature,
-    enumerate_basis,
-)
+from .patterns import ModuleParams, Signature, enumerate_basis
 from .action import GeneratorLabel, apply_generator
 from . import relations as rel
-from .identities import IdentityId, fuzz_identity, _SIZED
+from .identities import CORPUS, fuzz_identity
 
 SCHEMA = "uhainf/1"
 
@@ -220,16 +215,8 @@ def _run_suite(cfg: RunConfig, suite: str) -> list[rel.CheckReport]:
     if suite in ("charge", "all"):
         reports.append(rel.check_charge(params, max(abs(sig.m), sig.n) + W))
     if suite in ("identities", "all"):
-        for tag in ("I23a", "I23b", "I24a", "I24b", "I24c", "I24d",
-                    "I25", "I26", "I27", "A46L", "A46R"):
-            size = 2 if tag in _SIZED else None
-            reports.append(
-                fuzz_identity(IdentityId(tag, size), cfg.trials, cfg.seed)
-            )
-        for n in (2, 4):
-            reports.append(fuzz_identity(IdentityId("A21", n), cfg.trials, cfg.seed))
-        for n in (2, 3, 4):
-            reports.append(fuzz_identity(IdentityId("A26", n), cfg.trials, cfg.seed))
+        for ident in CORPUS:
+            reports.append(fuzz_identity(ident, cfg.trials, cfg.seed))
     return reports
 
 

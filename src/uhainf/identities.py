@@ -5,6 +5,26 @@ Each identity is a rational-function identity in q and a handful of integer
 that must be zero at every generic assignment.  Assignments where some
 denominator bracket vanishes are poles; they raise PoleError and the fuzzer
 rejects and resamples them.
+
+The row-sum identities (the double sums I23a/b and the removed-label single
+sums I24a-d) read four consecutive L-rows: below, a, b and above.  They are
+one kernel driven by the table ``_ROW_SUMS``, which gives per tag the bottom
+row's offset from 2k, the sign sigma of the ``s`` offset, and for the single
+sums the summed row, the row losing the two excluded labels, and the unused
+row.  Each term is summed over s in {0, 1} with sign (-1)^s and, with
+t = sigma*s and x the summed entry, is a product of numerator brackets
+[v - x + off] over the other rows divided by [v_i - x + t][v_i - x + t - sigma]
+over the rest of the summed row.  The double sum is built from the same two
+products and ends in -[sigma(sum a + sum b - sum above - sum below) - 1].
+A26 is the single sum with sigma = +1, summed over a, with b and c as the
+other rows: its brackets [a_i - v - s] = -[v - a_i + s] come in an even
+number, and its two denominator brackets change sign together.
+
+Two changes to a table row leave every identity true, so no test can tell
+them apart: flipping sigma (the identities are invariant under L -> -L),
+and shifting the bottom row by one (only the parity of the row lengths
+changes).  Swapping the summed and the cut row, or dropping another row,
+breaks the identity.
 """
 
 from __future__ import annotations
@@ -12,13 +32,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import NamedTuple, Optional
 
 from .qnum import QValue, qbracket
-from .relations import CheckReport
+from .patterns import row_range
+from .report import CheckReport
 
 __all__ = [
     "IDENTITY_TAGS",
+    "CORPUS",
     "IdentityId",
     "Assignment",
     "PoleError",
@@ -63,6 +85,15 @@ class IdentityId:
             raise ValueError(f"{self.tag} takes no size parameter")
 
 
+# the corpus the identities suite fuzzes, in report order
+CORPUS = (
+    *(IdentityId(tag, 2) for tag in ("I23a", "I23b", "I24a", "I24b", "I24c", "I24d")),
+    *(IdentityId(tag) for tag in ("I25", "I26", "I27", "A46L", "A46R")),
+    IdentityId("A21", 2), IdentityId("A21", 4),
+    IdentityId("A26", 2), IdentityId("A26", 3), IdentityId("A26", 4),
+)
+
+
 @dataclass
 class Assignment:
     """Concrete values for an identity's slots.
@@ -85,194 +116,112 @@ def _div(num: Fraction, den: Fraction, what: str) -> Fraction:
     return num / den
 
 
-# --- L-row helpers -------------------------------------------------------
-# Sum identities use four consecutive rows of L-values.  Rows are stored as
-# dicts {index: value} over the same index ranges patterns use:
-# row p covers [-floor(p/2), ceil(p/2)-1].
+# --- row sums ------------------------------------------------------------
+# Rows hold L-values in index order over the ranges patterns use: row p
+# covers row_range(p).  The four rows of a row-sum identity are, bottom up:
+
+_ROWS = ("row_below", "row_a", "row_b", "row_above")
 
 
-def _row_indices(p: int) -> range:
-    return range(-(p // 2), (p + 1) // 2)
+class _RowSum(NamedTuple):
+    bottom: int  # row number of row_below, minus 2k
+    sigma: int  # sign of the s offset
+    summed: Optional[str] = None  # single sums only
+    cut: Optional[str] = None  # loses the two excluded labels
+    unused: Optional[str] = None
 
 
-def _as_row(p: int, values) -> dict:
-    idx = list(_row_indices(p))
-    if len(values) != len(idx):
-        raise ValueError(f"row {p} needs {len(idx)} values, got {len(values)}")
-    return dict(zip(idx, values))
+_ROW_SUMS = {
+    "I23a": _RowSum(-2, +1),
+    "I23b": _RowSum(-1, -1),
+    "I24a": _RowSum(-2, +1, "row_b", "row_a", "row_below"),
+    "I24b": _RowSum(-1, -1, "row_b", "row_a", "row_below"),
+    "I24c": _RowSum(-2, -1, "row_a", "row_b", "row_above"),
+    "I24d": _RowSum(-1, +1, "row_a", "row_b", "row_above"),
+}
 
 
-def _eval_i23a(a: Assignment, k: int) -> Fraction:
-    br = lambda x: qbracket(x, a.qv)
-    rD = _as_row(2 * k - 2, a.arrays["row_below"])
-    rA = _as_row(2 * k - 1, a.arrays["row_a"])
-    rB = _as_row(2 * k, a.arrays["row_b"])
-    rC = _as_row(2 * k + 1, a.arrays["row_above"])
-    lhs = Fraction(0)
-    for s in (0, 1):
-        for j, lj in rA.items():
-            den1 = Fraction(1)
-            for i, v in rA.items():
-                if i != j:
-                    den1 *= br(v - lj + s) * br(v - lj + s - 1)
-            num1b = Fraction(1)
-            for v in rD.values():
-                num1b *= br(v - lj + s - 1)
-            for l, ll in rB.items():
-                num1 = num1b
-                for i, v in rB.items():
-                    if i != l:
-                        num1 *= br(v - lj + s - 1)
-                num2 = Fraction(1)
-                for v in rC.values():
-                    num2 *= br(v - ll + s)
-                for i, v in rA.items():
-                    if i != j:
-                        num2 *= br(v - ll + s)
-                den2 = Fraction(1)
-                for i, v in rB.items():
-                    if i != l:
-                        den2 *= br(v - ll + s) * br(v - ll + s - 1)
-                term = _div(num1, den1, f"I23a den1 (s={s}, j={j})")
-                term *= _div(num2, den2, f"I23a den2 (s={s}, l={l})")
-                lhs += (-1) ** s * term
-    rhs = br(
-        sum(rA.values()) - sum(rD.values()) - sum(rC.values()) + sum(rB.values()) - 1
-    )
-    return lhs - rhs
+def _row_numbers(case: _RowSum, k: int) -> dict:
+    return {name: 2 * k + case.bottom + r for r, name in enumerate(_ROWS)}
 
 
-def _eval_i23b(a: Assignment, k: int) -> Fraction:
-    br = lambda x: qbracket(x, a.qv)
-    rD = _as_row(2 * k - 1, a.arrays["row_below"])
-    rA = _as_row(2 * k, a.arrays["row_a"])
-    rB = _as_row(2 * k + 1, a.arrays["row_b"])
-    rC = _as_row(2 * k + 2, a.arrays["row_above"])
-    lhs = Fraction(0)
-    for s in (0, 1):
-        for j, lj in rA.items():
-            den1 = Fraction(1)
-            for i, v in rA.items():
-                if i != j:
-                    den1 *= br(v - lj - s) * br(v - lj - s + 1)
-            num1b = Fraction(1)
-            for v in rD.values():
-                num1b *= br(v - lj - s + 1)
-            for l, ll in rB.items():
-                num1 = num1b
-                for i, v in rB.items():
-                    if i != l:
-                        num1 *= br(v - lj - s + 1)
-                num2 = Fraction(1)
-                for v in rC.values():
-                    num2 *= br(v - ll - s)
-                for i, v in rA.items():
-                    if i != j:
-                        num2 *= br(v - ll - s)
-                den2 = Fraction(1)
-                for i, v in rB.items():
-                    if i != l:
-                        den2 *= br(v - ll - s) * br(v - ll - s + 1)
-                term = _div(num1, den1, f"I23b den1 (s={s}, j={j})")
-                term *= _div(num2, den2, f"I23b den2 (s={s}, l={l})")
-                lhs += (-1) ** s * term
-    rhs = br(
-        sum(rC.values()) - sum(rB.values()) - sum(rA.values()) + sum(rD.values()) - 1
-    )
-    return lhs - rhs
+def _as_row(p: int, values) -> list:
+    if len(values) != len(row_range(p)):
+        raise ValueError(f"row {p} needs {len(row_range(p))} values, got {len(values)}")
+    return list(values)
 
 
-def _eval_i24a(a: Assignment, k: int) -> Fraction:
-    # sum over the middle even row; two labels removed from the odd row below
-    br = lambda x: qbracket(x, a.qv)
-    rA = _as_row(2 * k - 1, a.arrays["row_a"])
-    rB = _as_row(2 * k, a.arrays["row_b"])
-    rC = _as_row(2 * k + 1, a.arrays["row_above"])
-    j, m = a.excluded["labels"]
+def _num(br, values, x: int, off: int) -> Fraction:
+    """Product of [v - x + off] over values."""
+    prod = Fraction(1)
+    for v in values:
+        prod *= br(v - x + off)
+    return prod
+
+
+def _den(br, row: list, j: int, t: int, sigma: int, what: str) -> Fraction:
+    """Product of [v_i - x + t][v_i - x + t - sigma] over i != j, x = row[j];
+    PoleError at the first vanishing factor."""
+    x = row[j]
+    prod = Fraction(1)
+    for i, v in enumerate(row):
+        if i != j:
+            factor = br(v - x + t) * br(v - x + t - sigma)
+            if factor == 0:
+                raise PoleError(f"vanishing denominator: {what} at j={j}, i={i}")
+            prod *= factor
+    return prod
+
+
+def _single_sum(br, row: list, others: list, sigma: int, what: str) -> Fraction:
     total = Fraction(0)
     for s in (0, 1):
-        for l, ll in rB.items():
-            num = Fraction(1)
-            for v in rC.values():
-                num *= br(v - ll + s)
-            for i, v in rA.items():
-                if i not in (j, m):
-                    num *= br(v - ll + s)
-            den = Fraction(1)
-            for i, v in rB.items():
-                if i != l:
-                    den *= br(v - ll + s) * br(v - ll + s - 1)
-            total += (-1) ** s * _div(num, den, f"I24a den (s={s}, l={l})")
+        t = sigma * s
+        for j, x in enumerate(row):
+            den = _den(br, row, j, t, sigma, what)
+            total += (-1) ** s * _num(br, others, x, t) / den
     return total
 
 
-def _eval_i24b(a: Assignment, k: int) -> Fraction:
-    br = lambda x: qbracket(x, a.qv)
-    rA = _as_row(2 * k, a.arrays["row_a"])
-    rB = _as_row(2 * k + 1, a.arrays["row_b"])
-    rC = _as_row(2 * k + 2, a.arrays["row_above"])
-    j, m = a.excluded["labels"]
+def _double_sum(br, D: list, A: list, B: list, C: list, sigma: int,
+                what: str) -> Fraction:
     total = Fraction(0)
     for s in (0, 1):
-        for l, ll in rB.items():
-            num = Fraction(1)
-            for v in rC.values():
-                num *= br(v - ll - s)
-            for i, v in rA.items():
-                if i not in (j, m):
-                    num *= br(v - ll - s)
-            den = Fraction(1)
-            for i, v in rB.items():
-                if i != l:
-                    den *= br(v - ll - s) * br(v - ll - s + 1)
-            total += (-1) ** s * _div(num, den, f"I24b den (s={s}, l={l})")
-    return total
+        t = sigma * s
+        den_a = [_den(br, A, j, t, sigma, what) for j in range(len(A))]
+        den_b = [_den(br, B, l, t, sigma, what) for l in range(len(B))]
+        for j, x in enumerate(A):
+            num_d = _num(br, D, x, t - sigma)
+            above = C + A[:j] + A[j + 1:]
+            for l, y in enumerate(B):
+                num1 = num_d * _num(br, B[:l] + B[l + 1:], x, t - sigma)
+                num2 = _num(br, above, y, t)
+                total += (-1) ** s * (num1 / den_a[j]) * (num2 / den_b[l])
+    rhs = br(sigma * (sum(A) + sum(B) - sum(C) - sum(D)) - 1)
+    return total - rhs
 
 
-def _eval_i24c(a: Assignment, k: int) -> Fraction:
+def _eval_row_sum(a: Assignment, tag: str, k: int) -> Fraction:
+    case = _ROW_SUMS[tag]
     br = lambda x: qbracket(x, a.qv)
-    rD = _as_row(2 * k - 2, a.arrays["row_below"])
-    rA = _as_row(2 * k - 1, a.arrays["row_a"])
-    rB = _as_row(2 * k, a.arrays["row_b"])
-    l, qx = a.excluded["labels"]
-    total = Fraction(0)
-    for s in (0, 1):
-        for j, lj in rA.items():
-            num = Fraction(1)
-            for v in rD.values():
-                num *= br(v - lj - s)
-            for r, v in rB.items():
-                if r not in (l, qx):
-                    num *= br(v - lj - s)
-            den = Fraction(1)
-            for r, v in rA.items():
-                if r != j:
-                    den *= br(v - lj - s) * br(v - lj - s + 1)
-            total += (-1) ** s * _div(num, den, f"I24c den (s={s}, j={j})")
-    return total
+    p = _row_numbers(case, k)
+    rows = {name: _as_row(p[name], a.arrays[name])
+            for name in _ROWS if name != case.unused}
+    if case.summed is None:
+        return _double_sum(br, *rows.values(), case.sigma, tag)
+    labels = a.excluded["labels"]
+    others = [v for name, vs in rows.items()
+              if name not in (case.summed, case.cut) for v in vs]
+    others += [v for i, v in zip(row_range(p[case.cut]), rows[case.cut])
+               if i not in labels]
+    return _single_sum(br, rows[case.summed], others, case.sigma, tag)
 
 
-def _eval_i24d(a: Assignment, k: int) -> Fraction:
-    br = lambda x: qbracket(x, a.qv)
-    rD = _as_row(2 * k - 1, a.arrays["row_below"])
-    rA = _as_row(2 * k, a.arrays["row_a"])
-    rB = _as_row(2 * k + 1, a.arrays["row_b"])
-    l, qx = a.excluded["labels"]
-    total = Fraction(0)
-    for s in (0, 1):
-        for j, lj in rA.items():
-            num = Fraction(1)
-            for i, v in rB.items():
-                if i not in (l, qx):
-                    num *= br(v - lj + s)
-            for v in rD.values():
-                num *= br(v - lj + s)
-            den = Fraction(1)
-            for i, v in rA.items():
-                if i != j:
-                    den *= br(v - lj + s) * br(v - lj + s - 1)
-            total += (-1) ** s * _div(num, den, f"I24d den (s={s}, j={j})")
-    return total
+def _eval_a26(a: Assignment, n: int) -> Fraction:
+    aa, bb, cc = (list(a.arrays[x]) for x in "abc")
+    if [len(aa), len(bb), len(cc)] != [n, n - 1, n - 1]:
+        raise ValueError("A26 arrays must have lengths n, n-1, n-1")
+    return _single_sum(lambda x: qbracket(x, a.qv), aa, bb + cc, +1, "A26")
 
 
 def _eval_i25(a: Assignment) -> Fraction:
@@ -392,58 +341,23 @@ def _eval_a21(a: Assignment, n: int) -> Fraction:
     return total
 
 
-def _eval_a26(a: Assignment, n: int) -> Fraction:
-    br = lambda x: qbracket(x, a.qv)
-    aa = list(a.arrays["a"])
-    bb = list(a.arrays["b"])
-    cc = list(a.arrays["c"])
-    if [len(aa), len(bb), len(cc)] != [n, n - 1, n - 1]:
-        raise ValueError("A26 arrays must have lengths n, n-1, n-1")
-    total = Fraction(0)
-    for s in (0, 1):
-        for i, ai in enumerate(aa):
-            num = Fraction(1)
-            for bv in bb:
-                num *= br(ai - bv - s)
-            for cv in cc:
-                num *= br(ai - cv - s)
-            den = Fraction(1)
-            for t, av in enumerate(aa):
-                if t != i:
-                    den *= br(ai - av - s) * br(ai - av - s + 1)
-            total += (-1) ** s * _div(num, den, f"A26 den (s={s}, i={i})")
-    return total
-
-
 def evaluate_identity(ident: IdentityId, a: Assignment) -> Fraction:
     """Exact value of LHS - RHS; zero at every generic assignment."""
     tag = ident.tag
-    if tag == "I23a":
-        return _eval_i23a(a, ident.size)
-    if tag == "I23b":
-        return _eval_i23b(a, ident.size)
-    if tag == "I24a":
-        return _eval_i24a(a, ident.size)
-    if tag == "I24b":
-        return _eval_i24b(a, ident.size)
-    if tag == "I24c":
-        return _eval_i24c(a, ident.size)
-    if tag == "I24d":
-        return _eval_i24d(a, ident.size)
+    if tag in _ROW_SUMS:
+        return _eval_row_sum(a, tag, ident.size)
+    if tag == "A26":
+        return _eval_a26(a, ident.size)
+    if tag == "A21":
+        return _eval_a21(a, ident.size)
     if tag == "I25":
         return _eval_i25(a)
     if tag == "I26":
         return _eval_i26(a)
     if tag == "I27":
         return _eval_i27(a)
-    if tag == "A21":
-        return _eval_a21(a, ident.size)
-    if tag == "A26":
-        return _eval_a26(a, ident.size)
-    if tag == "A46L":
-        return _eval_a46(a, "L")
-    if tag == "A46R":
-        return _eval_a46(a, "R")
+    if tag in ("A46L", "A46R"):
+        return _eval_a46(a, tag[-1])
     raise ValueError(tag)
 
 
@@ -474,52 +388,16 @@ def _sample_raw(ident: IdentityId, rng: random.Random) -> Assignment:
                  "A46L": "abcd", "A46R": "abcd"}[tag]
         return Assignment(qv, scalars={x: rng.randint(*_RANGE) for x in names})
     dec = rng.random() < 0.5
-    if tag in ("I23a", "I24a", "I24c"):
-        rows = {
-            "row_below": _sample_row(rng, 2 * k - 2, dec),
-            "row_a": _sample_row(rng, 2 * k - 1, dec),
-            "row_b": _sample_row(rng, 2 * k, dec),
-            "row_above": _sample_row(rng, 2 * k + 1, dec),
-        }
-        if tag == "I23a":
+    if tag in _ROW_SUMS:
+        case = _ROW_SUMS[tag]
+        p = _row_numbers(case, k)
+        rows = {name: _sample_row(rng, p[name], dec) for name in _ROWS}
+        if case.summed is None:
             return Assignment(qv, arrays=rows)
-        if tag == "I24a":
-            labels = rng.sample(list(_row_indices(2 * k - 1)), 2)
-            return Assignment(
-                qv,
-                arrays={x: rows[x] for x in ("row_a", "row_b", "row_above")},
-                excluded={"labels": tuple(labels)},
-            )
-        labels = rng.sample(list(_row_indices(2 * k)), 2)
-        return Assignment(
-            qv,
-            arrays={x: rows[x] for x in ("row_below", "row_a", "row_b")},
-            excluded={"labels": tuple(labels)},
-        )
-    if tag in ("I23b", "I24b", "I24d"):
-        rows = {
-            "row_below": _sample_row(rng, 2 * k - 1, dec),
-            "row_a": _sample_row(rng, 2 * k, dec),
-            "row_b": _sample_row(rng, 2 * k + 1, dec),
-            "row_above": _sample_row(rng, 2 * k + 2, dec),
-        }
-        if tag == "I23b":
-            return Assignment(qv, arrays=rows)
-        if tag == "I24b":
-            labels = rng.sample(list(_row_indices(2 * k)), 2)
-            return Assignment(
-                qv,
-                arrays={x: rows[x] for x in ("row_a", "row_b", "row_above")},
-                excluded={"labels": tuple(labels)},
-            )
-        labels = rng.sample(list(_row_indices(2 * k + 1)), 2)
-        return Assignment(
-            qv,
-            arrays={x: rows[x] for x in ("row_below", "row_a", "row_b")},
-            excluded={"labels": tuple(labels)},
-        )
+        del rows[case.unused]
+        labels = rng.sample(list(row_range(p[case.cut])), 2)
+        return Assignment(qv, arrays=rows, excluded={"labels": tuple(labels)})
     if tag == "A21":
-        n = k
         q = qv.q
 
         def var() -> Fraction:
@@ -527,17 +405,16 @@ def _sample_raw(ident: IdentityId, rng: random.Random) -> Assignment:
             return q ** (2 * rng.randint(*_RANGE))
 
         return Assignment(qv, arrays={
-            "A": [var() for _ in range(n - 1)],
-            "B": [var() for _ in range(n)],
-            "C": [var() for _ in range(n + 1)],
-            "D": [var() for _ in range(n - 2)],
+            "A": [var() for _ in range(k - 1)],
+            "B": [var() for _ in range(k)],
+            "C": [var() for _ in range(k + 1)],
+            "D": [var() for _ in range(k - 2)],
         })
     if tag == "A26":
-        n = k
         return Assignment(qv, arrays={
-            "a": _sample_row(rng, n, dec),
-            "b": _sample_row(rng, n - 1, dec),
-            "c": _sample_row(rng, n - 1, dec),
+            "a": _sample_row(rng, k, dec),
+            "b": _sample_row(rng, k - 1, dec),
+            "c": _sample_row(rng, k - 1, dec),
         })
     raise ValueError(tag)
 
@@ -608,25 +485,24 @@ def a26_assignment_from_i24a(a: Assignment, k: int) -> Assignment:
     """Relabel the removed-label identity into the generic n-row form:
     a over the even row, b over the inner part of the row above, c over the
     surviving labels of the row below plus the two outer values above."""
-    rB = _as_row(2 * k, a.arrays["row_b"])
-    rC = _as_row(2 * k + 1, a.arrays["row_above"])
-    rA = _as_row(2 * k - 1, a.arrays["row_a"])
-    j, m = a.excluded["labels"]
-    avals = [rB[i] for i in _row_indices(2 * k)]
-    bvals = [rC[i] for i in list(_row_indices(2 * k + 1))[:-2]]
-    keep = [v for i, v in sorted(rA.items()) if i not in (j, m)]
-    cvals = keep + [rC[k - 1], rC[k]]
-    return Assignment(a.qv, arrays={"a": avals, "b": bvals, "c": cvals})
+    below = _as_row(2 * k - 1, a.arrays["row_a"])
+    above = _as_row(2 * k + 1, a.arrays["row_above"])
+    labels = a.excluded["labels"]
+    keep = [v for i, v in zip(row_range(2 * k - 1), below) if i not in labels]
+    return Assignment(a.qv, arrays={
+        "a": _as_row(2 * k, a.arrays["row_b"]),
+        "b": above[:-2],
+        "c": keep + above[-2:],
+    })
 
 
 def a26_assignment_from_i24c(a: Assignment, k: int) -> Assignment:
     """Relabel the other removed-label identity: a over the odd row plus one,
     b over the row below, c over the surviving labels of the row above."""
-    rA = _as_row(2 * k - 1, a.arrays["row_a"])
-    rD = _as_row(2 * k - 2, a.arrays["row_below"])
-    rB = _as_row(2 * k, a.arrays["row_b"])
-    l, qx = a.excluded["labels"]
-    avals = [v + 1 for i, v in sorted(rA.items())]
-    bvals = [v for i, v in sorted(rD.items())]
-    cvals = [v for i, v in sorted(rB.items()) if i not in (l, qx)]
-    return Assignment(a.qv, arrays={"a": avals, "b": bvals, "c": cvals})
+    above = _as_row(2 * k, a.arrays["row_b"])
+    labels = a.excluded["labels"]
+    return Assignment(a.qv, arrays={
+        "a": [v + 1 for v in _as_row(2 * k - 1, a.arrays["row_a"])],
+        "b": _as_row(2 * k - 2, a.arrays["row_below"]),
+        "c": [v for i, v in zip(row_range(2 * k), above) if i not in labels],
+    })

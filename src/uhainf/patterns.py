@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .qnum import QValue, format_rational, parse_rational
+from .qnum import QValue, format_rational
 
 __all__ = [
     "Signature",
@@ -28,7 +28,6 @@ __all__ = [
     "sign_s",
     "row_range",
     "validate",
-    "l_value",
     "shift",
     "shifted_if_valid",
     "highest_weight_pattern",
@@ -215,10 +214,6 @@ def validate(p: CPattern) -> bool:
         for row_p in range(1, p.N)
         for i in row_range(row_p)
     )
-
-
-def l_value(p: CPattern, i: int, row: int) -> int:
-    return p.l_value(i, row)
 
 
 def _position(i: int, row: int) -> int:

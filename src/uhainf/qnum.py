@@ -28,9 +28,6 @@ __all__ = [
     "NegativeRadicandError",
     "qbracket",
     "radical_of",
-    "radsum_add",
-    "radsum_mul",
-    "radsum_is_zero",
     "parse_rational",
     "format_rational",
 ]
@@ -303,18 +300,6 @@ def radical_of(r: RationalLike) -> RadicalSum:
     a, b = r.numerator, r.denominator
     s, k = _square_decompose(a * b)
     return RadicalSum({k: Fraction(s, b)})
-
-
-def radsum_add(a: RadicalSum, b: RadicalSum) -> RadicalSum:
-    return a + b
-
-
-def radsum_mul(a: RadicalSum, b: RadicalSum) -> RadicalSum:
-    return a * b
-
-
-def radsum_is_zero(a: RadicalSum) -> bool:
-    return a.is_zero()
 
 
 # --- rational serialization ---------------------------------------------------

@@ -7,26 +7,21 @@ pattern).  Failures carry the offending pattern and residual as witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .qnum import RadicalSum, qbracket
+from .qnum import RadicalSum, qbracket, radical_of
 from .patterns import (
     CPattern,
     ModuleParams,
     enumerate_basis,
     highest_weight_pattern,
+    shifted_if_valid,
     theta,
     weight_eigenvalue,
 )
-from .action import (
-    GeneratorLabel,
-    PatternVector,
-    apply_generator,
-    apply_to_vector,
-    apply_word,
-)
+from .action import GeneratorLabel, PatternVector, apply_generator, apply_word
+from .report import CheckReport
 
 __all__ = [
     "CheckReport",
@@ -37,40 +32,6 @@ __all__ = [
     "check_boundary_f",
     "check_charge",
 ]
-
-
-@dataclass
-class CheckReport:
-    """Outcome of one verification run: counts plus failure witnesses."""
-
-    relation: str
-    params: dict = field(default_factory=dict)
-    checked: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def record(self, pattern: Optional[CPattern], residual, note: str = "") -> None:
-        entry = {}
-        if pattern is not None:
-            entry["pattern"] = pattern.to_json()
-        if isinstance(residual, PatternVector):
-            entry["residual"] = residual.to_json(basis_level=2)
-        elif residual is not None:
-            entry["residual"] = residual
-        if note:
-            entry["note"] = note
-        self.failures.append(entry)
-
-    def to_json(self) -> dict:
-        return {
-            "relation": self.relation,
-            "params": self.params,
-            "checked": self.checked,
-            "failures": self.failures,
-        }
 
 
 def _E(i: int) -> GeneratorLabel:
@@ -305,9 +266,6 @@ def check_boundary_f(params: ModuleParams, N: int, k: int) -> CheckReport:
     sig = params.signature
     report = CheckReport("boundary-f", {"N": N, "k": k})
     basis = enumerate_basis(sig, N)
-    from .qnum import radical_of
-    from .patterns import shifted_if_valid
-
     for p in basis:
         report.checked += 1
         general = apply_generator(_F(k), p, params)

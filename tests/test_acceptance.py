@@ -23,9 +23,9 @@ from uhainf import (
     check_serre,
     enumerate_basis,
     fuzz_identity,
-    IdentityId,
 )
 from uhainf.cli import main
+from uhainf.identities import CORPUS
 
 SIG = Signature(-1, 1, (2, 1, 0))
 Q = QValue.quantum(Fraction(3, 2))
@@ -126,23 +126,14 @@ def test_criterion_5_boundary_formula():
 
 def test_criterion_6_identity_corpus():
     t0 = time.monotonic()
-    idents = [
-        IdentityId("I23a", 2), IdentityId("I23b", 2),
-        IdentityId("I24a", 2), IdentityId("I24b", 2),
-        IdentityId("I24c", 2), IdentityId("I24d", 2),
-        IdentityId("I25"), IdentityId("I26"), IdentityId("I27"),
-        IdentityId("A21", 2), IdentityId("A21", 4),
-        IdentityId("A26", 2), IdentityId("A26", 3), IdentityId("A26", 4),
-        IdentityId("A46L"), IdentityId("A46R"),
-    ]
     bad = []
-    for ident in idents:
+    for ident in CORPUS:
         rep = fuzz_identity(ident, trials=100, seed=20240817)
         if not (rep.passed and rep.checked == 100):
             bad.append((ident, rep.to_json()))
     elapsed = time.monotonic() - t0
-    _emit(6, not bad and elapsed < 120,
-          f"{len(idents)} identities x 100 trials in {elapsed:.1f}s"
+    _emit(6, len(CORPUS) == 16 and not bad and elapsed < 120,
+          f"{len(CORPUS)} identities x 100 trials in {elapsed:.1f}s"
           + (f"; failures {bad[:1]}" if bad else ""))
 
 

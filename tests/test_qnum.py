@@ -14,9 +14,6 @@ from uhainf.qnum import (
     parse_rational,
     qbracket,
     radical_of,
-    radsum_add,
-    radsum_is_zero,
-    radsum_mul,
 )
 
 Q2 = QValue.quantum(2)
@@ -84,7 +81,7 @@ class TestRadicalOf:
         for _ in range(1000):
             r = Fraction(rng.randint(0, 400), rng.randint(1, 400))
             s = radical_of(r)
-            assert radsum_mul(s, s) == RadicalSum.from_rational(r)
+            assert s * s == RadicalSum.from_rational(r)
 
     def test_multiplicative(self):
         rng = random.Random(99)
@@ -105,27 +102,27 @@ def _rand_radsum(rng):
 class TestRadicalSum:
     def test_add_cancel(self):
         s = RadicalSum({2: Fraction(1)})
-        assert radsum_is_zero(radsum_add(s, -s))
+        assert (s + -s).is_zero()
 
     def test_add_distinct_kernels(self):
-        s = radsum_add(RadicalSum({2: Fraction(1)}), RadicalSum({3: Fraction(1)}))
+        s = RadicalSum({2: Fraction(1)}) + RadicalSum({3: Fraction(1)})
         assert s.terms == {2: Fraction(1), 3: Fraction(1)}
 
     def test_add_same_kernel(self):
-        s = radsum_add(RadicalSum({6: Fraction(1, 2)}), RadicalSum({6: Fraction(1, 3)}))
+        s = RadicalSum({6: Fraction(1, 2)}) + RadicalSum({6: Fraction(1, 3)})
         assert s == RadicalSum({6: Fraction(5, 6)})
 
     def test_mul_same_kernel(self):
         s = RadicalSum({2: Fraction(1)})
-        assert radsum_mul(s, s) == RadicalSum.from_rational(2)
+        assert s * s == RadicalSum.from_rational(2)
 
     def test_mul_distinct(self):
-        assert radsum_mul(RadicalSum({2: Fraction(1)}), RadicalSum({3: Fraction(1)})) \
+        assert RadicalSum({2: Fraction(1)}) * RadicalSum({3: Fraction(1)}) \
             == RadicalSum({6: Fraction(1)})
 
     def test_mul_gcd_extraction(self):
         # 2*sqrt(6) * sqrt(10) = 4*sqrt(15)
-        assert radsum_mul(RadicalSum({6: Fraction(2)}), RadicalSum({10: Fraction(1)})) \
+        assert RadicalSum({6: Fraction(2)}) * RadicalSum({10: Fraction(1)}) \
             == RadicalSum({15: Fraction(4)})
 
     def test_single_canonicalizes(self):
