@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .qnum import QValue, parse_rational
-from .patterns import ModuleParams, Signature, enumerate_basis
+from .patterns import BasisIndex, ModuleParams, Signature, enumerate_basis
 from .action import GeneratorLabel, apply_generator
 from . import relations as rel
 from .identities import CORPUS, fuzz_identity
@@ -147,23 +147,25 @@ def cmd_matrix(cfg: RunConfig, generator: str) -> int:
     g = _parse_generator(generator)
     params = cfg.params
     basis = enumerate_basis(cfg.signature, cfg.level)
-    # targets may leave V_N; index them against the enlarged truncation
-    enlarged = enumerate_basis(cfg.signature, cfg.level + 2)
-    index = {p: r for r, p in enumerate(enlarged)}
-    in_vn = set(basis)
+    # targets may leave V_N; number them in the enlarged truncation V_{N+2}
+    index = BasisIndex(cfg.signature, cfg.level + 2)
+    row_of: dict = {}  # target -> its row, None beyond V_{N+2}
+    by_row = lambda x: index.count if row_of[x] is None else row_of[x]  # None last
     entries = []
     for col, p in enumerate(basis):
         image = apply_generator(g, p, params)
-        for p2 in sorted(image.terms, key=lambda x: index.get(x, len(enlarged))):
+        for p2 in image.terms:
+            if p2 not in row_of:
+                row_of[p2] = index.rank(p2)
+        for p2 in sorted(image.terms, key=by_row):
             c = image.terms[p2]
-            row = index.get(p2)
             entry = {
-                "row": row,
+                "row": row_of[p2],
                 "col": col,
                 "coeff": c.to_json(),
                 "decimal": c.to_decimal(cfg.decimal_digits),
             }
-            if p2 not in in_vn:
+            if p2.N > cfg.level:  # targets are valid, so this means outside V_N
                 entry["escaped"] = True
             entries.append(entry)
     doc = {
@@ -172,7 +174,7 @@ def cmd_matrix(cfg: RunConfig, generator: str) -> int:
         "generator": str(g),
         "level": cfg.level,
         "basis_count": len(basis),
-        "enlarged_count": len(enlarged),
+        "enlarged_count": index.count,
         "entries": entries,
     }
     sys.stdout.write(_dump(doc, cfg))

@@ -32,6 +32,7 @@ __all__ = [
     "shifted_if_valid",
     "highest_weight_pattern",
     "enumerate_basis",
+    "BasisIndex",
     "weight_of",
 ]
 
@@ -314,6 +315,15 @@ def highest_weight_pattern(sig: Signature) -> CPattern:
     return CPattern(sig, [sig.row(1)])
 
 
+def _entry_intervals(p: int, above: Sequence[int]) -> list[range]:
+    """The integer interval of each entry of row p, given row p + 1: every
+    entry lies between its two upper neighbors, independently of its
+    row-mates."""
+    off = (p + 1) // 2  # position of index 0 in row p + 1
+    return [range(above[lo + off], above[hi + off] + 1)
+            for hi, lo in (_upper_neighbors(i, p) for i in row_range(p))]
+
+
 def enumerate_basis(sig: Signature, N: int) -> list[CPattern]:
     """All valid patterns with stabilization level <= N, in deterministic order.
 
@@ -329,15 +339,7 @@ def enumerate_basis(sig: Signature, N: int) -> list[CPattern]:
     def fill(p: int, upper_rows: list[tuple[int, ...]]):
         # upper_rows holds rows N-1 down to p+1; row p+1 is upper_rows[-1]
         above = upper_rows[-1] if upper_rows else sig.row(N)
-        row_above_level = p + 1
-        ranges = []
-        for i in row_range(p):
-            hi, lo = _upper_neighbors(i, p)
-            off = row_above_level // 2
-            hi_v = above[hi + off]
-            lo_v = above[lo + off]
-            ranges.append(range(lo_v, hi_v + 1))
-        for combo in itertools.product(*ranges):
+        for combo in itertools.product(*_entry_intervals(p, above)):
             if p == 1:
                 rows_bottom_up = [combo] + [
                     upper_rows[len(upper_rows) - 1 - q] for q in range(len(upper_rows))
@@ -348,6 +350,53 @@ def enumerate_basis(sig: Signature, N: int) -> list[CPattern]:
 
     fill(N - 1, [])
     return out
+
+
+class BasisIndex:
+    """Positions in enumerate_basis(sig, M), found by counting, not listing.
+
+    For row p + 1 fixed, the fillings of rows p..1 are counted once and
+    memoised on (p, row p + 1) in this object.  Since the basis order is
+    lexicographic on rows M-1..1, a pattern's position is the sum over rows
+    of the fillings that precede its row p under its own row p + 1.
+    """
+
+    def __init__(self, sig: Signature, M: int):
+        if M < 2:
+            raise ValueError("M must exceed 1")
+        self.sig = sig
+        self.M = M
+        self._tables: dict[tuple[int, tuple[int, ...]], tuple[dict, int]] = {}
+        self.count = self._table(M - 1, sig.row(M))[1]
+
+    def _table(self, p: int, above: tuple[int, ...]) -> tuple[dict, int]:
+        """Given row p + 1: ({row p: fillings of rows p..1 listed before
+        it}, total fillings of rows p..1)."""
+        key = (p, above)
+        table = self._tables.get(key)
+        if table is None:
+            offsets: dict[tuple[int, ...], int] = {}
+            total = 0
+            for row in itertools.product(*_entry_intervals(p, above)):
+                offsets[row] = total
+                total += self._table(p - 1, row)[1] if p > 1 else 1
+            table = self._tables[key] = (offsets, total)
+        return table
+
+    def rank(self, x: CPattern) -> Optional[int]:
+        """x's position in enumerate_basis(sig, M); None when x.N > M.
+
+        x is assumed to be a valid pattern over sig.
+        """
+        if x.N > self.M:
+            return None
+        r = 0
+        above = self.sig.row(self.M)
+        for p in range(self.M - 1, 0, -1):
+            row = x.row(p)
+            r += self._table(p, above)[0][row]
+            above = row
+        return r
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,9 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        """No failure witness, and at least one instance checked: a report
+        that checked nothing does not count as a pass."""
+        return self.checked > 0 and not self.failures
 
     def record(self, pattern, residual, note: str = "") -> None:
         entry = {}

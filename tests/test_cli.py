@@ -221,6 +221,31 @@ class TestCheck:
         assert code == 1
         assert json.loads(out)["passed"] is False
 
+    def test_one_empty_report_fails_the_run(self, capsys, monkeypatch):
+        # one report that checked nothing, among reports that pass, must
+        # still make the run fail: exit 1, not 0 (and not the usage error 2
+        # kept for a run with no reports at all)
+        from uhainf import cli
+        from uhainf.report import CheckReport
+
+        real = cli.fuzz_identity
+
+        def fuzz(ident, trials, seed):
+            if ident.tag == "I27":
+                return CheckReport("identity", {"tag": ident.tag})
+            return real(ident, trials, seed)
+
+        monkeypatch.setattr(cli, "fuzz_identity", fuzz)
+        code, out, _ = run(capsys, [
+            "check", *BASE, "--suite", "identities", "--trials", "2",
+        ])
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["passed"] is False
+        empty = [r for r in doc["reports"] if r["checked"] == 0]
+        assert [r["params"]["tag"] for r in empty] == ["I27"]
+        assert all(not r["failures"] for r in doc["reports"])
+
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit):
             main(["check", *BASE, "--suite", "bogus"])

@@ -1,8 +1,11 @@
-"""Pinned stdout of two cheap CLI runs, byte for byte.
+"""Pinned stdout of cheap CLI runs, byte for byte.
 
 The digests were recorded from the implementation that built every ladder
-candidate as a pattern before checking it.  Performance work on the pattern
-and action layers must leave every output byte as it was.
+candidate as a pattern before checking it, and (for the matrix runs) that
+numbered targets by building every pattern of V_{N+2}.  Performance work on
+the pattern and action layers must leave every output byte as it was.  The
+F:-3 and F:1 runs have targets that leave V_N (94 and 8 escaped entries);
+on the -3:0:5,2,2,0 signature every target lies beyond V_{N+2} ("row": null).
 """
 
 import hashlib
@@ -25,10 +28,30 @@ GOLDEN = [
         0,
         "d52c9a22bdfe6fd789954646d2f71cf132c77c4e7997a4684fc54e22fcc1b77b",
     ),
+    (
+        ["matrix", *BASE, "--level", "5", "--generator", "F:-3"],
+        0,
+        "d7e16676e8bb6507b46ae26c77d908c3e6a45ef9120f17a0c727049518511ad6",
+    ),
+    (
+        ["matrix", *BASE, "--level", "3", "--generator", "F:1"],
+        0,
+        "6e592ad8ccbb98264b6b0301c04599e0ccc693be715574e2340f66a0b8ee93a7",
+    ),
+    (
+        ["matrix", "--signature=-3:0:5,2,2,0", "--xi0", "2", "--xi1", "0",
+         "--q", "3/2", "--level", "3", "--generator", "F:-3"],
+        0,
+        "c4834e17d8680ca8c5099592bf4849b33ec85d4281654f9c1b5f17affebe8a22",
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=["check-all", "matrix-E1"])
+IDS = ["check-all", "matrix-E1", "matrix-Fm3-escaped", "matrix-F1-escaped",
+       "matrix-row-null"]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=IDS)
 def test_stdout_digest(capsys, argv, code, digest):
     assert main(argv) == code
     out = capsys.readouterr().out

@@ -15,6 +15,7 @@ from uhainf import (
     weight_of,
 )
 from uhainf.patterns import (
+    BasisIndex,
     _movable_against_above,
     _movable_against_below,
     row_range,
@@ -251,6 +252,40 @@ class TestEnumerate:
 
     def test_acceptance_scale_dimension(self, sig_mid):
         assert len(enumerate_basis(sig_mid, 5)) == 75
+
+
+RANKED = [((-1, 1, (2, 1, 0)), M) for M in range(2, 8)] + [
+    ((0, 2, (4, 1, 1)), M) for M in (2, 3, 4, 5)
+] + [
+    ((0, 0, (0,)), M) for M in (2, 3, 4)
+] + [
+    ((-2, 2, (3, 3, 1, 0, -1)), M) for M in (2, 3, 4, 5)
+]
+
+
+class TestBasisIndex:
+    """enumerate_basis is the oracle: counting must reproduce its length and
+    each pattern's position in it, without building the basis."""
+
+    @pytest.mark.parametrize("sig_args,M", RANKED)
+    def test_count_and_rank_match_enumeration(self, sig_args, M):
+        sig = Signature(*sig_args)
+        basis = enumerate_basis(sig, M)
+        index = BasisIndex(sig, M)
+        assert index.count == len(basis)
+        assert [index.rank(p) for p in basis] == list(range(len(basis)))
+
+    @pytest.mark.parametrize("sig_args,M", RANKED)
+    def test_rank_is_none_above_level(self, sig_args, M):
+        sig = Signature(*sig_args)
+        index = BasisIndex(sig, M)
+        higher = [p for p in enumerate_basis(sig, M + 2) if p.N > M]
+        assert all(index.rank(p) is None for p in higher)
+        assert higher or sig_args == (0, 0, (0,))  # V_N of 0:0:0 is one pattern
+
+    def test_rejects_level_below_two(self, sig_mid):
+        with pytest.raises(ValueError):
+            BasisIndex(sig_mid, 1)
 
 
 class TestShift:

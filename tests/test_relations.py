@@ -30,6 +30,13 @@ class TestCheckReport:
         assert not r.passed
         assert json.dumps(r.to_json())  # serializable
 
+    def test_nothing_checked_is_not_a_pass(self):
+        r = CheckReport("demo")
+        assert r.checked == 0 and not r.failures
+        assert not r.passed
+        r.checked = 1
+        assert r.passed
+
 
 class TestCartan:
     def test_small_grid(self, params_small):
