@@ -18,9 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
+from math import prod
+from types import MappingProxyType
 from typing import Optional
 
-from .qnum import QValue, RadicalSum, qbracket, radical_of
+from .qnum import QValue, RadicalSum, _square_decompose, qbracket, radical_of
 from .patterns import (
     CPattern,
     ModuleParams,
@@ -87,10 +90,6 @@ class PatternVector:
         self.terms = t
 
     @classmethod
-    def zero(cls) -> "PatternVector":
-        return cls()
-
-    @classmethod
     def unit(cls, p: CPattern) -> "PatternVector":
         return cls({p: RadicalSum.from_rational(1)})
 
@@ -151,25 +150,6 @@ class PatternVector:
         ]
 
 
-_bracket_cache: dict = {}
-
-
-def _br(x: int, qv: QValue) -> Fraction:
-    key = (qv, x)
-    v = _bracket_cache.get(key)
-    if v is None:
-        v = qbracket(x, qv)
-        _bracket_cache[key] = v
-    return v
-
-
-def _product(factors: list[Fraction]) -> Fraction:
-    out = Fraction(1)
-    for f in factors:
-        out *= f
-    return out
-
-
 # Offsets for the four ladder cases, keyed by (kind, is_negative_side):
 # (o1, d1, o2, d2, delta).  o1/o2 shift the numerator bracket arguments of
 # the two square-root factors, d1/d2 the second denominator bracket, delta
@@ -213,17 +193,17 @@ class _Ladder:
         o1, d1, o2, d2 = self.o1, self.d1, self.o2, self.d2
         la, lb = self.la, self.lb
         lj, ll = la[j], lb[l]
-        num = [_br(v - lj + o1, qv) for i, v in lb.items() if i != l]
-        num += [_br(v - lj + o1, qv) for v in self.lbelow]
-        num += [_br(v - ll + o2, qv) for v in self.labove]
-        num += [_br(v - ll + o2, qv) for i, v in la.items() if i != j]
+        num = [qbracket(v - lj + o1, qv) for i, v in lb.items() if i != l]
+        num += [qbracket(v - lj + o1, qv) for v in self.lbelow]
+        num += [qbracket(v - ll + o2, qv) for v in self.labove]
+        num += [qbracket(v - ll + o2, qv) for i, v in la.items() if i != j]
         den = []
         for i, v in la.items():
             if i != j:
-                den += (_br(v - lj, qv), _br(v - lj + d1, qv))
+                den += (qbracket(v - lj, qv), qbracket(v - lj + d1, qv))
         for i, v in lb.items():
             if i != l:
-                den += (_br(v - ll, qv), _br(v - ll + d2, qv))
+                den += (qbracket(v - ll, qv), qbracket(v - ll + d2, qv))
         return num, den
 
 
@@ -249,14 +229,13 @@ def _ladder_action(
         target = shifted_if_valid(p, [(0, 1, delta)])
         if target is None:
             return out
+        # F's two brackets are E's with their arguments moved apart by one
+        s = 0 if kind == "E" else 1
         l01 = p.l_value(0, 1)
-        if kind == "E":
-            prod = _br(p.l_value(-1, 2) - l01, qv) * _br(l01 - p.l_value(0, 2), qv)
-        else:
-            prod = _br(p.l_value(-1, 2) - l01 - 1, qv) * _br(
-                l01 - p.l_value(0, 2) + 1, qv
-            )
-        out.add_term(target, radical_of(abs(prod)))
+        square = qbracket(p.l_value(-1, 2) - l01 - s, qv) * qbracket(
+            l01 - p.l_value(0, 2) + s, qv
+        )
+        out.add_term(target, radical_of(abs(square)))
         return out
 
     lad = _Ladder(kind, index, p)
@@ -267,10 +246,10 @@ def _ladder_action(
             if target is None:
                 continue
             num_f, den_f = lad.factors(j, l, qv)
-            num = _product(num_f)
+            num = prod(num_f, start=Fraction(1))
             if not num:
                 continue
-            den = _product(den_f)
+            den = prod(den_f, start=Fraction(1))
             if not den:
                 raise ZeroDenominatorError(
                     f"{kind}_{index}: zero denominator on valid target "
@@ -310,17 +289,16 @@ def deletion_diagnostics(
     return out
 
 
-_action_cache: dict = {}
-
-
+@cache
 def apply_generator(
     g: GeneratorLabel, p: CPattern, params: ModuleParams
 ) -> PatternVector:
-    """Action of a single generator on a basis pattern (memoized)."""
-    key = (g, p, params)
-    cached = _action_cache.get(key)
-    if cached is not None:
-        return cached
+    """Action of a single generator on a basis pattern.
+
+    Memoised for the life of the process.  The result is read-only: its
+    ``terms`` is a mapping proxy, so ``add_term`` on it raises and no
+    caller can change what a later call returns.
+    """
     if g.kind == "H":
         coeff = weight_eigenvalue(p, g.index, params)
         result = PatternVector({p: RadicalSum.from_rational(coeff)})
@@ -330,8 +308,7 @@ def apply_generator(
         )
     else:
         result = _ladder_action(g.kind, g.index, p, params)
-    if len(_action_cache) < 1 << 20:
-        _action_cache[key] = result
+    result.terms = MappingProxyType(result.terms)
     return result
 
 
@@ -360,5 +337,6 @@ def apply_word(
 
 
 def clear_caches() -> None:
-    _action_cache.clear()
-    _bracket_cache.clear()
+    """Empty the memos of qbracket, _square_decompose and apply_generator."""
+    for memo in (qbracket, _square_decompose, apply_generator):
+        memo.cache_clear()

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt
 from typing import Iterable, Mapping, Optional, Union
 
@@ -79,8 +80,12 @@ class QValue:
         return self.mode == "classical"
 
 
+@cache
 def qbracket(x: int, qv: QValue) -> Fraction:
-    """The q-bracket of an integer: (q^x - q^-x) / (q - q^-1), or x classically."""
+    """The q-bracket of an integer: (q^x - q^-x) / (q - q^-1), or x classically.
+
+    Memoised for the life of the process (see ``action.clear_caches``).
+    """
     if qv.is_classical:
         return Fraction(x)
     q = qv.q
@@ -94,16 +99,12 @@ def qbracket(x: int, qv: QValue) -> Fraction:
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
-_square_cache: dict[int, tuple[int, int]] = {}
 
-
+@cache
 def _square_decompose(n: int) -> tuple[int, int]:
-    """Write n > 0 as s^2 * k with k squarefree; returns (s, k)."""
+    """Write n > 0 as s^2 * k with k squarefree; returns (s, k) (memoised)."""
     if n <= 0:
         raise ValueError("positive integer required")
-    cached = _square_cache.get(n)
-    if cached is not None:
-        return cached
     s, k, rem = 1, 1, n
     for p in _SMALL_PRIMES:
         if p * p > rem:
@@ -128,8 +129,6 @@ def _square_decompose(n: int) -> tuple[int, int]:
                 s *= int(p) ** (e // 2)
                 if e % 2:
                     k *= int(p)
-    if len(_square_cache) < 1 << 16:
-        _square_cache[n] = (s, k)
     return s, k
 
 
@@ -177,9 +176,6 @@ class RadicalSum:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_rational(self) -> bool:
-        return all(k == 1 for k in self._terms)
 
     @property
     def terms(self) -> dict[int, Fraction]:

@@ -7,6 +7,7 @@ pattern).  Failures carry the offending pattern and residual as witnesses.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -20,7 +21,8 @@ from .patterns import (
     theta,
     weight_eigenvalue,
 )
-from .action import GeneratorLabel, PatternVector, apply_generator, apply_word
+from .action import (GeneratorLabel, PatternVector, ZeroDenominatorError,
+                     apply_generator, apply_word)
 from .report import CheckReport
 
 __all__ = [
@@ -49,6 +51,15 @@ def _H(i: int) -> GeneratorLabel:
 _C = GeneratorLabel("C")
 
 
+@contextmanager
+def _witness_zero_denominator(report: CheckReport, p: Optional[CPattern]):
+    """A ZeroDenominatorError in the block ends it as a failure witness of p."""
+    try:
+        yield
+    except ZeroDenominatorError as exc:
+        report.record(p, None, note=f"zero denominator: {exc}")
+
+
 def _commutator(a: GeneratorLabel, b: GeneratorLabel, p: CPattern,
                 params: ModuleParams) -> PatternVector:
     return apply_word([a, b], p, params) - apply_word([b, a], p, params)
@@ -66,47 +77,48 @@ def check_cartan(i: int, j: int, basis: Sequence[CPattern],
     delta = (1 if i == j else 0) - (1 if i == j + 1 else 0)
     for p in basis:
         report.checked += 1
-        # centrality
-        for g in (_H(j), _E(j), _F(j)):
-            res = _commutator(_C, g, p, params)
+        with _witness_zero_denominator(report, p):
+            # centrality
+            for g in (_H(j), _E(j), _F(j)):
+                res = _commutator(_C, g, p, params)
+                if not res.is_zero():
+                    report.record(p, res, note=f"[c,{g}] != 0")
+            # diagonal generators commute
+            res = _commutator(_H(i), _H(j), p, params)
             if not res.is_zero():
-                report.record(p, res, note=f"[c,{g}] != 0")
-        # diagonal generators commute
-        res = _commutator(_H(i), _H(j), p, params)
-        if not res.is_zero():
-            report.record(p, res, note=f"[h_{i},h_{j}] != 0")
-        # [h_i, e_j] = (delta_ij - delta_i,j+1) e_j
-        res = _commutator(_H(i), _E(j), p, params) - apply_generator(
-            _E(j), p, params
-        ).scale_rational(delta)
-        if not res.is_zero():
-            report.record(p, res, note=f"[h_{i},e_{j}] mismatch")
-        # [h_i, f_j] = -(delta_ij - delta_i,j+1) f_j
-        res = _commutator(_H(i), _F(j), p, params) + apply_generator(
-            _F(j), p, params
-        ).scale_rational(delta)
-        if not res.is_zero():
-            report.record(p, res, note=f"[h_{i},f_{j}] mismatch")
-        if i == j:
-            # [e_i, f_i] = bracket of the integer eigenvalue of
-            # h_i - h_{i+1} + (theta(-i) - theta(-i-1)) c
-            lam = (
-                weight_eigenvalue(p, i, params)
-                - weight_eigenvalue(p, i + 1, params)
-                + (theta(-i) - theta(-i - 1)) * (params.xi0 - params.xi1)
-            )
-            if lam.denominator != 1:
-                report.record(p, None, note=f"non-integer bracket argument {lam}")
-                continue
-            res = _commutator(_E(i), _F(i), p, params) - PatternVector.unit(
-                p
-            ).scale(RadicalSum.from_rational(qbracket(int(lam), params.qv)))
+                report.record(p, res, note=f"[h_{i},h_{j}] != 0")
+            # [h_i, e_j] = (delta_ij - delta_i,j+1) e_j
+            res = _commutator(_H(i), _E(j), p, params) - apply_generator(
+                _E(j), p, params
+            ).scale_rational(delta)
             if not res.is_zero():
-                report.record(p, res, note=f"[e_{i},f_{i}] mismatch")
-        else:
-            res = _commutator(_E(i), _F(j), p, params)
+                report.record(p, res, note=f"[h_{i},e_{j}] mismatch")
+            # [h_i, f_j] = -(delta_ij - delta_i,j+1) f_j
+            res = _commutator(_H(i), _F(j), p, params) + apply_generator(
+                _F(j), p, params
+            ).scale_rational(delta)
             if not res.is_zero():
-                report.record(p, res, note=f"[e_{i},f_{j}] != 0")
+                report.record(p, res, note=f"[h_{i},f_{j}] mismatch")
+            if i == j:
+                # [e_i, f_i] = bracket of the integer eigenvalue of
+                # h_i - h_{i+1} + (theta(-i) - theta(-i-1)) c
+                lam = (
+                    weight_eigenvalue(p, i, params)
+                    - weight_eigenvalue(p, i + 1, params)
+                    + (theta(-i) - theta(-i - 1)) * (params.xi0 - params.xi1)
+                )
+                if lam.denominator != 1:
+                    report.record(p, None, note=f"non-integer bracket argument {lam}")
+                    continue
+                res = _commutator(_E(i), _F(i), p, params) - PatternVector.unit(
+                    p
+                ).scale(RadicalSum.from_rational(qbracket(int(lam), params.qv)))
+                if not res.is_zero():
+                    report.record(p, res, note=f"[e_{i},f_{i}] mismatch")
+            else:
+                res = _commutator(_E(i), _F(j), p, params)
+                if not res.is_zero():
+                    report.record(p, res, note=f"[e_{i},f_{j}] != 0")
     return report
 
 
@@ -128,9 +140,10 @@ def check_serre(family: str, variant: str, i: int, j: Optional[int],
             raise ValueError("variant a requires j with |i-j| != 1")
         for p in basis:
             report.checked += 1
-            res = _commutator(mk(i), mk(j), p, params)
-            if not res.is_zero():
-                report.record(p, res)
+            with _witness_zero_denominator(report, p):
+                res = _commutator(mk(i), mk(j), p, params)
+                if not res.is_zero():
+                    report.record(p, res)
         return report
     if variant == "b":
         a, b = mk(i), mk(i + 1)
@@ -140,13 +153,14 @@ def check_serre(family: str, variant: str, i: int, j: Optional[int],
         raise ValueError(f"unknown variant {variant!r}")
     for p in basis:
         report.checked += 1
-        res = (
-            apply_word([a, a, b], p, params)
-            - apply_word([a, b, a], p, params).scale(two)
-            + apply_word([b, a, a], p, params)
-        )
-        if not res.is_zero():
-            report.record(p, res)
+        with _witness_zero_denominator(report, p):
+            res = (
+                apply_word([a, a, b], p, params)
+                - apply_word([a, b, a], p, params).scale(two)
+                + apply_word([b, a, a], p, params)
+            )
+            if not res.is_zero():
+                report.record(p, res)
     return report
 
 
@@ -159,9 +173,10 @@ def check_highest_weight(params: ModuleParams,
     sig = params.signature
     for i in range(window[0], window[1] + 1):
         report.checked += 1
-        ev = apply_generator(_E(i), hw, params)
-        if not ev.is_zero():
-            report.record(hw, ev, note=f"e_{i} does not annihilate")
+        with _witness_zero_denominator(report, hw):
+            ev = apply_generator(_E(i), hw, params)
+            if not ev.is_zero():
+                report.record(hw, ev, note=f"e_{i} does not annihilate")
         expected = Fraction(sig.value(i)) - (params.xi1 if i >= 1 else params.xi0)
         hv = apply_generator(_H(i), hw, params)
         got = hv.terms.get(hw, RadicalSum.zero())
@@ -217,44 +232,46 @@ def check_restrictedness(params: ModuleParams, N: int,
 
     for k in range(-span, span + 1):
         report.checked += 1
-        if not _in_open(k, e_lo, e_hi):
-            w = nonzero_witness("E", k)
-            if w is not None:
-                report.record(w, apply_generator(_E(k), w, params),
-                              note=f"e_{k} nonzero outside interval")
-        else:
-            # stability: in-range raising generators keep V_N inside V_N
-            for p in basis:
-                for p2 in apply_generator(_E(k), p, params).terms:
-                    if p2.N > N:
-                        report.record(p, None,
-                                      note=f"e_{k} escapes V_{N} to level {p2.N}")
-        if not _in_open(k, f_lo, f_hi):
-            w = nonzero_witness("F", k)
-            if w is not None:
-                report.record(w, apply_generator(_F(k), w, params),
-                              note=f"f_{k} nonzero outside interval")
-        if not _in_open(k, h_lo, h_hi):
-            w = nonzero_witness("H", k)
-            if w is not None:
-                report.record(w, None, note=f"h_{k} nonzero outside interval")
-        if abs(k) >= r_N:
-            for kind in ("E", "F", "H"):
-                if nonzero_witness(kind, k) is not None:
-                    report.record(None, None,
-                                  note=f"{kind}_{k} nonzero beyond common radius")
+        with _witness_zero_denominator(report, None):
+            if not _in_open(k, e_lo, e_hi):
+                w = nonzero_witness("E", k)
+                if w is not None:
+                    report.record(w, apply_generator(_E(k), w, params),
+                                  note=f"e_{k} nonzero outside interval")
+            else:
+                # stability: in-range raising generators keep V_N inside V_N
+                for p in basis:
+                    for p2 in apply_generator(_E(k), p, params).terms:
+                        if p2.N > N:
+                            report.record(p, None,
+                                          note=f"e_{k} escapes V_{N} to level {p2.N}")
+            if not _in_open(k, f_lo, f_hi):
+                w = nonzero_witness("F", k)
+                if w is not None:
+                    report.record(w, apply_generator(_F(k), w, params),
+                                  note=f"f_{k} nonzero outside interval")
+            if not _in_open(k, h_lo, h_hi):
+                w = nonzero_witness("H", k)
+                if w is not None:
+                    report.record(w, None, note=f"h_{k} nonzero outside interval")
+            if abs(k) >= r_N:
+                for kind in ("E", "F", "H"):
+                    if nonzero_witness(kind, k) is not None:
+                        report.record(None, None,
+                                      note=f"{kind}_{k} nonzero beyond common radius")
 
     tight = report.params["tightness"]
-    for kind, lo, hi in (("E", e_lo, e_hi), ("F", f_lo, f_hi), ("H", h_lo, h_hi)):
-        inside = [k for k in range(-span, span + 1) if _in_open(k, lo, hi)]
-        if not inside:
-            continue
-        for side, k in (("low", min(inside)), ("high", max(inside))):
-            w = nonzero_witness(kind, k)
-            tight[f"{kind}:{side}"] = {
-                "index": k,
-                "witness": None if w is None else w.to_json(),
-            }
+    with _witness_zero_denominator(report, None):
+        for kind, lo, hi in (("E", e_lo, e_hi), ("F", f_lo, f_hi), ("H", h_lo, h_hi)):
+            inside = [k for k in range(-span, span + 1) if _in_open(k, lo, hi)]
+            if not inside:
+                continue
+            for side, k in (("low", min(inside)), ("high", max(inside))):
+                w = nonzero_witness(kind, k)
+                tight[f"{kind}:{side}"] = {
+                    "index": k,
+                    "witness": None if w is None else w.to_json(),
+                }
     return report
 
 
@@ -268,21 +285,22 @@ def check_boundary_f(params: ModuleParams, N: int, k: int) -> CheckReport:
     basis = enumerate_basis(sig, N)
     for p in basis:
         report.checked += 1
-        general = apply_generator(_F(k), p, params)
-        mk, mk1 = sig.value(k), sig.value(k + 1)
-        closed = PatternVector()
-        if mk1 != mk:
-            target = shifted_if_valid(p, [(k, 2 * k + 1, -1), (k, 2 * k + 2, -1)])
-            if target is not None:
-                closed.add_term(
-                    target,
-                    radical_of(abs(qbracket(mk1 - mk, params.qv))).scale(-1),
-                )
-        if k >= sig.n and not general.is_zero():
-            report.record(p, general, note=f"f_{k} nonzero with k >= n")
-        res = general - closed
-        if not res.is_zero():
-            report.record(p, res, note="general vs closed form mismatch")
+        with _witness_zero_denominator(report, p):
+            general = apply_generator(_F(k), p, params)
+            mk, mk1 = sig.value(k), sig.value(k + 1)
+            closed = PatternVector()
+            if mk1 != mk:
+                target = shifted_if_valid(p, [(k, 2 * k + 1, -1), (k, 2 * k + 2, -1)])
+                if target is not None:
+                    closed.add_term(
+                        target,
+                        radical_of(abs(qbracket(mk1 - mk, params.qv))).scale(-1),
+                    )
+            if k >= sig.n and not general.is_zero():
+                report.record(p, general, note=f"f_{k} nonzero with k >= n")
+            res = general - closed
+            if not res.is_zero():
+                report.record(p, res, note="general vs closed form mismatch")
     return report
 
 

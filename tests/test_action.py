@@ -17,7 +17,8 @@ from uhainf import (
     enumerate_basis,
     highest_weight_pattern,
 )
-from uhainf.action import ZeroDenominatorError, deletion_diagnostics
+from uhainf import qnum
+from uhainf.action import ZeroDenominatorError, clear_caches, deletion_diagnostics
 from uhainf.patterns import row_range, shift, weight_eigenvalue
 
 
@@ -261,3 +262,33 @@ class TestWords:
         rhs = apply_generator(F(0), a, params_mid).scale_rational(3) + \
             apply_generator(F(0), b, params_mid)
         assert lhs == rhs
+
+
+class TestMemo:
+    def test_cached_result_is_read_only(self, params_mid):
+        # the memoised F_0 image of the top pattern has one term; adding to
+        # it must fail rather than change what every later call returns
+        sig = params_mid.signature
+        hw = highest_weight_pattern(sig)
+        target = CPattern(sig, [(0,), (2, 0)])
+        v = apply_generator(F(0), hw, params_mid)
+        with pytest.raises(TypeError):
+            v.add_term(CPattern(sig, [(2,)]), ONE)
+        again = apply_generator(F(0), hw, params_mid)
+        assert again.terms == {target: RadicalSum.from_rational(-1)}
+
+    def test_arithmetic_on_a_cached_result_is_writable(self, params_mid):
+        hw = highest_weight_pattern(params_mid.signature)
+        v = apply_generator(F(0), hw, params_mid)
+        w = v + PatternVector()
+        w.add_term(hw, ONE)
+        assert len(w.terms) == 2 and len(v.terms) == 1
+
+    def test_clear_caches_empties_all_three_memos(self, params_mid):
+        hw = highest_weight_pattern(params_mid.signature)
+        apply_word([E(0), F(0), F(-1)], hw, params_mid)
+        RadicalSum.single(1, 12)
+        memos = (qnum.qbracket, qnum._square_decompose, apply_generator)
+        assert all(m.cache_info().currsize > 0 for m in memos)
+        clear_caches()
+        assert [m.cache_info().currsize for m in memos] == [0, 0, 0]

@@ -16,7 +16,9 @@ from uhainf import (
     check_serre,
     enumerate_basis,
 )
-from uhainf.patterns import highest_weight_pattern, theta, weight_eigenvalue
+from uhainf import action
+from uhainf.action import clear_caches
+from uhainf.patterns import highest_weight_pattern, sign_s, theta, weight_eigenvalue
 
 
 class TestCheckReport:
@@ -223,3 +225,67 @@ class TestCharge:
         # (3-3)+(3-3)+(2-3) + (1-0)+(0-0)+(0-0) = 0
         assert rep.params["eigenvalue"] == "0"
         assert rep.params["stabilizes_at"] == 3
+
+
+# Negative control: the Cartan suite must fail, not raise, under any single
+# +-1 change to a ladder offset (o1, d1, o2, d2 of each action._CASES row)
+# and under a flipped sign_s parity.  apply_generator's memo outlives a
+# patch, so it is cleared before and after each one: otherwise it would
+# hide the mutation, or carry it into later tests.
+
+def _offset_mutation(key, slot, step):
+    def mutate(mp):
+        case = list(action._CASES[key])
+        case[slot] += step
+        mp.setitem(action._CASES, key, tuple(case))
+    return mutate
+
+
+MUTATIONS = {
+    f"{kind}{'-' if neg else '+'}side-{name}{step:+d}":
+        _offset_mutation((kind, neg), slot, step)
+    for kind, neg in action._CASES
+    for slot, name in enumerate(("o1", "d1", "o2", "d2"))
+    for step in (-1, 1)
+}
+MUTATIONS["sign_s-parity"] = lambda mp: mp.setattr(
+    action, "sign_s", lambda j, l, nu: sign_s(j, l, 1 - nu))
+
+
+def _cartan_reports_under(mutation, params):
+    """check_cartan on V_4 for indices -2..2, up to the first failing report."""
+    basis = enumerate_basis(params.signature, 4)
+    reports = []
+    clear_caches()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mutation(mp)
+            for i in range(-2, 3):
+                for j in range(-2, 3):
+                    reports.append(check_cartan(i, j, basis, params))
+                    if not reports[-1].passed:
+                        return reports
+    finally:
+        clear_caches()
+    return reports
+
+
+class TestNegativeControl:
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_cartan_fails_under_mutation(self, params_mid, name):
+        reports = _cartan_reports_under(MUTATIONS[name], params_mid)
+        assert not reports[-1].passed, name
+
+    def test_zero_denominator_is_a_witness(self, params_mid):
+        # d1 - 1 on the positive E ladder makes a denominator bracket
+        # vanish on a valid target; the suite records it and returns
+        reports = _cartan_reports_under(MUTATIONS["E+side-d1-1"], params_mid)
+        notes = [f.get("note", "") for f in reports[-1].failures]
+        assert any(n.startswith("zero denominator: E_") for n in notes), notes
+
+    def test_no_mutation_outlives_its_patch(self, params_mid):
+        _cartan_reports_under(MUTATIONS["E+side-o1+1"], params_mid)
+        basis = enumerate_basis(params_mid.signature, 4)
+        for i in range(-2, 3):
+            for j in range(-2, 3):
+                assert check_cartan(i, j, basis, params_mid).passed, (i, j)
