@@ -108,7 +108,9 @@ def _square_decompose(n: int) -> tuple[int, int]:
     s, k, rem = 1, 1, n
     for p in _SMALL_PRIMES:
         if p * p > rem:
-            break
+            # every prime below p is divided out and rem < p^2, so rem is
+            # 1 or a prime: it goes to the kernel as it is
+            return s, k * rem
         e = 0
         while rem % p == 0:
             rem //= p

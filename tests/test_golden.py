@@ -6,6 +6,9 @@ numbered targets by building every pattern of V_{N+2}.  Performance work on
 the pattern and action layers must leave every output byte as it was.  The
 F:-3 and F:1 runs have targets that leave V_N (94 and 8 escaped entries);
 on the -3:0:5,2,2,0 signature every target lies beyond V_{N+2} ("row": null).
+The two Cartan runs were recorded while every Cartan residual was built
+from words, before the eigenvalue-shift test; that test may skip only
+residuals that are zero, so their bytes stay as they were.
 """
 
 import hashlib
@@ -44,11 +47,23 @@ GOLDEN = [
         0,
         "c4834e17d8680ca8c5099592bf4849b33ec85d4281654f9c1b5f17affebe8a22",
     ),
+    (
+        ["check", *BASE, "--suite", "cartan", "--level", "5", "--window", "6"],
+        0,
+        "19104206edd33ed94fa87441ff313979e232436adc40ee32aeae5917ea6350b1",
+    ),
+    (
+        ["check", "--signature=-1:1:2,1,0", "--xi0", "2", "--xi1", "0",
+         "--q", "classical", "--suite", "cartan", "--level", "4",
+         "--window", "3"],
+        0,
+        "f909bee0b43912625b47eec6ca85744eee39adb67c04d3449a1af5cbfb0487c4",
+    ),
 ]
 
 
 IDS = ["check-all", "matrix-E1", "matrix-Fm3-escaped", "matrix-F1-escaped",
-       "matrix-row-null"]
+       "matrix-row-null", "cartan-L5-W6", "cartan-L4-W3-classical"]
 
 
 @pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=IDS)

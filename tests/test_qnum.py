@@ -1,15 +1,20 @@
 import decimal
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import uhainf
 from uhainf.qnum import (
     InvalidQValueError,
     NegativeRadicandError,
     QValue,
     RadicalSum,
+    _square_decompose,
     format_rational,
     parse_rational,
     qbracket,
@@ -89,6 +94,75 @@ class TestRadicalOf:
             a = Fraction(rng.randint(0, 60), rng.randint(1, 60))
             b = Fraction(rng.randint(0, 60), rng.randint(1, 60))
             assert radical_of(a * b) == radical_of(a) * radical_of(b)
+
+
+
+def _square_split_oracle(n):
+    """(s, k) with n = s^2 * k and k squarefree, from sympy's factorization."""
+    factorint = pytest.importorskip("sympy").factorint
+    s = k = 1
+    for p, e in factorint(n).items():
+        s *= p ** (e // 2)
+        k *= p ** (e % 2)
+    return s, k
+
+
+class TestSquareDecompose:
+    # the undecorated function: these inputs must not depend on, or fill,
+    # the process-wide memo
+    decompose = staticmethod(_square_decompose.__wrapped__)
+
+    def test_small_range_matches_factorint(self):
+        for n in range(1, 20_001):
+            assert self.decompose(n) == _square_split_oracle(n), n
+
+    @given(st.integers(min_value=1, max_value=10**12))
+    def test_large_matches_factorint(self, n):
+        assert self.decompose(n) == _square_split_oracle(n)
+
+    @pytest.mark.parametrize("n", [13, 97, 2_809, 3_127, 20_467])
+    def test_cofactors(self, n):
+        # 13 and 97 end the prime loop early; 2809 = 53^2, 3127 = 53*59 and
+        # 20467 = 97*211 survive every prime up to 47
+        assert self.decompose(n) == _square_split_oracle(n)
+
+    def test_nonpositive_rejected(self):
+        with pytest.raises(ValueError):
+            self.decompose(0)
+
+
+# The relation runs of the benchmark's relations workload; none of their
+# radicands has a composite cofactor without a prime factor up to 47.
+_RELATION_RUNS = [
+    (["--suite", "cartan", "--level", "5", "--window", "2"], 0),
+    (["--suite", "serre", "--level", "4", "--window", "4"], 0),
+    (["--suite", "restricted", "--level", "5"], 0),
+    (["--suite", "boundary", "--level", "4"], 0),
+    (["--suite", "hw", "--level", "5"], 0),
+    (["--suite", "charge", "--level", "5"], 0),
+    (["--suite", "charge", "--level", "5", "--xi0", "0"], 1),
+]
+
+_NO_SYMPY_SCRIPT = """
+import contextlib, io, sys
+from uhainf.cli import main
+module = ["--signature=-1:1:2,1,0", "--xi0", "2", "--xi1", "0", "--q", "3/2"]
+for extra, code in {runs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["check", *module, *extra]) == code, extra
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "sympy")
+assert not loaded, loaded
+"""
+
+
+def test_relation_runs_never_import_sympy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(uhainf.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SYMPY_SCRIPT.format(runs=_RELATION_RUNS)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def _rand_radsum(rng):

@@ -1,4 +1,5 @@
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,11 @@ from uhainf import (
     check_serre,
     enumerate_basis,
 )
-from uhainf import action
-from uhainf.action import clear_caches
+from uhainf import action, relations
+from uhainf.action import (GeneratorLabel, PatternVector, ZeroDenominatorError,
+                           apply_generator, apply_word, clear_caches)
 from uhainf.patterns import highest_weight_pattern, sign_s, theta, weight_eigenvalue
+from uhainf.qnum import RadicalSum, qbracket
 
 
 class TestCheckReport:
@@ -252,21 +255,59 @@ MUTATIONS["sign_s-parity"] = lambda mp: mp.setattr(
     action, "sign_s", lambda j, l, nu: sign_s(j, l, 1 - nu))
 
 
-def _cartan_reports_under(mutation, params):
-    """check_cartan on V_4 for indices -2..2, up to the first failing report."""
-    basis = enumerate_basis(params.signature, 4)
-    reports = []
+def _h_reads_next_index(mp, index=0):
+    """H_index acts by the eigenvalue of H_{index+1}; other H are intact."""
+    orig = action.weight_eigenvalue
+    mp.setattr(action, "weight_eigenvalue", lambda p, i, params:
+               orig(p, i + 1 if i == index else i, params))
+
+
+def _c_depends_on_pattern(mp):
+    """C acts on p by xi0 - xi1 plus the h_0 eigenvalue of p."""
+    orig = action.apply_generator
+
+    def mutated(g, p, params):
+        if g.kind != "C":
+            return orig(g, p, params)
+        ev = params.xi0 - params.xi1 + weight_eigenvalue(p, 0, params)
+        return PatternVector({p: RadicalSum.from_rational(ev)})
+
+    # apply_to_vector (words) and the suites both read the module names
+    mp.setattr(action, "apply_generator", mutated)
+    mp.setattr(relations, "apply_generator", mutated)
+
+
+# Mutations of the diagonal branches of apply_generator.  The Cartan suite
+# tests [c, g], [h_i, h_j], [h_i, e_j] and [h_i, f_j] by eigenvalue shifts
+# read through apply_generator, so a broken H or C branch must still fail.
+DIAGONAL_MUTATIONS = {
+    "H-reads-next-index": _h_reads_next_index,
+    "C-depends-on-pattern": _c_depends_on_pattern,
+}
+
+
+@contextmanager
+def _mutated(mutation):
+    """Apply a mutation with apply_generator's memo cleared on both sides."""
     clear_caches()
     try:
         with pytest.MonkeyPatch.context() as mp:
             mutation(mp)
-            for i in range(-2, 3):
-                for j in range(-2, 3):
-                    reports.append(check_cartan(i, j, basis, params))
-                    if not reports[-1].passed:
-                        return reports
+            yield
     finally:
         clear_caches()
+
+
+def _cartan_reports_under(mutation, params):
+    """check_cartan on V_4 for indices -2..2, up to the first failing report."""
+    basis = enumerate_basis(params.signature, 4)
+    reports = []
+    with _mutated(mutation):
+        for i in range(-2, 3):
+            for j in range(-2, 3):
+                reports.append(check_cartan(i, j, basis, params))
+                if not reports[-1].passed:
+                    return reports
     return reports
 
 
@@ -274,6 +315,11 @@ class TestNegativeControl:
     @pytest.mark.parametrize("name", sorted(MUTATIONS))
     def test_cartan_fails_under_mutation(self, params_mid, name):
         reports = _cartan_reports_under(MUTATIONS[name], params_mid)
+        assert not reports[-1].passed, name
+
+    @pytest.mark.parametrize("name", sorted(DIAGONAL_MUTATIONS))
+    def test_cartan_fails_under_diagonal_mutation(self, params_mid, name):
+        reports = _cartan_reports_under(DIAGONAL_MUTATIONS[name], params_mid)
         assert not reports[-1].passed, name
 
     def test_zero_denominator_is_a_witness(self, params_mid):
@@ -289,3 +335,101 @@ class TestNegativeControl:
         for i in range(-2, 3):
             for j in range(-2, 3):
                 assert check_cartan(i, j, basis, params_mid).passed, (i, j)
+
+
+# Differential oracle: the Cartan suite with every residual built from
+# words, as the suite computed it before the eigenvalue-shift test.  The
+# shift test may only skip residuals that are zero, so the two reports must
+# serialize identically, passing or failing, on any action.
+
+def _E(i):
+    return GeneratorLabel("E", i)
+
+
+def _F(i):
+    return GeneratorLabel("F", i)
+
+
+def _H(i):
+    return GeneratorLabel("H", i)
+
+
+_C = GeneratorLabel("C")
+
+
+def _commutator(a, b, p, params):
+    return apply_word([a, b], p, params) - apply_word([b, a], p, params)
+
+
+def _word_cartan(i, j, basis, params):
+    report = CheckReport("cartan", {"i": i, "j": j})
+    delta = (1 if i == j else 0) - (1 if i == j + 1 else 0)
+    for p in basis:
+        report.checked += 1
+        try:
+            for g in (_H(j), _E(j), _F(j)):
+                res = _commutator(_C, g, p, params)
+                if not res.is_zero():
+                    report.record(p, res, note=f"[c,{g}] != 0")
+            res = _commutator(_H(i), _H(j), p, params)
+            if not res.is_zero():
+                report.record(p, res, note=f"[h_{i},h_{j}] != 0")
+            res = _commutator(_H(i), _E(j), p, params) - apply_generator(
+                _E(j), p, params
+            ).scale_rational(delta)
+            if not res.is_zero():
+                report.record(p, res, note=f"[h_{i},e_{j}] mismatch")
+            res = _commutator(_H(i), _F(j), p, params) + apply_generator(
+                _F(j), p, params
+            ).scale_rational(delta)
+            if not res.is_zero():
+                report.record(p, res, note=f"[h_{i},f_{j}] mismatch")
+            if i == j:
+                lam = (
+                    weight_eigenvalue(p, i, params)
+                    - weight_eigenvalue(p, i + 1, params)
+                    + (theta(-i) - theta(-i - 1)) * (params.xi0 - params.xi1)
+                )
+                if lam.denominator != 1:
+                    report.record(p, None, note=f"non-integer bracket argument {lam}")
+                    continue
+                res = _commutator(_E(i), _F(i), p, params) - PatternVector.unit(
+                    p
+                ).scale(RadicalSum.from_rational(qbracket(int(lam), params.qv)))
+                if not res.is_zero():
+                    report.record(p, res, note=f"[e_{i},f_{i}] mismatch")
+            else:
+                res = _commutator(_E(i), _F(j), p, params)
+                if not res.is_zero():
+                    report.record(p, res, note=f"[e_{i},f_{j}] != 0")
+        except ZeroDenominatorError as exc:
+            report.record(p, None, note=f"zero denominator: {exc}")
+    return report
+
+
+def _cartan_json(check, basis, params, indices):
+    return [check(i, j, basis, params).to_json()
+            for i in indices for j in indices]
+
+
+class TestCartanOracle:
+    @pytest.mark.parametrize("level", [4, 5])
+    @pytest.mark.parametrize("classical", [False, True], ids=["q=3/2", "classical"])
+    def test_matches_word_residuals(self, params_mid, params_mid_classical,
+                                    level, classical):
+        params = params_mid_classical if classical else params_mid
+        basis = enumerate_basis(params.signature, level)
+        indices = range(-3, 4)
+        assert (_cartan_json(check_cartan, basis, params, indices)
+                == _cartan_json(_word_cartan, basis, params, indices))
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS) + sorted(DIAGONAL_MUTATIONS))
+    def test_matches_word_residuals_under_mutation(self, params_mid, name):
+        mutation = {**MUTATIONS, **DIAGONAL_MUTATIONS}[name]
+        basis = enumerate_basis(params_mid.signature, 4)
+        indices = range(-2, 3)
+        with _mutated(mutation):
+            got = _cartan_json(check_cartan, basis, params_mid, indices)
+            want = _cartan_json(_word_cartan, basis, params_mid, indices)
+        assert got == want
+        assert any(r["failures"] for r in want), name
