@@ -12,13 +12,19 @@ one kernel driven by the table ``_ROW_SUMS``, which gives per tag the bottom
 row's offset from 2k, the sign sigma of the ``s`` offset, and for the single
 sums the summed row, the row losing the two excluded labels, and the unused
 row.  Each term is summed over s in {0, 1} with sign (-1)^s and, with
-t = sigma*s and x the summed entry, is a product of numerator brackets
-[v - x + off] over the other rows divided by [v_i - x + t][v_i - x + t - sigma]
-over the rest of the summed row.  The double sum is built from the same two
-products and ends in -[sigma(sum a + sum b - sum above - sum below) - 1].
-A26 is the single sum with sigma = +1, summed over a, with b and c as the
-other rows: its brackets [a_i - v - s] = -[v - a_i + s] come in an even
-number, and its two denominator brackets change sign together.
+t = sigma*s and x the summed entry, is a product of numerator factors
+f(v, x, off) over the other rows divided by f(v_i, x, t) f(v_i, x, t - sigma)
+over the rest of the summed row.  The row sums take the bracket
+f(v, x, off) = [v - x + off]; the double sum is built from the same two
+products and the caller subtracts [sigma(sum a + sum b - sum above -
+sum below) - 1].  A26 is the single sum with sigma = +1, summed over a, with
+b and c as the other rows: its brackets [a_i - v - s] = -[v - a_i + s] come
+in an even number, and its two denominator brackets change sign together.
+
+A21 is I23a in the variables q^(2L).  It runs through the same double sum
+with f(v, x, off) = x - q^(2 off) v: for x = q^(2L) and v = q^(2M) this is
+-q^(L+M+off)(q - q^-1)[M - L + off], and the per-term weight q^(1-2s)/(xy)
+absorbs those monomials.
 
 Two changes to a table row leave every identity true, so no test can tell
 them apart: flipping sigma (the identities are invariant under L -> -L),
@@ -29,6 +35,7 @@ breaks the identity.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -151,87 +158,96 @@ def _as_row(p: int, values) -> list:
     return list(values)
 
 
-def _num(br, values, x: int, off: int) -> Fraction:
-    """Product of [v - x + off] over values."""
+def _brackets(qv: QValue):
+    """The row-sum factor f(v, x, off) = [v - x + off]."""
+    return lambda v, x, off: qbracket(v - x + off, qv)
+
+
+def _num(f, values, x, off: int) -> Fraction:
+    """Product of f(v, x, off) over values."""
     prod = Fraction(1)
     for v in values:
-        prod *= br(v - x + off)
+        prod *= f(v, x, off)
     return prod
 
 
-def _den(br, row: list, j: int, t: int, sigma: int, what: str) -> Fraction:
-    """Product of [v_i - x + t][v_i - x + t - sigma] over i != j, x = row[j];
+def _den(f, row: list, j: int, t: int, sigma: int, what: str) -> Fraction:
+    """Product of f(v_i, x, t) f(v_i, x, t - sigma) over i != j, x = row[j];
     PoleError at the first vanishing factor."""
     x = row[j]
     prod = Fraction(1)
     for i, v in enumerate(row):
         if i != j:
-            factor = br(v - x + t) * br(v - x + t - sigma)
+            factor = f(v, x, t) * f(v, x, t - sigma)
             if factor == 0:
                 raise PoleError(f"vanishing denominator: {what} at j={j}, i={i}")
             prod *= factor
     return prod
 
 
-def _single_sum(br, row: list, others: list, sigma: int, what: str) -> Fraction:
+def _single_sum(f, row: list, others: list, sigma: int, what: str) -> Fraction:
     total = Fraction(0)
     for s in (0, 1):
         t = sigma * s
         for j, x in enumerate(row):
-            den = _den(br, row, j, t, sigma, what)
-            total += (-1) ** s * _num(br, others, x, t) / den
+            den = _den(f, row, j, t, sigma, what)
+            total += (-1) ** s * _num(f, others, x, t) / den
     return total
 
 
-def _double_sum(br, D: list, A: list, B: list, C: list, sigma: int,
-                what: str) -> Fraction:
+def _double_sum(f, D: list, A: list, B: list, C: list, sigma: int,
+                what: str, weight=None) -> Fraction:
+    """The double sum over x in A and y in B, each term times weight(s, x, y)
+    when a weight is given."""
     total = Fraction(0)
     for s in (0, 1):
         t = sigma * s
-        den_a = [_den(br, A, j, t, sigma, what) for j in range(len(A))]
-        den_b = [_den(br, B, l, t, sigma, what) for l in range(len(B))]
+        den_a = [_den(f, A, j, t, sigma, what) for j in range(len(A))]
+        den_b = [_den(f, B, l, t, sigma, what) for l in range(len(B))]
         for j, x in enumerate(A):
-            num_d = _num(br, D, x, t - sigma)
+            num_d = _num(f, D, x, t - sigma)
             above = C + A[:j] + A[j + 1:]
             for l, y in enumerate(B):
-                num1 = num_d * _num(br, B[:l] + B[l + 1:], x, t - sigma)
-                num2 = _num(br, above, y, t)
-                total += (-1) ** s * (num1 / den_a[j]) * (num2 / den_b[l])
-    rhs = br(sigma * (sum(A) + sum(B) - sum(C) - sum(D)) - 1)
-    return total - rhs
+                num1 = num_d * _num(f, B[:l] + B[l + 1:], x, t - sigma)
+                num2 = _num(f, above, y, t)
+                term = (-1) ** s * (num1 / den_a[j]) * (num2 / den_b[l])
+                total += term if weight is None else term * weight(s, x, y)
+    return total
 
 
 def _eval_row_sum(a: Assignment, tag: str, k: int) -> Fraction:
     case = _ROW_SUMS[tag]
-    br = lambda x: qbracket(x, a.qv)
+    f = _brackets(a.qv)
     p = _row_numbers(case, k)
     rows = {name: _as_row(p[name], a.arrays[name])
             for name in _ROWS if name != case.unused}
     if case.summed is None:
-        return _double_sum(br, *rows.values(), case.sigma, tag)
+        D, A, B, C = rows.values()
+        rhs = qbracket(case.sigma * (sum(A) + sum(B) - sum(C) - sum(D)) - 1, a.qv)
+        return _double_sum(f, D, A, B, C, case.sigma, tag) - rhs
     labels = a.excluded["labels"]
     others = [v for name, vs in rows.items()
               if name not in (case.summed, case.cut) for v in vs]
     others += [v for i, v in zip(row_range(p[case.cut]), rows[case.cut])
                if i not in labels]
-    return _single_sum(br, rows[case.summed], others, case.sigma, tag)
+    return _single_sum(f, rows[case.summed], others, case.sigma, tag)
 
 
 def _eval_a26(a: Assignment, n: int) -> Fraction:
     aa, bb, cc = (list(a.arrays[x]) for x in "abc")
     if [len(aa), len(bb), len(cc)] != [n, n - 1, n - 1]:
         raise ValueError("A26 arrays must have lengths n, n-1, n-1")
-    return _single_sum(lambda x: qbracket(x, a.qv), aa, bb + cc, +1, "A26")
+    return _single_sum(_brackets(a.qv), aa, bb + cc, +1, "A26")
+
+
+def _serre(br, x: int, y: int) -> Fraction:
+    """[x-1][y-1] - [2][x][y-1] + [x][y]."""
+    return br(x - 1) * br(y - 1) - br(2) * br(x) * br(y - 1) + br(x) * br(y)
 
 
 def _eval_i25(a: Assignment) -> Fraction:
     br = lambda x: qbracket(x, a.qv)
     sa, sb, sc, sd, se = (a.scalars[x] for x in "abcde")
-    p1 = (
-        br(sa - sb - 1) * br(sc - sb - 1)
-        - br(2) * br(sa - sb) * br(sc - sb - 1)
-        + br(sa - sb) * br(sc - sb)
-    )
     q1 = _div(br(sa - sd) * br(sc - se - 1),
               br(sd - se - 1) * br(sc - sa - 1), "I25 [d-e-1][c-a-1]")
     q1 += _div(br(sc - sd - 1) * br(sa - se),
@@ -240,25 +256,14 @@ def _eval_i25(a: Assignment) -> Fraction:
               br(sd - se - 1) * br(sc - sa + 1), "I25 [d-e-1][c-a+1]")
     q2 += _div(br(sa - sd - 1) * br(sc - se),
                br(sd - se + 1) * br(sc - sa + 1), "I25 [d-e+1][c-a+1]")
-    p2 = (
-        br(sa - sb - 1) * br(sc - sb - 1)
-        - br(2) * br(sa - sb - 1) * br(sc - sb)
-        + br(sa - sb) * br(sc - sb)
-    )
-    return p1 * q1 + q2 * p2
+    return _serre(br, sa - sb, sc - sb) * q1 + q2 * _serre(br, sc - sb, sa - sb)
 
 
 def _eval_i26(a: Assignment) -> Fraction:
     br = lambda x: qbracket(x, a.qv)
     sa, sb = a.scalars["a"], a.scalars["b"]
-    t1 = _div(
-        br(sa - 1) * br(sb - 1) - br(2) * br(sa) * br(sb - 1) + br(sa) * br(sb),
-        br(sa - sb + 1), "I26 [a-b+1]",
-    )
-    t2 = _div(
-        br(sa - 1) * br(sb - 1) - br(2) * br(sa - 1) * br(sb) + br(sa) * br(sb),
-        br(sa - sb - 1), "I26 [a-b-1]",
-    )
+    t1 = _div(_serre(br, sa, sb), br(sa - sb + 1), "I26 [a-b+1]")
+    t2 = _div(_serre(br, sb, sa), br(sa - sb - 1), "I26 [a-b-1]")
     return t1 + t2
 
 
@@ -284,61 +289,15 @@ def _eval_a21(a: Assignment, n: int) -> Fraction:
     if a.qv.is_classical:
         raise PoleError("A21 is a multiplicative identity; it needs a rational q")
     q = a.qv.q
-    A = [Fraction(v) for v in a.arrays["A"]]
-    B = [Fraction(v) for v in a.arrays["B"]]
-    C = [Fraction(v) for v in a.arrays["C"]]
-    D = [Fraction(v) for v in a.arrays["D"]]
+    A, B, C, D = ([Fraction(v) for v in a.arrays[x]] for x in "ABCD")
     if [len(A), len(B), len(C), len(D)] != [n - 1, n, n + 1, n - 2]:
         raise ValueError("A21 arrays must have lengths n-1, n, n+1, n-2")
     if any(v == 0 for v in A + B + C + D):
         raise PoleError("A21 variables must be nonzero")
-    qi = 1 / q
-    q2, qi2 = q * q, qi * qi
-    total = Fraction(0)
-    for sign, w, fb, fd, gc, ga, da, db in (
-        (1, q, qi2, qi2, Fraction(1), Fraction(1), qi2, qi2),
-        (-1, qi, Fraction(1), Fraction(1), q2, q2, q2, q2),
-    ):
-        # first pass: factors (A_j - fb*B_i), (A_j - fd*D_i),
-        # (B_l - gc*C_i), (B_l - ga*A_i); denominator twists da, db
-        for j, aj in enumerate(A):
-            den_a = aj
-            for i, ai in enumerate(A):
-                if i != j:
-                    den_a *= (aj - ai) * (aj - da * ai)
-            if den_a == 0:
-                raise PoleError(f"A21 denominator at A_{j + 1}")
-            num_ad = Fraction(1)
-            for dv in D:
-                num_ad *= aj - fd * dv
-            for l, bl in enumerate(B):
-                num = num_ad
-                for i, bv in enumerate(B):
-                    if i != l:
-                        num *= aj - fb * bv
-                for cv in C:
-                    num *= bl - gc * cv
-                for i, ai in enumerate(A):
-                    if i != j:
-                        num *= bl - ga * ai
-                den = den_a * bl
-                for i, bv in enumerate(B):
-                    if i != l:
-                        den *= (bl - bv) * (bl - db * bv)
-                if den == 0:
-                    raise PoleError(f"A21 denominator at B_{l + 1}")
-                total += sign * w * num / den
-    prod = Fraction(1)
-    for dv in D:
-        prod *= dv
-    for cv in C:
-        prod *= cv
-    for av in A:
-        prod /= av
-    for bv in B:
-        prod /= bv
-    total -= (q - qi) * (1 - q2 * prod)
-    return total
+    total = _double_sum(lambda v, x, off: x - q ** (2 * off) * v,
+                        D, A, B, C, +1, "A21",
+                        weight=lambda s, x, y: q ** (1 - 2 * s) / (x * y))
+    return total - (q - 1 / q) * (1 - q * q * math.prod(D + C) / math.prod(A + B))
 
 
 def evaluate_identity(ident: IdentityId, a: Assignment) -> Fraction:

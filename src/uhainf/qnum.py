@@ -107,10 +107,8 @@ def _square_decompose(n: int) -> tuple[int, int]:
         raise ValueError("positive integer required")
     s, k, rem = 1, 1, n
     for p in _SMALL_PRIMES:
-        if p * p > rem:
-            # every prime below p is divided out and rem < p^2, so rem is
-            # 1 or a prime: it goes to the kernel as it is
-            return s, k * rem
+        if p ** 3 > rem:
+            break
         e = 0
         while rem % p == 0:
             rem //= p
@@ -118,11 +116,8 @@ def _square_decompose(n: int) -> tuple[int, int]:
         s *= p ** (e // 2)
         if e % 2:
             k *= p
-    if rem > 1:
-        r = isqrt(rem)
-        if r * r == rem:
-            s *= r
-        else:
+    else:
+        if rem >= 53 ** 3:
             # The small-prime table is not enough; fall back to a full
             # factorization (sympy handles the occasional large cofactor).
             from sympy import factorint
@@ -131,7 +126,13 @@ def _square_decompose(n: int) -> tuple[int, int]:
                 s *= int(p) ** (e // 2)
                 if e % 2:
                     k *= int(p)
-    return s, k
+            return s, k
+    # rem < p^3 (p = 53 past the table) has no prime factor below p, so it
+    # is 1, a prime, a prime square or a product of two distinct primes
+    r = isqrt(rem)
+    if r * r == rem:
+        return s * r, k
+    return s, k * rem
 
 
 class RadicalSum:

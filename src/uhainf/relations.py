@@ -114,34 +114,24 @@ def check_cartan(i: int, j: int, basis: Sequence[CPattern],
     """
     report = CheckReport("cartan", {"i": i, "j": j})
     delta = (1 if i == j else 0) - (1 if i == j + 1 else 0)
+    # (d, g, shift): [d, g] = shift·g with d diagonal.  c is central,
+    # diagonal generators commute, and [h_i, e_j] = (delta_ij - delta_i,j+1) e_j
+    # with the opposite shift on f_j
+    diagonal = [(_C, g, 0, f"[c,{g}] != 0") for g in (_H(j), _E(j), _F(j))] + [
+        (_H(i), _H(j), 0, f"[h_{i},h_{j}] != 0"),
+        (_H(i), _E(j), delta, f"[h_{i},e_{j}] mismatch"),
+        (_H(i), _F(j), -delta, f"[h_{i},f_{j}] mismatch"),
+    ]
     for p in basis:
         report.checked += 1
         with _witness_zero_denominator(report, p):
-            # centrality
-            for g in (_H(j), _E(j), _F(j)):
-                if not _shifts_by(_C, g, p, params, 0):
-                    res = _commutator(_C, g, p, params)
+            for d, g, shift, note in diagonal:
+                if not _shifts_by(d, g, p, params, shift):
+                    res = _commutator(d, g, p, params) - apply_generator(
+                        g, p, params
+                    ).scale_rational(shift)
                     if not res.is_zero():
-                        report.record(p, res, note=f"[c,{g}] != 0")
-            # diagonal generators commute
-            if not _shifts_by(_H(i), _H(j), p, params, 0):
-                res = _commutator(_H(i), _H(j), p, params)
-                if not res.is_zero():
-                    report.record(p, res, note=f"[h_{i},h_{j}] != 0")
-            # [h_i, e_j] = (delta_ij - delta_i,j+1) e_j
-            if not _shifts_by(_H(i), _E(j), p, params, delta):
-                res = _commutator(_H(i), _E(j), p, params) - apply_generator(
-                    _E(j), p, params
-                ).scale_rational(delta)
-                if not res.is_zero():
-                    report.record(p, res, note=f"[h_{i},e_{j}] mismatch")
-            # [h_i, f_j] = -(delta_ij - delta_i,j+1) f_j
-            if not _shifts_by(_H(i), _F(j), p, params, -delta):
-                res = _commutator(_H(i), _F(j), p, params) + apply_generator(
-                    _F(j), p, params
-                ).scale_rational(delta)
-                if not res.is_zero():
-                    report.record(p, res, note=f"[h_{i},f_{j}] mismatch")
+                        report.record(p, res, note=note)
             if i == j:
                 # [e_i, f_i] = bracket of the integer eigenvalue of
                 # h_i - h_{i+1} + (theta(-i) - theta(-i-1)) c

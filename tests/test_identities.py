@@ -213,7 +213,8 @@ class TestCrossEncodings:
 class TestPinnedReports:
     """sha256 of the canonical JSON of fuzz reports at sizes the CLI never
     runs, recorded from the per-identity evaluators the row-sum table
-    replaced.  I23b at k = 3 with seed 7 exhausts the rejection budget
+    replaced, and for A21 from its standalone evaluator before it shared
+    the double-sum kernel.  I23b at k = 3 with seed 7 exhausts the rejection budget
     (601 poles for 3 trials), so its pin also covers that failure path."""
 
     PINS = [
@@ -226,6 +227,10 @@ class TestPinnedReports:
         ("I24a", 3, 20, "363c23f8ceaf32c85924e806f732b8cf5994c4051f29ec25f55c486a266135e8"),
         ("I24c", 3, 20, "c26d702dc24978fd994b56a89df46b3afe921b1dac0031585f3672bf1de994cc"),
         ("A26", 5, 20, "7d934d660f1e2e4aa22fb16bf2b51971657fe09a307e836d562580ab294fab6d"),
+        ("A21", 2, 20, "9e0f088718ed994eee9523b1c733e6158618d0488159fe65b2564ee7f252ff55"),
+        ("A21", 3, 20, "b6673a4de97c49cbee5c219db596e79bf24dde49f7de800b10cb344d7d25d7d8"),
+        ("A21", 4, 20, "d93969acce40fd4743c9116196216e45382e0c98d09dbed62c8c61b412ce3da0"),
+        ("A21", 5, 20, "cdf9bd13e85a68e60b45f6b691a242baafc858328454e0474c2b215aaf331520"),
     ]
 
     @pytest.mark.parametrize("tag,size,trials,digest", PINS,
@@ -261,6 +266,37 @@ class TestRowSumTable:
         case = self._mutations(_ROW_SUMS[tag])[mutation]
         monkeypatch.setitem(_ROW_SUMS, tag, case)
         rep = fuzz_identity(IdentityId(tag, 2), trials=5, seed=3)
+        assert not rep.passed
+        assert any("residual" in f for f in rep.failures), rep.to_json()
+
+
+class TestDoubleSumKernel:
+    """Negative control: A21 runs through the shared double-sum kernel, so a
+    broken kernel must make the A21 fuzzer fail.  Flipping sigma, which
+    I23a/b cannot see, breaks A21 because its weight is not symmetric."""
+
+    @staticmethod
+    def _mutations(orig):
+        def flip_sigma(f, D, A, B, C, sigma, what, weight=None):
+            return orig(f, D, A, B, C, -sigma, what, weight)
+
+        def drop_weight(f, D, A, B, C, sigma, what, weight=None):
+            return orig(f, D, A, B, C, sigma, what)
+
+        def shift_offset(f, D, A, B, C, sigma, what, weight=None):
+            return orig(lambda v, x, off: f(v, x, off + 1), D, A, B, C, sigma,
+                        what, weight)
+
+        return {"flip-sigma": flip_sigma, "drop-weight": drop_weight,
+                "shift-offset": shift_offset}
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("mutation", ["flip-sigma", "drop-weight", "shift-offset"])
+    def test_broken_kernel_fails_a21(self, monkeypatch, mutation, n):
+        import uhainf.identities as idm
+        broken = self._mutations(idm._double_sum)[mutation]
+        monkeypatch.setattr(idm, "_double_sum", broken)
+        rep = fuzz_identity(IdentityId("A21", n), trials=5, seed=3)
         assert not rep.passed
         assert any("residual" in f for f in rep.failures), rep.to_json()
 

@@ -120,10 +120,13 @@ class TestSquareDecompose:
     def test_large_matches_factorint(self, n):
         assert self.decompose(n) == _square_split_oracle(n)
 
-    @pytest.mark.parametrize("n", [13, 97, 2_809, 3_127, 20_467])
+    @pytest.mark.parametrize("n", [13, 97, 2_809, 3_127, 20_467, 148_877, 165_731,
+                                   190_747, 1621 * 2657 * 5261])
     def test_cofactors(self, n):
         # 13 and 97 end the prime loop early; 2809 = 53^2, 3127 = 53*59 and
-        # 20467 = 97*211 survive every prime up to 47
+        # 20467 = 97*211 survive every prime up to 47 and stop on p^3 > rem;
+        # 53^3, 53^2*59, 53*59*61 and 1621*2657*5261 need the full
+        # factorization
         assert self.decompose(n) == _square_split_oracle(n)
 
     def test_nonpositive_rejected(self):
@@ -149,20 +152,36 @@ from uhainf.cli import main
 module = ["--signature=-1:1:2,1,0", "--xi0", "2", "--xi1", "0", "--q", "3/2"]
 for extra, code in {runs!r}:
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["check", *module, *extra]) == code, extra
+        assert main([{command!r}, *module, *extra]) == code, extra
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "sympy")
 assert not loaded, loaded
 """
 
 
-def test_relation_runs_never_import_sympy():
+def _assert_runs_never_import_sympy(command, runs):
     src = os.path.dirname(os.path.dirname(os.path.abspath(uhainf.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_SYMPY_SCRIPT.format(runs=_RELATION_RUNS)],
+        [sys.executable, "-c", _NO_SYMPY_SCRIPT.format(command=command, runs=runs)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_relation_runs_never_import_sympy():
+    _assert_runs_never_import_sympy("check", _RELATION_RUNS)
+
+
+# The matrix exports of the benchmark's export workload: every cofactor left
+# after the small primes is below 53^3, so none needs sympy either.
+_EXPORT_RUNS = [
+    (["--level", "7", "--generator", g], 0)
+    for g in ("E:0", "F:0", "E:1", "F:1", "E:-1", "F:-1", "E:-2", "F:-2", "H:0", "C")
+]
+
+
+def test_export_runs_never_import_sympy():
+    _assert_runs_never_import_sympy("matrix", _EXPORT_RUNS)
 
 
 def _rand_radsum(rng):
