@@ -83,21 +83,10 @@ class RunConfig:
             except (KeyError, ValueError) as exc:
                 raise ConfigError(f"bad signature: {exc}") from exc
         try:
-            q_raw = str(raw.get("q", "3/2"))
-            q = None if q_raw == "classical" else parse_rational(q_raw)
-            cfg = cls(
-                signature=sig,
-                xi0=parse_rational(str(raw.get("xi0", 0))),
-                xi1=parse_rational(str(raw.get("xi1", 0))),
-                q=q,
-                mode=raw.get("mode", "a_infinity"),
-                level=int(raw.get("level", 3)),
-                window=int(raw.get("window", 4)),
-                trials=int(raw.get("trials", 100)),
-                seed=int(raw.get("seed", 42)),
-                out=raw.get("out"),
-                decimal_digits=int(raw.get("decimal_digits", 50)),
-            )
+            cfg = cls(signature=sig, **{
+                key: parse(raw[key])
+                for key, parse in _FIELD_PARSERS.items() if key in raw
+            })
             cfg.params  # force validation
             if cfg.level < 2:
                 raise ConfigError("level must exceed 1")
@@ -108,6 +97,27 @@ class RunConfig:
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(str(exc)) from exc
         return cfg
+
+
+def _rational(value) -> Fraction:
+    return parse_rational(str(value))
+
+
+def _q(value) -> Optional[Fraction]:
+    return None if str(value) == "classical" else _rational(value)
+
+
+def _keep(value):
+    return value
+
+
+# How RunConfig.build reads each field of the merged config; a field the
+# config leaves out takes its dataclass default.
+_FIELD_PARSERS = {
+    "q": _q, "xi0": _rational, "xi1": _rational, "mode": _keep,
+    "level": int, "window": int, "trials": int, "seed": int,
+    "out": _keep, "decimal_digits": int,
+}
 
 
 def _dump(doc: dict, cfg: RunConfig) -> str:

@@ -4,10 +4,14 @@ A pattern is a triangular integer array: row p (counted from the bottom,
 p >= 1) holds p entries M(i, p) indexed by i in [-floor(p/2), ceil(p/2)-1].
 Far enough up, every row coincides with a fixed nonincreasing boundary
 sequence (the signature); the smallest such level is the stabilization
-level N.  Adjacent rows interlace: each entry lies between its two upper
-neighbors.  These arrays label an orthogonal-style basis of the module,
-and the finite truncation V_N (all patterns stabilizing at or below N) is
-finite dimensional, which is what makes exhaustive verification possible.
+level N.  Adjacent rows interlace: read left to right by position, row p
+(below) and row p + 1 (above) satisfy above[t] >= below[t] >= above[t+1]
+for every position t of row p.  These arrays label an orthogonal-style
+basis of the module, and the finite truncation V_N (all patterns
+stabilizing at or below N) is finite dimensional, which is what makes
+exhaustive verification possible.  Entry indices i appear only where the
+formulas need them: the ladder coefficients, sign_s, CPattern.entry and
+shift.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .qnum import QValue, format_rational
 
@@ -208,13 +212,15 @@ class CPattern:
         return cls(Signature.from_json(data["signature"]), data["rows"])
 
 
+def _interlaces(below: Sequence[int], above: Sequence[int]) -> bool:
+    """Row below interlaces with the row above it: above[t] >= below[t] >=
+    above[t+1] at every position t of the row below."""
+    return all(a >= b >= c for b, a, c in zip(below, above, above[1:]))
+
+
 def validate(p: CPattern) -> bool:
-    """Full interlacing check against all stored rows and the row above them."""
-    return all(
-        _fits_above(p.entry, i, row_p)
-        for row_p in range(1, p.N)
-        for i in row_range(row_p)
-    )
+    """Full interlacing check: every stored row against the row above it."""
+    return all(_interlaces(p.row(q), p.row(q + 1)) for q in range(1, p.N))
 
 
 def _position(i: int, row: int) -> int:
@@ -239,57 +245,32 @@ def shift(p: CPattern, moves: Sequence[tuple[int, int, int]]) -> CPattern:
     return CPattern(p.sig, rows)
 
 
-def _upper_neighbors(i: int, row: int) -> tuple[int, int]:
-    """(hi, lo): the entries of row + 1 that bound entry (i, row)."""
-    return (i - 1, i) if row % 2 else (i, i + 1)
-
-
-def _lower_neighbors(i: int, row: int) -> list[int]:
-    """Indices of the entries of row - 1 that entry (i, row) bounds."""
-    below = row - 1
-    if below < 1:
-        return []
-    rng = row_range(below)
-    return [i2 for i2 in ((i + 1, i) if below % 2 else (i, i - 1)) if i2 in rng]
-
-
-def _overlaid(p: CPattern, overlay: dict) -> Callable[[int, int], int]:
-    """Entry reader for p with overlay[(i, row)] added to the listed entries."""
-    get = overlay.get
-    return lambda i, row: p.entry(i, row) + get((i, row), 0)
-
-
-def _fits_above(entry: Callable[[int, int], int], i: int, row: int) -> bool:
-    """Entry (i, row) lies between its two neighbors in row + 1."""
-    hi, lo = _upper_neighbors(i, row)
-    return entry(hi, row + 1) >= entry(i, row) >= entry(lo, row + 1)
-
-
-def _fits_below(entry: Callable[[int, int], int], i: int, row: int) -> bool:
-    """Every entry of row - 1 bounded by (i, row) still lies between its neighbors."""
-    return all(_fits_above(entry, i2, row - 1) for i2 in _lower_neighbors(i, row))
-
-
 def shifted_if_valid(
     p: CPattern, moves: Sequence[tuple[int, int, int]]
 ) -> Optional[CPattern]:
     """Shift p if the result still interlaces; None if it does not.
 
-    Checks first, builds after: entries are read as integers from p plus an
-    overlay {(i, row): delta} of the moves, and shift builds the pattern
-    only when every check passes.  Assumes p itself is valid, so only
-    constraints touching a moved entry need checking: the moved entry
-    against the row above it, and the entries one row below whose upper
-    neighbors include the moved slot.  An out-of-range move raises
-    IndexError, as in shift.
+    Checks first, builds after: only the rows a move touches are copied and
+    shifted, each is checked against the row above it and, above row 1,
+    against the row below it (both as moved), and shift builds the pattern
+    only when every check passes.  Assumes p itself is valid, so no other
+    pair of rows can fail.  An out-of-range move raises IndexError, as in
+    shift.
     """
-    overlay: dict[tuple[int, int], int] = {}
+    moved: dict[int, list[int]] = {}
     for i, row, delta in moves:
-        _position(i, row)  # range check only
-        overlay[(i, row)] = overlay.get((i, row), 0) + delta
-    entry = _overlaid(p, overlay)
-    for i, row in overlay:
-        if not (_fits_above(entry, i, row) and _fits_below(entry, i, row)):
+        pos = _position(i, row)
+        if row not in moved:
+            moved[row] = list(p.row(row))
+        moved[row][pos] += delta
+
+    def row_of(q: int) -> Sequence[int]:
+        return moved[q] if q in moved else p.row(q)
+
+    for row, r in moved.items():
+        if not _interlaces(r, row_of(row + 1)):
+            return None
+        if row > 1 and not _interlaces(row_of(row - 1), r):
             return None
     return shift(p, moves)
 
@@ -298,16 +279,19 @@ def _movable_against_above(p: CPattern, row: int, delta: int) -> list[int]:
     """Indices i of row whose entry, moved alone by delta, still lies between
     its neighbors in row + 1.  A necessary condition for any set of moves
     that shifts (i, row) by delta and leaves row + 1 alone."""
-    return [i for i in row_range(row)
-            if _fits_above(_overlaid(p, {(i, row): delta}), i, row)]
+    above = p.row(row + 1)
+    return [i for t, (i, x) in enumerate(zip(row_range(row), p.row(row)))
+            if above[t] >= x + delta >= above[t + 1]]
 
 
 def _movable_against_below(p: CPattern, row: int, delta: int) -> list[int]:
     """Indices i of row whose move by delta keeps row - 1 interlaced under
     it.  A necessary condition for any set of moves that shifts (i, row) by
     delta and leaves the rest of row and row - 1 alone."""
-    return [i for i in row_range(row)
-            if _fits_below(_overlaid(p, {(i, row): delta}), i, row)]
+    below = p.row(row - 1) if row > 1 else ()
+    return [i for t, (i, x) in enumerate(zip(row_range(row), p.row(row)))
+            if (t == len(below) or below[t] <= x + delta)
+            and (t == 0 or x + delta <= below[t - 1])]
 
 
 def highest_weight_pattern(sig: Signature) -> CPattern:
@@ -315,22 +299,21 @@ def highest_weight_pattern(sig: Signature) -> CPattern:
     return CPattern(sig, [sig.row(1)])
 
 
-def _entry_intervals(p: int, above: Sequence[int]) -> list[range]:
-    """The integer interval of each entry of row p, given row p + 1: every
-    entry lies between its two upper neighbors, independently of its
+def _entry_intervals(above: Sequence[int]) -> list[range]:
+    """The integer interval of each entry of the row under the row above:
+    position t lies between above[t] and above[t+1], independently of its
     row-mates."""
-    off = (p + 1) // 2  # position of index 0 in row p + 1
-    return [range(above[lo + off], above[hi + off] + 1)
-            for hi, lo in (_upper_neighbors(i, p) for i in row_range(p))]
+    return [range(c, a + 1) for a, c in zip(above, above[1:])]
 
 
 def enumerate_basis(sig: Signature, N: int) -> list[CPattern]:
     """All valid patterns with stabilization level <= N, in deterministic order.
 
-    Rows are filled top-down: given row p+1, each entry of row p ranges over
-    the integer interval between its upper neighbors, independently of its
-    row-mates.  The order is lexicographic in (row N-1, row N-2, ..., row 1)
-    with entries compared left to right.
+    Rows are filled top-down: given row p+1 (above), position t of row p
+    ranges over above[t+1]..above[t], independently of its row-mates, and
+    each filling of rows N-1..1 is stored bottom-up.  The order is
+    lexicographic in (row N-1, row N-2, ..., row 1) with entries compared
+    left to right.
     """
     if N < 2:
         raise ValueError("N must exceed 1")
@@ -339,12 +322,9 @@ def enumerate_basis(sig: Signature, N: int) -> list[CPattern]:
     def fill(p: int, upper_rows: list[tuple[int, ...]]):
         # upper_rows holds rows N-1 down to p+1; row p+1 is upper_rows[-1]
         above = upper_rows[-1] if upper_rows else sig.row(N)
-        for combo in itertools.product(*_entry_intervals(p, above)):
+        for combo in itertools.product(*_entry_intervals(above)):
             if p == 1:
-                rows_bottom_up = [combo] + [
-                    upper_rows[len(upper_rows) - 1 - q] for q in range(len(upper_rows))
-                ]
-                out.append(CPattern(sig, rows_bottom_up))
+                out.append(CPattern(sig, [combo, *reversed(upper_rows)]))
             else:
                 fill(p - 1, upper_rows + [combo])
 
@@ -377,7 +357,7 @@ class BasisIndex:
         if table is None:
             offsets: dict[tuple[int, ...], int] = {}
             total = 0
-            for row in itertools.product(*_entry_intervals(p, above)):
+            for row in itertools.product(*_entry_intervals(above)):
                 offsets[row] = total
                 total += self._table(p - 1, row)[1] if p > 1 else 1
             table = self._tables[key] = (offsets, total)

@@ -18,11 +18,9 @@ from functools import cache
 from math import gcd, isqrt
 from typing import Iterable, Mapping, Optional, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int]
 
 __all__ = [
-    "Rational",
     "QValue",
     "RadicalSum",
     "InvalidQValueError",
@@ -166,15 +164,6 @@ class RadicalSum:
         r = Fraction(r)
         return cls({1: r}) if r else _ZERO
 
-    @classmethod
-    def single(cls, coeff: RationalLike, kernel: int) -> "RadicalSum":
-        """One term coeff*sqrt(kernel); kernel need not be squarefree."""
-        coeff = Fraction(coeff)
-        if coeff == 0:
-            return _ZERO
-        s, k = _square_decompose(kernel)
-        return cls({k: coeff * s})
-
     # -- predicates --
 
     def is_zero(self) -> bool:
@@ -229,13 +218,6 @@ class RadicalSum:
         if r == 0:
             return _ZERO
         return RadicalSum({k: c * r for k, c in self._terms.items()})
-
-    def inverse(self) -> "RadicalSum":
-        """Multiplicative inverse; only supported for single-term sums."""
-        if len(self._terms) != 1:
-            raise ZeroDivisionError("inverse of a non-monomial RadicalSum")
-        ((k, c),) = self._terms.items()
-        return RadicalSum({k: Fraction(1, 1) / (c * k)})
 
     # -- comparisons and rendering --
 

@@ -22,6 +22,11 @@ def sig_mid():
 
 
 @pytest.fixture
+def sig_wide():
+    return Signature(-2, 2, (3, 3, 1, 0, -1))
+
+
+@pytest.fixture
 def params_mid(sig_mid):
     return ModuleParams(sig_mid, Fraction(2), Fraction(0),
                         QValue.quantum(Fraction(3, 2)), "a_infinity")

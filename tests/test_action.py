@@ -287,7 +287,7 @@ class TestMemo:
     def test_clear_caches_empties_all_three_memos(self, params_mid):
         hw = highest_weight_pattern(params_mid.signature)
         apply_word([E(0), F(0), F(-1)], hw, params_mid)
-        RadicalSum.single(1, 12)
+        qnum.radical_of(12)
         memos = (qnum.qbracket, qnum._square_decompose, apply_generator)
         assert all(m.cache_info().currsize > 0 for m in memos)
         clear_caches()

@@ -8,7 +8,10 @@ F:-3 and F:1 runs have targets that leave V_N (94 and 8 escaped entries);
 on the -3:0:5,2,2,0 signature every target lies beyond V_{N+2} ("row": null).
 The two Cartan runs were recorded while every Cartan residual was built
 from words, before the eigenvalue-shift test; that test may skip only
-residuals that are zero, so their bytes stay as they were.
+residuals that are zero, so their bytes stay as they were.  The basis runs
+and the runs on the five-entry window -2:2:3,3,1,0,-1 were recorded while
+interlacing was still checked entry by entry through parity-dependent
+neighbor indices, before it became one row-pair rule.
 """
 
 import hashlib
@@ -18,6 +21,7 @@ import pytest
 from uhainf.cli import main
 
 BASE = ["--signature=-1:1:2,1,0", "--xi0", "2", "--xi1", "0", "--q", "3/2"]
+WIDE = ["--signature=-2:2:3,3,1,0,-1", "--xi0", "3", "--xi1", "-1", "--q", "7/4"]
 
 GOLDEN = [
     (
@@ -59,11 +63,38 @@ GOLDEN = [
         0,
         "f909bee0b43912625b47eec6ca85744eee39adb67c04d3449a1af5cbfb0487c4",
     ),
+    (
+        ["basis", *BASE, "--level", "7"],
+        0,
+        "e3f5e3c44696bd7ced276520aad8cd659123eb64fb963d93c6ef2295ce268ef6",
+    ),
+    (
+        ["basis", *WIDE, "--level", "6"],
+        0,
+        "24accd7128fc9b5143329394f5cfd3fa05797db998f413dbd3a8ab11ed096ac8",
+    ),
+    (
+        ["matrix", *WIDE, "--level", "5", "--generator", "E:1"],
+        0,
+        "01e4bf94821a07795d8c2d437529a29518b5e03083fd51082b6e90c32690c354",
+    ),
+    (
+        ["matrix", *WIDE, "--level", "5", "--generator", "F:-2"],
+        0,
+        "e16f9ffddf16f458356c5fc69b66e5444f3a854b2c87e42662b691cf70ab6d05",
+    ),
+    (
+        ["check", *WIDE, "--suite", "cartan", "--level", "4", "--window", "2"],
+        0,
+        "bf499e0dc950a122a91649001000eca7572104bc36549951639612e7c620ade2",
+    ),
 ]
 
 
 IDS = ["check-all", "matrix-E1", "matrix-Fm3-escaped", "matrix-F1-escaped",
-       "matrix-row-null", "cartan-L5-W6", "cartan-L4-W3-classical"]
+       "matrix-row-null", "cartan-L5-W6", "cartan-L4-W3-classical",
+       "basis-L7", "wide-basis-L6", "wide-matrix-E1", "wide-matrix-Fm2",
+       "wide-cartan-L4-W2"]
 
 
 @pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=IDS)

@@ -32,9 +32,9 @@ from uhainf.patterns import (
 # Independent oracle.  Written in position space: row p is a tuple of p
 # integers read left to right, and the interlacing condition between row p
 # (below) and row p+1 (above) is the uniform two-sided sandwich
-# above[t] >= below[t] >= above[t+1].  This is derived separately from the
-# indexed form used in the library (entry (i, p) against its parity-dependent
-# upper neighbors) and serves as a cross-check of that translation.
+# above[t] >= below[t] >= above[t+1].  The library states the same rule
+# once, in patterns._interlaces; this copy and the brute-force enumeration
+# below share no code with it, so a change to the library's rule shows here.
 # ---------------------------------------------------------------------------
 
 
@@ -354,6 +354,25 @@ class TestShift:
                                 assert j in js and l in ls, (p, moves)
                                 kept += 1
         assert kept > 0
+
+
+class TestWideSignature:
+    """The exhaustive oracle tests and the shifted_if_valid tests above, run
+    again with sig_mid bound to the five-entry window -2:2:3,3,1,0,-1, whose
+    rows mix repeated and distinct values."""
+
+    @pytest.fixture
+    def sig_mid(self, sig_wide):
+        return sig_wide
+
+    test_validate_matches_oracle_exhaustive = (
+        TestValidate.test_matches_oracle_exhaustive)
+    test_enumerate_matches_oracle = TestEnumerate.test_matches_oracle
+    test_shifted_if_valid_agrees_with_full_validate = (
+        TestShift.test_shifted_if_valid_agrees_with_full_validate)
+    test_shifted_if_valid_two_moves = TestShift.test_shifted_if_valid_two_moves
+    test_movable_filters_are_necessary = (
+        TestShift.test_movable_filters_are_necessary)
 
 
 V5_MID = enumerate_basis(Signature(-1, 1, (2, 1, 0)), 5)
