@@ -9,9 +9,10 @@ is done before any arithmetic and before any pattern is built: each row's
 entries are first filtered to those that can move at all, then every
 surviving pair is checked in full on integers, and only a pair that passes
 becomes a target pattern.
-The index-(-1) pair acts on the single bottom entry with a two-bracket
-coefficient and no sign factor.  Diagonal generators multiply the pattern
-by an exact rational eigenvalue.
+One kernel (_Ladder) serves every index.  For index -1 the lower row of the
+pair is the empty row 0, so only the bottom entry moves and every factor
+read from row 0 or the row below it is an empty product.  Diagonal
+generators multiply the pattern by an exact rational eigenvalue.
 """
 
 from __future__ import annotations
@@ -139,13 +140,13 @@ class PatternVector:
             f"{c!r}*{p!r}" for p, c in self.terms.items()
         ) + ")"
 
-    def to_json(self, basis_level: int = 2, decimal_digits: Optional[int] = None) -> list:
+    def to_json(self, basis_level: int = 2) -> list:
         if not self.terms:
             return []
         level = max(basis_level, max(p.N for p in self.terms))
         items = sorted(self.terms.items(), key=lambda pc: pc[0].sort_key(level))
         return [
-            {"pattern": p.to_json(), "coeff": c.to_json(decimal_digits)}
+            {"pattern": p.to_json(), "coeff": c.to_json()}
             for p, c in items
         ]
 
@@ -163,47 +164,47 @@ _CASES = {
 
 
 class _Ladder:
-    """The rows and L-values that E_index or F_index (index != -1) reads from p.
+    """The rows and L-values that E_index or F_index reads from p.
 
     A candidate (j, l) moves (j, row_a) and (l, row_b) by delta, where
     row_b = row_a + 1; its coefficient is a signed square root of a ratio
     of bracket products over the L-values of the rows below, at and above.
+    For index -1, row_a is the empty row 0: j takes the single slot 0, which
+    moves nothing and reads nothing, and the sign -sign_s(0, 0, 1) is +1.
     """
 
     def __init__(self, kind: str, index: int, p: CPattern):
         if index >= 0:
             self.row_a, self.nu = 2 * index + 1, 0
         else:
-            self.row_a, self.nu = -2 * index - 2, 1  # index <= -2 here
+            self.row_a, self.nu = -2 * index - 2, 1
         self.row_b = self.row_a + 1
         below, above = self.row_a - 1, self.row_b + 1
         self.o1, self.d1, self.o2, self.d2, self.delta = _CASES[(kind, index < 0)]
+        # row_range is empty for rows 0 and -1, so nothing reads them
         self.la = {i: p.l_value(i, self.row_a) for i in row_range(self.row_a)}
         self.lb = {i: p.l_value(i, self.row_b) for i in row_range(self.row_b)}
         self.lbelow = [p.l_value(i, below) for i in row_range(below)]
         self.labove = [p.l_value(i, above) for i in row_range(above)]
+        self.slots_a = row_range(self.row_a) or range(1)
 
     def moves(self, j: int, l: int) -> list[tuple[int, int, int]]:
-        return [(j, self.row_a, self.delta), (l, self.row_b, self.delta)]
+        move_b = (l, self.row_b, self.delta)
+        return [(j, self.row_a, self.delta), move_b] if self.la else [move_b]
 
     def factors(
         self, j: int, l: int, qv: QValue
     ) -> tuple[list[Fraction], list[Fraction]]:
         """Numerator and denominator bracket factors of candidate (j, l)."""
-        o1, d1, o2, d2 = self.o1, self.d1, self.o2, self.d2
-        la, lb = self.la, self.lb
-        lj, ll = la[j], lb[l]
-        num = [qbracket(v - lj + o1, qv) for i, v in lb.items() if i != l]
-        num += [qbracket(v - lj + o1, qv) for v in self.lbelow]
-        num += [qbracket(v - ll + o2, qv) for v in self.labove]
-        num += [qbracket(v - ll + o2, qv) for i, v in la.items() if i != j]
-        den = []
-        for i, v in la.items():
-            if i != j:
-                den += (qbracket(v - lj, qv), qbracket(v - lj + d1, qv))
-        for i, v in lb.items():
-            if i != l:
-                den += (qbracket(v - ll, qv), qbracket(v - ll + d2, qv))
+        la_rest = [v for i, v in self.la.items() if i != j]
+        lb_rest = [v for i, v in self.lb.items() if i != l]
+        ll, o2, d2 = self.lb[l], self.o2, self.d2
+        num = [qbracket(v - ll + o2, qv) for v in self.labove + la_rest]
+        den = [qbracket(v - ll + d, qv) for v in lb_rest for d in (0, d2)]
+        if self.la:
+            lj, o1, d1 = self.la[j], self.o1, self.d1
+            num += [qbracket(v - lj + o1, qv) for v in lb_rest + self.lbelow]
+            den += [qbracket(v - lj + d, qv) for v in la_rest for d in (0, d1)]
         return num, den
 
 
@@ -222,25 +223,10 @@ def _ladder_action(
     """
     qv = params.qv
     out = PatternVector()
-
-    if index == -1:
-        # bottom-entry action: single candidate, no sign factor
-        delta = -1 if kind == "E" else +1
-        target = shifted_if_valid(p, [(0, 1, delta)])
-        if target is None:
-            return out
-        # F's two brackets are E's with their arguments moved apart by one
-        s = 0 if kind == "E" else 1
-        l01 = p.l_value(0, 1)
-        square = qbracket(p.l_value(-1, 2) - l01 - s, qv) * qbracket(
-            l01 - p.l_value(0, 2) + s, qv
-        )
-        out.add_term(target, radical_of(abs(square)))
-        return out
-
     lad = _Ladder(kind, index, p)
     ls = _movable_against_above(p, lad.row_b, lad.delta)
-    for j in _movable_against_below(p, lad.row_a, lad.delta):
+    js = _movable_against_below(p, lad.row_a, lad.delta) if lad.la else lad.slots_a
+    for j in js:
         for l in ls:
             target = shifted_if_valid(p, lad.moves(j, l))
             if target is None:
@@ -274,14 +260,12 @@ def deletion_diagnostics(
     filter, so it is an oracle for the filters.  It shares shifted_if_valid
     and the bracket factors (_Ladder.factors) with the action, so it does
     not check those.  A product of exact brackets vanishes exactly when one
-    of its factors does.
+    of its factors does.  For index -1 the only candidates are (0, l).
     """
-    if index == -1:
-        raise ValueError("the index -1 action has a single explicit candidate")
     qv = params.qv
     lad = _Ladder(kind, index, p)
     out = []
-    for j in row_range(lad.row_a):
+    for j in lad.slots_a:
         for l in row_range(lad.row_b):
             valid = shifted_if_valid(p, lad.moves(j, l)) is not None
             num_f, den_f = lad.factors(j, l, qv)

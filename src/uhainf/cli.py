@@ -43,7 +43,6 @@ class RunConfig:
     trials: int = 100
     seed: int = 42
     out: Optional[str] = None
-    decimal_digits: int = 50
 
     @property
     def qv(self) -> QValue:
@@ -65,6 +64,9 @@ class RunConfig:
             val = getattr(args, key, None)
             if val is not None:
                 raw[key] = val
+        unknown = sorted(set(raw) - {"signature", *_FIELD_PARSERS})
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
         if "signature" not in raw:
             raise ConfigError("a signature is required (--signature or config)")
         sig_raw = raw["signature"]
@@ -112,11 +114,11 @@ def _keep(value):
 
 
 # How RunConfig.build reads each field of the merged config; a field the
-# config leaves out takes its dataclass default.
+# config leaves out takes its dataclass default, and any other key than
+# these and "signature" is a usage error.
 _FIELD_PARSERS = {
     "q": _q, "xi0": _rational, "xi1": _rational, "mode": _keep,
-    "level": int, "window": int, "trials": int, "seed": int,
-    "out": _keep, "decimal_digits": int,
+    "level": int, "window": int, "trials": int, "seed": int, "out": _keep,
 }
 
 
@@ -173,7 +175,7 @@ def cmd_matrix(cfg: RunConfig, generator: str) -> int:
                 "row": row_of[p2],
                 "col": col,
                 "coeff": c.to_json(),
-                "decimal": c.to_decimal(cfg.decimal_digits),
+                "decimal": c.to_decimal(),
             }
             if p2.N > cfg.level:  # targets are valid, so this means outside V_N
                 entry["escaped"] = True

@@ -250,18 +250,14 @@ class RadicalSum:
                 total += val
             return str(+total)
 
-    def to_json(self, decimal_digits: Optional[int] = None) -> list | dict:
-        arr = [
+    def to_json(self) -> list:
+        return [
             {"coeff": format_rational(c), "kernel": k} for k, c in self._terms.items()
         ]
-        if decimal_digits is None:
-            return arr
-        return {"terms": arr, "decimal": self.to_decimal(decimal_digits)}
 
     @classmethod
-    def from_json(cls, data) -> "RadicalSum":
-        arr = data["terms"] if isinstance(data, dict) else data
-        return cls({int(t["kernel"]): parse_rational(t["coeff"]) for t in arr})
+    def from_json(cls, data: list) -> "RadicalSum":
+        return cls({int(t["kernel"]): parse_rational(t["coeff"]) for t in data})
 
 
 _ZERO = RadicalSum()

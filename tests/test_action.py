@@ -191,7 +191,7 @@ class TestDeletionConvention:
         basis = enumerate_basis(params_mid.signature, 4)
         seen_invalid = 0
         for p in basis:
-            for k in list(range(-4, -1)) + list(range(0, 4)):
+            for k in range(-4, 4):
                 for kind in ("E", "F"):
                     for j, l, valid, num0, den0 in deletion_diagnostics(
                         kind, k, p, params_mid
@@ -208,18 +208,17 @@ class TestDeletionConvention:
         candidate sweep calls valid, on V_5 for every ladder index in
         [-4, 4]; indices 3, 4 and -4 act only on rows above level 5.  Rows
         and shifts are spelled out here, independently of the library's
-        case table."""
+        case table; index -1 moves only the bottom entry."""
         basis = enumerate_basis(params_mid.signature, 5)
         reached = 0
         for p in basis:
             for k in range(-4, 5):
-                if k == -1:
-                    continue
                 row_a = 2 * k + 1 if k >= 0 else -2 * k - 2
                 for kind in ("E", "F"):
                     delta = 1 if (kind == "E") == (k >= 0) else -1
                     want = {
-                        shift(p, [(j, row_a, delta), (l, row_a + 1, delta)])
+                        shift(p, [(l, 1, delta)] if k == -1 else
+                              [(j, row_a, delta), (l, row_a + 1, delta)])
                         for j, l, valid, num0, den0 in deletion_diagnostics(
                             kind, k, p, params_mid
                         )
@@ -229,11 +228,6 @@ class TestDeletionConvention:
                     assert set(got.terms) == want, (kind, k, p)
                     reached += len(want)
         assert reached > 0
-
-    def test_index_minus1_rejected(self, params_mid):
-        hw = highest_weight_pattern(params_mid.signature)
-        with pytest.raises(ValueError):
-            deletion_diagnostics("E", -1, hw, params_mid)
 
 
 class TestWords:

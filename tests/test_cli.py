@@ -80,6 +80,17 @@ class TestConfigHandling:
                                     "--level", "4"])
         assert json.loads(out)["count"] == 20
 
+    def test_unknown_config_key_is_usage_error(self, capsys, tmp_path):
+        # a misspelled key must not fall back to the default level
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"signature": "-1:1:2,1,0", "xi0": 2, "levle": 6}
+        ), encoding="utf-8")
+        code, out, err = run(capsys, ["basis", "--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert "levle" in err
+
     def test_bad_q_is_usage_error(self, capsys):
         for q in ("abc", "1/0"):
             code, out, err = run(capsys, [

@@ -11,7 +11,9 @@ from words, before the eigenvalue-shift test; that test may skip only
 residuals that are zero, so their bytes stay as they were.  The basis runs
 and the runs on the five-entry window -2:2:3,3,1,0,-1 were recorded while
 interlacing was still checked entry by entry through parity-dependent
-neighbor indices, before it became one row-pair rule.
+neighbor indices, before it became one row-pair rule.  The four
+bottom-entry runs (E:-1 and F:-1) were recorded while index -1 had its own
+two-bracket branch beside the ladder kernel, before it was folded into it.
 """
 
 import hashlib
@@ -88,13 +90,35 @@ GOLDEN = [
         0,
         "bf499e0dc950a122a91649001000eca7572104bc36549951639612e7c620ade2",
     ),
+    (
+        ["matrix", *BASE, "--level", "6", "--generator", "E:-1"],
+        0,
+        "214882bb844ca03d13bfaa0201c7d5a5ea9401a833de728d02a2cf8584a40d6d",
+    ),
+    (
+        ["matrix", *BASE, "--level", "6", "--generator", "F:-1"],
+        0,
+        "7b4c6709b4f4af0c863045fac83a42147c31952800d12a9a517175f90a18332e",
+    ),
+    (
+        ["matrix", "--signature=-1:1:2,1,0", "--xi0", "2", "--xi1", "0",
+         "--q", "classical", "--level", "6", "--generator", "F:-1"],
+        0,
+        "119689472ac63a59779bba6f452730f8bcc982e28e0a1f10c856fe95a8a20564",
+    ),
+    (
+        ["matrix", *WIDE, "--level", "5", "--generator", "F:-1"],
+        0,
+        "ca137e791a00214fcdefc14019b4261cceb90edd25a7fc6364f2ddc6d5aeb95d",
+    ),
 ]
 
 
 IDS = ["check-all", "matrix-E1", "matrix-Fm3-escaped", "matrix-F1-escaped",
        "matrix-row-null", "cartan-L5-W6", "cartan-L4-W3-classical",
        "basis-L7", "wide-basis-L6", "wide-matrix-E1", "wide-matrix-Fm2",
-       "wide-cartan-L4-W2"]
+       "wide-cartan-L4-W2", "matrix-Em1-L6", "matrix-Fm1-L6",
+       "matrix-Fm1-L6-classical", "wide-matrix-Fm1"]
 
 
 @pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=IDS)

@@ -240,9 +240,6 @@ class TestRadicalSum:
     def test_json_roundtrip(self):
         s = RadicalSum({1: Fraction(-3, 4), 6: Fraction(2, 3)})
         assert RadicalSum.from_json(s.to_json()) == s
-        doc = s.to_json(decimal_digits=30)
-        assert "decimal" in doc
-        assert RadicalSum.from_json(doc) == s
 
     def test_decimal_rendering(self):
         s = RadicalSum({2: Fraction(1)})

@@ -322,6 +322,15 @@ class TestNegativeControl:
         reports = _cartan_reports_under(DIAGONAL_MUTATIONS[name], params_mid)
         assert not reports[-1].passed, name
 
+    @pytest.mark.parametrize("name", [f"{kind}-side-o2{step:+d}"
+                                      for kind in "EF" for step in (-1, 1)])
+    def test_bottom_pair_fails_under_o2_mutation(self, params_mid, name):
+        # index -1 reads only o2 of the negative-side cases, so [e_-1, f_-1]
+        # alone must see each change to it
+        basis = enumerate_basis(params_mid.signature, 4)
+        with _mutated(MUTATIONS[name]):
+            assert not check_cartan(-1, -1, basis, params_mid).passed, name
+
     def test_zero_denominator_is_a_witness(self, params_mid):
         # d1 - 1 on the positive E ladder makes a denominator bracket
         # vanish on a valid target; the suite records it and returns
