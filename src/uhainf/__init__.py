@@ -13,10 +13,8 @@ from .patterns import (
     CPattern,
     ModuleParams,
     Signature,
-    WeightVector,
     enumerate_basis,
     highest_weight_pattern,
-    weight_of,
 )
 from .report import CheckReport
 from .identities import (

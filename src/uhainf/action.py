@@ -140,10 +140,12 @@ class PatternVector:
             f"{c!r}*{p!r}" for p, c in self.terms.items()
         ) + ")"
 
-    def to_json(self, basis_level: int = 2) -> list:
+    def to_json(self) -> list:
+        """Terms sorted by their rows, read top-down from the highest level
+        among them."""
         if not self.terms:
             return []
-        level = max(basis_level, max(p.N for p in self.terms))
+        level = max(p.N for p in self.terms)
         items = sorted(self.terms.items(), key=lambda pc: pc[0].sort_key(level))
         return [
             {"pattern": p.to_json(), "coeff": c.to_json()}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .qnum import QValue, parse_rational
+from .qnum import QValue
 from .patterns import BasisIndex, ModuleParams, Signature, enumerate_basis
 from .action import GeneratorLabel, apply_generator
 from . import relations as rel
@@ -60,7 +60,7 @@ class RunConfig:
                 raw = json.load(fh)
         if args.signature is not None:
             raw["signature"] = args.signature
-        for key in ("xi0", "xi1", "q", "level", "window", "trials", "seed", "out"):
+        for key in _FIELD_PARSERS:  # "mode" has no flag, so it reads None
             val = getattr(args, key, None)
             if val is not None:
                 raw[key] = val
@@ -102,7 +102,7 @@ class RunConfig:
 
 
 def _rational(value) -> Fraction:
-    return parse_rational(str(value))
+    return Fraction(str(value))
 
 
 def _q(value) -> Optional[Fraction]:

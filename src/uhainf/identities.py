@@ -378,19 +378,23 @@ def _sample_raw(ident: IdentityId, rng: random.Random) -> Assignment:
     raise ValueError(tag)
 
 
-def random_generic_assignment(
-    ident: IdentityId, seed: int, max_retries: int = 200
-) -> Assignment:
+# Pole rejections allowed per generic point drawn, by
+# random_generic_assignment and (per trial) by fuzz_identity.
+_REJECTION_BUDGET = 200
+
+
+def random_generic_assignment(ident: IdentityId, seed: int) -> Assignment:
     """Deterministic generic assignment: resample until no pole is hit."""
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    for _ in range(_REJECTION_BUDGET):
         a = _sample_raw(ident, rng)
         try:
             evaluate_identity(ident, a)
         except PoleError:
             continue
         return a
-    raise PoleError(f"no generic assignment for {ident} within {max_retries} tries")
+    raise PoleError(
+        f"no generic assignment for {ident} within {_REJECTION_BUDGET} tries")
 
 
 def fuzz_identity(ident: IdentityId, trials: int, seed: int) -> CheckReport:
@@ -408,7 +412,7 @@ def fuzz_identity(ident: IdentityId, trials: int, seed: int) -> CheckReport:
             value = evaluate_identity(ident, a)
         except PoleError:
             report.params["rejections"] += 1
-            if report.params["rejections"] > 200 * trials:
+            if report.params["rejections"] > _REJECTION_BUDGET * trials:
                 report.record(None, None, note="rejection budget exhausted")
                 return report
             continue

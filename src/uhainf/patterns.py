@@ -21,13 +21,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .qnum import QValue, format_rational
+from .qnum import QValue
 
 __all__ = [
     "Signature",
     "ModuleParams",
     "CPattern",
-    "WeightVector",
     "theta",
     "sign_s",
     "row_range",
@@ -37,7 +36,6 @@ __all__ = [
     "highest_weight_pattern",
     "enumerate_basis",
     "BasisIndex",
-    "weight_of",
 ]
 
 
@@ -379,20 +377,6 @@ class BasisIndex:
         return r
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Eigenvalues of the diagonal generators over an index window."""
-
-    window: tuple[int, int]
-    eigenvalues: dict = field(hash=False)
-
-    def to_json(self) -> dict:
-        return {
-            "window": list(self.window),
-            "eigenvalues": {str(i): format_rational(v) for i, v in self.eigenvalues.items()},
-        }
-
-
 def _row_sum(p: CPattern, row: int) -> int:
     return sum(p.row(row)) if row >= 1 else 0
 
@@ -403,11 +387,3 @@ def weight_eigenvalue(p: CPattern, i: int, params: ModuleParams) -> Fraction:
     hi_row = 2 * abs(i) + theta(i)
     val = Fraction(_row_sum(p, hi_row) - _row_sum(p, hi_row - 1))
     return val + (params.xi1 - params.xi0) * theta(-i) - params.xi1
-
-
-def weight_of(p: CPattern, params: ModuleParams, window: tuple[int, int]) -> WeightVector:
-    lo, hi = window
-    return WeightVector(
-        window=(lo, hi),
-        eigenvalues={i: weight_eigenvalue(p, i, params) for i in range(lo, hi + 1)},
-    )

@@ -27,8 +27,6 @@ __all__ = [
     "NegativeRadicandError",
     "qbracket",
     "radical_of",
-    "parse_rational",
-    "format_rational",
 ]
 
 
@@ -156,10 +154,6 @@ class RadicalSum:
     # -- constructors --
 
     @classmethod
-    def zero(cls) -> "RadicalSum":
-        return _ZERO
-
-    @classmethod
     def from_rational(cls, r: RationalLike) -> "RadicalSum":
         r = Fraction(r)
         return cls({1: r}) if r else _ZERO
@@ -214,6 +208,8 @@ class RadicalSum:
         return RadicalSum(out)
 
     def scale(self, r: RationalLike) -> "RadicalSum":
+        if r == 1:
+            return self  # immutable, so the caller may share it
         r = Fraction(r)
         if r == 0:
             return _ZERO
@@ -238,10 +234,11 @@ class RadicalSum:
             parts.append(str(c) if k == 1 else f"{c}*sqrt({k})")
         return "RadicalSum(" + " + ".join(parts) + ")"
 
-    def to_decimal(self, digits: int = 50) -> str:
-        # a local context: the caller's decimal precision is left alone
+    def to_decimal(self) -> str:
+        """At least 50 significant digits, computed with 10 guard digits in a
+        local context, so the caller's decimal precision is left alone."""
         with localcontext() as ctx:
-            ctx.prec = digits + 10
+            ctx.prec = 60
             total = Decimal(0)
             for k, c in self._terms.items():
                 val = Decimal(c.numerator) / Decimal(c.denominator)
@@ -252,12 +249,12 @@ class RadicalSum:
 
     def to_json(self) -> list:
         return [
-            {"coeff": format_rational(c), "kernel": k} for k, c in self._terms.items()
+            {"coeff": str(c), "kernel": k} for k, c in self._terms.items()
         ]
 
     @classmethod
     def from_json(cls, data: list) -> "RadicalSum":
-        return cls({int(t["kernel"]): parse_rational(t["coeff"]) for t in data})
+        return cls({int(t["kernel"]): Fraction(t["coeff"]) for t in data})
 
 
 _ZERO = RadicalSum()
@@ -277,14 +274,3 @@ def radical_of(r: RationalLike) -> RadicalSum:
     a, b = r.numerator, r.denominator
     s, k = _square_decompose(a * b)
     return RadicalSum({k: Fraction(s, b)})
-
-
-# --- rational serialization ---------------------------------------------------
-
-def format_rational(r: RationalLike) -> str:
-    r = Fraction(r)
-    return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)

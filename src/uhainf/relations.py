@@ -166,32 +166,28 @@ def check_serre(family: str, variant: str, i: int, j: Optional[int],
     if family not in ("E", "F"):
         raise ValueError("family must be E or F")
     mk = _E if family == "E" else _F
-    report = CheckReport(f"serre-{family}{variant}", {"i": i, "j": j})
-    two = RadicalSum.from_rational(qbracket(2, params.qv))
     if variant == "a":
         if j is None or abs(i - j) == 1:
             raise ValueError("variant a requires j with |i-j| != 1")
-        for p in basis:
-            report.checked += 1
-            with _witness_zero_denominator(report, p):
-                res = _commutator(mk(i), mk(j), p, params)
-                if not res.is_zero():
-                    report.record(p, res)
-        return report
-    if variant == "b":
-        a, b = mk(i), mk(i + 1)
-    elif variant == "c":
-        a, b = mk(i + 1), mk(i)
+        a, b = mk(i), mk(j)
+
+        def residual(p: CPattern) -> PatternVector:
+            return _commutator(a, b, p, params)
+    elif variant in ("b", "c"):
+        a, b = (mk(i), mk(i + 1)) if variant == "b" else (mk(i + 1), mk(i))
+        two = RadicalSum.from_rational(qbracket(2, params.qv))
+
+        def residual(p: CPattern) -> PatternVector:
+            return (apply_word([a, a, b], p, params)
+                    - apply_word([a, b, a], p, params).scale(two)
+                    + apply_word([b, a, a], p, params))
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    report = CheckReport(f"serre-{family}{variant}", {"i": i, "j": j})
     for p in basis:
         report.checked += 1
         with _witness_zero_denominator(report, p):
-            res = (
-                apply_word([a, a, b], p, params)
-                - apply_word([a, b, a], p, params).scale(two)
-                + apply_word([b, a, a], p, params)
-            )
+            res = residual(p)
             if not res.is_zero():
                 report.record(p, res)
     return report
@@ -221,31 +217,29 @@ def check_highest_weight(params: ModuleParams,
     return report
 
 
-def _in_open(k: int, lo: Fraction, hi: Fraction) -> bool:
-    return lo < k < hi
-
-
-def check_restrictedness(params: ModuleParams, N: int,
-                         margin: int = 2) -> CheckReport:
+def check_restrictedness(params: ModuleParams, N: int) -> CheckReport:
     """Vanishing of high-index generators on the truncation V_N.
 
     Verifies the three vanishing intervals, the common radius beyond which
     everything acts as zero, and stability of V_N under in-range raising
-    generators.  Witness searches for the innermost index on each side of
-    each interval are recorded under params["tightness"].
+    generators, at every index up to two past the radius.  Witness searches
+    for the innermost index on each side of each interval are recorded
+    under params["tightness"].
     """
     sig = params.signature
     m, n = sig.m, sig.n
     basis = enumerate_basis(sig, N)
-    e_lo, e_hi = Fraction(-(N + 1), 2), Fraction(N - 2, 2)
-    f_lo, f_hi = min(Fraction(-(N + 3), 2), Fraction(m - 1)), max(
-        Fraction(N, 2), Fraction(n)
-    )
-    h_lo, h_hi = min(Fraction(-(N + 1), 2), Fraction(m)), max(
-        Fraction(N, 2), Fraction(n)
-    )
+    # kind -> (lo, hi): the kind may act nonzero on V_N only for lo < k < hi
+    intervals = {
+        "E": (Fraction(-(N + 1), 2), Fraction(N - 2, 2)),
+        "F": (min(Fraction(-(N + 3), 2), Fraction(m - 1)),
+              max(Fraction(N, 2), Fraction(n))),
+        "H": (min(Fraction(-(N + 1), 2), Fraction(m)),
+              max(Fraction(N, 2), Fraction(n))),
+    }
     r_N = max(Fraction(N + 3, 2), Fraction(1 - m), Fraction(n))
-    span = int(r_N) + margin
+    span = int(r_N) + 2
+    indices = range(-span, span + 1)
     report = CheckReport(
         "restrictedness",
         {"N": N, "r_N": str(r_N), "span": span, "tightness": {}},
@@ -258,40 +252,34 @@ def check_restrictedness(params: ModuleParams, N: int,
                 return p
         return None
 
-    for k in range(-span, span + 1):
+    for k in indices:
         report.checked += 1
         with _witness_zero_denominator(report, None):
-            if not _in_open(k, e_lo, e_hi):
-                w = nonzero_witness("E", k)
-                if w is not None:
-                    report.record(w, apply_generator(_E(k), w, params),
-                                  note=f"e_{k} nonzero outside interval")
-            else:
-                # stability: in-range raising generators keep V_N inside V_N
-                for p in basis:
-                    for p2 in apply_generator(_E(k), p, params).terms:
-                        if p2.N > N:
-                            report.record(p, None,
-                                          note=f"e_{k} escapes V_{N} to level {p2.N}")
-            if not _in_open(k, f_lo, f_hi):
-                w = nonzero_witness("F", k)
-                if w is not None:
-                    report.record(w, apply_generator(_F(k), w, params),
-                                  note=f"f_{k} nonzero outside interval")
-            if not _in_open(k, h_lo, h_hi):
-                w = nonzero_witness("H", k)
-                if w is not None:
-                    report.record(w, None, note=f"h_{k} nonzero outside interval")
+            for kind, (lo, hi) in intervals.items():
+                g = GeneratorLabel(kind, k)
+                if not lo < k < hi:
+                    w = nonzero_witness(kind, k)
+                    if w is not None:
+                        image = None if kind == "H" else apply_generator(g, w, params)
+                        report.record(w, image,
+                                      note=f"{kind.lower()}_{k} nonzero outside interval")
+                elif kind == "E":
+                    # stability: in-range raising generators keep V_N inside V_N
+                    for p in basis:
+                        for p2 in apply_generator(g, p, params).terms:
+                            if p2.N > N:
+                                report.record(p, None,
+                                              note=f"e_{k} escapes V_{N} to level {p2.N}")
             if abs(k) >= r_N:
-                for kind in ("E", "F", "H"):
+                for kind in intervals:
                     if nonzero_witness(kind, k) is not None:
                         report.record(None, None,
                                       note=f"{kind}_{k} nonzero beyond common radius")
 
     tight = report.params["tightness"]
     with _witness_zero_denominator(report, None):
-        for kind, lo, hi in (("E", e_lo, e_hi), ("F", f_lo, f_hi), ("H", h_lo, h_hi)):
-            inside = [k for k in range(-span, span + 1) if _in_open(k, lo, hi)]
+        for kind, (lo, hi) in intervals.items():
+            inside = [k for k in indices if lo < k < hi]
             if not inside:
                 continue
             for side, k in (("low", min(inside)), ("high", max(inside))):
@@ -311,22 +299,19 @@ def check_boundary_f(params: ModuleParams, N: int, k: int) -> CheckReport:
     sig = params.signature
     report = CheckReport("boundary-f", {"N": N, "k": k})
     basis = enumerate_basis(sig, N)
+    mk, mk1 = sig.value(k), sig.value(k + 1)
     for p in basis:
         report.checked += 1
         with _witness_zero_denominator(report, p):
             general = apply_generator(_F(k), p, params)
-            mk, mk1 = sig.value(k), sig.value(k + 1)
-            closed = PatternVector()
+            if k >= sig.n and not general.is_zero():
+                report.record(p, general, note=f"f_{k} nonzero with k >= n")
+            # general minus the closed form -sqrt|[M_{k+1} - M_k]|·target
+            res = PatternVector(general.terms)
             if mk1 != mk:
                 target = shifted_if_valid(p, [(k, 2 * k + 1, -1), (k, 2 * k + 2, -1)])
                 if target is not None:
-                    closed.add_term(
-                        target,
-                        radical_of(abs(qbracket(mk1 - mk, params.qv))).scale(-1),
-                    )
-            if k >= sig.n and not general.is_zero():
-                report.record(p, general, note=f"f_{k} nonzero with k >= n")
-            res = general - closed
+                    res.add_term(target, radical_of(abs(qbracket(mk1 - mk, params.qv))))
             if not res.is_zero():
                 report.record(p, res, note="general vs closed form mismatch")
     return report

@@ -13,7 +13,7 @@ class CheckReport:
 
     A witness pattern is stored through its ``to_json()``; a residual is
     stored as given when it is a plain dict, and otherwise (a pattern
-    vector) through ``to_json(basis_level=2)``.
+    vector) through its ``to_json()``.
     """
 
     relation: str
@@ -34,7 +34,7 @@ class CheckReport:
         if isinstance(residual, dict):
             entry["residual"] = residual
         elif residual is not None:
-            entry["residual"] = residual.to_json(basis_level=2)
+            entry["residual"] = residual.to_json()
         if note:
             entry["note"] = note
         self.failures.append(entry)

@@ -56,7 +56,7 @@ class TestGeneratorLabel:
 class TestPatternVector:
     def test_zero_terms_dropped(self, sig_mid):
         hw = highest_weight_pattern(sig_mid)
-        v = PatternVector({hw: RadicalSum.zero()})
+        v = PatternVector({hw: RadicalSum()})
         assert v.is_zero()
         v = PatternVector.unit(hw) - PatternVector.unit(hw)
         assert v.is_zero()

@@ -185,8 +185,8 @@ class TestMatrix:
     def test_decimal_digits(self, capsys):
         doc = self._matrix(capsys, "F:0", level=2)
         for e in doc["entries"]:
-            # default rendering is the coefficient's own 50-digit expansion
-            assert e["decimal"] == RadicalSum.from_json(e["coeff"]).to_decimal(50)
+            # the rendering is the coefficient's own 50-digit expansion
+            assert e["decimal"] == RadicalSum.from_json(e["coeff"]).to_decimal()
 
     def test_bad_generator(self, capsys):
         code, _, err = run(capsys, [

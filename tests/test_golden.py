@@ -14,6 +14,9 @@ interlacing was still checked entry by entry through parity-dependent
 neighbor indices, before it became one row-pair rule.  The four
 bottom-entry runs (E:-1 and F:-1) were recorded while index -1 had its own
 two-bracket branch beside the ladder kernel, before it was folded into it.
+The boundary run on 0:3:4,2,1,0, whose boundary index k = 2 has a nonzero
+closed form (M_3 != M_2), was recorded while check_boundary_f still built
+that closed form as a second vector and subtracted it.
 """
 
 import hashlib
@@ -111,6 +114,12 @@ GOLDEN = [
         0,
         "ca137e791a00214fcdefc14019b4261cceb90edd25a7fc6364f2ddc6d5aeb95d",
     ),
+    (
+        ["check", "--signature=0:3:4,2,1,0", "--xi0", "4", "--xi1", "0",
+         "--suite", "boundary", "--level", "4"],
+        0,
+        "4ef0fccac68841d8869501b66f6dd02cb3e725472088908188b40ded5ab1e6d3",
+    ),
 ]
 
 
@@ -118,7 +127,7 @@ IDS = ["check-all", "matrix-E1", "matrix-Fm3-escaped", "matrix-F1-escaped",
        "matrix-row-null", "cartan-L5-W6", "cartan-L4-W3-classical",
        "basis-L7", "wide-basis-L6", "wide-matrix-E1", "wide-matrix-Fm2",
        "wide-cartan-L4-W2", "matrix-Em1-L6", "matrix-Fm1-L6",
-       "matrix-Fm1-L6-classical", "wide-matrix-Fm1"]
+       "matrix-Fm1-L6-classical", "wide-matrix-Fm1", "boundary-closed-form"]
 
 
 @pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=IDS)

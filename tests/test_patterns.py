@@ -12,7 +12,6 @@ from uhainf import (
     Signature,
     enumerate_basis,
     highest_weight_pattern,
-    weight_of,
 )
 from uhainf.patterns import (
     BasisIndex,
@@ -414,14 +413,6 @@ class TestWeights:
         assert weight_eigenvalue(hw, 1, params_mid) == 0
         assert weight_eigenvalue(hw, -4, params_mid) == 0
         assert weight_eigenvalue(hw, 4, params_mid) == 0
-
-    def test_weight_of_window(self, params_mid):
-        hw = highest_weight_pattern(params_mid.signature)
-        wv = weight_of(hw, params_mid, (-2, 2))
-        assert wv.window == (-2, 2)
-        assert wv.eigenvalues == {-2: 0, -1: 0, 0: -1, 1: 0, 2: 0}
-        doc = wv.to_json()
-        assert doc["eigenvalues"]["0"] == "-1"
 
     def test_rational_labels(self, sig_mid):
         params = ModuleParams(sig_mid, Fraction(1, 3), Fraction(-1, 2),

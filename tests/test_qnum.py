@@ -15,8 +15,6 @@ from uhainf.qnum import (
     QValue,
     RadicalSum,
     _square_decompose,
-    format_rational,
-    parse_rational,
     qbracket,
     radical_of,
 )
@@ -233,9 +231,15 @@ class TestRadicalSum:
             assert a * (b + c) == a * b + a * c
 
     def test_zero_iff_empty(self):
-        assert RadicalSum.zero().is_zero()
+        assert RadicalSum().is_zero()
         assert not RadicalSum({2: Fraction(1)}).is_zero()
         assert RadicalSum({2: Fraction(0), 3: Fraction(1)}).terms == {3: Fraction(1)}
+
+    def test_scale(self):
+        s = RadicalSum({1: Fraction(-3, 4), 6: Fraction(2, 3)})
+        assert s.scale(1) is s  # immutable, so no copy is built
+        assert s.scale(Fraction(-2)) == RadicalSum({1: Fraction(3, 2), 6: Fraction(-4, 3)})
+        assert s.scale(0).is_zero()
 
     def test_json_roundtrip(self):
         s = RadicalSum({1: Fraction(-3, 4), 6: Fraction(2, 3)})
@@ -243,29 +247,33 @@ class TestRadicalSum:
 
     def test_decimal_rendering(self):
         s = RadicalSum({2: Fraction(1)})
-        assert s.to_decimal(20).startswith("1.4142135623730950488")
+        assert s.to_decimal().startswith("1.4142135623730950488")
 
     def test_decimal_rendering_keeps_caller_precision(self):
         s = RadicalSum({2: Fraction(1, 3), 1: Fraction(1)})
         with decimal.localcontext() as ctx:
             ctx.prec = 7
-            text = s.to_decimal(50)
+            text = s.to_decimal()
             assert decimal.getcontext().prec == 7
         # the rendering depends on its own digits only, not on the caller's
-        assert s.to_decimal(50) == text
+        assert s.to_decimal() == text
         assert len(text.split(".")[1]) >= 50
-        before = decimal.getcontext().prec
-        s.to_decimal(80)
-        assert decimal.getcontext().prec == before
+        with decimal.localcontext() as ctx:
+            ctx.prec = 80
+            assert s.to_decimal() == text
+            assert decimal.getcontext().prec == 80
 
 
 class TestRationalSerialization:
+    # a coefficient serializes as str(Fraction): "p/q", or "p" when integral
     def test_integral(self):
-        assert format_rational(Fraction(5)) == "5"
+        assert RadicalSum.from_rational(5).to_json() == [{"coeff": "5", "kernel": 1}]
 
     def test_fractional(self):
-        assert format_rational(Fraction(-7, 3)) == "-7/3"
+        s = RadicalSum({3: Fraction(-7, 3)})
+        assert s.to_json() == [{"coeff": "-7/3", "kernel": 3}]
 
     def test_roundtrip(self):
-        for s in ("5", "-7/3", "0", "22/7"):
-            assert format_rational(parse_rational(s)) == s
+        for c in ("5", "-7/3", "22/7"):
+            data = [{"coeff": c, "kernel": 2}]
+            assert RadicalSum.from_json(data).to_json() == data
