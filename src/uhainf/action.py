@@ -30,6 +30,7 @@ from .patterns import (
     ModuleParams,
     _movable_against_above,
     _movable_against_below,
+    enumerate_basis,
     row_range,
     shifted_if_valid,
     sign_s,
@@ -165,6 +166,14 @@ _CASES = {
 }
 
 
+def _l_row(p: CPattern, row: int) -> dict[int, int]:
+    """{i: L(i, row)} across a row, read from the row in one pass; empty for
+    rows 0 and -1, which index -1 reads as empty products."""
+    if row < 1:
+        return {}
+    return {i: x - i for i, x in zip(row_range(row), p.row(row))}
+
+
 class _Ladder:
     """The rows and L-values that E_index or F_index reads from p.
 
@@ -183,11 +192,10 @@ class _Ladder:
         self.row_b = self.row_a + 1
         below, above = self.row_a - 1, self.row_b + 1
         self.o1, self.d1, self.o2, self.d2, self.delta = _CASES[(kind, index < 0)]
-        # row_range is empty for rows 0 and -1, so nothing reads them
-        self.la = {i: p.l_value(i, self.row_a) for i in row_range(self.row_a)}
-        self.lb = {i: p.l_value(i, self.row_b) for i in row_range(self.row_b)}
-        self.lbelow = [p.l_value(i, below) for i in row_range(below)]
-        self.labove = [p.l_value(i, above) for i in row_range(above)]
+        self.la = _l_row(p, self.row_a)
+        self.lb = _l_row(p, self.row_b)
+        self.lbelow = list(_l_row(p, below).values())
+        self.labove = list(_l_row(p, above).values())
         self.slots_a = row_range(self.row_a) or range(1)
 
     def moves(self, j: int, l: int) -> list[tuple[int, int, int]]:
@@ -222,6 +230,8 @@ def _ladder_action(
     filter is only a necessary condition, so each surviving pair still goes
     through shifted_if_valid, which checks every touched constraint on
     integers and builds the target pattern only if all of them hold.
+    The brackets are multiplied as integer numerators and denominators, and
+    a coefficient builds one Fraction, in lowest terms, for radical_of.
     """
     qv = params.qv
     out = PatternVector()
@@ -234,16 +244,20 @@ def _ladder_action(
             if target is None:
                 continue
             num_f, den_f = lad.factors(j, l, qv)
-            num = prod(num_f, start=Fraction(1))
-            if not num:
+            # num/den = (a/b) / (c/d) = (a*d) / (b*c); b and d are positive
+            a = prod(f.numerator for f in num_f)
+            if not a:
                 continue
-            den = prod(den_f, start=Fraction(1))
-            if not den:
+            c = prod(f.numerator for f in den_f)
+            if not c:
                 raise ZeroDenominatorError(
                     f"{kind}_{index}: zero denominator on valid target "
                     f"(j={j}, l={l}) of {p!r}"
                 )
-            coeff = radical_of(abs(num / den)).scale(-sign_s(j, l, lad.nu))
+            b = prod(f.denominator for f in num_f)
+            d = prod(f.denominator for f in den_f)
+            coeff = radical_of(Fraction(abs(a * d), abs(b * c))).scale(
+                -sign_s(j, l, lad.nu))
             out.add_term(target, coeff)
     return out
 
@@ -323,6 +337,7 @@ def apply_word(
 
 
 def clear_caches() -> None:
-    """Empty the memos of qbracket, _square_decompose and apply_generator."""
-    for memo in (qbracket, _square_decompose, apply_generator):
+    """Empty the four memos: qbracket, _square_decompose, apply_generator
+    and enumerate_basis."""
+    for memo in (qbracket, _square_decompose, apply_generator, enumerate_basis):
         memo.cache_clear()

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence
 
 from .qnum import QValue
@@ -70,6 +71,8 @@ class Signature:
     values: tuple[int, ...]
     # row p -> row(p), filled on first use; not part of equality or hashing
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # hashed on every pattern build and every enumerate_basis lookup
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(int(v) for v in self.values))
@@ -82,6 +85,10 @@ class Signature:
             )
         if any(a < b for a, b in zip(self.values, self.values[1:])):
             raise ValueError("signature values must be nonincreasing")
+        object.__setattr__(self, "_hash", hash((self.m, self.n, self.values)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def value(self, i: int) -> int:
         if i < self.m:
@@ -147,7 +154,7 @@ class CPattern:
     __slots__ = ("sig", "rows", "_hash")
 
     def __init__(self, sig: Signature, rows: Sequence[Sequence[int]]):
-        rows = [tuple(int(v) for v in r) for r in rows]
+        rows = [tuple(map(int, r)) for r in rows]
         if not rows:
             rows = [sig.row(1)]
         for p, r in enumerate(rows, start=1):
@@ -304,7 +311,8 @@ def _entry_intervals(above: Sequence[int]) -> list[range]:
     return [range(c, a + 1) for a, c in zip(above, above[1:])]
 
 
-def enumerate_basis(sig: Signature, N: int) -> list[CPattern]:
+@cache
+def enumerate_basis(sig: Signature, N: int) -> tuple[CPattern, ...]:
     """All valid patterns with stabilization level <= N, in deterministic order.
 
     Rows are filled top-down: given row p+1 (above), position t of row p
@@ -312,6 +320,9 @@ def enumerate_basis(sig: Signature, N: int) -> list[CPattern]:
     each filling of rows N-1..1 is stored bottom-up.  The order is
     lexicographic in (row N-1, row N-2, ..., row 1) with entries compared
     left to right.
+
+    Memoised for the life of the process (see ``action.clear_caches``); the
+    tuple is shared by every caller with an equal signature and level.
     """
     if N < 2:
         raise ValueError("N must exceed 1")
@@ -327,7 +338,7 @@ def enumerate_basis(sig: Signature, N: int) -> list[CPattern]:
                 fill(p - 1, upper_rows + [combo])
 
     fill(N - 1, [])
-    return out
+    return tuple(out)
 
 
 class BasisIndex:

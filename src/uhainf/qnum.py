@@ -11,7 +11,7 @@ every verification verdict in this package decidable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
@@ -49,6 +49,8 @@ class QValue:
 
     mode: str  # "quantum" | "classical"
     q: Optional[Fraction] = None
+    # every qbracket memo lookup hashes the QValue; the Fraction is slow to hash
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode == "quantum":
@@ -62,6 +64,10 @@ class QValue:
                 raise InvalidQValueError("classical mode takes no q")
         else:
             raise InvalidQValueError(f"unknown mode {self.mode!r}")
+        object.__setattr__(self, "_hash", hash((self.mode, self.q)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def quantum(cls, q: RationalLike) -> "QValue":

@@ -15,6 +15,7 @@ from .qnum import RadicalSum, qbracket, radical_of
 from .patterns import (
     CPattern,
     ModuleParams,
+    Signature,
     enumerate_basis,
     highest_weight_pattern,
     shifted_if_valid,
@@ -217,19 +218,16 @@ def check_highest_weight(params: ModuleParams,
     return report
 
 
-def check_restrictedness(params: ModuleParams, N: int) -> CheckReport:
-    """Vanishing of high-index generators on the truncation V_N.
+def _vanishing_bounds(
+    sig: Signature, N: int
+) -> tuple[dict[str, tuple[Fraction, Fraction]], Fraction]:
+    """The vanishing intervals on V_N and the common radius r_N.
 
-    Verifies the three vanishing intervals, the common radius beyond which
-    everything acts as zero, and stability of V_N under in-range raising
-    generators, at every index up to two past the radius.  Witness searches
-    for the innermost index on each side of each interval are recorded
-    under params["tightness"].
+    Each kind maps to (lo, hi): it may act nonzero on V_N only for
+    lo < k < hi.  Every interval lies inside |k| < r_N (-r_N <= lo and
+    hi <= r_N), so beyond the radius every generator acts as zero.
     """
-    sig = params.signature
     m, n = sig.m, sig.n
-    basis = enumerate_basis(sig, N)
-    # kind -> (lo, hi): the kind may act nonzero on V_N only for lo < k < hi
     intervals = {
         "E": (Fraction(-(N + 1), 2), Fraction(N - 2, 2)),
         "F": (min(Fraction(-(N + 3), 2), Fraction(m - 1)),
@@ -237,7 +235,21 @@ def check_restrictedness(params: ModuleParams, N: int) -> CheckReport:
         "H": (min(Fraction(-(N + 1), 2), Fraction(m)),
               max(Fraction(N, 2), Fraction(n))),
     }
-    r_N = max(Fraction(N + 3, 2), Fraction(1 - m), Fraction(n))
+    return intervals, max(Fraction(N + 3, 2), Fraction(1 - m), Fraction(n))
+
+
+def check_restrictedness(params: ModuleParams, N: int) -> CheckReport:
+    """Vanishing of high-index generators on the truncation V_N.
+
+    Verifies the three vanishing intervals and stability of V_N under
+    in-range raising generators, at every index up to two past the common
+    radius.  The intervals lie inside the radius, so an index past it is
+    outside every interval and its vanishing is checked there.  Witness
+    searches for the innermost index on each side of each interval are
+    recorded under params["tightness"].
+    """
+    basis = enumerate_basis(params.signature, N)
+    intervals, r_N = _vanishing_bounds(params.signature, N)
     span = int(r_N) + 2
     indices = range(-span, span + 1)
     report = CheckReport(
@@ -270,11 +282,6 @@ def check_restrictedness(params: ModuleParams, N: int) -> CheckReport:
                             if p2.N > N:
                                 report.record(p, None,
                                               note=f"e_{k} escapes V_{N} to level {p2.N}")
-            if abs(k) >= r_N:
-                for kind in intervals:
-                    if nonzero_witness(kind, k) is not None:
-                        report.record(None, None,
-                                      note=f"{kind}_{k} nonzero beyond common radius")
 
     tight = report.params["tightness"]
     with _witness_zero_denominator(report, None):

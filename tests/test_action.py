@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uhainf import (
     CPattern,
@@ -18,8 +20,10 @@ from uhainf import (
     highest_weight_pattern,
 )
 from uhainf import qnum
-from uhainf.action import ZeroDenominatorError, clear_caches, deletion_diagnostics
-from uhainf.patterns import row_range, shift, weight_eigenvalue
+from uhainf.action import (ZeroDenominatorError, _Ladder, clear_caches,
+                           deletion_diagnostics)
+from uhainf.patterns import (row_range, shift, shifted_if_valid, sign_s,
+                             weight_eigenvalue)
 
 
 def E(i):
@@ -278,11 +282,115 @@ class TestMemo:
         w.add_term(hw, ONE)
         assert len(w.terms) == 2 and len(v.terms) == 1
 
-    def test_clear_caches_empties_all_three_memos(self, params_mid):
+    def test_clear_caches_empties_all_four_memos(self, params_mid):
         hw = highest_weight_pattern(params_mid.signature)
         apply_word([E(0), F(0), F(-1)], hw, params_mid)
         qnum.radical_of(12)
-        memos = (qnum.qbracket, qnum._square_decompose, apply_generator)
+        enumerate_basis(params_mid.signature, 3)
+        memos = (qnum.qbracket, qnum._square_decompose, apply_generator,
+                 enumerate_basis)
         assert all(m.cache_info().currsize > 0 for m in memos)
         clear_caches()
-        assert [m.cache_info().currsize for m in memos] == [0, 0, 0]
+        assert [m.cache_info().currsize for m in memos] == [0, 0, 0, 0]
+
+    def test_basis_is_one_shared_tuple_until_cleared(self, sig_mid):
+        clear_caches()
+        first = enumerate_basis(sig_mid, 4)
+        assert isinstance(first, tuple)
+        # an equal signature parsed separately finds the same memo entry
+        assert enumerate_basis(Signature(-1, 1, [2, 1, 0]), 4) is first
+        clear_caches()
+        again = enumerate_basis(sig_mid, 4)
+        assert again is not first and again == first
+
+
+_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(
+    lambda q: q not in (0, 1, -1))
+
+
+@st.composite
+def _signatures(draw):
+    m = draw(st.integers(-3, 1))
+    n = draw(st.integers(m, m + 4))
+    values = [draw(st.integers(-3, 4))]
+    for _ in range(n - m):
+        values.append(values[-1] - draw(st.integers(0, 2)))
+    return m, n, values
+
+
+class TestCachedHashes:
+    """QValue and Signature hash once, at construction; the cached hash
+    must be the hash of every equal instance, however it was built."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_fractions)
+    def test_qvalue(self, q):
+        a = QValue.quantum(q)
+        b = QValue("quantum", Fraction(q.numerator * 3, q.denominator * 3))
+        assert a == b and hash(a) == hash(b) == hash(("quantum", q))
+        assert hash(QValue.classical()) == hash(QValue("classical"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_signatures())
+    def test_signature(self, args):
+        m, n, values = args
+        a = Signature(m, n, tuple(values))
+        a.row(5)  # fills the row cache, which is not part of the hash
+        b = Signature(m, n, list(values))
+        assert a == b and hash(a) == hash(b) == hash((m, n, tuple(values)))
+
+
+# Differential oracle for the ladder coefficients: the action as it was
+# computed with Fraction products, built from the same _Ladder.factors and
+# swept over every candidate pair.  The action multiplies integer
+# numerators and denominators instead, so the two must agree term by term,
+# signs included (a negative q gives negative brackets).
+
+def _fraction_ladder(kind, index, p, params):
+    lad = _Ladder(kind, index, p)
+    out = PatternVector()
+    for j in lad.slots_a:
+        for l in row_range(lad.row_b):
+            target = shifted_if_valid(p, lad.moves(j, l))
+            if target is None:
+                continue
+            num_f, den_f = lad.factors(j, l, params.qv)
+            num = prod(num_f, start=Fraction(1))
+            if not num:
+                continue
+            den = prod(den_f, start=Fraction(1))
+            if not den:
+                raise ZeroDenominatorError(f"{kind}_{index}")
+            out.add_term(target, qnum.radical_of(abs(num / den)).scale(
+                -sign_s(j, l, lad.nu)))
+    return out
+
+
+_ORACLE_MODULES = {
+    "V5 of -1:1:2,1,0": (Signature(-1, 1, (2, 1, 0)), 2, 0, 5),
+    "V4 of -2:2:3,3,1,0,-1": (Signature(-2, 2, (3, 3, 1, 0, -1)), 3, -1, 4),
+}
+_ORACLE_Q = {
+    "q=3/2": QValue.quantum(Fraction(3, 2)),
+    "q=7/4": QValue.quantum(Fraction(7, 4)),
+    "q=-2/3": QValue.quantum(Fraction(-2, 3)),
+    "classical": QValue.classical(),
+}
+
+
+class TestCoefficientOracle:
+    @pytest.mark.parametrize("qname", sorted(_ORACLE_Q))
+    @pytest.mark.parametrize("module", sorted(_ORACLE_MODULES))
+    def test_matches_fraction_products(self, module, qname):
+        sig, xi0, xi1, level = _ORACLE_MODULES[module]
+        params = ModuleParams(sig, Fraction(xi0), Fraction(xi1),
+                              _ORACLE_Q[qname], "a_infinity")
+        nonzero = 0
+        for p in enumerate_basis(sig, level):
+            for k in range(-3, 4):
+                for kind in ("E", "F"):
+                    got = apply_generator(GeneratorLabel(kind, k), p, params)
+                    want = _fraction_ladder(kind, k, p, params)
+                    assert dict(got.terms) == want.terms, (kind, k, p)
+                    nonzero += bool(want.terms)
+        assert nonzero > 0

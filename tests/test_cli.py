@@ -12,6 +12,7 @@ from uhainf import (
     apply_generator,
     enumerate_basis,
 )
+from uhainf.action import clear_caches
 from uhainf.cli import main
 
 SIG = "-1:1:2,1,0"
@@ -193,6 +194,26 @@ class TestMatrix:
             "matrix", *BASE, "--level", "2", "--generator", "Q:9",
         ])
         assert code == 2
+
+    def test_commands_share_one_basis(self, capsys):
+        """Ten matrix commands on V_7, run twice in one process with the
+        memos kept, print what each prints alone after clear_caches.  Each
+        command parses its own Signature, so they share the enumerate_basis
+        memo only through equal signatures."""
+        commands = [["matrix", *BASE, "--level", "7", "--generator", g]
+                    for g in ("E:0", "F:0", "E:1", "F:1", "E:-1", "F:-1",
+                              "E:-2", "F:-2", "H:0", "C")]
+        alone = []
+        for argv in commands:
+            clear_caches()
+            alone.append(run(capsys, argv)[:2])
+        clear_caches()
+        for _ in range(2):
+            for argv, want in zip(commands, alone):
+                assert run(capsys, argv)[:2] == want, argv
+        info = enumerate_basis.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 19)
+        assert len(json.loads(alone[0][1])["entries"]) > 0
 
 
 class TestCheck:

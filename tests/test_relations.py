@@ -179,6 +179,17 @@ class TestRestrictedness:
         assert rep.params["N"] == 3
         assert Fraction(rep.params["r_N"]) == Fraction(3)
 
+    @pytest.mark.parametrize("N", range(2, 13))
+    def test_intervals_lie_inside_the_radius(self, sig_small, sig_mid,
+                                             sig_wide, N):
+        # so an index with |k| >= r_N is outside every interval, and the
+        # interval check alone covers vanishing beyond the common radius
+        for sig in (sig_small, sig_mid, sig_wide):
+            intervals, r_N = relations._vanishing_bounds(sig, N)
+            assert set(intervals) == {"E", "F", "H"}
+            for kind, (lo, hi) in intervals.items():
+                assert -r_N <= lo < hi <= r_N, (sig, N, kind)
+
 
 class TestBoundary:
     def test_passes(self, params_mid):
@@ -643,8 +654,11 @@ def _break_restrictedness(mp, params):
     mp.setattr(relations, "apply_generator", mutated)
 
 
+# The digest is that of the report recorded while check_restrictedness also
+# scanned for "nonzero beyond common radius", with those three records (at
+# k = 5, each paired with an "outside interval" record) removed.
 RESTRICTEDNESS_BROKEN_DIGEST = (
-    "3a807039c99855b66046fff828cde35b7060c85de9812a59fec2a4dc8ba9e120")
+    "a34349ad6213aadaeba4973ac50da34f721b3bee0c2b96af1784fe978914f0db")
 
 
 class TestRestrictednessNegativeControl:
@@ -655,11 +669,8 @@ class TestRestrictednessNegativeControl:
         assert set(notes) == {
             "e_5 nonzero outside interval", "f_5 nonzero outside interval",
             "h_5 nonzero outside interval", "e_0 escapes V_4 to level 5",
-            "E_5 nonzero beyond common radius",
-            "F_5 nonzero beyond common radius",
-            "H_5 nonzero beyond common radius",
         }
         # every one of the 20 patterns of V_4 escapes under E_0
-        assert len(notes) == 26
+        assert len(notes) == 23
         assert notes.count("e_0 escapes V_4 to level 5") == 20
         assert _digest([rep]) == RESTRICTEDNESS_BROKEN_DIGEST
