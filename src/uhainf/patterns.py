@@ -129,6 +129,10 @@ class ModuleParams:
         object.__setattr__(self, "xi1", Fraction(self.xi1))
         if self.mode not in ("a_infinity", "A_infinity"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        # for q < 0 brackets change sign with parity, and the coefficients,
+        # square roots of bracket ratios, no longer satisfy the relations
+        if self.qv.q is not None and self.qv.q < 0:
+            raise ValueError(f"q must be positive for a module (got {self.qv.q})")
         if self.mode == "A_infinity":
             sig = self.signature
             if self.xi0 != sig.value(sig.m) or self.xi1 != sig.value(sig.n):

@@ -344,7 +344,7 @@ class TestCachedHashes:
 # computed with Fraction products, built from the same _Ladder.factors and
 # swept over every candidate pair.  The action multiplies integer
 # numerators and denominators instead, so the two must agree term by term,
-# signs included (a negative q gives negative brackets).
+# signs included (the bracket of a negative argument is negative).
 
 def _fraction_ladder(kind, index, p, params):
     lad = _Ladder(kind, index, p)
@@ -373,7 +373,7 @@ _ORACLE_MODULES = {
 _ORACLE_Q = {
     "q=3/2": QValue.quantum(Fraction(3, 2)),
     "q=7/4": QValue.quantum(Fraction(7, 4)),
-    "q=-2/3": QValue.quantum(Fraction(-2, 3)),
+    "q=2/3": QValue.quantum(Fraction(2, 3)),
     "classical": QValue.classical(),
 }
 

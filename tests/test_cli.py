@@ -93,14 +93,16 @@ class TestConfigHandling:
         assert "levle" in err
 
     def test_bad_q_is_usage_error(self, capsys):
-        for q in ("abc", "1/0"):
+        for q in ("abc", "1/0", "-2/3", "-3/2"):
             code, out, err = run(capsys, [
                 "check", f"--signature={SIG}", "--xi0", "2", "--xi1", "0",
-                "--q", q, "--suite", "hw",
+                f"--q={q}", "--suite", "hw",
             ])
             assert code == 2, q
             assert out == ""
             assert err.startswith("error:")
+            if q.startswith("-"):
+                assert f"q must be positive for a module (got {q})" in err
 
     def test_negative_window_is_usage_error(self, capsys):
         code, out, err = run(capsys, [

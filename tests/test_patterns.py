@@ -153,6 +153,14 @@ class TestModuleParams:
         with pytest.raises(ValueError):
             ModuleParams(Signature(0, 0, (0,)), 0, 0, QValue.classical(), "other")
 
+    def test_negative_q_is_rejected(self):
+        # QValue itself takes a negative q: the bracket identities hold there
+        s = Signature(-1, 1, (2, 1, 0))
+        for q in (Fraction(-2, 3), Fraction(-3, 2)):
+            with pytest.raises(ValueError, match="q must be positive"):
+                ModuleParams(s, 2, 0, QValue.quantum(q))
+        ModuleParams(s, 2, 0, QValue.quantum(Fraction(2, 3)))
+
 
 class TestCPattern:
     def test_highest_weight_rows(self, sig_small):

@@ -242,11 +242,13 @@ class TestCharge:
         assert rep.params["stabilizes_at"] == 3
 
 
-# Negative control: the Cartan suite must fail, not raise, under any single
-# +-1 change to a ladder offset (o1, d1, o2, d2 of each action._CASES row)
-# and under a flipped sign_s parity.  apply_generator's memo outlives a
-# patch, so it is cleared before and after each one: otherwise it would
-# hide the mutation, or carry it into later tests.
+# Fault injection.  Each mutation breaks the action in one way: a +-1 change
+# to a ladder offset (o1, d1, o2, d2 of each action._CASES row), a flipped
+# sign_s parity, or a broken H or C branch of apply_generator.  KILLS pins,
+# for each one, every suite's reports and the set of suites that fail.
+# apply_generator's memo outlives a patch, so it is cleared before and after
+# each one: otherwise it would hide the mutation, or carry it into later
+# tests.
 
 def _offset_mutation(key, slot, step):
     def mutate(mp):
@@ -265,6 +267,7 @@ MUTATIONS = {
 }
 MUTATIONS["sign_s-parity"] = lambda mp: mp.setattr(
     action, "sign_s", lambda j, l, nu: sign_s(j, l, 1 - nu))
+LADDER_MUTATIONS = frozenset(MUTATIONS)
 
 
 def _h_reads_next_index(mp, index=0):
@@ -289,13 +292,12 @@ def _c_depends_on_pattern(mp):
     mp.setattr(relations, "apply_generator", mutated)
 
 
-# Mutations of the diagonal branches of apply_generator.  The Cartan suite
-# tests [c, g], [h_i, h_j], [h_i, e_j] and [h_i, f_j] by eigenvalue shifts
-# read through apply_generator, so a broken H or C branch must still fail.
-DIAGONAL_MUTATIONS = {
-    "H-reads-next-index": _h_reads_next_index,
-    "C-depends-on-pattern": _c_depends_on_pattern,
-}
+# The Cartan suite tests [c, g], [h_i, h_j], [h_i, e_j] and [h_i, f_j] by
+# eigenvalue shifts read through apply_generator, so a broken H or C branch
+# must still fail.
+MUTATIONS["H-reads-next-index"] = _h_reads_next_index
+MUTATIONS["C-depends-on-pattern"] = _c_depends_on_pattern
+MUTATIONS["unmutated"] = lambda mp: None
 
 
 @contextmanager
@@ -308,54 +310,6 @@ def _mutated(mutation):
             yield
     finally:
         clear_caches()
-
-
-def _cartan_reports_under(mutation, params):
-    """check_cartan on V_4 for indices -2..2, up to the first failing report."""
-    basis = enumerate_basis(params.signature, 4)
-    reports = []
-    with _mutated(mutation):
-        for i in range(-2, 3):
-            for j in range(-2, 3):
-                reports.append(check_cartan(i, j, basis, params))
-                if not reports[-1].passed:
-                    return reports
-    return reports
-
-
-class TestNegativeControl:
-    @pytest.mark.parametrize("name", sorted(MUTATIONS))
-    def test_cartan_fails_under_mutation(self, params_mid, name):
-        reports = _cartan_reports_under(MUTATIONS[name], params_mid)
-        assert not reports[-1].passed, name
-
-    @pytest.mark.parametrize("name", sorted(DIAGONAL_MUTATIONS))
-    def test_cartan_fails_under_diagonal_mutation(self, params_mid, name):
-        reports = _cartan_reports_under(DIAGONAL_MUTATIONS[name], params_mid)
-        assert not reports[-1].passed, name
-
-    @pytest.mark.parametrize("name", [f"{kind}-side-o2{step:+d}"
-                                      for kind in "EF" for step in (-1, 1)])
-    def test_bottom_pair_fails_under_o2_mutation(self, params_mid, name):
-        # index -1 reads only o2 of the negative-side cases, so [e_-1, f_-1]
-        # alone must see each change to it
-        basis = enumerate_basis(params_mid.signature, 4)
-        with _mutated(MUTATIONS[name]):
-            assert not check_cartan(-1, -1, basis, params_mid).passed, name
-
-    def test_zero_denominator_is_a_witness(self, params_mid):
-        # d1 - 1 on the positive E ladder makes a denominator bracket
-        # vanish on a valid target; the suite records it and returns
-        reports = _cartan_reports_under(MUTATIONS["E+side-d1-1"], params_mid)
-        notes = [f.get("note", "") for f in reports[-1].failures]
-        assert any(n.startswith("zero denominator: E_") for n in notes), notes
-
-    def test_no_mutation_outlives_its_patch(self, params_mid):
-        _cartan_reports_under(MUTATIONS["E+side-o1+1"], params_mid)
-        basis = enumerate_basis(params_mid.signature, 4)
-        for i in range(-2, 3):
-            for j in range(-2, 3):
-                assert check_cartan(i, j, basis, params_mid).passed, (i, j)
 
 
 # Differential oracle: the Cartan suite with every residual built from
@@ -444,26 +398,16 @@ class TestCartanOracle:
         assert (_cartan_json(check_cartan, basis, params, indices)
                 == _cartan_json(_word_cartan, basis, params, indices))
 
-    @pytest.mark.parametrize("name", sorted(MUTATIONS) + sorted(DIAGONAL_MUTATIONS))
-    def test_matches_word_residuals_under_mutation(self, params_mid, name):
-        mutation = {**MUTATIONS, **DIAGONAL_MUTATIONS}[name]
-        basis = enumerate_basis(params_mid.signature, 4)
-        indices = range(-2, 3)
-        with _mutated(mutation):
-            got = _cartan_json(check_cartan, basis, params_mid, indices)
-            want = _cartan_json(_word_cartan, basis, params_mid, indices)
-        assert got == want
-        assert any(r["failures"] for r in want), name
 
+# The fault-injection table.  Under each mutation every suite runs once, on
+# V_4 with indices -2..2, plus the boundary suite on a module whose boundary
+# index k = 2 has M_{k+1} != M_k (so its closed form is nonzero).  A row of
+# KILLS holds the sha256 of all those reports and the suites that fail, so
+# a rewrite of any suite must leave every failure witness as it was, byte
+# for byte, and fail exactly where it failed before.
 
-# Pinned failure witnesses.  Every suite's reports on V_4 with indices
-# -2..2, plus the boundary suite on a module whose boundary index k = 2 has
-# M_{k+1} != M_k (so its closed form is nonzero), are hashed under each
-# fault-injection mutation and once unmutated.  The digests were recorded
-# while check_restrictedness still wrote its three intervals out twice,
-# check_boundary_f built the closed form as a second vector and subtracted
-# it, and check_serre ran a separate loop for variant a; a rewrite of any
-# of them must leave every failure witness as it was, byte for byte.
+WINDOW = range(-2, 3)
+
 
 @pytest.fixture
 def params_boundary():
@@ -472,24 +416,22 @@ def params_boundary():
 
 
 def _every_suite(params, params_boundary):
+    """(suite, report) pairs, in the order the digests hash the reports."""
     basis = enumerate_basis(params.signature, 4)
-    window = range(-2, 3)
-    reports = [check_cartan(i, j, basis, params) for i in window for j in window]
+    runs = [("cartan", check_cartan(i, j, basis, params))
+            for i in WINDOW for j in WINDOW]
     for fam in "EF":
-        for i in window:
-            reports += [check_serre(fam, "a", i, j, basis, params)
-                        for j in window if abs(i - j) != 1]
-            reports += [check_serre(fam, v, i, None, basis, params) for v in "bc"]
-    reports.append(check_boundary_f(params, 4, 2))
-    reports += _boundary_reports(params_boundary)
-    reports.append(check_restrictedness(params, 4))
-    reports.append(check_highest_weight(params, (-2, 2)))
-    return reports
-
-
-def _boundary_reports(params):
-    """The CLI's boundary suite at level 4: k = 2, 3, 4."""
-    return [check_boundary_f(params, 4, k) for k in (2, 3, 4)]
+        for i in WINDOW:
+            runs += [("serre-a", check_serre(fam, "a", i, j, basis, params))
+                     for j in WINDOW if abs(i - j) != 1]
+            runs += [("serre-bc", check_serre(fam, v, i, None, basis, params))
+                     for v in "bc"]
+    # the CLI's boundary suite at level 4 is k = 2, 3, 4
+    runs += [("boundary", check_boundary_f(params, 4, 2))] + [
+        ("boundary", check_boundary_f(params_boundary, 4, k)) for k in (2, 3, 4)]
+    runs.append(("restricted", check_restrictedness(params, 4)))
+    runs.append(("hw", check_highest_weight(params, (-2, 2))))
+    return runs
 
 
 def _digest(reports):
@@ -498,99 +440,118 @@ def _digest(reports):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-WITNESS_DIGESTS = {
-    "C-depends-on-pattern":
+KILLS = {
+    "C-depends-on-pattern": (
         "57976859312fa82cfd7f6e2c97638d31abb750aac302985cd1a4c16755166711",
-    "E+side-d1+1":
+        {"cartan"}),
+    "E+side-d1+1": (
         "1939d32a9195fac1f4973e2d820573b26aabdcfe8d8ef4ea4fe0af3dc29958ff",
-    "E+side-d1-1":
+        {"cartan"}),
+    "E+side-d1-1": (
         "1b4b8b715137feb60b88d35a211ac6c185aeb6e74f1f25ecc7a03ca8f185ee2f",
-    "E+side-d2+1":
+        {"cartan"}),
+    "E+side-d2+1": (
         "977d2734dd7e5d7d409a70ffb179808f8d0ffbf1ca9e8da27e7950d38fa1759f",
-    "E+side-d2-1":
+        {"cartan", "serre-a"}),
+    "E+side-d2-1": (
         "2ec97111ee22d968c3a8dbbc27b47624f1e770774803739fc25e4a1414f29d62",
-    "E+side-o1+1":
+        {"cartan", "serre-a", "serre-bc", "restricted"}),
+    "E+side-o1+1": (
         "f13d749df1b26395fbe4550cff9308ead2f3ba79180a6f09dd8f8ede8039f3d9",
-    "E+side-o1-1":
+        {"cartan", "serre-a", "serre-bc"}),
+    "E+side-o1-1": (
         "38c38ffdb46aaf9493d5a5c342e3c80725fe69e6e741a2cb358cec5614861e63",
-    "E+side-o2+1":
+        {"cartan", "serre-a", "serre-bc"}),
+    "E+side-o2+1": (
         "b9de5bd3bed4e523286f06bc299308d0ed6eb104470f47780a13776cec290f44",
-    "E+side-o2-1":
+        {"cartan", "serre-a"}),
+    "E+side-o2-1": (
         "c5643e20d42c42ce230f44f420a62c14084673cc1eecbc1871f9220d0e01c27f",
-    "E-side-d1+1":
+        {"cartan", "serre-a"}),
+    "E-side-d1+1": (
         "a00d882e7610949cb1389a9ac4344b810910ef204cdd68891fb988ad1ef2e2c6",
-    "E-side-d1-1":
+        {"cartan", "serre-a", "serre-bc", "restricted"}),
+    "E-side-d1-1": (
         "39b47e23dd5542363ecf26a7c4f304d0f6b0b363f4baef1f7ec0c41431c2b0e6",
-    "E-side-d2+1":
+        {"cartan", "serre-a"}),
+    "E-side-d2+1": (
         "e0de2ffc7eb10d417bf4123ecb46c598683a3153c3593071e6917eadcf27f3d9",
-    "E-side-d2-1":
+        {"cartan", "serre-a", "serre-bc", "restricted"}),
+    "E-side-d2-1": (
         "77ca7b3701a5c019512133aa6f13067a08a5aa20678a27ec37dcc9f0c89dcf01",
-    "E-side-o1+1":
+        {"cartan"}),
+    "E-side-o1+1": (
         "9702e7e25c62b9279da0f3aa58d16e69af6d47db82e77d4d2da63f52d3833ff8",
-    "E-side-o1-1":
+        {"cartan", "serre-a", "serre-bc"}),
+    "E-side-o1-1": (
         "7f8bd05b22342fe00d5fc5681f2a40026838fe8029138d813656ce44470e2c05",
-    "E-side-o2+1":
+        {"cartan", "serre-a", "serre-bc"}),
+    "E-side-o2+1": (
         "21d93fe02d85d70bb42d89eda46fe02848dad0b355f8c2355d7325f6af193a2a",
-    "E-side-o2-1":
+        {"cartan", "serre-bc"}),
+    "E-side-o2-1": (
         "fc2453b7e14dbda312f3b05811444a194a5acb0e9915ed359627c534480cb5c7",
-    "F+side-d1+1":
+        {"cartan", "serre-bc"}),
+    "F+side-d1+1": (
         "526ca488465b00a167904d7765903557e14fb3346115c8f1982d268cdc9fabf1",
-    "F+side-d1-1":
+        {"cartan", "serre-a", "serre-bc", "boundary", "restricted"}),
+    "F+side-d1-1": (
         "9baf616de96dcfc35d1a64232fea56de66763572f4e3bac8ea04c909bd6a08fe",
-    "F+side-d2+1":
+        {"cartan", "serre-a", "boundary"}),
+    "F+side-d2+1": (
         "3ce026a086df09f6e0cb3eed429d84d80bab3373b15225e35c3dd95793993e9b",
-    "F+side-d2-1":
+        {"cartan", "serre-a", "serre-bc", "boundary", "restricted"}),
+    "F+side-d2-1": (
         "bdba0cd7de67599025afb30672da240af3d5feb173713192f40c96e79a2095d2",
-    "F+side-o1+1":
+        {"cartan", "serre-a", "boundary"}),
+    "F+side-o1+1": (
         "3a62b332dafc211935d3d7a6ba445a6c5b1ca3e52906940fd496b0b625c5d626",
-    "F+side-o1-1":
+        {"cartan", "serre-a", "serre-bc", "boundary"}),
+    "F+side-o1-1": (
         "edba617d0a86c1fb6abaf6a3d24dea973a0bc183641f53ac2fe16dc066962bfe",
-    "F+side-o2+1":
+        {"cartan", "serre-a", "serre-bc", "boundary"}),
+    "F+side-o2+1": (
         "70b77a2c446edf3914cbc2db3dd82c4d3d68434e784a26daf650f210f22cd3d5",
-    "F+side-o2-1":
+        {"cartan", "serre-a", "boundary"}),
+    "F+side-o2-1": (
         "e5c7b3b36dfd12d4e15373853d259d966faf364aecb929c4ea97fa2ad192edd2",
-    "F-side-d1+1":
+        {"cartan", "serre-a", "boundary"}),
+    "F-side-d1+1": (
         "8a719f057ffc1def256ac508e915d97dd4ec61adcf58f225d1c92de40756c7d7",
-    "F-side-d1-1":
+        {"cartan", "serre-a"}),
+    "F-side-d1-1": (
         "efe7d1cfc632d464fd01db6f920a6515fe22074f96b56bf661667f4ce3d7e6df",
-    "F-side-d2+1":
+        {"cartan", "serre-a", "serre-bc", "restricted"}),
+    "F-side-d2+1": (
         "e18e9141bd06238e411a8bec5cea12b10f7fe04f22b29e235954fb6cf00a1434",
-    "F-side-d2-1":
+        {"cartan", "serre-a"}),
+    "F-side-d2-1": (
         "b95bb0499e4d1824ddd175d0ff893976a9f52de6b5911c55e80c461a16115ee4",
-    "F-side-o1+1":
+        {"cartan", "serre-a", "serre-bc", "restricted"}),
+    "F-side-o1+1": (
         "c4ff1fb776e6cdb06495f36c92112a79eb7980ea1f737a3211f6c7cd4b70ba65",
-    "F-side-o1-1":
+        {"cartan", "serre-a", "serre-bc"}),
+    "F-side-o1-1": (
         "eeb1bd3218f7a2ea551f771104caa7a7eba73ad9618d14fb2c1e463992a1f4c8",
-    "F-side-o2+1":
+        {"cartan", "serre-a", "serre-bc"}),
+    "F-side-o2+1": (
         "580f9282b0b134ba362a3809503b196048715e3f93246c741d1859d6fe59415a",
-    "F-side-o2-1":
+        {"cartan", "serre-a", "serre-bc"}),
+    "F-side-o2-1": (
         "cb7851f2519cedbebaf073b35eaa4254c30d21fbb37e9b05464fdf422b5d51a0",
-    "H-reads-next-index":
+        {"cartan", "serre-a", "serre-bc"}),
+    "H-reads-next-index": (
         "603311f5134dcfc58dea900eb82e0a01c55fd474d3fb44a78c4d3d3928c6e4b5",
-    "sign_s-parity":
+        {"cartan", "hw"}),
+    "sign_s-parity": (
         "3c51ca92738c6701883ca3baa2c35a9af93d7745b3481e98c9cc8f0e3d73fa8e",
-    "unmutated":
+        {"cartan", "serre-a", "serre-bc", "boundary"}),
+    "unmutated": (
         "96caf6afae88b7010d7f8167b564d10ef849781354da3a15497584055b22bfd6",
+        set()),
 }
 
-
-class TestFailureWitnesses:
-    @pytest.mark.parametrize("name", sorted(WITNESS_DIGESTS))
-    def test_reports_pinned(self, params_mid, params_boundary, name):
-        mutation = {"unmutated": lambda mp: None, **MUTATIONS,
-                    **DIAGONAL_MUTATIONS}[name]
-        with _mutated(mutation):
-            reports = _every_suite(params_mid, params_boundary)
-        assert _digest(reports) == WITNESS_DIGESTS[name]
-
-    def test_every_mutation_pinned(self):
-        assert set(WITNESS_DIGESTS) == {"unmutated", *MUTATIONS,
-                                        *DIAGONAL_MUTATIONS}
-
-
-# Kill lists: which of the 33 ladder mutations each weaker suite catches.
-# Serre b/c (both families, i in -2..2, V_4) misses these 13 and catches
-# the other 20; the Cartan suite catches all 33 (TestNegativeControl).
+# Serre b/c misses these 13 of the 33 ladder mutations.
 SERRE_BC_MISSES = {
     "E+side-d1+1", "E+side-d1-1", "E+side-d2+1", "E+side-o2+1", "E+side-o2-1",
     "E-side-d1-1", "E-side-d2-1", "F+side-d1-1", "F+side-d2-1", "F+side-o2+1",
@@ -600,36 +561,73 @@ SERRE_BC_MISSES = {
 # the positive-side F offsets and the sign; at k = 2 it catches all nine.
 BOUNDARY_CATCHES = {f"F+side-{name}{step:+d}" for name in ("o1", "d1", "o2", "d2")
                     for step in (-1, 1)} | {"sign_s-parity"}
+# E_-1 and F_-1 read only o2 of the negative-side rows, so each change to it
+# must fail [e_-1, f_-1] alone, and it records 14 failures on V_4.
+BOTTOM_PAIR_CATCHES = {f"{kind}-side-o2{step:+d}" for kind in "EF"
+                       for step in (-1, 1)}
 
 
-class TestKillLists:
-    def test_list_sizes(self):
-        assert len(MUTATIONS) == 33
-        assert len(SERRE_BC_MISSES) == 13 and SERRE_BC_MISSES <= set(MUTATIONS)
-        assert len(BOUNDARY_CATCHES) == 9 and BOUNDARY_CATCHES <= set(MUTATIONS)
-
-    @pytest.mark.parametrize("name", sorted(MUTATIONS))
-    def test_serre_bc(self, params_mid, name):
+class TestFaultInjection:
+    @pytest.mark.parametrize("name", sorted(KILLS))
+    def test_row(self, params_mid, params_boundary, name):
         basis = enumerate_basis(params_mid.signature, 4)
         with _mutated(MUTATIONS[name]):
-            caught = not all(check_serre(fam, v, i, None, basis, params_mid).passed
-                             for fam in "EF" for v in "bc" for i in range(-2, 3))
-        assert caught == (name not in SERRE_BC_MISSES), name
-
-    @pytest.mark.parametrize("name", sorted(MUTATIONS))
-    def test_boundary(self, params_boundary, name):
-        with _mutated(MUTATIONS[name]):
-            reports = _boundary_reports(params_boundary)
-        caught = not all(r.passed for r in reports)
-        assert caught == (name in BOUNDARY_CATCHES), name
-        if caught:
-            notes = {f["note"] for r in reports for f in r.failures}
+            runs = _every_suite(params_mid, params_boundary)
+            words = _cartan_json(_word_cartan, basis, params_mid, WINDOW)
+        digest, kills = KILLS[name]
+        assert _digest([r for _, r in runs]) == digest
+        assert {suite for suite, r in runs if not r.passed} == kills
+        cartan = [r for suite, r in runs if suite == "cartan"]
+        assert [r.to_json() for r in cartan] == words
+        if name in BOTTOM_PAIR_CATCHES:
+            bottom = next(r for r in cartan if r.params == {"i": -1, "j": -1})
+            assert len(bottom.failures) == 14
+        if "boundary" in kills:
+            notes = {f["note"] for suite, r in runs if suite == "boundary"
+                     for f in r.failures}
             assert notes == {"general vs closed form mismatch"}, notes
+
+    def test_every_mutation_pinned(self):
+        assert set(KILLS) == set(MUTATIONS)
+
+    def test_kill_counts(self):
+        caught = {suite: {name for name, (_, kills) in KILLS.items()
+                          if suite in kills}
+                  for suite in ("cartan", "serre-a", "serre-bc", "boundary",
+                                "restricted", "hw")}
+        assert len(LADDER_MUTATIONS) == 33 and len(MUTATIONS) == 36
+        assert caught["cartan"] == set(MUTATIONS) - {"unmutated"}
+        assert LADDER_MUTATIONS - caught["serre-bc"] == SERRE_BC_MISSES
+        assert len(SERRE_BC_MISSES) == 13
+        assert caught["boundary"] == BOUNDARY_CATCHES
+        assert len(BOUNDARY_CATCHES) == 9
+        assert (len(caught["serre-a"]), len(caught["restricted"]),
+                len(caught["hw"])) == (28, 7, 1)
+
+    def test_zero_denominator_is_a_witness(self, params_mid):
+        # d1 - 1 on the positive E ladder makes a denominator bracket
+        # vanish on a valid target; the suite records it and returns
+        basis = enumerate_basis(params_mid.signature, 4)
+        with _mutated(MUTATIONS["E+side-d1-1"]):
+            first = next(r for r in (check_cartan(i, j, basis, params_mid)
+                                     for i in WINDOW for j in WINDOW)
+                         if not r.passed)
+        notes = [f.get("note", "") for f in first.failures]
+        assert any(n.startswith("zero denominator: E_") for n in notes), notes
+
+    def test_no_mutation_outlives_its_patch(self, params_mid):
+        basis = enumerate_basis(params_mid.signature, 4)
+        with _mutated(MUTATIONS["E+side-o1+1"]):
+            assert not all(check_cartan(i, j, basis, params_mid).passed
+                           for i in WINDOW for j in WINDOW)
+        for i in WINDOW:
+            for j in WINDOW:
+                assert check_cartan(i, j, basis, params_mid).passed, (i, j)
 
     def test_boundary_closed_form_is_reached(self, params_boundary):
         # on this module F_2 has nonzero closed-form terms on V_4
-        reports = _boundary_reports(params_boundary)
-        assert all(r.passed for r in reports)
+        assert all(check_boundary_f(params_boundary, 4, k).passed
+                   for k in (2, 3, 4))
         basis = enumerate_basis(params_boundary.signature, 4)
         assert any(not apply_generator(_F(2), p, params_boundary).is_zero()
                    for p in basis)
