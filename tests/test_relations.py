@@ -2,6 +2,7 @@ import hashlib
 import json
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -297,6 +298,7 @@ def _c_depends_on_pattern(mp):
 # must still fail.
 MUTATIONS["H-reads-next-index"] = _h_reads_next_index
 MUTATIONS["C-depends-on-pattern"] = _c_depends_on_pattern
+DIAGONAL_MUTATIONS = frozenset(MUTATIONS) - LADDER_MUTATIONS
 MUTATIONS["unmutated"] = lambda mp: None
 
 
@@ -397,6 +399,13 @@ class TestCartanOracle:
         indices = range(-3, 4)
         assert (_cartan_json(check_cartan, basis, params, indices)
                 == _cartan_json(_word_cartan, basis, params, indices))
+
+    @pytest.mark.parametrize("name", sorted(LADDER_MUTATIONS | DIAGONAL_MUTATIONS))
+    def test_matches_word_residuals_under_mutation(self, params_mid,
+                                                   params_boundary, name):
+        runs, words = _row(name, params_mid, params_boundary)
+        assert [r.to_json() for r in _reports(runs, "cartan")] == words
+        assert any(r["failures"] for r in words), name
 
 
 # The fault-injection table.  Under each mutation every suite runs once, on
@@ -567,42 +576,62 @@ BOTTOM_PAIR_CATCHES = {f"{kind}-side-o2{step:+d}" for kind in "EF"
                        for step in (-1, 1)}
 
 
+# Each row runs once per session: the tests below read its cells from the
+# cached run, so every mutation applies once and every suite runs once
+# under it, whichever test asks first.  The parameters are hashable, so
+# equal fixtures share a row.
+@cache
+def _row(name, params, params_boundary):
+    """The (suite, report) pairs and the word-only Cartan JSON under one
+    mutation, computed under the same patch."""
+    basis = enumerate_basis(params.signature, 4)
+    with _mutated(MUTATIONS[name]):
+        runs = _every_suite(params, params_boundary)
+        words = _cartan_json(_word_cartan, basis, params, WINDOW)
+    return runs, words
+
+
+def _reports(runs, suite):
+    return [r for s, r in runs if s == suite]
+
+
 class TestFaultInjection:
     @pytest.mark.parametrize("name", sorted(KILLS))
     def test_row(self, params_mid, params_boundary, name):
-        basis = enumerate_basis(params_mid.signature, 4)
-        with _mutated(MUTATIONS[name]):
-            runs = _every_suite(params_mid, params_boundary)
-            words = _cartan_json(_word_cartan, basis, params_mid, WINDOW)
-        digest, kills = KILLS[name]
-        assert _digest([r for _, r in runs]) == digest
-        assert {suite for suite, r in runs if not r.passed} == kills
-        cartan = [r for suite, r in runs if suite == "cartan"]
-        assert [r.to_json() for r in cartan] == words
-        if name in BOTTOM_PAIR_CATCHES:
-            bottom = next(r for r in cartan if r.params == {"i": -1, "j": -1})
-            assert len(bottom.failures) == 14
-        if "boundary" in kills:
-            notes = {f["note"] for suite, r in runs if suite == "boundary"
-                     for f in r.failures}
-            assert notes == {"general vs closed form mismatch"}, notes
+        runs, _ = _row(name, params_mid, params_boundary)
+        assert {suite for suite, r in runs if not r.passed} == KILLS[name][1]
+
+
+class TestFailureWitnesses:
+    @pytest.mark.parametrize("name", sorted(KILLS))
+    def test_reports_pinned(self, params_mid, params_boundary, name):
+        runs, _ = _row(name, params_mid, params_boundary)
+        assert _digest([r for _, r in runs]) == KILLS[name][0]
 
     def test_every_mutation_pinned(self):
         assert set(KILLS) == set(MUTATIONS)
 
-    def test_kill_counts(self):
-        caught = {suite: {name for name, (_, kills) in KILLS.items()
-                          if suite in kills}
-                  for suite in ("cartan", "serre-a", "serre-bc", "boundary",
-                                "restricted", "hw")}
-        assert len(LADDER_MUTATIONS) == 33 and len(MUTATIONS) == 36
-        assert caught["cartan"] == set(MUTATIONS) - {"unmutated"}
-        assert LADDER_MUTATIONS - caught["serre-bc"] == SERRE_BC_MISSES
-        assert len(SERRE_BC_MISSES) == 13
-        assert caught["boundary"] == BOUNDARY_CATCHES
-        assert len(BOUNDARY_CATCHES) == 9
-        assert (len(caught["serre-a"]), len(caught["restricted"]),
-                len(caught["hw"])) == (28, 7, 1)
+
+class TestNegativeControl:
+    @pytest.mark.parametrize("name", sorted(LADDER_MUTATIONS))
+    def test_cartan_fails_under_mutation(self, params_mid, params_boundary,
+                                         name):
+        runs, _ = _row(name, params_mid, params_boundary)
+        assert not all(r.passed for r in _reports(runs, "cartan")), name
+
+    @pytest.mark.parametrize("name", sorted(DIAGONAL_MUTATIONS))
+    def test_cartan_fails_under_diagonal_mutation(self, params_mid,
+                                                  params_boundary, name):
+        runs, _ = _row(name, params_mid, params_boundary)
+        assert not all(r.passed for r in _reports(runs, "cartan")), name
+
+    @pytest.mark.parametrize("name", sorted(BOTTOM_PAIR_CATCHES))
+    def test_bottom_pair_fails_under_o2_mutation(self, params_mid,
+                                                 params_boundary, name):
+        runs, _ = _row(name, params_mid, params_boundary)
+        bottom = next(r for r in _reports(runs, "cartan")
+                      if r.params == {"i": -1, "j": -1})
+        assert len(bottom.failures) == 14, name
 
     def test_zero_denominator_is_a_witness(self, params_mid):
         # d1 - 1 on the positive E ladder makes a denominator bracket
@@ -623,6 +652,38 @@ class TestFaultInjection:
         for i in WINDOW:
             for j in WINDOW:
                 assert check_cartan(i, j, basis, params_mid).passed, (i, j)
+
+
+class TestKillLists:
+    def test_list_sizes(self):
+        caught = {suite: {name for name, (_, kills) in KILLS.items()
+                          if suite in kills}
+                  for suite in ("cartan", "serre-a", "serre-bc", "boundary",
+                                "restricted", "hw")}
+        assert len(LADDER_MUTATIONS) == 33 and len(MUTATIONS) == 36
+        assert caught["cartan"] == set(MUTATIONS) - {"unmutated"}
+        assert LADDER_MUTATIONS - caught["serre-bc"] == SERRE_BC_MISSES
+        assert len(SERRE_BC_MISSES) == 13
+        assert caught["boundary"] == BOUNDARY_CATCHES
+        assert len(BOUNDARY_CATCHES) == 9
+        assert (len(caught["serre-a"]), len(caught["restricted"]),
+                len(caught["hw"])) == (28, 7, 1)
+
+    @pytest.mark.parametrize("name", sorted(LADDER_MUTATIONS))
+    def test_serre_bc(self, params_mid, params_boundary, name):
+        runs, _ = _row(name, params_mid, params_boundary)
+        caught = not all(r.passed for r in _reports(runs, "serre-bc"))
+        assert caught == (name not in SERRE_BC_MISSES), name
+
+    @pytest.mark.parametrize("name", sorted(LADDER_MUTATIONS))
+    def test_boundary(self, params_mid, params_boundary, name):
+        runs, _ = _row(name, params_mid, params_boundary)
+        reports = _reports(runs, "boundary")
+        caught = not all(r.passed for r in reports)
+        assert caught == (name in BOUNDARY_CATCHES), name
+        if caught:
+            notes = {f["note"] for r in reports for f in r.failures}
+            assert notes == {"general vs closed form mismatch"}, notes
 
     def test_boundary_closed_form_is_reached(self, params_boundary):
         # on this module F_2 has nonzero closed-form terms on V_4
