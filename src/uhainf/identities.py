@@ -4,7 +4,8 @@ Each identity is a rational-function identity in q and a handful of integer
 (or nonzero rational) slots.  Evaluation is exact: the result is a Fraction
 that must be zero at every generic assignment.  Assignments where some
 denominator bracket vanishes are poles; they raise PoleError and the fuzzer
-rejects and resamples them.
+rejects and resamples them.  The row sums and A26 test for poles on their
+summed rows before evaluating any bracket (see ``_reject_poles``).
 
 The row-sum identities (the double sums I23a/b and the removed-label single
 sums I24a-d) read four consecutive L-rows: below, a, b and above.  They are
@@ -14,17 +15,20 @@ sums the summed row, the row losing the two excluded labels, and the unused
 row.  Each term is summed over s in {0, 1} with sign (-1)^s and, with
 t = sigma*s and x the summed entry, is a product of numerator factors
 f(v, x, off) over the other rows divided by f(v_i, x, t) f(v_i, x, t - sigma)
-over the rest of the summed row.  The row sums take the bracket
-f(v, x, off) = [v - x + off]; the double sum is built from the same two
-products and the caller subtracts [sigma(sum a + sum b - sum above -
-sum below) - 1].  A26 is the single sum with sigma = +1, summed over a, with
+over the rest of the summed row.  A factor is an integer pair (numerator,
+denominator); the kernels multiply ints, test a denominator factor's
+numerator for 0, and build one Fraction per term.  The row sums take the
+pair of the bracket f(v, x, off) = [v - x + off]; the double sum is built
+from the same two products and the caller subtracts [sigma(sum a + sum b -
+sum above - sum below) - 1].  A26 is the single sum with sigma = +1, summed over a, with
 b and c as the other rows: its brackets [a_i - v - s] = -[v - a_i + s] come
 in an even number, and its two denominator brackets change sign together.
 
 A21 is I23a in the variables q^(2L).  It runs through the same double sum
-with f(v, x, off) = x - q^(2 off) v: for x = q^(2L) and v = q^(2M) this is
--q^(L+M+off)(q - q^-1)[M - L + off], and the per-term weight q^(1-2s)/(xy)
-absorbs those monomials.
+with f(v, x, off) = x - q^(2 off) v, on the variables' integer pairs and
+unreduced: for x = q^(2L) and v = q^(2M) this is
+-q^(L+M+off)(q - q^-1)[M - L + off], and the per-term weight q^(1-2s)/(xy),
+also a pair, absorbs those monomials.
 
 Two changes to a table row leave every identity true, so no test can tell
 them apart: flipping sigma (the identities are invariant under L -> -L),
@@ -159,30 +163,50 @@ def _as_row(p: int, values) -> list:
 
 
 def _brackets(qv: QValue):
-    """The row-sum factor f(v, x, off) = [v - x + off]."""
-    return lambda v, x, off: qbracket(v - x + off, qv)
+    """The row-sum factor f(v, x, off) = [v - x + off] as an integer pair."""
+    def f(v, x, off):
+        b = qbracket(v - x + off, qv)
+        return b.numerator, b.denominator
+    return f
 
 
-def _num(f, values, x, off: int) -> Fraction:
-    """Product of f(v, x, off) over values."""
-    prod = Fraction(1)
+def _reject_poles(rows, what: str) -> None:
+    """PoleError when two entries of a summed row are equal or differ by 1.
+
+    The denominator factors over a summed row are f(v_i, x, t) and
+    f(v_i, x, t - sigma) with t in {0, sigma}, i.e. the brackets [v_i - x],
+    [v_i - x + 1] and [v_i - x - 1], and q is never a root of unity, so this
+    is exactly when the kernel would meet a vanishing denominator."""
+    for row in rows:
+        ordered = sorted(row)
+        if any(w - v <= 1 for v, w in zip(ordered, ordered[1:])):
+            raise PoleError(f"vanishing denominator: {what}")
+
+
+def _num(f, values, x, off: int) -> tuple[int, int]:
+    """Product of f(v, x, off) over values, as an unreduced integer pair."""
+    n = d = 1
     for v in values:
-        prod *= f(v, x, off)
-    return prod
+        a, b = f(v, x, off)
+        n *= a
+        d *= b
+    return n, d
 
 
-def _den(f, row: list, j: int, t: int, sigma: int, what: str) -> Fraction:
-    """Product of f(v_i, x, t) f(v_i, x, t - sigma) over i != j, x = row[j];
-    PoleError at the first vanishing factor."""
+def _den(f, row: list, j: int, t: int, sigma: int, what: str) -> tuple[int, int]:
+    """Product of f(v_i, x, t) f(v_i, x, t - sigma) over i != j, x = row[j],
+    as an unreduced integer pair; PoleError at the first vanishing factor."""
     x = row[j]
-    prod = Fraction(1)
+    n = d = 1
     for i, v in enumerate(row):
         if i != j:
-            factor = f(v, x, t) * f(v, x, t - sigma)
-            if factor == 0:
+            a1, b1 = f(v, x, t)
+            a2, b2 = f(v, x, t - sigma)
+            if a1 == 0 or a2 == 0:
                 raise PoleError(f"vanishing denominator: {what} at j={j}, i={i}")
-            prod *= factor
-    return prod
+            n *= a1 * a2
+            d *= b1 * b2
+    return n, d
 
 
 def _single_sum(f, row: list, others: list, sigma: int, what: str) -> Fraction:
@@ -190,28 +214,36 @@ def _single_sum(f, row: list, others: list, sigma: int, what: str) -> Fraction:
     for s in (0, 1):
         t = sigma * s
         for j, x in enumerate(row):
-            den = _den(f, row, j, t, sigma, what)
-            total += (-1) ** s * _num(f, others, x, t) / den
+            dn, dd = _den(f, row, j, t, sigma, what)
+            nn, nd = _num(f, others, x, t)
+            total += Fraction((-1) ** s * nn * dd, nd * dn)
     return total
 
 
 def _double_sum(f, D: list, A: list, B: list, C: list, sigma: int,
                 what: str, weight=None) -> Fraction:
-    """The double sum over x in A and y in B, each term times weight(s, x, y)
-    when a weight is given."""
+    """The double sum over x in A and y in B, each term times the integer
+    pair weight(s, x, y) when a weight is given."""
     total = Fraction(0)
     for s in (0, 1):
         t = sigma * s
         den_a = [_den(f, A, j, t, sigma, what) for j in range(len(A))]
         den_b = [_den(f, B, l, t, sigma, what) for l in range(len(B))]
         for j, x in enumerate(A):
-            num_d = _num(f, D, x, t - sigma)
+            # the part of the term that depends on x alone
+            xn, xd = _num(f, D, x, t - sigma)
+            an, ad = den_a[j]
+            xn, xd = (-1) ** s * xn * ad, xd * an
             above = C + A[:j] + A[j + 1:]
             for l, y in enumerate(B):
-                num1 = num_d * _num(f, B[:l] + B[l + 1:], x, t - sigma)
-                num2 = _num(f, above, y, t)
-                term = (-1) ** s * (num1 / den_a[j]) * (num2 / den_b[l])
-                total += term if weight is None else term * weight(s, x, y)
+                n1, d1 = _num(f, B[:l] + B[l + 1:], x, t - sigma)
+                n2, d2 = _num(f, above, y, t)
+                bn, bd = den_b[l]
+                num, den = xn * n1 * n2 * bd, xd * d1 * d2 * bn
+                if weight is not None:
+                    wn, wd = weight(s, x, y)
+                    num, den = num * wn, den * wd
+                total += Fraction(num, den)
     return total
 
 
@@ -223,8 +255,10 @@ def _eval_row_sum(a: Assignment, tag: str, k: int) -> Fraction:
             for name in _ROWS if name != case.unused}
     if case.summed is None:
         D, A, B, C = rows.values()
+        _reject_poles((A, B), tag)
         rhs = qbracket(case.sigma * (sum(A) + sum(B) - sum(C) - sum(D)) - 1, a.qv)
         return _double_sum(f, D, A, B, C, case.sigma, tag) - rhs
+    _reject_poles((rows[case.summed],), tag)
     labels = a.excluded["labels"]
     others = [v for name, vs in rows.items()
               if name not in (case.summed, case.cut) for v in vs]
@@ -237,6 +271,7 @@ def _eval_a26(a: Assignment, n: int) -> Fraction:
     aa, bb, cc = (list(a.arrays[x]) for x in "abc")
     if [len(aa), len(bb), len(cc)] != [n, n - 1, n - 1]:
         raise ValueError("A26 arrays must have lengths n, n-1, n-1")
+    _reject_poles((aa,), "A26")
     return _single_sum(_brackets(a.qv), aa, bb + cc, +1, "A26")
 
 
@@ -285,6 +320,26 @@ def _eval_a46(a: Assignment, side: str) -> Fraction:
     return -t1 - t2 + br(sa - sd)
 
 
+def _a21_factors(q: Fraction):
+    """A21's factor f(v, x, off) = x - q^(2 off) v and per-term weight
+    q^(1 - 2s)/(x y), both on integer pairs and unreduced."""
+    qn, qd = q.numerator, q.denominator
+
+    def q_pow(e: int) -> tuple[int, int]:
+        return (qn ** e, qd ** e) if e >= 0 else (qd ** -e, qn ** -e)
+
+    def f(v, x, off):
+        (vn, vd), (xn, xd) = v, x
+        cn, cd = q_pow(2 * off)
+        return xn * cd * vd - cn * vn * xd, xd * cd * vd
+
+    def weight(s, x, y):
+        cn, cd = q_pow(1 - 2 * s)
+        return cn * x[1] * y[1], cd * x[0] * y[0]
+
+    return f, weight
+
+
 def _eval_a21(a: Assignment, n: int) -> Fraction:
     if a.qv.is_classical:
         raise PoleError("A21 is a multiplicative identity; it needs a rational q")
@@ -294,9 +349,10 @@ def _eval_a21(a: Assignment, n: int) -> Fraction:
         raise ValueError("A21 arrays must have lengths n-1, n, n+1, n-2")
     if any(v == 0 for v in A + B + C + D):
         raise PoleError("A21 variables must be nonzero")
-    total = _double_sum(lambda v, x, off: x - q ** (2 * off) * v,
-                        D, A, B, C, +1, "A21",
-                        weight=lambda s, x, y: q ** (1 - 2 * s) / (x * y))
+    f, weight = _a21_factors(q)
+    pairs = lambda vs: [v.as_integer_ratio() for v in vs]
+    total = _double_sum(f, pairs(D), pairs(A), pairs(B), pairs(C), +1, "A21",
+                        weight=weight)
     return total - (q - 1 / q) * (1 - q * q * math.prod(D + C) / math.prod(A + B))
 
 
@@ -322,7 +378,10 @@ def evaluate_identity(ident: IdentityId, a: Assignment) -> Fraction:
 
 # --- sampling ------------------------------------------------------------
 
-_Q_POOL = (Fraction(3, 2), Fraction(2), Fraction(5, 3), Fraction(7, 4))
+# QValue objects, not rationals: every draw reuses one of these, so a qbracket
+# memo hit finds the key by identity and never runs the dataclass __eq__
+_Q_POOL = tuple(QValue.quantum(q) for q in (Fraction(3, 2), 2, Fraction(5, 3),
+                                            Fraction(7, 4)))
 _RANGE = (-12, 12)
 
 
@@ -340,7 +399,7 @@ def _sample_row(rng: random.Random, length: int, decreasing: bool) -> list[int]:
 
 
 def _sample_raw(ident: IdentityId, rng: random.Random) -> Assignment:
-    qv = QValue.quantum(rng.choice(_Q_POOL))
+    qv = rng.choice(_Q_POOL)
     tag, k = ident.tag, ident.size
     if tag in ("I25", "I26", "I27", "A46L", "A46R"):
         names = {"I25": "abcde", "I26": "ab", "I27": "a",

@@ -112,6 +112,9 @@ class Signature:
         return cls(int(data["m"]), int(data["n"]), tuple(data["values"]))
 
 
+MODES = ("a_infinity", "A_infinity")
+
+
 @dataclass(frozen=True)
 class ModuleParams:
     """Module labels: signature, the two scalar labels, and the q setting."""
@@ -127,7 +130,7 @@ class ModuleParams:
     def __post_init__(self):
         object.__setattr__(self, "xi0", Fraction(self.xi0))
         object.__setattr__(self, "xi1", Fraction(self.xi1))
-        if self.mode not in ("a_infinity", "A_infinity"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         # for q < 0 brackets change sign with parity, and the coefficients,
         # square roots of bracket ratios, no longer satisfy the relations

@@ -92,6 +92,16 @@ class TestConfigHandling:
         assert out == ""
         assert "levle" in err
 
+    def test_unknown_mode_is_usage_error(self, capsys, tmp_path):
+        # basis builds no module, so the config parser must catch it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"signature": "-1:1:2,1,0", "xi0": 2, "mode": "bogus"}
+        ), encoding="utf-8")
+        code, out, err = run(capsys, ["basis", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert "unknown mode 'bogus'" in err
+
     def test_bad_q_is_usage_error(self, capsys):
         for q in ("abc", "1/0", "-2/3", "-3/2"):
             code, out, err = run(capsys, [
@@ -103,6 +113,27 @@ class TestConfigHandling:
             assert err.startswith("error:")
             if q.startswith("-"):
                 assert f"q must be positive for a module (got {q})" in err
+
+    def test_identity_corpus_runs_at_negative_q(self, capsys):
+        # the corpus draws its own q, so the module's q never reaches it
+        argv = ["check", f"--signature={SIG}", "--xi0", "2", "--xi1", "0",
+                "--suite", "identities", "--trials", "3", "--seed", "1"]
+        code, out, err = run(capsys, [*argv, "--q=-2/3"])
+        assert (code, err) == (0, "")
+        assert run(capsys, [*argv, "--q", "3/2"])[:2] == (0, out)
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--suite", "cartan"],
+        ["check", "--suite", "all"],
+        ["matrix", "--generator", "E:1"],
+    ], ids=["cartan", "all", "matrix"])
+    def test_module_at_negative_q_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, [
+            *argv, f"--signature={SIG}", "--xi0", "2", "--xi1", "0",
+            "--q=-2/3", "--level", "3", "--window", "1",
+        ])
+        assert (code, out) == (2, "")
+        assert "q must be positive for a module (got -2/3)" in err
 
     def test_negative_window_is_usage_error(self, capsys):
         code, out, err = run(capsys, [

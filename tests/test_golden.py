@@ -16,7 +16,10 @@ bottom-entry runs (E:-1 and F:-1) were recorded while index -1 had its own
 two-bracket branch beside the ladder kernel, before it was folded into it.
 The boundary run on 0:3:4,2,1,0, whose boundary index k = 2 has a nonzero
 closed form (M_3 != M_2), was recorded while check_boundary_f still built
-that closed form as a second vector and subtracted it.
+that closed form as a second vector and subtracted it.  The ten identity
+runs (seeds 1 to 10) were recorded while the identity kernels still
+multiplied Fractions and found poles by evaluating brackets, before they
+multiplied integer pairs and tested the summed rows first.
 """
 
 import hashlib
@@ -133,5 +136,30 @@ IDS = ["check-all", "matrix-E1", "matrix-Fm3-escaped", "matrix-F1-escaped",
 @pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=IDS)
 def test_stdout_digest(capsys, argv, code, digest):
     assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+IDENTITY_RUN = ["check", "--signature=-1:1:2,1,0", "--xi0", "2", "--xi1", "0",
+                "--suite", "identities", "--trials", "60"]
+
+IDENTITY_SEEDS = {
+    1: "e26119e8142efdc052bcd05288ced26d19368be557af35e308168d4ddf7ba653",
+    2: "cddbf34b2a768398ffd1f96c850f39ec3e6924e978821ccb45d3806e6d5ae749",
+    3: "b061b60b121e86010548feb782c51f07eadab63e28befe72da35071c66ccebab",
+    4: "5957581dbe751554209a81cd67a3ab1840248857eb6fb0edecb35248aa9b777e",
+    5: "571ea1bce0b5a641f9439b28b51095411a5636e17031341cad413d6173a88986",
+    6: "105a9cea8a70e71966cd336c1b65cf70d72a58c0a4002ac1444a8f13c3a1527a",
+    7: "9ebce13a08aceb6bc5af365714f984e37b559d41705ed857f9e119133e1f9a64",
+    8: "74556065a4ba347b329339c3155d0e4ae14636f92f931f72e0ab43c6f7e0689e",
+    9: "3035f94bc60f9315f620d6dbf100c95e3ac87b064f9efef7db59a4add94afc11",
+    10: "fd0402571be143ff37fbd705fcabf5a8eaca0dd00d30c146519c8830bb88ee1e",
+}
+
+
+@pytest.mark.parametrize("seed,digest", sorted(IDENTITY_SEEDS.items()),
+                         ids=[f"identities-seed{n}" for n in sorted(IDENTITY_SEEDS)])
+def test_identity_seed_digest(capsys, seed, digest):
+    assert main([*IDENTITY_RUN, "--seed", str(seed)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

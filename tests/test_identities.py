@@ -1,8 +1,10 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,10 @@ from uhainf.identities import (
     _ROWS,
     _ROW_SUMS,
     _SIZED,
+    _a21_factors,
+    _double_sum,
+    _sample_raw,
+    _single_sum,
     a21_assignment_from_i23a,
     a26_assignment_from_i24a,
     a26_assignment_from_i24c,
@@ -299,6 +305,154 @@ class TestDoubleSumKernel:
         rep = fuzz_identity(IdentityId("A21", n), trials=5, seed=3)
         assert not rep.passed
         assert any("residual" in f for f in rep.failures), rep.to_json()
+
+
+class TestPoleTest:
+    """The row test that rejects a draw before any bracket is evaluated
+    rejects exactly the draws on which the per-factor kernel meets a
+    vanishing denominator, also under the TestRowSumTable mutations."""
+
+    DRAWS = 60
+
+    @staticmethod
+    def _raises_pole(ident, a) -> bool:
+        try:
+            evaluate_identity(ident, a)
+        except PoleError:
+            return True
+        return False
+
+    def _compare(self, monkeypatch, ident, seed):
+        import uhainf.identities as idm
+        rng = random.Random(seed)
+        seen = set()
+        for _ in range(self.DRAWS):
+            a = _sample_raw(ident, rng)
+            with monkeypatch.context() as m:  # the row test alone
+                m.setattr(idm, "_single_sum", lambda *args: Fraction(0))
+                m.setattr(idm, "_double_sum", lambda *args, **kw: Fraction(0))
+                rows = self._raises_pole(ident, a)
+            with monkeypatch.context() as m:  # the kernel alone
+                m.setattr(idm, "_reject_poles", lambda rows, what: None)
+                kernel = self._raises_pole(ident, a)
+            assert rows == kernel, (ident, a.arrays, a.excluded)
+            seen.add(rows)
+        return seen
+
+    @pytest.mark.parametrize("tag", [*_ROW_SUMS, "A26"])
+    def test_rows_reject_exactly_the_kernel_poles(self, monkeypatch, tag):
+        seen = set()
+        for size in range(max(_SIZED[tag], 1), 5):
+            seen |= self._compare(monkeypatch, IdentityId(tag, size), seed=size)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("mutation", ["swap-summed-cut", "other-unused"])
+    @pytest.mark.parametrize("tag", ["I24a", "I24b", "I24c", "I24d"])
+    def test_under_table_mutations(self, monkeypatch, tag, mutation):
+        case = TestRowSumTable._mutations(_ROW_SUMS[tag])[mutation]
+        monkeypatch.setitem(_ROW_SUMS, tag, case)
+        seen = set()
+        for size in range(_SIZED[tag], 5):
+            seen |= self._compare(monkeypatch, IdentityId(tag, size), seed=size)
+        assert seen == {True, False}
+
+
+# Fraction-product references for the integer-pair kernels: the factor fr
+# returns a Fraction and every product and quotient is taken in Fractions.
+
+def _ref_single_sum(fr, row, others, sigma):
+    total = Fraction(0)
+    for s in (0, 1):
+        t = sigma * s
+        for j, x in enumerate(row):
+            num = prod(fr(v, x, t) for v in others)
+            den = prod(fr(v, x, t) * fr(v, x, t - sigma)
+                       for i, v in enumerate(row) if i != j)
+            total += (-1) ** s * num / den
+    return total
+
+
+def _ref_double_sum(fr, D, A, B, C, sigma, weight=None):
+    total = Fraction(0)
+    for s in (0, 1):
+        t = sigma * s
+        for j, x in enumerate(A):
+            rest_a = A[:j] + A[j + 1:]
+            den_a = prod(fr(v, x, t) * fr(v, x, t - sigma) for v in rest_a)
+            for l, y in enumerate(B):
+                rest_b = B[:l] + B[l + 1:]
+                den_b = prod(fr(v, y, t) * fr(v, y, t - sigma) for v in rest_b)
+                num1 = prod(fr(v, x, t - sigma) for v in D + rest_b)
+                num2 = prod(fr(v, y, t) for v in C + rest_a)
+                term = (-1) ** s * num1 / den_a * num2 / den_b
+                total += term if weight is None else term * weight(s, x, y)
+    return total
+
+
+def _pairs(fr):
+    return lambda v, x, off: fr(v, x, off).as_integer_ratio()
+
+
+def _spread_row(rng, length):
+    """Entries 5 apart or more, so no denominator factor vanishes at an
+    offset shift of up to 2."""
+    return rng.sample(range(-40, 41, 5), length)
+
+
+class TestIntegerKernels:
+    """The integer-pair kernels equal the Fraction-product references
+    exactly, on rows and factors chosen so that the value is not zero."""
+
+    @staticmethod
+    def _bracket(qv, shift):
+        from uhainf.qnum import qbracket
+        return lambda v, x, off: qbracket(v - x + off + shift, qv)
+
+    @pytest.mark.parametrize("shift", [0, 1, -2])
+    @pytest.mark.parametrize("sigma", [1, -1])
+    def test_single_sum(self, sigma, shift):
+        rng = random.Random(10 * sigma + shift)
+        for qv in (Q2, Q32, QValue.classical()):
+            for n in range(1, 5):
+                fr = self._bracket(qv, shift)
+                row = _spread_row(rng, n)
+                # with an even count of others up to 2n - 2 some of these
+                # sums vanish identically
+                others = [rng.randint(-12, 12) for _ in range(2 * n - 1)]
+                want = _ref_single_sum(fr, row, others, sigma)
+                assert want != 0, (row, others)
+                assert _single_sum(_pairs(fr), row, others, sigma, "test") == want
+
+    @pytest.mark.parametrize("shift", [0, 1, -2])
+    @pytest.mark.parametrize("sigma", [1, -1])
+    def test_double_sum(self, sigma, shift):
+        rng = random.Random(10 * sigma + shift)
+        for qv in (Q2, Q32, QValue.classical()):
+            for k in range(1, 4):
+                fr = self._bracket(qv, shift)
+                D, C = ([rng.randint(-12, 12) for _ in range(m)]
+                        for m in (k - 1, k + 2))
+                A, B = _spread_row(rng, k), _spread_row(rng, k + 1)
+                want = _ref_double_sum(fr, D, A, B, C, sigma)
+                assert want != 0, (D, A, B, C)
+                assert _double_sum(_pairs(fr), D, A, B, C, sigma, "test") == want
+
+    @pytest.mark.parametrize("q", [Fraction(5, 3), Fraction(-3, 7)])
+    @pytest.mark.parametrize("sigma", [1, -1])
+    def test_a21_factors(self, sigma, q):
+        # A21's factor and weight, at variables off the identity's image
+        f, weight = _a21_factors(q)
+        fr = lambda v, x, off: x - q ** (2 * off) * v
+        fr_weight = lambda s, x, y: q ** (1 - 2 * s) / (x * y)
+        rng = random.Random(sigma)
+        var = lambda: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                               rng.randint(1, 9))
+        for n in range(2, 5):
+            rows = [[var() for _ in range(m)] for m in (n - 2, n - 1, n, n + 1)]
+            want = _ref_double_sum(fr, *rows, sigma, fr_weight)
+            assert want != 0
+            pairs = ([v.as_integer_ratio() for v in vs] for vs in rows)
+            assert _double_sum(f, *pairs, sigma, "test", weight=weight) == want
 
 
 class TestModuleLayout:
