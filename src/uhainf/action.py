@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import prod
+from math import gcd, prod
 from types import MappingProxyType
 from typing import Optional
 
@@ -31,6 +31,7 @@ from .patterns import (
     _movable_against_above,
     _movable_against_below,
     enumerate_basis,
+    module_params,
     row_range,
     shifted_if_valid,
     sign_s,
@@ -45,6 +46,8 @@ __all__ = [
     "apply_to_vector",
     "apply_word",
     "clear_caches",
+    "gauged_image",
+    "kappa",
 ]
 
 
@@ -336,8 +339,75 @@ def apply_word(
     return v
 
 
+# The rational gauge.  Every E/F coefficient is one monomial c·sqrt(k).
+# Each pattern p gets a squarefree kappa_p, 1 at the top pattern; in the
+# basis sqrt(kappa_p)·p an edge p -> p' whose kernel k satisfies
+# kappa_p' = kappa_p·k/g^2, g = gcd(kappa_p, k), has the rational entry c·g.
+# This is the unnormalised Gelfand-Tsetlin basis.  A word then acts by
+# rational matrices, and a relation that vanishes there vanishes on the
+# RadicalSum basis too, as long as every edge it used was consistent.
+
+
+@cache
+def kappa(p: CPattern, params: ModuleParams) -> Optional[int]:
+    """The squarefree gauge factor of p, or None when it has none.
+
+    1 at the top pattern.  Elsewhere it is read along the first target t of
+    the first nonzero E_j on p, whose coefficient has kernel k: kappa_p =
+    kappa_t·k/g^2 with g = gcd(kappa_t, k).  E raises the weight, so the
+    recursion ends at the top pattern.  None when no E_j acts on a pattern
+    other than the top one, or that coefficient is not a monomial.
+    Memoised for the life of the process.
+    """
+    if p.N == 2 and p.rows[0] == p.sig.row(1):
+        return 1
+    # E_j moves row 2j + 2 (j >= 0) or -2j - 1 (j < 0); only rows below p.N
+    # can move, and they are tried bottom row first
+    for row in range(1, p.N):
+        j = row // 2 - 1 if row % 2 == 0 else -(row + 1) // 2
+        terms = apply_generator(GeneratorLabel("E", j), p, params).terms
+        if not terms:
+            continue
+        target, c = next(iter(terms.items()))
+        mono = c.monomial()
+        kt = None if mono is None else kappa(target, params)
+        if kt is None:
+            return None
+        g = gcd(kt, mono[0])
+        return kt * mono[0] // (g * g)
+    return None
+
+
+@cache
+def gauged_image(
+    g: GeneratorLabel, p: CPattern, params: ModuleParams
+) -> Optional[tuple[tuple[CPattern, Fraction], ...]]:
+    """g·p in the rational gauge, as (target, c·d) pairs; None unless every
+    edge is a monomial c·sqrt(k) with kappa_target = kappa_p·k/d^2, where
+    d = gcd(kappa_p, k).
+
+    Read from apply_generator through this module's name, so a patched
+    action reaches it.  Memoised for the life of the process.
+    """
+    kp = kappa(p, params)
+    if kp is None:
+        return None
+    out = []
+    for target, c in apply_generator(g, p, params).terms.items():
+        mono = c.monomial()
+        if mono is None:
+            return None
+        k, r = mono
+        d = gcd(kp, k)
+        if kappa(target, params) != kp * k // (d * d):
+            return None
+        out.append((target, r if d == 1 else r * d))
+    return tuple(out)
+
+
 def clear_caches() -> None:
-    """Empty the four memos: qbracket, _square_decompose, apply_generator
-    and enumerate_basis."""
-    for memo in (qbracket, _square_decompose, apply_generator, enumerate_basis):
+    """Empty the memos: qbracket, _square_decompose, module_params,
+    apply_generator, kappa, gauged_image and enumerate_basis."""
+    for memo in (qbracket, _square_decompose, module_params, apply_generator,
+                 kappa, gauged_image, enumerate_basis):
         memo.cache_clear()

@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .qnum import QValue
-from .patterns import MODES, BasisIndex, ModuleParams, Signature, enumerate_basis
+from .patterns import (MODES, BasisIndex, ModuleParams, Signature, enumerate_basis,
+                       module_params)
 from .action import GeneratorLabel, apply_generator
 from . import relations as rel
 from .identities import CORPUS, fuzz_identity
@@ -50,11 +51,12 @@ class RunConfig:
 
     @property
     def params(self) -> ModuleParams:
-        """The module; built, and so validated, only by the commands and
-        suites that act on one (the identity corpus does not)."""
+        """The module, one shared instance per distinct module (see
+        patterns.module_params); built, and so validated, only by the
+        commands and suites that act on one (the identity corpus does not)."""
         try:
-            return ModuleParams(self.signature, self.xi0, self.xi1, self.qv,
-                                self.mode)
+            return module_params(self.signature, self.xi0, self.xi1, self.qv,
+                                 self.mode)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

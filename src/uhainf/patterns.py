@@ -27,6 +27,7 @@ from .qnum import QValue
 __all__ = [
     "Signature",
     "ModuleParams",
+    "module_params",
     "CPattern",
     "theta",
     "sign_s",
@@ -147,6 +148,19 @@ class ModuleParams:
 
     def __hash__(self) -> int:
         return self._hash
+
+
+@cache
+def module_params(signature: Signature, xi0: Fraction, xi1: Fraction,
+                  qv: QValue, mode: str) -> ModuleParams:
+    """One shared ModuleParams per module, memoised for the life of the
+    process (see ``action.clear_caches``).
+
+    The memos keyed on a module (apply_generator, the gauge) then find an
+    entry made by an earlier command by identity, without comparing the
+    dataclass fields; qbracket does the same with the shared ``qv``.
+    """
+    return ModuleParams(signature, xi0, xi1, qv, mode)
 
 
 class CPattern:

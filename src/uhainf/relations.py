@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .qnum import RadicalSum, qbracket, radical_of
+from .qnum import qbracket, radical_of
 from .patterns import (
     CPattern,
     ModuleParams,
@@ -23,7 +23,7 @@ from .patterns import (
     weight_eigenvalue,
 )
 from .action import (GeneratorLabel, PatternVector, ZeroDenominatorError,
-                     apply_generator, apply_word)
+                     apply_generator, apply_word, gauged_image)
 from .report import CheckReport
 
 __all__ = [
@@ -61,9 +61,58 @@ def _witness_zero_denominator(report: CheckReport, p: Optional[CPattern]):
         report.record(p, None, note=f"zero denominator: {exc}")
 
 
-def _commutator(a: GeneratorLabel, b: GeneratorLabel, p: CPattern,
-                params: ModuleParams) -> PatternVector:
-    return apply_word([a, b], p, params) - apply_word([b, a], p, params)
+# A relation at p is a sum of rational multiples of words applied to p,
+# words given leftmost factor first; the empty word is the identity.
+Terms = Sequence[tuple[Fraction, tuple[GeneratorLabel, ...]]]
+
+
+def _commutator(a: GeneratorLabel, b: GeneratorLabel) -> list:
+    return [(1, (a, b)), (-1, (b, a))]
+
+
+def _record_residual(report: CheckReport, terms: Terms, p: CPattern,
+                     params: ModuleParams, note: str = "") -> None:
+    """Sum the terms on p over RadicalSum coefficients and record the sum
+    as the witness of p if it is nonzero.  Words are applied in the order
+    of the terms, so the first zero denominator raised is always the same.
+    """
+    res = PatternVector()
+    for c, word in terms:
+        res = res + apply_word(word, p, params).scale_rational(c)
+    if not res.is_zero():
+        report.record(p, res, note=note)
+
+
+def _gauge_vanishes(terms: Terms, p: CPattern, params: ModuleParams) -> bool:
+    """Whether the terms sum to zero on p in the rational gauge, with every
+    edge they use kappa-consistent.
+
+    In the gauge a word sends p to sum_p' r_p'·sqrt(kappa_p'/kappa_p)·p'
+    with r_p' rational, and the root depends on p' alone, so an empty
+    rational sum proves the relation at p.  False proves nothing: the
+    caller then records the RadicalSum residual.  A zero denominator is
+    False too, and the residual raises its own.
+    """
+    total: dict[CPattern, Fraction] = {}
+    for c, word in terms:
+        v = {p: c}
+        for g in reversed(word):
+            out: dict[CPattern, Fraction] = {}
+            for p1, c1 in v.items():
+                try:
+                    image = gauged_image(g, p1, params)
+                except ZeroDenominatorError:
+                    return False
+                if image is None:
+                    return False
+                for p2, c2 in image:
+                    cur = out.get(p2)
+                    out[p2] = c1 * c2 if cur is None else cur + c1 * c2
+            v = {p2: c2 for p2, c2 in out.items() if c2}
+        for p2, c2 in v.items():
+            cur = total.get(p2)
+            total[p2] = c2 if cur is None else cur + c2
+    return not any(total.values())
 
 
 def _eigenvalue(d: GeneratorLabel, p: CPattern,
@@ -75,8 +124,8 @@ def _eigenvalue(d: GeneratorLabel, p: CPattern,
     c = terms.get(p)
     if c is None or len(terms) != 1:
         return None
-    kernels = c.terms
-    return kernels.get(1) if len(kernels) == 1 else None
+    mono = c.monomial()
+    return mono[1] if mono is not None and mono[0] == 1 else None
 
 
 def _shifts_by(d: GeneratorLabel, g: GeneratorLabel, p: CPattern,
@@ -110,8 +159,9 @@ def check_cartan(i: int, j: int, basis: Sequence[CPattern],
     generators, the diagonal action on raising/lowering generators, the
     bracket pairing at equal index, and vanishing mixed brackets.  The
     four families whose left factor is diagonal are first tested by
-    eigenvalue shifts (_shifts_by); a word residual is built, and recorded
-    if nonzero, only where that test fails.
+    eigenvalue shifts (_shifts_by), and [e_i, f_j] in the rational gauge
+    (_gauge_vanishes); a word residual is built, and recorded if nonzero,
+    only where that test fails.
     """
     report = CheckReport("cartan", {"i": i, "j": j})
     delta = (1 if i == j else 0) - (1 if i == j + 1 else 0)
@@ -128,11 +178,8 @@ def check_cartan(i: int, j: int, basis: Sequence[CPattern],
         with _witness_zero_denominator(report, p):
             for d, g, shift, note in diagonal:
                 if not _shifts_by(d, g, p, params, shift):
-                    res = _commutator(d, g, p, params) - apply_generator(
-                        g, p, params
-                    ).scale_rational(shift)
-                    if not res.is_zero():
-                        report.record(p, res, note=note)
+                    _record_residual(report, _commutator(d, g) + [(-shift, (g,))],
+                                     p, params, note)
             if i == j:
                 # [e_i, f_i] = bracket of the integer eigenvalue of
                 # h_i - h_{i+1} + (theta(-i) - theta(-i-1)) c
@@ -144,15 +191,13 @@ def check_cartan(i: int, j: int, basis: Sequence[CPattern],
                 if lam.denominator != 1:
                     report.record(p, None, note=f"non-integer bracket argument {lam}")
                     continue
-                res = _commutator(_E(i), _F(i), p, params) - PatternVector.unit(
-                    p
-                ).scale(RadicalSum.from_rational(qbracket(int(lam), params.qv)))
-                if not res.is_zero():
-                    report.record(p, res, note=f"[e_{i},f_{i}] mismatch")
+                terms = _commutator(_E(i), _F(i)) + [
+                    (-qbracket(int(lam), params.qv), ())]
+                note = f"[e_{i},f_{i}] mismatch"
             else:
-                res = _commutator(_E(i), _F(j), p, params)
-                if not res.is_zero():
-                    report.record(p, res, note=f"[e_{i},f_{j}] != 0")
+                terms, note = _commutator(_E(i), _F(j)), f"[e_{i},f_{j}] != 0"
+            if not _gauge_vanishes(terms, p, params):
+                _record_residual(report, terms, p, params, note)
     return report
 
 
@@ -170,27 +215,19 @@ def check_serre(family: str, variant: str, i: int, j: Optional[int],
     if variant == "a":
         if j is None or abs(i - j) == 1:
             raise ValueError("variant a requires j with |i-j| != 1")
-        a, b = mk(i), mk(j)
-
-        def residual(p: CPattern) -> PatternVector:
-            return _commutator(a, b, p, params)
+        terms = _commutator(mk(i), mk(j))
     elif variant in ("b", "c"):
         a, b = (mk(i), mk(i + 1)) if variant == "b" else (mk(i + 1), mk(i))
-        two = RadicalSum.from_rational(qbracket(2, params.qv))
-
-        def residual(p: CPattern) -> PatternVector:
-            return (apply_word([a, a, b], p, params)
-                    - apply_word([a, b, a], p, params).scale(two)
-                    + apply_word([b, a, a], p, params))
+        terms = [(1, (a, a, b)), (-qbracket(2, params.qv), (a, b, a)),
+                 (1, (b, a, a))]
     else:
         raise ValueError(f"unknown variant {variant!r}")
     report = CheckReport(f"serre-{family}{variant}", {"i": i, "j": j})
     for p in basis:
         report.checked += 1
         with _witness_zero_denominator(report, p):
-            res = residual(p)
-            if not res.is_zero():
-                report.record(p, res)
+            if not _gauge_vanishes(terms, p, params):
+                _record_residual(report, terms, p, params)
     return report
 
 

@@ -19,11 +19,11 @@ from uhainf import (
     enumerate_basis,
     highest_weight_pattern,
 )
-from uhainf import qnum
+from uhainf import action, qnum
 from uhainf.action import (ZeroDenominatorError, _Ladder, clear_caches,
                            deletion_diagnostics)
-from uhainf.patterns import (row_range, shift, shifted_if_valid, sign_s,
-                             weight_eigenvalue)
+from uhainf.patterns import (module_params, row_range, shift, shifted_if_valid,
+                             sign_s, weight_eigenvalue)
 
 
 def E(i):
@@ -292,6 +292,16 @@ class TestMemo:
         assert all(m.cache_info().currsize > 0 for m in memos)
         clear_caches()
         assert [m.cache_info().currsize for m in memos] == [0, 0, 0, 0]
+
+    def test_clear_caches_empties_the_gauge_and_module_memos(self, params_mid):
+        hw = highest_weight_pattern(params_mid.signature)
+        module_params(params_mid.signature, params_mid.xi0, params_mid.xi1,
+                      params_mid.qv, params_mid.mode)
+        assert action.gauged_image(F(0), hw, params_mid)
+        memos = (module_params, action.kappa, action.gauged_image)
+        assert all(m.cache_info().currsize > 0 for m in memos)
+        clear_caches()
+        assert [m.cache_info().currsize for m in memos] == [0, 0, 0]
 
     def test_basis_is_one_shared_tuple_until_cleared(self, sig_mid):
         clear_caches()

@@ -13,7 +13,7 @@ from uhainf import (
     enumerate_basis,
 )
 from uhainf.action import clear_caches
-from uhainf.cli import main
+from uhainf.cli import RunConfig, _build_parser, main
 
 SIG = "-1:1:2,1,0"
 BASE = [f"--signature={SIG}", "--xi0", "2", "--xi1", "0", "--q", "3/2"]
@@ -51,6 +51,19 @@ class TestBasis:
 
 
 class TestConfigHandling:
+    def test_commands_share_one_module(self):
+        # memo keys from an earlier command are then found by identity
+        def params(*argv):
+            args = _build_parser().parse_args(["check", *BASE, *argv])
+            return RunConfig.build(args).params
+
+        clear_caches()
+        first = params("--level", "4")
+        assert params("--level", "5", "--window", "2") is first
+        clear_caches()
+        again = params("--level", "4")
+        assert again is not first and again == first
+
     def test_missing_signature(self, capsys):
         code, _, err = run(capsys, ["basis", "--level", "3"])
         assert code == 2

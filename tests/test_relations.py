@@ -3,6 +3,7 @@ import json
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
+from math import isqrt
 
 import pytest
 
@@ -91,17 +92,22 @@ class TestCartan:
         for i, j in ((0, 0), (1, 1), (-1, 0)):
             assert check_cartan(i, j, basis, shifted).passed
 
-    def test_detects_broken_relation(self, params_mid, monkeypatch):
-        # sanity: if the action is perturbed, the checker must notice
-        import uhainf.relations as rel
-        orig = rel.apply_word
+    def test_detects_broken_relation(self, params_mid):
+        # sanity: if the action is perturbed, the checker must notice.  E_0
+        # acts twice over; the words and the rational gauge both read it
+        # through action.apply_generator
+        def doubled_e0(mp):
+            orig = action.apply_generator
 
-        def doubled(word, p, params):
-            return orig(word, p, params).scale_rational(2)
+            def mutated(g, p, params):
+                image = orig(g, p, params)
+                return image.scale_rational(2) if g == _E(0) else image
 
-        monkeypatch.setattr(rel, "apply_word", doubled)
+            mp.setattr(action, "apply_generator", mutated)
+
         basis = enumerate_basis(params_mid.signature, 3)
-        rep = check_cartan(0, 0, basis, params_mid)
+        with _mutated(doubled_e0):
+            rep = check_cartan(0, 0, basis, params_mid)
         assert not rep.passed
 
 
@@ -692,6 +698,115 @@ class TestKillLists:
         basis = enumerate_basis(params_boundary.signature, 4)
         assert any(not apply_generator(_F(2), p, params_boundary).is_zero()
                    for p in basis)
+
+
+# The rational gauge.  check_cartan's [e_i, f_j] and every Serre instance
+# first try relations._gauge_vanishes; only where it cannot prove the
+# relation is the RadicalSum residual built.  The spy counts both outcomes.
+
+@contextmanager
+def _gauge_spy():
+    """{True: proofs, False: fallbacks} of _gauge_vanishes in the block."""
+    counts = {True: 0, False: 0}
+    orig = relations._gauge_vanishes
+
+    def spy(terms, p, params):
+        proved = orig(terms, p, params)
+        counts[proved] += 1
+        return proved
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relations, "_gauge_vanishes", spy)
+        yield counts
+
+
+def _squarefree(k):
+    return k >= 1 and all(k % (d * d) for d in range(2, isqrt(k) + 1))
+
+
+@pytest.fixture
+def params_wide(sig_wide):
+    return ModuleParams(sig_wide, Fraction(3), Fraction(-1),
+                        QValue.quantum(Fraction(7, 4)), "a_infinity")
+
+
+GAUGE_MODULES = [("params_mid", 5), ("params_mid_classical", 5),
+                 ("params_wide", 4)]
+
+
+class TestRationalGauge:
+    @pytest.mark.parametrize("fixture,level", GAUGE_MODULES)
+    def test_kappa_squarefree(self, request, fixture, level):
+        params = request.getfixturevalue(fixture)
+        assert action.kappa(highest_weight_pattern(params.signature),
+                            params) == 1
+        for p in enumerate_basis(params.signature, level):
+            assert _squarefree(action.kappa(p, params)), p
+
+    @pytest.mark.parametrize("fixture,level", GAUGE_MODULES)
+    def test_gauged_entries(self, request, fixture, level):
+        # an entry r of p -> p' is c·sqrt(k)·sqrt(kappa_p/kappa_p'): same
+        # sign as c, and r^2·kappa_p' = c^2·k·kappa_p
+        params = request.getfixturevalue(fixture)
+        kappa = action.kappa
+        for p in enumerate_basis(params.signature, level):
+            for g in [_E(i) for i in WINDOW] + [_F(i) for i in WINDOW]:
+                image = action.gauged_image(g, p, params)
+                entries = apply_generator(g, p, params).terms
+                assert [t for t, _ in image] == list(entries)
+                for target, r in image:
+                    k, c = entries[target].monomial()
+                    assert (r > 0) == (c > 0)
+                    assert (r * r * kappa(target, params)
+                            == c * c * k * kappa(p, params))
+
+    @pytest.mark.parametrize("fixture,level", GAUGE_MODULES)
+    def test_decides_every_word_relation(self, request, fixture, level):
+        params = request.getfixturevalue(fixture)
+        basis = enumerate_basis(params.signature, level)
+        with _gauge_spy() as counts:
+            reports = [check_cartan(i, j, basis, params)
+                       for i in WINDOW for j in WINDOW]
+            for fam in "EF":
+                for i in WINDOW:
+                    reports += [check_serre(fam, "a", i, j, basis, params)
+                                for j in WINDOW if abs(i - j) != 1]
+                    reports += [check_serre(fam, v, i, None, basis, params)
+                                for v in "bc"]
+        assert all(r.passed for r in reports)
+        assert counts == {True: len(reports) * len(basis), False: 0}
+
+    def test_inconsistent_edge_falls_back(self, params_mid):
+        # F_0 scaled by sqrt(2): kappa, read along E alone, is unchanged,
+        # so every F_0 edge breaks kappa_p' = kappa_p·k/g^2
+        root2 = RadicalSum({2: Fraction(1)})
+
+        def f0_times_root2(mp):
+            orig = action.apply_generator
+
+            def mutated(g, p, params):
+                image = orig(g, p, params)
+                return image.scale(root2) if g == _F(0) else image
+
+            mp.setattr(action, "apply_generator", mutated)
+
+        basis = enumerate_basis(params_mid.signature, 4)
+        with _mutated(f0_times_root2), _gauge_spy() as counts:
+            moved = [p for p in basis
+                     if not action.apply_generator(_F(0), p, params_mid).is_zero()]
+            assert moved and all(action.gauged_image(_F(0), p, params_mid) is None
+                                 for p in moved)
+            rep = check_cartan(0, 0, basis, params_mid)
+        assert not rep.passed
+        assert counts[False] >= len(rep.failures) > 0
+
+    @pytest.mark.parametrize("name", ["E+side-o1+1", "F-side-d1-1"])
+    def test_fallback_keeps_the_row(self, params_mid, params_boundary, name):
+        with _gauge_spy() as counts, _mutated(MUTATIONS[name]):
+            runs = _every_suite(params_mid, params_boundary)
+        assert counts[False] > 0 and counts[True] > 0
+        assert _digest([r for _, r in runs]) == KILLS[name][0]
+        assert {suite for suite, r in runs if not r.passed} == KILLS[name][1]
 
 
 # Restrictedness negative control.  No ladder mutation reaches the failure
