@@ -28,6 +28,7 @@ from .qnum import QValue, RadicalSum, _square_decompose, qbracket, radical_of
 from .patterns import (
     CPattern,
     ModuleParams,
+    _canonical,
     _movable_against_above,
     _movable_against_below,
     enumerate_basis,
@@ -48,6 +49,7 @@ __all__ = [
     "clear_caches",
     "gauged_image",
     "kappa",
+    "label",
 ]
 
 
@@ -72,13 +74,24 @@ class GeneratorLabel:
                 raise ValueError("C carries no index")
         elif self.index is None:
             raise ValueError(f"{self.kind} requires an index")
-        object.__setattr__(self, "_hash", hash((self.kind, self.index)))
+        # hash(-1) == hash(-2), so (kind, index) would make E_-1 and E_-2
+        # collide in every memo and compare fields; 2·index is never -1
+        index = None if self.index is None else 2 * self.index
+        object.__setattr__(self, "_hash", hash((self.kind, index)))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __str__(self) -> str:
         return self.kind if self.kind == "C" else f"{self.kind}_{self.index}"
+
+
+@cache
+def label(kind: str, index: Optional[int] = None) -> GeneratorLabel:
+    """The shared GeneratorLabel of (kind, index), so that a memo keyed on a
+    label finds it by identity, without comparing fields.  Memoised for
+    the life of the process."""
+    return GeneratorLabel(kind, index)
 
 
 class PatternVector:
@@ -365,7 +378,7 @@ def kappa(p: CPattern, params: ModuleParams) -> Optional[int]:
     # can move, and they are tried bottom row first
     for row in range(1, p.N):
         j = row // 2 - 1 if row % 2 == 0 else -(row + 1) // 2
-        terms = apply_generator(GeneratorLabel("E", j), p, params).terms
+        terms = apply_generator(label("E", j), p, params).terms
         if not terms:
             continue
         target, c = next(iter(terms.items()))
@@ -405,9 +418,51 @@ def gauged_image(
     return tuple(out)
 
 
+def _eigenvalue(d: GeneratorLabel, p: CPattern,
+                params: ModuleParams) -> Optional[Fraction]:
+    """The rational r with d·p = r·p, or None when d·p has another form."""
+    terms = apply_generator(d, p, params).terms
+    if not terms:
+        return Fraction(0)
+    c = terms.get(p)
+    if c is None or len(terms) != 1:
+        return None
+    mono = c.monomial()
+    return mono[1] if mono is not None and mono[0] == 1 else None
+
+
+@cache
+def _shifts_by(d: GeneratorLabel, g: GeneratorLabel, p: CPattern,
+               params: ModuleParams, delta: int) -> bool:
+    """Whether d acts on p and on every target p' of g·p by rational
+    eigenvalues with d(p') - d(p) = delta.
+
+    Then [d, g]·p - delta·g·p = sum a_p' (d(p') - d(p) - delta)·p' is zero
+    exactly, so True proves the relation at p.  False proves nothing: the
+    caller then builds the word residual.  The eigenvalues are read through
+    apply_generator, as the words read them, and the calls made here are a
+    subset of the words' calls, so a zero denominator is raised in the same
+    check either way.  Memoised for the life of the process, so the Cartan
+    suite decides each diagonal family once per (d, g, p), whatever index
+    pair reports it; a raised zero denominator is not memoised.
+    """
+    image = apply_generator(g, p, params)
+    base = _eigenvalue(d, p, params)
+    if base is None:
+        return False
+    for p2 in image.terms:
+        ev = _eigenvalue(d, p2, params)
+        if ev is None or ev - base != delta:
+            return False
+    return True
+
+
 def clear_caches() -> None:
-    """Empty the memos: qbracket, _square_decompose, module_params,
-    apply_generator, kappa, gauged_image and enumerate_basis."""
-    for memo in (qbracket, _square_decompose, module_params, apply_generator,
-                 kappa, gauged_image, enumerate_basis):
+    """Empty every memo: qbracket, _square_decompose, module_params,
+    enumerate_basis, the canonical patterns and labels, apply_generator,
+    kappa, gauged_image and _shifts_by.  Patterns and labels built after
+    this are new objects."""
+    for memo in (qbracket, _square_decompose, module_params, enumerate_basis,
+                 _canonical, label, apply_generator, kappa, gauged_image,
+                 _shifts_by):
         memo.cache_clear()

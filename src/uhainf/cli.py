@@ -17,7 +17,7 @@ from typing import Optional
 from .qnum import QValue
 from .patterns import (MODES, BasisIndex, ModuleParams, Signature, enumerate_basis,
                        module_params)
-from .action import GeneratorLabel, apply_generator
+from .action import GeneratorLabel, apply_generator, label
 from . import relations as rel
 from .identities import CORPUS, fuzz_identity
 
@@ -148,10 +148,10 @@ def _dump(doc: dict, cfg: RunConfig) -> str:
 
 def _parse_generator(spec: str) -> GeneratorLabel:
     if spec == "C":
-        return GeneratorLabel("C")
+        return label("C")
     try:
         kind, idx = spec.split(":")
-        return GeneratorLabel(kind, int(idx))
+        return label(kind, int(idx))
     except (ValueError, IndexError) as exc:
         raise ConfigError(
             f"bad generator {spec!r}; use C or KIND:INDEX like E:1"

@@ -439,7 +439,7 @@ def _sample_raw(ident: IdentityId, rng: random.Random) -> Assignment:
 
 # Pole rejections allowed per generic point drawn, by
 # random_generic_assignment and (per trial) by fuzz_identity.
-_REJECTION_BUDGET = 200
+_REJECTION_BUDGET = 1000
 
 
 def random_generic_assignment(ident: IdentityId, seed: int) -> Assignment:

@@ -238,6 +238,19 @@ class CPattern:
         return cls(Signature.from_json(data["signature"]), data["rows"])
 
 
+@cache
+def _canonical(p: CPattern) -> CPattern:
+    """The first pattern equal to p that was built, so that the patterns
+    shift and enumerate_basis return are one object per (signature, rows).
+
+    A memo keyed on patterns (apply_generator, kappa, gauged_image) and a
+    PatternVector's terms then find a ladder target by identity, without
+    comparing rows.  Memoised for the life of the process (see
+    ``action.clear_caches``).
+    """
+    return p
+
+
 def _interlaces(below: Sequence[int], above: Sequence[int]) -> bool:
     """Row below interlaces with the row above it: above[t] >= below[t] >=
     above[t+1] at every position t of the row below."""
@@ -261,6 +274,7 @@ def shift(p: CPattern, moves: Sequence[tuple[int, int, int]]) -> CPattern:
     """Apply entry replacements M(i, row) -> M(i, row) + delta, no validation.
 
     Rows at or above the stabilization level are materialized as needed.
+    The result is the canonical pattern of its rows (see _canonical).
     """
     if not moves:
         return p
@@ -268,7 +282,7 @@ def shift(p: CPattern, moves: Sequence[tuple[int, int, int]]) -> CPattern:
     rows = [list(p.row(q)) for q in range(1, top + 1)]
     for i, row, delta in moves:
         rows[row - 1][_position(i, row)] += delta
-    return CPattern(p.sig, rows)
+    return _canonical(CPattern(p.sig, rows))
 
 
 def shifted_if_valid(
@@ -321,8 +335,8 @@ def _movable_against_below(p: CPattern, row: int, delta: int) -> list[int]:
 
 
 def highest_weight_pattern(sig: Signature) -> CPattern:
-    """The pattern with every row equal to the signature."""
-    return CPattern(sig, [sig.row(1)])
+    """The pattern with every row equal to the signature (canonical)."""
+    return _canonical(CPattern(sig, [sig.row(1)]))
 
 
 def _entry_intervals(above: Sequence[int]) -> list[range]:
@@ -343,7 +357,8 @@ def enumerate_basis(sig: Signature, N: int) -> tuple[CPattern, ...]:
     left to right.
 
     Memoised for the life of the process (see ``action.clear_caches``); the
-    tuple is shared by every caller with an equal signature and level.
+    tuple is shared by every caller with an equal signature and level, and
+    holds canonical patterns (see _canonical).
     """
     if N < 2:
         raise ValueError("N must exceed 1")
@@ -354,7 +369,8 @@ def enumerate_basis(sig: Signature, N: int) -> tuple[CPattern, ...]:
         above = upper_rows[-1] if upper_rows else sig.row(N)
         for combo in itertools.product(*_entry_intervals(above)):
             if p == 1:
-                out.append(CPattern(sig, [combo, *reversed(upper_rows)]))
+                rows = [combo, *reversed(upper_rows)]
+                out.append(_canonical(CPattern(sig, rows)))
             else:
                 fill(p - 1, upper_rows + [combo])
 

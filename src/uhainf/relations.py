@@ -23,7 +23,8 @@ from .patterns import (
     weight_eigenvalue,
 )
 from .action import (GeneratorLabel, PatternVector, ZeroDenominatorError,
-                     apply_generator, apply_word, gauged_image)
+                     _eigenvalue, _shifts_by, apply_generator, apply_word,
+                     gauged_image, label)
 from .report import CheckReport
 
 __all__ = [
@@ -38,15 +39,15 @@ __all__ = [
 
 
 def _E(i: int) -> GeneratorLabel:
-    return GeneratorLabel("E", i)
+    return label("E", i)
 
 
 def _F(i: int) -> GeneratorLabel:
-    return GeneratorLabel("F", i)
+    return label("F", i)
 
 
 def _H(i: int) -> GeneratorLabel:
-    return GeneratorLabel("H", i)
+    return label("H", i)
 
 
 _C = GeneratorLabel("C")
@@ -113,42 +114,6 @@ def _gauge_vanishes(terms: Terms, p: CPattern, params: ModuleParams) -> bool:
             cur = total.get(p2)
             total[p2] = c2 if cur is None else cur + c2
     return not any(total.values())
-
-
-def _eigenvalue(d: GeneratorLabel, p: CPattern,
-                params: ModuleParams) -> Optional[Fraction]:
-    """The rational r with d·p = r·p, or None when d·p has another form."""
-    terms = apply_generator(d, p, params).terms
-    if not terms:
-        return Fraction(0)
-    c = terms.get(p)
-    if c is None or len(terms) != 1:
-        return None
-    mono = c.monomial()
-    return mono[1] if mono is not None and mono[0] == 1 else None
-
-
-def _shifts_by(d: GeneratorLabel, g: GeneratorLabel, p: CPattern,
-               params: ModuleParams, delta: int) -> bool:
-    """Whether d acts on p and on every target p' of g·p by rational
-    eigenvalues with d(p') - d(p) = delta.
-
-    Then [d, g]·p - delta·g·p = sum a_p' (d(p') - d(p) - delta)·p' is zero
-    exactly, so True proves the relation at p.  False proves nothing: the
-    caller then builds the word residual.  The eigenvalues are read through
-    apply_generator, as the words read them, and the calls made here are a
-    subset of the words' calls, so a zero denominator is raised in the same
-    check either way.
-    """
-    image = apply_generator(g, p, params)
-    base = _eigenvalue(d, p, params)
-    if base is None:
-        return False
-    for p2 in image.terms:
-        ev = _eigenvalue(d, p2, params)
-        if ev is None or ev - base != delta:
-            return False
-    return True
 
 
 def check_cartan(i: int, j: int, basis: Sequence[CPattern],
@@ -295,7 +260,7 @@ def check_restrictedness(params: ModuleParams, N: int) -> CheckReport:
     )
 
     def nonzero_witness(kind: str, k: int):
-        g = GeneratorLabel(kind, k)
+        g = label(kind, k)
         for p in basis:
             if not apply_generator(g, p, params).is_zero():
                 return p
@@ -305,7 +270,7 @@ def check_restrictedness(params: ModuleParams, N: int) -> CheckReport:
         report.checked += 1
         with _witness_zero_denominator(report, None):
             for kind, (lo, hi) in intervals.items():
-                g = GeneratorLabel(kind, k)
+                g = label(kind, k)
                 if not lo < k < hi:
                     w = nonzero_witness(kind, k)
                     if w is not None:

@@ -19,7 +19,7 @@ from uhainf import (
     enumerate_basis,
     highest_weight_pattern,
 )
-from uhainf import action, qnum
+from uhainf import action, cli, patterns, qnum, relations
 from uhainf.action import (ZeroDenominatorError, _Ladder, clear_caches,
                            deletion_diagnostics)
 from uhainf.patterns import (module_params, row_range, shift, shifted_if_valid,
@@ -282,26 +282,50 @@ class TestMemo:
         w.add_term(hw, ONE)
         assert len(w.terms) == 2 and len(v.terms) == 1
 
-    def test_clear_caches_empties_all_four_memos(self, params_mid):
-        hw = highest_weight_pattern(params_mid.signature)
-        apply_word([E(0), F(0), F(-1)], hw, params_mid)
+    def test_clear_caches_empties_every_memo(self, params_mid):
+        params = module_params(params_mid.signature, params_mid.xi0,
+                               params_mid.xi1, params_mid.qv, params_mid.mode)
+        hw = highest_weight_pattern(params.signature)
+        apply_word([E(0), F(0), F(-1)], hw, params)
         qnum.radical_of(12)
-        enumerate_basis(params_mid.signature, 3)
-        memos = (qnum.qbracket, qnum._square_decompose, apply_generator,
-                 enumerate_basis)
+        assert action.gauged_image(F(0), hw, params)
+        basis = enumerate_basis(params.signature, 3)
+        assert relations.check_cartan(0, 0, basis, params).passed
+        memos = (qnum.qbracket, qnum._square_decompose, module_params,
+                 enumerate_basis, patterns._canonical, action.label,
+                 apply_generator, action.kappa, action.gauged_image,
+                 action._shifts_by)
         assert all(m.cache_info().currsize > 0 for m in memos)
         clear_caches()
-        assert [m.cache_info().currsize for m in memos] == [0, 0, 0, 0]
+        assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
 
-    def test_clear_caches_empties_the_gauge_and_module_memos(self, params_mid):
-        hw = highest_weight_pattern(params_mid.signature)
-        module_params(params_mid.signature, params_mid.xi0, params_mid.xi1,
-                      params_mid.qv, params_mid.mode)
-        assert action.gauged_image(F(0), hw, params_mid)
-        memos = (module_params, action.kappa, action.gauged_image)
-        assert all(m.cache_info().currsize > 0 for m in memos)
+    @pytest.mark.parametrize("fixture", ["params_mid", "params_mid_classical"])
+    def test_memo_hits_are_identity_hits(self, request, fixture):
+        params = request.getfixturevalue(fixture)
         clear_caches()
-        assert [m.cache_info().currsize for m in memos] == [0, 0, 0]
+        basis = enumerate_basis(params.signature, 5)
+        canonical = {p: p for p in basis}
+        targets = 0
+        for p in basis:
+            for g in [relations._E(k) for k in range(-3, 4)] + \
+                     [relations._F(k) for k in range(-3, 4)]:
+                for target in apply_generator(g, p, params).terms:
+                    if target.N <= 5:
+                        assert canonical[target] is target
+                        targets += 1
+        assert targets > len(basis)
+        # the suites' labels, and the CLI's, are one object per (kind, index)
+        assert relations._E(1) is relations._E(1) is action.label("E", 1)
+        assert relations._F(-2) is relations._F(-2)
+        assert relations._H(0) is relations._H(0)
+        assert cli._parse_generator("E:1") is relations._E(1)
+        # and labels that differ hash apart, so a memo never compares them
+        # (hash(-1) == hash(-2) for ints)
+        assert len({hash(g(k)) for g in (E, F, H) for k in range(-3, 4)}) == 21
+        clear_caches()
+        again = enumerate_basis(params.signature, 5)
+        assert again == basis
+        assert not any(a is b for a, b in zip(again, basis))
 
     def test_basis_is_one_shared_tuple_until_cleared(self, sig_mid):
         clear_caches()

@@ -170,6 +170,14 @@ class TestFuzz:
             rep = fuzz_identity(IdentityId(tag, size), trials=3, seed=5)
             assert rep.passed, rep.to_json()
 
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_i23b_k3_within_budget(self, seed):
+        # I23b at k = 3 rejects hundreds of pole draws per trial (992 for
+        # 3 trials at seed 7); a true identity must not run out of budget
+        rep = fuzz_identity(IdentityId("I23b", 3), trials=3, seed=seed)
+        assert rep.passed, rep.to_json()
+        assert rep.checked == 3
+
     def test_reports_deterministic(self):
         r1 = fuzz_identity(IdentityId("I25"), trials=20, seed=99)
         r2 = fuzz_identity(IdentityId("I25"), trials=20, seed=99)
@@ -220,14 +228,15 @@ class TestPinnedReports:
     """sha256 of the canonical JSON of fuzz reports at sizes the CLI never
     runs, recorded from the per-identity evaluators the row-sum table
     replaced, and for A21 from its standalone evaluator before it shared
-    the double-sum kernel.  I23b at k = 3 with seed 7 exhausts the rejection budget
-    (601 poles for 3 trials), so its pin also covers that failure path."""
+    the double-sum kernel.  I23b at k = 3 with seed 7 is pinned from the
+    1000-per-trial rejection budget: it passes after 992 poles for 3 trials
+    (the old budget of 200 ran out at 601, with nothing checked)."""
 
     PINS = [
         ("I23a", 1, 20, "efea6b0db4d327219346de4b6fbcb66c8abff02ca72a68748b7d1f7ca0c5510d"),
         ("I23a", 3, 5, "b24388cab76e6c8a7d44e5a8d5c3bc8295ce072de60f8f6a53d240afb26bcdf1"),
         ("I23b", 1, 20, "0e0930c61cc4ae8bb256c5d50253dd3e6320eee0d0cfadf52192b0eab64184ec"),
-        ("I23b", 3, 3, "1d9775051b6c03986f0dadb42b52392aa3d250048b87e5416bb431cb7d85d802"),
+        ("I23b", 3, 3, "dd0ab47e6931ba17a4651641774cc15abb09e191e797e12d56b519151e8432c9"),
         ("I24b", 1, 20, "2ee3f529f333a7e14fd96686d3609a07ab8bc3a5f8b7479909d7f7f96babdccd"),
         ("I24d", 1, 20, "7a37be8255c19bf9e694d1ea0c42aaf80e9e7072fd5763a9b880f7127d2c7f41"),
         ("I24a", 3, 20, "363c23f8ceaf32c85924e806f732b8cf5994c4051f29ec25f55c486a266135e8"),
