@@ -23,7 +23,6 @@ from .identities import (
     PoleError,
     evaluate_identity,
     fuzz_identity,
-    random_generic_assignment,
 )
 
 _LAZY = {

@@ -278,33 +278,6 @@ def _ladder_action(
     return out
 
 
-def deletion_diagnostics(
-    kind: str, index: int, p: CPattern, params: ModuleParams
-) -> list[tuple[int, int, bool, bool, bool]]:
-    """Per-candidate view of the deletion convention for a ladder generator.
-
-    Returns (j, l, target_valid, numerator_zero, denominator_zero) for every
-    candidate target, evaluating the coefficient factors unconditionally.
-    Used by the verification suite to confirm that skipped targets are
-    exactly the ill-defined ones: valid targets never divide by zero, and
-    invalid targets always have a vanishing numerator or denominator.
-    Unlike _ladder_action it sweeps every (j, l) pair, with no entry
-    filter, so it is an oracle for the filters.  It shares shifted_if_valid
-    and the bracket factors (_Ladder.factors) with the action, so it does
-    not check those.  A product of exact brackets vanishes exactly when one
-    of its factors does.  For index -1 the only candidates are (0, l).
-    """
-    qv = params.qv
-    lad = _Ladder(kind, index, p)
-    out = []
-    for j in lad.slots_a:
-        for l in row_range(lad.row_b):
-            valid = shifted_if_valid(p, lad.moves(j, l)) is not None
-            num_f, den_f = lad.factors(j, l, qv)
-            out.append((j, l, valid, 0 in num_f, 0 in den_f))
-    return out
-
-
 @cache
 def apply_generator(
     g: GeneratorLabel, p: CPattern, params: ModuleParams

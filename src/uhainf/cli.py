@@ -239,9 +239,9 @@ def _run_suite(cfg: RunConfig, suite: str) -> list[rel.CheckReport]:
     if suite in ("restricted", "all"):
         reports.append(rel.check_restrictedness(params, cfg.level))
     if suite in ("boundary", "all"):
+        # k starts at ceil(N/2), so every k meets check_boundary_f's 2k >= N
         for k in range((cfg.level + 1) // 2, max(sig.n, 0) + 2):
-            if 2 * k >= cfg.level:
-                reports.append(rel.check_boundary_f(params, cfg.level, k))
+            reports.append(rel.check_boundary_f(params, cfg.level, k))
     if suite in ("charge", "all"):
         reports.append(rel.check_charge(params, max(abs(sig.m), sig.n) + W))
     if suite in ("identities", "all"):

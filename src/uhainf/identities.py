@@ -56,11 +56,7 @@ __all__ = [
     "Assignment",
     "PoleError",
     "evaluate_identity",
-    "random_generic_assignment",
     "fuzz_identity",
-    "a21_assignment_from_i23a",
-    "a26_assignment_from_i24a",
-    "a26_assignment_from_i24c",
 ]
 
 IDENTITY_TAGS = (
@@ -437,23 +433,8 @@ def _sample_raw(ident: IdentityId, rng: random.Random) -> Assignment:
     raise ValueError(tag)
 
 
-# Pole rejections allowed per generic point drawn, by
-# random_generic_assignment and (per trial) by fuzz_identity.
+# Pole rejections allowed per trial by fuzz_identity.
 _REJECTION_BUDGET = 1000
-
-
-def random_generic_assignment(ident: IdentityId, seed: int) -> Assignment:
-    """Deterministic generic assignment: resample until no pole is hit."""
-    rng = random.Random(seed)
-    for _ in range(_REJECTION_BUDGET):
-        a = _sample_raw(ident, rng)
-        try:
-            evaluate_identity(ident, a)
-        except PoleError:
-            continue
-        return a
-    raise PoleError(
-        f"no generic assignment for {ident} within {_REJECTION_BUDGET} tries")
 
 
 def fuzz_identity(ident: IdentityId, trials: int, seed: int) -> CheckReport:
@@ -486,45 +467,3 @@ def fuzz_identity(ident: IdentityId, trials: int, seed: int) -> CheckReport:
                 "q": str(a.qv.q),
             })
     return report
-
-
-# --- cross-encoding substitutions ----------------------------------------
-
-def a21_assignment_from_i23a(a: Assignment, k: int) -> Assignment:
-    """Push an additive assignment into the multiplicative encoding:
-    each variable becomes q^(2L) over the matching row, with n = 2k."""
-    q = a.qv.q
-    pw = lambda vals: [q ** (2 * v) for v in vals]
-    return Assignment(a.qv, arrays={
-        "A": pw(a.arrays["row_a"]),
-        "B": pw(a.arrays["row_b"]),
-        "C": pw(a.arrays["row_above"]),
-        "D": pw(a.arrays["row_below"]),
-    })
-
-
-def a26_assignment_from_i24a(a: Assignment, k: int) -> Assignment:
-    """Relabel the removed-label identity into the generic n-row form:
-    a over the even row, b over the inner part of the row above, c over the
-    surviving labels of the row below plus the two outer values above."""
-    below = _as_row(2 * k - 1, a.arrays["row_a"])
-    above = _as_row(2 * k + 1, a.arrays["row_above"])
-    labels = a.excluded["labels"]
-    keep = [v for i, v in zip(row_range(2 * k - 1), below) if i not in labels]
-    return Assignment(a.qv, arrays={
-        "a": _as_row(2 * k, a.arrays["row_b"]),
-        "b": above[:-2],
-        "c": keep + above[-2:],
-    })
-
-
-def a26_assignment_from_i24c(a: Assignment, k: int) -> Assignment:
-    """Relabel the other removed-label identity: a over the odd row plus one,
-    b over the row below, c over the surviving labels of the row above."""
-    above = _as_row(2 * k, a.arrays["row_b"])
-    labels = a.excluded["labels"]
-    return Assignment(a.qv, arrays={
-        "a": [v + 1 for v in _as_row(2 * k - 1, a.arrays["row_a"])],
-        "b": _as_row(2 * k - 2, a.arrays["row_below"]),
-        "c": [v for i, v in zip(row_range(2 * k), above) if i not in labels],
-    })

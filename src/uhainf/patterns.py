@@ -205,9 +205,6 @@ class CPattern:
             return self.sig.value(i)
         return self.rows[p - 1][_position(i, p)]
 
-    def l_value(self, i: int, p: int) -> int:
-        return self.entry(i, p) - i
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CPattern)

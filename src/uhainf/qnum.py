@@ -145,7 +145,7 @@ class RadicalSum:
     immutable and hashable.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, Fraction] | Iterable[tuple[int, Fraction]] = ()):
         items = dict(terms)
@@ -155,7 +155,6 @@ class RadicalSum:
             if c == 0:
                 del items[k]
         self._terms = dict(sorted(items.items()))
-        self._hash = hash(tuple(self._terms.items()))
 
     # -- constructors --
 
@@ -233,7 +232,8 @@ class RadicalSum:
         return isinstance(other, RadicalSum) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return self._hash
+        # computed when asked: nothing on the verification path hashes one
+        return hash(tuple(self._terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)

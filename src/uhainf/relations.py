@@ -50,7 +50,8 @@ def _H(i: int) -> GeneratorLabel:
     return label("H", i)
 
 
-_C = GeneratorLabel("C")
+def _C() -> GeneratorLabel:
+    return label("C")
 
 
 @contextmanager
@@ -133,7 +134,7 @@ def check_cartan(i: int, j: int, basis: Sequence[CPattern],
     # (d, g, shift): [d, g] = shift·g with d diagonal.  c is central,
     # diagonal generators commute, and [h_i, e_j] = (delta_ij - delta_i,j+1) e_j
     # with the opposite shift on f_j
-    diagonal = [(_C, g, 0, f"[c,{g}] != 0") for g in (_H(j), _E(j), _F(j))] + [
+    diagonal = [(_C(), g, 0, f"[c,{g}] != 0") for g in (_H(j), _E(j), _F(j))] + [
         (_H(i), _H(j), 0, f"[h_{i},h_{j}] != 0"),
         (_H(i), _E(j), delta, f"[h_{i},e_{j}] mismatch"),
         (_H(i), _F(j), -delta, f"[h_{i},f_{j}] mismatch"),
@@ -288,9 +289,8 @@ def check_restrictedness(params: ModuleParams, N: int) -> CheckReport:
     tight = report.params["tightness"]
     with _witness_zero_denominator(report, None):
         for kind, (lo, hi) in intervals.items():
+            # never empty: for N >= 2 the E interval holds -1, F and H hold 0
             inside = [k for k in indices if lo < k < hi]
-            if not inside:
-                continue
             for side, k in (("low", min(inside)), ("high", max(inside))):
                 w = nonzero_witness(kind, k)
                 tight[f"{kind}:{side}"] = {

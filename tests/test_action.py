@@ -20,8 +20,7 @@ from uhainf import (
     highest_weight_pattern,
 )
 from uhainf import action, cli, patterns, qnum, relations
-from uhainf.action import (ZeroDenominatorError, _Ladder, clear_caches,
-                           deletion_diagnostics)
+from uhainf.action import ZeroDenominatorError, _Ladder, clear_caches
 from uhainf.patterns import (module_params, row_range, shift, shifted_if_valid,
                              sign_s, weight_eigenvalue)
 
@@ -187,6 +186,33 @@ class TestLadder:
         assert apply_word([E(0), F(0)], hw, params_mid_classical).terms[hw] == ONE
 
 
+def deletion_diagnostics(
+    kind: str, index: int, p: CPattern, params: ModuleParams
+) -> list[tuple[int, int, bool, bool, bool]]:
+    """Per-candidate view of the deletion convention for a ladder generator.
+
+    Returns (j, l, target_valid, numerator_zero, denominator_zero) for every
+    candidate target, evaluating the coefficient factors unconditionally.
+    TestDeletionConvention uses it to confirm that skipped targets are
+    exactly the ill-defined ones: valid targets never divide by zero, and
+    invalid targets always have a vanishing numerator or denominator.
+    Unlike _ladder_action it sweeps every (j, l) pair, with no entry
+    filter, so it is an oracle for the filters.  It shares shifted_if_valid
+    and the bracket factors (_Ladder.factors) with the action, so it does
+    not check those.  A product of exact brackets vanishes exactly when one
+    of its factors does.  For index -1 the only candidates are (0, l).
+    """
+    qv = params.qv
+    lad = _Ladder(kind, index, p)
+    out = []
+    for j in lad.slots_a:
+        for l in row_range(lad.row_b):
+            valid = shifted_if_valid(p, lad.moves(j, l)) is not None
+            num_f, den_f = lad.factors(j, l, qv)
+            out.append((j, l, valid, 0 in num_f, 0 in den_f))
+    return out
+
+
 class TestDeletionConvention:
     def test_bidirectional(self, params_mid):
         """Skipped candidates are exactly the ill-defined coefficients:
@@ -340,6 +366,7 @@ class TestMemo:
         assert relations._F(-2) is relations._F(-2)
         assert relations._H(0) is relations._H(0)
         assert cli._parse_generator("E:1") is relations._E(1)
+        assert cli._parse_generator("C") is relations._C() is action.label("C")
         # and labels that differ hash apart, so a memo never compares them
         # (hash(-1) == hash(-2) for ints)
         assert len({hash(g(k)) for g in (E, F, H) for k in range(-3, 4)}) == 21

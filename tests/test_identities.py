@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import random
 import subprocess
@@ -18,24 +19,37 @@ from uhainf import (
     QValue,
     evaluate_identity,
     fuzz_identity,
-    random_generic_assignment,
 )
 from uhainf.identities import (
     IDENTITY_TAGS,
+    _REJECTION_BUDGET,
     _ROWS,
     _ROW_SUMS,
     _SIZED,
     _a21_factors,
+    _as_row,
     _double_sum,
     _sample_raw,
     _single_sum,
-    a21_assignment_from_i23a,
-    a26_assignment_from_i24a,
-    a26_assignment_from_i24c,
 )
+from uhainf.patterns import row_range
 
 Q2 = QValue.quantum(2)
 Q32 = QValue.quantum(Fraction(3, 2))
+
+
+def random_generic_assignment(ident: IdentityId, seed: int) -> Assignment:
+    """Deterministic generic assignment: resample until no pole is hit."""
+    rng = random.Random(seed)
+    for _ in range(_REJECTION_BUDGET):
+        a = _sample_raw(ident, rng)
+        try:
+            evaluate_identity(ident, a)
+        except PoleError:
+            continue
+        return a
+    raise PoleError(
+        f"no generic assignment for {ident} within {_REJECTION_BUDGET} tries")
 
 
 class TestIdentityId:
@@ -189,6 +203,48 @@ class TestFuzz:
         monkeypatch.setattr(idm, "_eval_i27", lambda a: orig(a) + 1)
         rep = fuzz_identity(IdentityId("I27"), trials=3, seed=1)
         assert not rep.passed
+
+
+# --- cross-encoding substitutions ----------------------------------------
+
+def a21_assignment_from_i23a(a: Assignment, k: int) -> Assignment:
+    """Push an additive assignment into the multiplicative encoding:
+    each variable becomes q^(2L) over the matching row, with n = 2k."""
+    q = a.qv.q
+    pw = lambda vals: [q ** (2 * v) for v in vals]
+    return Assignment(a.qv, arrays={
+        "A": pw(a.arrays["row_a"]),
+        "B": pw(a.arrays["row_b"]),
+        "C": pw(a.arrays["row_above"]),
+        "D": pw(a.arrays["row_below"]),
+    })
+
+
+def a26_assignment_from_i24a(a: Assignment, k: int) -> Assignment:
+    """Relabel the removed-label identity into the generic n-row form:
+    a over the even row, b over the inner part of the row above, c over the
+    surviving labels of the row below plus the two outer values above."""
+    below = _as_row(2 * k - 1, a.arrays["row_a"])
+    above = _as_row(2 * k + 1, a.arrays["row_above"])
+    labels = a.excluded["labels"]
+    keep = [v for i, v in zip(row_range(2 * k - 1), below) if i not in labels]
+    return Assignment(a.qv, arrays={
+        "a": _as_row(2 * k, a.arrays["row_b"]),
+        "b": above[:-2],
+        "c": keep + above[-2:],
+    })
+
+
+def a26_assignment_from_i24c(a: Assignment, k: int) -> Assignment:
+    """Relabel the other removed-label identity: a over the odd row plus one,
+    b over the row below, c over the surviving labels of the row above."""
+    above = _as_row(2 * k, a.arrays["row_b"])
+    labels = a.excluded["labels"]
+    return Assignment(a.qv, arrays={
+        "a": [v + 1 for v in _as_row(2 * k - 1, a.arrays["row_a"])],
+        "b": _as_row(2 * k - 2, a.arrays["row_below"]),
+        "c": [v for i, v in zip(row_range(2 * k), above) if i not in labels],
+    })
 
 
 class TestCrossEncodings:
@@ -479,3 +535,15 @@ class TestModuleLayout:
         from uhainf.relations import CheckReport
         from uhainf.report import CheckReport as Moved
         assert uhainf.CheckReport is CheckReport is Moved
+
+    @pytest.mark.parametrize("module", ["qnum", "patterns", "report",
+                                        "identities", "action", "relations",
+                                        "cli"])
+    def test_every_exported_name_resolves(self, module):
+        mod = importlib.import_module(f"uhainf.{module}")
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert not missing, missing
+
+    def test_every_package_name_resolves(self):
+        for name in uhainf._LAZY_HOME:
+            assert getattr(uhainf, name) is not None, name

@@ -186,9 +186,10 @@ class TestCPattern:
 
     def test_l_value(self, sig_mid):
         p = highest_weight_pattern(sig_mid)
-        # L is strictly decreasing along every row of a valid pattern
+        # L(i, p) = M(i, p) - i is strictly decreasing along every row of
+        # a valid pattern
         for row in range(1, 6):
-            ls = [p.l_value(i, row) for i in row_range(row)]
+            ls = [p.entry(i, row) - i for i in row_range(row)]
             assert all(a > b for a, b in zip(ls, ls[1:]))
 
     def test_json_roundtrip(self, sig_mid):

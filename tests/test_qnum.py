@@ -245,6 +245,15 @@ class TestRadicalSum:
         s = RadicalSum({1: Fraction(-3, 4), 6: Fraction(2, 3)})
         assert RadicalSum.from_json(s.to_json()) == s
 
+    def test_equal_sums_hash_equal(self):
+        # the hash reads the canonical terms: kernel order and zero
+        # coefficients do not change it
+        a = RadicalSum({1: Fraction(-3, 4), 6: Fraction(2, 3)})
+        b = RadicalSum([(6, Fraction(4, 6)), (5, Fraction(0)), (1, Fraction(-3, 4))])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert hash(RadicalSum({2: Fraction(0)})) == hash(RadicalSum())
+
     def test_decimal_rendering(self):
         s = RadicalSum({2: Fraction(1)})
         assert s.to_decimal().startswith("1.4142135623730950488")

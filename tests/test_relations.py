@@ -848,3 +848,65 @@ class TestRestrictednessNegativeControl:
         assert len(notes) == 23
         assert notes.count("e_0 escapes V_4 to level 5") == 20
         assert _digest([rep]) == RESTRICTEDNESS_BROKEN_DIGEST
+
+
+# Negative controls for the failure notes that no mutation in KILLS records.
+# Each patches the name the suite reads, relations.apply_generator or
+# relations.weight_eigenvalue, so the action and its memos stay intact.
+
+def _eigenvalue_off_by(mp, index, step):
+    """weight_eigenvalue at index is step more than the row-sum formula."""
+    orig = relations.weight_eigenvalue
+    mp.setattr(relations, "weight_eigenvalue", lambda p, i, params:
+               orig(p, i, params) + (step if i == index else 0))
+
+
+def _acts_as_identity(mp, g):
+    """The generator g sends every pattern to itself."""
+    orig = relations.apply_generator
+    mp.setattr(relations, "apply_generator", lambda g1, p, params:
+               PatternVector.unit(p) if g1 == g else orig(g1, p, params))
+
+
+class TestUnkilledNotes:
+    def test_cartan_non_integer_bracket_argument(self, params_mid):
+        basis = enumerate_basis(params_mid.signature, 4)
+        half = Fraction(1, 2)
+        with _mutated(lambda mp: _eigenvalue_off_by(mp, 0, half)):
+            rep = check_cartan(0, 0, basis, params_mid)
+        want = []
+        for p in basis:
+            lam = (weight_eigenvalue(p, 0, params_mid)
+                   - weight_eigenvalue(p, 1, params_mid)
+                   + (theta(0) - theta(-1)) * (params_mid.xi0 - params_mid.xi1))
+            want.append(f"non-integer bracket argument {lam + half}")
+        assert [f["note"] for f in rep.failures] == want
+
+    def test_hw_e_does_not_annihilate(self, params_mid):
+        with _mutated(lambda mp: _acts_as_identity(mp, _E(1))):
+            rep = check_highest_weight(params_mid, (-2, 2))
+        assert [f["note"] for f in rep.failures] == ["e_1 does not annihilate"]
+
+    def test_hw_row_sum_eigenvalue_mismatch(self, params_mid):
+        with _mutated(lambda mp: _eigenvalue_off_by(mp, 1, 1)):
+            rep = check_highest_weight(params_mid, (-2, 2))
+        assert [f["note"] for f in rep.failures] == [
+            "row-sum eigenvalue mismatch at 1"]
+
+    def test_boundary_f_nonzero_past_n(self, params_mid):
+        # n = 1, so F_2 must vanish on V_4; the closed form is empty there,
+        # so each pattern's identity image is also a closed-form mismatch
+        basis = enumerate_basis(params_mid.signature, 4)
+        with _mutated(lambda mp: _acts_as_identity(mp, _F(2))):
+            rep = check_boundary_f(params_mid, 4, 2)
+        assert [f["note"] for f in rep.failures] == [
+            "f_2 nonzero with k >= n", "general vs closed form mismatch",
+        ] * len(basis)
+
+    def test_charge_partial_sum(self, params_mid):
+        # the series stabilizes at W = 1, so W = 1..3 each see h_0 off by 1
+        with _mutated(lambda mp: _eigenvalue_off_by(mp, 0, 1)):
+            rep = check_charge(params_mid, 3)
+        assert rep.params["eigenvalue"] == "-1"
+        assert [f["note"] for f in rep.failures] == [
+            f"partial sum at W={w} is 0" for w in (1, 2, 3)]
