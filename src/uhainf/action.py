@@ -28,7 +28,9 @@ from .qnum import QValue, RadicalSum, _square_decompose, qbracket, radical_of
 from .patterns import (
     CPattern,
     ModuleParams,
+    Signature,
     _canonical,
+    _fillings,
     _movable_against_above,
     _movable_against_below,
     enumerate_basis,
@@ -432,10 +434,10 @@ def _shifts_by(d: GeneratorLabel, g: GeneratorLabel, p: CPattern,
 
 def clear_caches() -> None:
     """Empty every memo: qbracket, _square_decompose, module_params,
-    enumerate_basis, the canonical patterns and labels, apply_generator,
-    kappa, gauged_image and _shifts_by.  Patterns and labels built after
-    this are new objects."""
-    for memo in (qbracket, _square_decompose, module_params, enumerate_basis,
-                 _canonical, label, apply_generator, kappa, gauged_image,
-                 _shifts_by):
+    Signature.row, enumerate_basis, _fillings, the canonical patterns and
+    labels, apply_generator, kappa, gauged_image and _shifts_by.  Patterns
+    and labels built after this are new objects."""
+    for memo in (qbracket, _square_decompose, module_params, Signature.row,
+                 enumerate_basis, _fillings, _canonical, label,
+                 apply_generator, kappa, gauged_image, _shifts_by):
         memo.cache_clear()

@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .qnum import QValue
-from .patterns import (MODES, BasisIndex, ModuleParams, Signature, enumerate_basis,
-                       module_params)
+from .patterns import (MODES, ModuleParams, Signature, basis_count, basis_rank,
+                       enumerate_basis, module_params)
 from .action import GeneratorLabel, apply_generator, label
 from . import relations as rel
 from .identities import CORPUS, fuzz_identity
@@ -66,6 +66,8 @@ class RunConfig:
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise ConfigError("a config file must hold a JSON object")
         if args.signature is not None:
             raw["signature"] = args.signature
         for key in _FIELD_PARSERS:  # "mode" has no flag, so it reads None
@@ -87,25 +89,33 @@ class RunConfig:
                 )
             except (ValueError, IndexError) as exc:
                 raise ConfigError(f"bad signature {sig_raw!r}: {exc}") from exc
-        else:
+        elif isinstance(sig_raw, dict):
             try:
-                sig = Signature.from_json(sig_raw)
-            except (KeyError, ValueError) as exc:
+                sig = Signature(_integer(sig_raw["m"]), _integer(sig_raw["n"]),
+                                tuple(map(_integer, sig_raw["values"])))
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad signature: {exc}") from exc
+        else:
+            raise ConfigError("bad signature: expected a string or an object, "
+                              f"got {json.dumps(sig_raw)}")
+        fields = {}
+        for key, parse in _FIELD_PARSERS.items():
+            if key in raw:
+                try:
+                    fields[key] = parse(raw[key])
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise ConfigError(f"bad {key}: {exc}") from exc
+        cfg = cls(signature=sig, **fields)
         try:
-            cfg = cls(signature=sig, **{
-                key: parse(raw[key])
-                for key, parse in _FIELD_PARSERS.items() if key in raw
-            })
             cfg.qv  # q = 0, 1 or -1 is a usage error for every command
-            if cfg.level < 2:
-                raise ConfigError("level must exceed 1")
-            if cfg.window < 0:
-                raise ConfigError("window must be nonnegative")
-            if cfg.trials < 1:
-                raise ConfigError("trials must be positive")
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if cfg.level < 2:
+            raise ConfigError("level must exceed 1")
+        if cfg.window < 0:
+            raise ConfigError("window must be nonnegative")
+        if cfg.trials < 1:
+            raise ConfigError("trials must be positive")
         return cfg
 
 
@@ -125,7 +135,17 @@ def _mode(value) -> str:
     return value
 
 
-def _keep(value):
+def _integer(value) -> int:
+    # int() would truncate 4.7, read true as 1 and fail on null with TypeError
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {json.dumps(value)}")
+    return value
+
+
+def _path(value) -> str:
+    # open() would take an integer as a file descriptor
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {json.dumps(value)}")
     return value
 
 
@@ -134,7 +154,8 @@ def _keep(value):
 # these and "signature" is a usage error.
 _FIELD_PARSERS = {
     "q": _q, "xi0": _rational, "xi1": _rational, "mode": _mode,
-    "level": int, "window": int, "trials": int, "seed": int, "out": _keep,
+    "level": _integer, "window": _integer, "trials": _integer,
+    "seed": _integer, "out": _path,
 }
 
 
@@ -176,15 +197,16 @@ def cmd_matrix(cfg: RunConfig, generator: str) -> int:
     params = cfg.params
     basis = enumerate_basis(cfg.signature, cfg.level)
     # targets may leave V_N; number them in the enlarged truncation V_{N+2}
-    index = BasisIndex(cfg.signature, cfg.level + 2)
+    enlarged = cfg.level + 2
+    count = basis_count(cfg.signature, enlarged)
     row_of: dict = {}  # target -> its row, None beyond V_{N+2}
-    by_row = lambda x: index.count if row_of[x] is None else row_of[x]  # None last
+    by_row = lambda x: count if row_of[x] is None else row_of[x]  # None last
     entries = []
     for col, p in enumerate(basis):
         image = apply_generator(g, p, params)
         for p2 in image.terms:
             if p2 not in row_of:
-                row_of[p2] = index.rank(p2)
+                row_of[p2] = basis_rank(cfg.signature, enlarged, p2)
         for p2 in sorted(image.terms, key=by_row):
             c = image.terms[p2]
             entry = {
@@ -202,7 +224,7 @@ def cmd_matrix(cfg: RunConfig, generator: str) -> int:
         "generator": str(g),
         "level": cfg.level,
         "basis_count": len(basis),
-        "enlarged_count": index.count,
+        "enlarged_count": count,
         "entries": entries,
     }
     sys.stdout.write(_dump(doc, cfg))
@@ -251,8 +273,6 @@ def _run_suite(cfg: RunConfig, suite: str) -> list[rel.CheckReport]:
 
 
 def cmd_check(cfg: RunConfig, suite: str) -> int:
-    if suite not in _SUITES:
-        raise ConfigError(f"unknown suite {suite!r}")
     reports = _run_suite(cfg, suite)
     if not reports:
         # zero checks must not count as a pass
@@ -316,13 +336,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             return cmd_matrix(cfg, args.generator)
         if args.command == "check":
             return cmd_check(cfg, args.suite)
-        if args.command == "identities":
-            return cmd_check(cfg, "identities")
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+        return cmd_check(cfg, "identities")  # argparse allows no other command
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

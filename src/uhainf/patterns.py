@@ -37,7 +37,8 @@ __all__ = [
     "shifted_if_valid",
     "highest_weight_pattern",
     "enumerate_basis",
-    "BasisIndex",
+    "basis_count",
+    "basis_rank",
 ]
 
 
@@ -70,8 +71,6 @@ class Signature:
     m: int
     n: int
     values: tuple[int, ...]
-    # row p -> row(p), filled on first use; not part of equality or hashing
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # hashed on every pattern build and every enumerate_basis lookup
     _hash: int = field(init=False, repr=False, compare=False)
 
@@ -98,12 +97,11 @@ class Signature:
             return self.values[-1]
         return self.values[i - self.m]
 
+    @cache
     def row(self, p: int) -> tuple[int, ...]:
-        """Row p of the stabilized region: entries M_i over the row's range."""
-        r = self._rows.get(p)
-        if r is None:
-            r = self._rows[p] = tuple(self.value(i) for i in row_range(p))
-        return r
+        """Row p of the stabilized region: entries M_i over the row's range.
+        Memoised for the life of the process (see ``action.clear_caches``)."""
+        return tuple(self.value(i) for i in row_range(p))
 
     def to_json(self) -> dict:
         return {"m": self.m, "n": self.n, "values": list(self.values)}
@@ -375,51 +373,48 @@ def enumerate_basis(sig: Signature, N: int) -> tuple[CPattern, ...]:
     return tuple(out)
 
 
-class BasisIndex:
-    """Positions in enumerate_basis(sig, M), found by counting, not listing.
+@cache
+def _fillings(p: int, above: tuple[int, ...]) -> tuple[dict, int]:
+    """Given row p + 1: ({row p: fillings of rows p..1 listed before it},
+    total fillings of rows p..1).
 
-    For row p + 1 fixed, the fillings of rows p..1 are counted once and
-    memoised on (p, row p + 1) in this object.  Since the basis order is
-    lexicographic on rows M-1..1, a pattern's position is the sum over rows
-    of the fillings that precede its row p under its own row p + 1.
+    Depends on the row above only, not on the signature, so every module
+    and level shares one table.  Memoised for the life of the process (see
+    ``action.clear_caches``).
     """
+    offsets: dict[tuple[int, ...], int] = {}
+    total = 0
+    for row in itertools.product(*_entry_intervals(above)):
+        offsets[row] = total
+        total += _fillings(p - 1, row)[1] if p > 1 else 1
+    return offsets, total
 
-    def __init__(self, sig: Signature, M: int):
-        if M < 2:
-            raise ValueError("M must exceed 1")
-        self.sig = sig
-        self.M = M
-        self._tables: dict[tuple[int, tuple[int, ...]], tuple[dict, int]] = {}
-        self.count = self._table(M - 1, sig.row(M))[1]
 
-    def _table(self, p: int, above: tuple[int, ...]) -> tuple[dict, int]:
-        """Given row p + 1: ({row p: fillings of rows p..1 listed before
-        it}, total fillings of rows p..1)."""
-        key = (p, above)
-        table = self._tables.get(key)
-        if table is None:
-            offsets: dict[tuple[int, ...], int] = {}
-            total = 0
-            for row in itertools.product(*_entry_intervals(above)):
-                offsets[row] = total
-                total += self._table(p - 1, row)[1] if p > 1 else 1
-            table = self._tables[key] = (offsets, total)
-        return table
+def basis_count(sig: Signature, M: int) -> int:
+    """len(enumerate_basis(sig, M)), found by counting, not listing."""
+    if M < 2:
+        raise ValueError("M must exceed 1")
+    return _fillings(M - 1, sig.row(M))[1]
 
-    def rank(self, x: CPattern) -> Optional[int]:
-        """x's position in enumerate_basis(sig, M); None when x.N > M.
 
-        x is assumed to be a valid pattern over sig.
-        """
-        if x.N > self.M:
-            return None
-        r = 0
-        above = self.sig.row(self.M)
-        for p in range(self.M - 1, 0, -1):
-            row = x.row(p)
-            r += self._table(p, above)[0][row]
-            above = row
-        return r
+def basis_rank(sig: Signature, M: int, x: CPattern) -> Optional[int]:
+    """x's position in enumerate_basis(sig, M); None when x.N > M.
+
+    x is assumed to be a valid pattern over sig.  Since the basis order is
+    lexicographic on rows M-1..1, the position is the sum over rows of the
+    fillings that precede x's row p under its own row p + 1.
+    """
+    if M < 2:
+        raise ValueError("M must exceed 1")
+    if x.N > M:
+        return None
+    r = 0
+    above = sig.row(M)
+    for p in range(M - 1, 0, -1):
+        row = x.row(p)
+        r += _fillings(p, above)[0][row]
+        above = row
+    return r
 
 
 def _row_sum(p: CPattern, row: int) -> int:

@@ -338,10 +338,11 @@ class TestMemo:
         assert action.gauged_image(F(0), hw, params)
         basis = enumerate_basis(params.signature, 3)
         assert relations.check_cartan(0, 0, basis, params).passed
+        assert patterns.basis_count(params.signature, 4) == 20
         memos = (qnum.qbracket, qnum._square_decompose, module_params,
-                 enumerate_basis, patterns._canonical, action.label,
-                 apply_generator, action.kappa, action.gauged_image,
-                 action._shifts_by)
+                 Signature.row, enumerate_basis, patterns._fillings,
+                 patterns._canonical, action.label, apply_generator,
+                 action.kappa, action.gauged_image, action._shifts_by)
         assert all(m.cache_info().currsize > 0 for m in memos)
         clear_caches()
         assert [m.cache_info().currsize for m in memos] == [0] * len(memos)

@@ -12,6 +12,7 @@ from uhainf import (
     apply_generator,
     enumerate_basis,
 )
+from uhainf import patterns
 from uhainf.action import clear_caches
 from uhainf.cli import RunConfig, _build_parser, main
 
@@ -114,6 +115,24 @@ class TestConfigHandling:
         code, out, err = run(capsys, ["basis", "--config", str(cfg)])
         assert (code, out) == (2, "")
         assert "unknown mode 'bogus'" in err
+
+    @pytest.mark.parametrize("config", [
+        {"signature": 5},
+        {"signature": ["-1:1:2,1,0"]},
+        {"signature": {"m": -1, "n": 1, "values": 5}},
+        {"signature": {"m": -1, "n": 1, "values": [2.9, 1, 0]}},
+        [1, 2],
+        {"signature": SIG, "level": None},
+        {"signature": SIG, "level": [3]},
+        {"signature": SIG, "level": 4.7},
+        {"signature": SIG, "out": 5},
+    ])
+    def test_malformed_config_is_usage_error(self, capsys, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        code, out, err = run(capsys, ["basis", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
     def test_bad_q_is_usage_error(self, capsys):
         for q in ("abc", "1/0", "-2/3", "-3/2"):
@@ -260,6 +279,17 @@ class TestMatrix:
         info = enumerate_basis.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 19)
         assert len(json.loads(alone[0][1])["entries"]) > 0
+
+    def test_commands_share_one_rank_table(self, capsys):
+        """The fillings that number targets in V_{N+2} depend on rows only,
+        so a second matrix command finds every table the first one built."""
+        clear_caches()
+        first = run(capsys, ["matrix", *BASE, "--level", "7", "--generator", "E:1"])
+        misses = patterns._fillings.cache_info().misses
+        assert first[0] == 0 and misses > 0
+        second = run(capsys, ["matrix", *BASE, "--level", "7", "--generator", "F:-2"])
+        assert second[0] == 0
+        assert patterns._fillings.cache_info().misses == misses
 
 
 class TestCheck:

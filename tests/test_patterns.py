@@ -14,9 +14,10 @@ from uhainf import (
     highest_weight_pattern,
 )
 from uhainf.patterns import (
-    BasisIndex,
     _movable_against_above,
     _movable_against_below,
+    basis_count,
+    basis_rank,
     row_range,
     shift,
     shifted_if_valid,
@@ -279,21 +280,21 @@ class TestBasisIndex:
     def test_count_and_rank_match_enumeration(self, sig_args, M):
         sig = Signature(*sig_args)
         basis = enumerate_basis(sig, M)
-        index = BasisIndex(sig, M)
-        assert index.count == len(basis)
-        assert [index.rank(p) for p in basis] == list(range(len(basis)))
+        assert basis_count(sig, M) == len(basis)
+        assert [basis_rank(sig, M, p) for p in basis] == list(range(len(basis)))
 
     @pytest.mark.parametrize("sig_args,M", RANKED)
     def test_rank_is_none_above_level(self, sig_args, M):
         sig = Signature(*sig_args)
-        index = BasisIndex(sig, M)
         higher = [p for p in enumerate_basis(sig, M + 2) if p.N > M]
-        assert all(index.rank(p) is None for p in higher)
+        assert all(basis_rank(sig, M, p) is None for p in higher)
         assert higher or sig_args == (0, 0, (0,))  # V_N of 0:0:0 is one pattern
 
     def test_rejects_level_below_two(self, sig_mid):
         with pytest.raises(ValueError):
-            BasisIndex(sig_mid, 1)
+            basis_count(sig_mid, 1)
+        with pytest.raises(ValueError):
+            basis_rank(sig_mid, 1, highest_weight_pattern(sig_mid))
 
 
 class TestShift:
