@@ -9,6 +9,9 @@ is done before any arithmetic and before any pattern is built: each row's
 entries are first filtered to those that can move at all, then every
 surviving pair is checked in full on integers, and only a pair that passes
 becomes a target pattern.
+All of that reads only four rows of the pattern, the window around the two
+rows that move, so it is solved once per window (_ladder_window) and each
+pattern only builds its targets from the solution.
 One kernel (_Ladder) serves every index.  For index -1 the lower row of the
 pair is the empty row 0, so only the bottom entry moves and every factor
 read from row 0 or the row below it is an empty product.  Diagonal
@@ -31,12 +34,13 @@ from .patterns import (
     Signature,
     _canonical,
     _fillings,
+    _interlaced_after,
     _movable_against_above,
     _movable_against_below,
     enumerate_basis,
     module_params,
     row_range,
-    shifted_if_valid,
+    shift,
     sign_s,
     weight_eigenvalue,
 )
@@ -184,16 +188,28 @@ _CASES = {
 }
 
 
-def _l_row(p: CPattern, row: int) -> dict[int, int]:
-    """{i: L(i, row)} across a row, read from the row in one pass; empty for
-    rows 0 and -1, which index -1 reads as empty products."""
-    if row < 1:
-        return {}
-    return {i: x - i for i, x in zip(row_range(row), p.row(row))}
+def _ladder_rows(index: int) -> tuple[int, int]:
+    """(row_a, nu) of E_index and F_index: the lower of the two rows that
+    move, and the parity that sign_s reads."""
+    return (2 * index + 1, 0) if index >= 0 else (-2 * index - 2, 1)
+
+
+def _window(p: CPattern, index: int) -> tuple[tuple[int, ...], ...]:
+    """The rows row_a - 1 .. row_a + 2 of p, the only rows that E_index and
+    F_index read; rows 0 and -1 are empty."""
+    row_a = _ladder_rows(index)[0]
+    return tuple(p.row(q) if q >= 1 else () for q in range(row_a - 1, row_a + 3))
+
+
+def _l_row(row: tuple[int, ...]) -> dict[int, int]:
+    """{i: L(i, row)} across a row, read from its entries in one pass; empty
+    for rows 0 and -1, which index -1 reads as empty products."""
+    return {i: x - i for i, x in zip(row_range(len(row)), row)}
 
 
 class _Ladder:
-    """The rows and L-values that E_index or F_index reads from p.
+    """The rows and L-values that E_index or F_index reads from a window,
+    the rows row_a - 1 .. row_b + 1 of a pattern (see _window).
 
     A candidate (j, l) moves (j, row_a) and (l, row_b) by delta, where
     row_b = row_a + 1; its coefficient is a signed square root of a ratio
@@ -202,23 +218,26 @@ class _Ladder:
     moves nothing and reads nothing, and the sign -sign_s(0, 0, 1) is +1.
     """
 
-    def __init__(self, kind: str, index: int, p: CPattern):
-        if index >= 0:
-            self.row_a, self.nu = 2 * index + 1, 0
-        else:
-            self.row_a, self.nu = -2 * index - 2, 1
+    def __init__(self, kind: str, index: int,
+                 window: tuple[tuple[int, ...], ...]):
+        self.row_a, self.nu = _ladder_rows(index)
         self.row_b = self.row_a + 1
-        below, above = self.row_a - 1, self.row_b + 1
+        self.window = window
         self.o1, self.d1, self.o2, self.d2, self.delta = _CASES[(kind, index < 0)]
-        self.la = _l_row(p, self.row_a)
-        self.lb = _l_row(p, self.row_b)
-        self.lbelow = list(_l_row(p, below).values())
-        self.labove = list(_l_row(p, above).values())
+        below, ra, rb, above = window
+        self.la = _l_row(ra)
+        self.lb = _l_row(rb)
+        self.lbelow = list(_l_row(below).values())
+        self.labove = list(_l_row(above).values())
         self.slots_a = row_range(self.row_a) or range(1)
 
-    def moves(self, j: int, l: int) -> list[tuple[int, int, int]]:
+    def row(self, q: int) -> tuple[int, ...]:
+        """Row q of the window's pattern, for row_a - 1 <= q <= row_b + 1."""
+        return self.window[q - self.row_a + 1]
+
+    def moves(self, j: int, l: int) -> tuple[tuple[int, int, int], ...]:
         move_b = (l, self.row_b, self.delta)
-        return [(j, self.row_a, self.delta), move_b] if self.la else [move_b]
+        return ((j, self.row_a, self.delta), move_b) if self.la else (move_b,)
 
     def factors(
         self, j: int, l: int, qv: QValue
@@ -236,30 +255,43 @@ class _Ladder:
         return num, den
 
 
-def _ladder_action(
-    kind: str, index: int, p: CPattern, params: ModuleParams
-) -> PatternVector:
-    """E_index or F_index on one pattern: filter, then check, then build.
+@cache
+def _ladder_window(
+    kind: str, index: int, window: tuple[tuple[int, ...], ...], qv: QValue
+) -> tuple[tuple[int, int, tuple, Optional[RadicalSum]], ...]:
+    """E_index or F_index on every pattern with this window: filter, then
+    check, then solve.
 
-    A candidate target moves (j, row_a) and (l, row_b = row_a + 1) by the
-    same delta.  Entries are filtered before they are paired: j must keep
-    the row below row_a interlaced (a condition free of l), and l must stay
+    Returns (j, l, moves, coefficient) for each candidate whose target
+    interlaces and whose coefficient is nonzero, in (j, l) order.  A
+    candidate whose denominator vanishes ends the tuple with coefficient
+    None, a marker that the caller raises on: an exception is not memoised
+    and could not name the caller's pattern.
+
+    A candidate moves (j, row_a) and (l, row_b = row_a + 1) by the same
+    delta.  Entries are filtered before they are paired: j must keep the
+    row below row_a interlaced (a condition free of l), and l must stay
     between its neighbors in the row above row_b, which does not move.  The
     filter is only a necessary condition, so each surviving pair still goes
-    through shifted_if_valid, which checks every touched constraint on
-    integers and builds the target pattern only if all of them hold.
-    The brackets are multiplied as integer numerators and denominators, and
-    a coefficient builds one Fraction, in lowest terms, for radical_of.
+    through the interlacing check of every touched row.  The brackets are
+    multiplied as integer numerators and denominators, and a coefficient
+    builds one Fraction, in lowest terms, for radical_of.
+
+    The window holds every row these steps read, and no pattern, so every
+    pattern with the same four rows shares one entry.  _CASES and sign_s
+    are read here, at call time, so a patch of either reaches the kernel
+    once clear_caches() has emptied it.  Memoised for the life of the
+    process.
     """
-    qv = params.qv
-    out = PatternVector()
-    lad = _Ladder(kind, index, p)
-    ls = _movable_against_above(p, lad.row_b, lad.delta)
-    js = _movable_against_below(p, lad.row_a, lad.delta) if lad.la else lad.slots_a
+    lad = _Ladder(kind, index, window)
+    below, ra, rb, above = window
+    ls = _movable_against_above(rb, above, lad.delta)
+    js = _movable_against_below(ra, below, lad.delta) if lad.la else lad.slots_a
+    out = []
     for j in js:
         for l in ls:
-            target = shifted_if_valid(p, lad.moves(j, l))
-            if target is None:
+            moves = lad.moves(j, l)
+            if not _interlaced_after(lad.row, moves):
                 continue
             num_f, den_f = lad.factors(j, l, qv)
             # num/den = (a/b) / (c/d) = (a*d) / (b*c); b and d are positive
@@ -268,15 +300,33 @@ def _ladder_action(
                 continue
             c = prod(f.numerator for f in den_f)
             if not c:
-                raise ZeroDenominatorError(
-                    f"{kind}_{index}: zero denominator on valid target "
-                    f"(j={j}, l={l}) of {p!r}"
-                )
+                out.append((j, l, moves, None))
+                return tuple(out)
             b = prod(f.denominator for f in num_f)
             d = prod(f.denominator for f in den_f)
             coeff = radical_of(Fraction(abs(a * d), abs(b * c))).scale(
                 -sign_s(j, l, lad.nu))
-            out.add_term(target, coeff)
+            out.append((j, l, moves, coeff))
+    return tuple(out)
+
+
+def _ladder_action(
+    kind: str, index: int, p: CPattern, params: ModuleParams
+) -> PatternVector:
+    """E_index or F_index on one pattern: the window is solved once, by
+    _ladder_window, and each pattern only builds its targets.
+
+    A zero denominator is raised here, on every call, naming p.
+    """
+    out = PatternVector()
+    for j, l, moves, coeff in _ladder_window(kind, index, _window(p, index),
+                                             params.qv):
+        if coeff is None:
+            raise ZeroDenominatorError(
+                f"{kind}_{index}: zero denominator on valid target "
+                f"(j={j}, l={l}) of {p!r}"
+            )
+        out.add_term(shift(p, moves), coeff)
     return out
 
 
@@ -433,11 +483,13 @@ def _shifts_by(d: GeneratorLabel, g: GeneratorLabel, p: CPattern,
 
 
 def clear_caches() -> None:
-    """Empty every memo: qbracket, _square_decompose, module_params,
-    Signature.row, enumerate_basis, _fillings, the canonical patterns and
-    labels, apply_generator, kappa, gauged_image and _shifts_by.  Patterns
-    and labels built after this are new objects."""
+    """Empty every memo, 13 in all: qbracket, _square_decompose,
+    module_params, Signature.row, enumerate_basis, _fillings, the canonical
+    patterns and labels, the ladder windows, apply_generator, kappa,
+    gauged_image and _shifts_by.  Patterns and labels built after this are
+    new objects, and a patched _CASES or sign_s reaches every window."""
     for memo in (qbracket, _square_decompose, module_params, Signature.row,
                  enumerate_basis, _fillings, _canonical, label,
-                 apply_generator, kappa, gauged_image, _shifts_by):
+                 _ladder_window, apply_generator, kappa, gauged_image,
+                 _shifts_by):
         memo.cache_clear()

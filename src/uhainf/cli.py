@@ -91,8 +91,7 @@ class RunConfig:
                 raise ConfigError(f"bad signature {sig_raw!r}: {exc}") from exc
         elif isinstance(sig_raw, dict):
             try:
-                sig = Signature(_integer(sig_raw["m"]), _integer(sig_raw["n"]),
-                                tuple(map(_integer, sig_raw["values"])))
+                sig = Signature.from_json(sig_raw)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad signature: {exc}") from exc
         else:

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .qnum import QValue
 
@@ -61,6 +61,14 @@ def row_range(p: int) -> range:
     return range(-(p // 2), (p + 1) // 2)
 
 
+def _integer(value) -> int:
+    """value itself when it is an int; ValueError for anything else, a bool
+    included, so that a float or true read from JSON is not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Signature:
     """Nonincreasing boundary sequence with constant tails outside [m, n].
@@ -75,7 +83,9 @@ class Signature:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        _integer(self.m)
+        _integer(self.n)
+        object.__setattr__(self, "values", tuple(map(_integer, self.values)))
         if self.m > self.n:
             raise ValueError("window requires m <= n")
         if len(self.values) != self.n - self.m + 1:
@@ -108,7 +118,7 @@ class Signature:
 
     @classmethod
     def from_json(cls, data: dict) -> "Signature":
-        return cls(int(data["m"]), int(data["n"]), tuple(data["values"]))
+        return cls(data["m"], data["n"], tuple(data["values"]))
 
 
 MODES = ("a_infinity", "A_infinity")
@@ -230,7 +240,8 @@ class CPattern:
 
     @classmethod
     def from_json(cls, data: dict) -> "CPattern":
-        return cls(Signature.from_json(data["signature"]), data["rows"])
+        rows = [tuple(map(_integer, r)) for r in data["rows"]]
+        return cls(Signature.from_json(data["signature"]), rows)
 
 
 @cache
@@ -280,51 +291,64 @@ def shift(p: CPattern, moves: Sequence[tuple[int, int, int]]) -> CPattern:
     return _canonical(CPattern(p.sig, rows))
 
 
-def shifted_if_valid(
-    p: CPattern, moves: Sequence[tuple[int, int, int]]
-) -> Optional[CPattern]:
-    """Shift p if the result still interlaces; None if it does not.
+def _interlaced_after(
+    row_of: Callable[[int], Sequence[int]],
+    moves: Sequence[tuple[int, int, int]],
+) -> bool:
+    """Whether the moves keep a valid pattern, read through row_of, valid.
 
-    Checks first, builds after: only the rows a move touches are copied and
-    shifted, each is checked against the row above it and, above row 1,
-    against the row below it (both as moved), and shift builds the pattern
-    only when every check passes.  Assumes p itself is valid, so no other
-    pair of rows can fail.  An out-of-range move raises IndexError, as in
-    shift.
+    Only the rows a move touches are copied and shifted; each is checked
+    against the row above it and, above row 1, against the row below it
+    (both as moved).  No other pair of rows can fail.  An out-of-range
+    move raises IndexError, as in shift.
     """
     moved: dict[int, list[int]] = {}
     for i, row, delta in moves:
         pos = _position(i, row)
         if row not in moved:
-            moved[row] = list(p.row(row))
+            moved[row] = list(row_of(row))
         moved[row][pos] += delta
 
-    def row_of(q: int) -> Sequence[int]:
-        return moved[q] if q in moved else p.row(q)
+    def moved_row(q: int) -> Sequence[int]:
+        return moved[q] if q in moved else row_of(q)
 
     for row, r in moved.items():
-        if not _interlaces(r, row_of(row + 1)):
-            return None
-        if row > 1 and not _interlaces(row_of(row - 1), r):
-            return None
-    return shift(p, moves)
+        if not _interlaces(r, moved_row(row + 1)):
+            return False
+        if row > 1 and not _interlaces(moved_row(row - 1), r):
+            return False
+    return True
 
 
-def _movable_against_above(p: CPattern, row: int, delta: int) -> list[int]:
+def shifted_if_valid(
+    p: CPattern, moves: Sequence[tuple[int, int, int]]
+) -> Optional[CPattern]:
+    """Shift p if the result still interlaces; None if it does not.
+
+    Checks first (_interlaced_after), builds after: shift builds the
+    pattern only when every check passes.  Assumes p itself is valid.
+    """
+    return shift(p, moves) if _interlaced_after(p.row, moves) else None
+
+
+def _movable_against_above(
+    row: Sequence[int], above: Sequence[int], delta: int
+) -> list[int]:
     """Indices i of row whose entry, moved alone by delta, still lies between
-    its neighbors in row + 1.  A necessary condition for any set of moves
-    that shifts (i, row) by delta and leaves row + 1 alone."""
-    above = p.row(row + 1)
-    return [i for t, (i, x) in enumerate(zip(row_range(row), p.row(row)))
+    its neighbors in the row above.  A necessary condition for any set of
+    moves that shifts (i, row) by delta and leaves the row above alone."""
+    return [i for t, (i, x) in enumerate(zip(row_range(len(row)), row))
             if above[t] >= x + delta >= above[t + 1]]
 
 
-def _movable_against_below(p: CPattern, row: int, delta: int) -> list[int]:
-    """Indices i of row whose move by delta keeps row - 1 interlaced under
-    it.  A necessary condition for any set of moves that shifts (i, row) by
-    delta and leaves the rest of row and row - 1 alone."""
-    below = p.row(row - 1) if row > 1 else ()
-    return [i for t, (i, x) in enumerate(zip(row_range(row), p.row(row)))
+def _movable_against_below(
+    row: Sequence[int], below: Sequence[int], delta: int
+) -> list[int]:
+    """Indices i of row whose move by delta keeps the row below interlaced
+    under it (row 0, under row 1, is empty).  A necessary condition for any
+    set of moves that shifts (i, row) by delta and leaves the rest of row
+    and the row below alone."""
+    return [i for t, (i, x) in enumerate(zip(row_range(len(row)), row))
             if (t == len(below) or below[t] <= x + delta)
             and (t == 0 or x + delta <= below[t - 1])]
 

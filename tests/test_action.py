@@ -20,7 +20,7 @@ from uhainf import (
     highest_weight_pattern,
 )
 from uhainf import action, cli, patterns, qnum, relations
-from uhainf.action import ZeroDenominatorError, _Ladder, clear_caches
+from uhainf.action import ZeroDenominatorError, _Ladder, _window, clear_caches
 from uhainf.patterns import (module_params, row_range, shift, shifted_if_valid,
                              sign_s, weight_eigenvalue)
 
@@ -203,7 +203,7 @@ def deletion_diagnostics(
     of its factors does.  For index -1 the only candidates are (0, l).
     """
     qv = params.qv
-    lad = _Ladder(kind, index, p)
+    lad = _Ladder(kind, index, _window(p, index))
     out = []
     for j in lad.slots_a:
         for l in row_range(lad.row_b):
@@ -341,8 +341,9 @@ class TestMemo:
         assert patterns.basis_count(params.signature, 4) == 20
         memos = (qnum.qbracket, qnum._square_decompose, module_params,
                  Signature.row, enumerate_basis, patterns._fillings,
-                 patterns._canonical, action.label, apply_generator,
-                 action.kappa, action.gauged_image, action._shifts_by)
+                 patterns._canonical, action.label, action._ladder_window,
+                 apply_generator, action.kappa, action.gauged_image,
+                 action._shifts_by)
         assert all(m.cache_info().currsize > 0 for m in memos)
         clear_caches()
         assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
@@ -430,7 +431,7 @@ class TestCachedHashes:
 # signs included (the bracket of a negative argument is negative).
 
 def _fraction_ladder(kind, index, p, params):
-    lad = _Ladder(kind, index, p)
+    lad = _Ladder(kind, index, _window(p, index))
     out = PatternVector()
     for j in lad.slots_a:
         for l in row_range(lad.row_b):
@@ -477,3 +478,72 @@ class TestCoefficientOracle:
                     assert dict(got.terms) == want.terms, (kind, k, p)
                     nonzero += bool(want.terms)
         assert nonzero > 0
+
+
+class TestLadderWindow:
+    """_ladder_window is keyed on the four rows a ladder reads, not on the
+    pattern, so a memo hit serves a pattern that it was not solved for."""
+
+    @pytest.mark.parametrize("qname", ["q=3/2", "q=7/4", "classical"])
+    @pytest.mark.parametrize("module", sorted(_ORACLE_MODULES))
+    def test_memo_hits_match_fraction_products(self, module, qname):
+        sig, xi0, xi1, level = _ORACLE_MODULES[module]
+        params = ModuleParams(sig, Fraction(xi0), Fraction(xi1),
+                              _ORACLE_Q[qname], "a_infinity")
+        basis = enumerate_basis(sig, level)
+        labels = [GeneratorLabel(kind, k)
+                  for k in range(-4, 5) for kind in ("E", "F")]
+        clear_caches()
+        # warm every window, then read each pattern's action from a fresh
+        # apply_generator memo, so that most kernel calls are hits
+        for g in labels:
+            for p in basis:
+                apply_generator(g, p, params)
+        apply_generator.cache_clear()
+        before = action._ladder_window.cache_info()
+        for g in labels:
+            for p in basis:
+                got = apply_generator(g, p, params)
+                want = _fraction_ladder(g.kind, g.index, p, params)
+                assert dict(got.terms) == want.terms, (g, p)
+        after = action._ladder_window.cache_info()
+        assert after.misses == before.misses
+        assert after.hits - before.hits == len(labels) * len(basis)
+        # windows are shared between patterns
+        assert after.currsize < len(labels) * len(basis)
+
+    def test_replayed_zero_denominator_names_its_pattern(self, params_mid):
+        """Under the E+side-d1-1 offset mutation E_k divides by zero on some
+        window that two patterns of V_5 share.  Both calls raise, and each
+        message names its own pattern, as a cold call on it would."""
+        basis = enumerate_basis(params_mid.signature, 5)
+        clear_caches()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                o1, d1, o2, d2, delta = action._CASES[("E", False)]
+                mp.setitem(action._CASES, ("E", False),
+                           (o1, d1 - 1, o2, d2, delta))
+                pair = None
+                for k in range(0, 3):
+                    raising = {}
+                    for p in basis:
+                        try:
+                            apply_generator(E(k), p, params_mid)
+                        except ZeroDenominatorError as exc:
+                            raising.setdefault(_window(p, k), []).append(
+                                (p, str(exc)))
+                    pair = next((ps[:2] for ps in raising.values()
+                                 if len(ps) > 1), None)
+                    if pair:
+                        break
+                assert pair, "no window on which E_k raises for two patterns"
+                (p1, msg1), (p2, msg2) = pair
+                assert repr(p1) in msg1 and repr(p2) in msg2
+                assert msg1 != msg2
+                # the second was a memo hit; a cold call says the same
+                clear_caches()
+                with pytest.raises(ZeroDenominatorError) as cold:
+                    apply_generator(E(k), p2, params_mid)
+                assert str(cold.value) == msg2
+        finally:
+            clear_caches()

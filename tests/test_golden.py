@@ -19,7 +19,10 @@ closed form (M_3 != M_2), was recorded while check_boundary_f still built
 that closed form as a second vector and subtracted it.  The ten identity
 runs (seeds 1 to 10) were recorded while the identity kernels still
 multiplied Fractions and found poles by evaluating brackets, before they
-multiplied integer pairs and tested the summed rows first.
+multiplied integer pairs and tested the summed rows first.  The eight
+level-7 ladder matrices of the export benchmark were recorded while every
+(generator, pattern) pair solved its own ladder, before the ladder was
+solved once per window of four rows.
 """
 
 import hashlib
@@ -161,5 +164,26 @@ IDENTITY_SEEDS = {
                          ids=[f"identities-seed{n}" for n in sorted(IDENTITY_SEEDS)])
 def test_identity_seed_digest(capsys, seed, digest):
     assert main([*IDENTITY_RUN, "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# The ladder generators of the benchmark's export workload, on V_7.
+EXPORT_LADDERS = {
+    "E:0": "6f2771ee099c662d31400976b35219610f0a822d365e012d7e73fbba8804530b",
+    "F:0": "18c89704314e178cb2cf244cef5f3c55020c0c3fd48ab3f11c4ac04fa05b4090",
+    "E:1": "a150b460936456b8ef1a7e962652fc4f5ff5e97e1701bba6c6dda7ddc209b4e7",
+    "F:1": "11be5210807905cee7356231022d6d9f593f3825acb9d44eea3f82df739eb25f",
+    "E:-1": "743c57840d6ec089784a787989a0f2d60b8d0e2397f1ea02bb640b694de5edb6",
+    "F:-1": "62a06fcde52e7452a6d0ea9603ae5bb1261c02f185121b6d9735b7a3e4af2d4b",
+    "E:-2": "daf2b7919b7d8232751942381e186da9d20b9aa6f16bed4316247449180105c1",
+    "F:-2": "bf6327b3ecc38fad4c0f24c39c4529618cd86506752ef8ac0bdd23a750f36bf2",
+}
+
+
+@pytest.mark.parametrize("generator,digest", EXPORT_LADDERS.items(),
+                         ids=[f"export-L7-{g}" for g in EXPORT_LADDERS])
+def test_export_ladder_digest(capsys, generator, digest):
+    assert main(["matrix", *BASE, "--level", "7", "--generator", generator]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -129,6 +129,37 @@ class TestSignature:
         assert Signature.from_json(s.to_json()) == s
 
 
+_SIGNATURE_JSON = {"m": -1, "n": 1, "values": [2, 1, 0]}
+_NON_INTEGERS = [("float", 1.7), ("whole float", 2.0), ("bool", True),
+                 ("string", "1"), ("null", None)]
+
+
+@pytest.mark.parametrize("value", [v for _, v in _NON_INTEGERS],
+                         ids=[name for name, _ in _NON_INTEGERS])
+class TestJsonRejectsNonIntegers:
+    """A saved document's numbers are read as they are: a float or a bool is
+    refused, never truncated to another module or pattern."""
+
+    @pytest.mark.parametrize("where", ["m", "n", "values"])
+    def test_signature(self, value, where):
+        data = dict(_SIGNATURE_JSON)
+        if where == "values":
+            data["values"] = [2, value, 0]
+        else:
+            data[where] = value
+        with pytest.raises(ValueError, match="expected an integer"):
+            Signature.from_json(data)
+
+    def test_signature_constructor(self, value):
+        with pytest.raises(ValueError, match="expected an integer"):
+            Signature(-1, 1, (2, value, 0))
+
+    def test_pattern_rows(self, value):
+        data = {"signature": _SIGNATURE_JSON, "N": 2, "rows": [[value]]}
+        with pytest.raises(ValueError, match="expected an integer"):
+            CPattern.from_json(data)
+
+
 class TestModuleParams:
     def test_capital_mode_constraint(self):
         s = Signature(0, 1, (1, 0))
@@ -354,8 +385,10 @@ class TestShift:
         for p in enumerate_basis(sig_mid, 5):
             for row in range(1, 7):
                 for delta in (-1, 1):
-                    js = _movable_against_below(p, row, delta)
-                    ls = _movable_against_above(p, row + 1, delta)
+                    below = p.row(row - 1) if row > 1 else ()
+                    js = _movable_against_below(p.row(row), below, delta)
+                    ls = _movable_against_above(p.row(row + 1), p.row(row + 2),
+                                                delta)
                     for j in row_range(row):
                         for l in row_range(row + 1):
                             moves = [(j, row, delta), (l, row + 1, delta)]
