@@ -15,20 +15,33 @@ sums the summed row, the row losing the two excluded labels, and the unused
 row.  Each term is summed over s in {0, 1} with sign (-1)^s and, with
 t = sigma*s and x the summed entry, is a product of numerator factors
 f(v, x, off) over the other rows divided by f(v_i, x, t) f(v_i, x, t - sigma)
-over the rest of the summed row.  A factor is an integer pair (numerator,
-denominator); the kernels multiply ints, test a denominator factor's
-numerator for 0, and build one Fraction per term.  The row sums take the
-pair of the bracket f(v, x, off) = [v - x + off]; the double sum is built
-from the same two products and the caller subtracts [sigma(sum a + sum b -
-sum above - sum below) - 1].  A26 is the single sum with sigma = +1, summed over a, with
-b and c as the other rows: its brackets [a_i - v - s] = -[v - a_i + s] come
-in an even number, and its two denominator brackets change sign together.
+over the rest of the summed row.  The double sum is built from the same two
+products and the caller subtracts [sigma(sum a + sum b - sum above -
+sum below) - 1].  A26 is the single sum with sigma = +1, summed over a,
+with b and c as the other rows: its brackets [a_i - v - s] = -[v - a_i + s]
+come in an even number, and its two denominator brackets change sign
+together.
+
+A factor is an integer pair (numerator, denominator).  The kernels multiply
+ints, test a denominator factor's numerator for 0, skip a term whose
+numerator is 0 and build one Fraction per other term.  Each draw does its
+arithmetic once.  The row sums take the bracket f(v, x, off) = [v - x + off]
+from a table that lives for one evaluation (``_brackets``), so the qbracket
+memo is asked once per distinct argument.  The denominator products over a
+summed row are built once per offset, and the offset-0 products serve both
+s (``_dens``).  Per s, the double sum builds the parts of the terms that
+depend on x alone or on y alone once, and reads the products over B minus
+y at x and over A minus x at y from prefix and suffix products
+(``_leave_one_out``), never by dividing a full product by one factor, which
+can be 0.
 
 A21 is I23a in the variables q^(2L).  It runs through the same double sum
 with f(v, x, off) = x - q^(2 off) v, on the variables' integer pairs and
 unreduced: for x = q^(2L) and v = q^(2M) this is
 -q^(L+M+off)(q - q^-1)[M - L + off], and the per-term weight q^(1-2s)/(xy),
-also a pair, absorbs those monomials.
+also a pair, absorbs those monomials.  Each power of q is computed once per
+evaluation.  A21 has no row pole test: the kernel's denominator check is its
+only one.
 
 Two changes to a table row leave every identity true, so no test can tell
 them apart: flipping sigma (the identities are invariant under L -> -L),
@@ -159,10 +172,19 @@ def _as_row(p: int, values) -> list:
 
 
 def _brackets(qv: QValue):
-    """The row-sum factor f(v, x, off) = [v - x + off] as an integer pair."""
+    """The row-sum factor f(v, x, off) = [v - x + off] as an integer pair.
+
+    Each distinct argument is read once from the qbracket memo into a table
+    that lives as long as the returned function, i.e. for one evaluation."""
+    table = {}
+
     def f(v, x, off):
-        b = qbracket(v - x + off, qv)
-        return b.numerator, b.denominator
+        m = v - x + off
+        pair = table.get(m)
+        if pair is None:
+            b = qbracket(m, qv)
+            pair = table[m] = b.numerator, b.denominator
+        return pair
     return f
 
 
@@ -189,53 +211,93 @@ def _num(f, values, x, off: int) -> tuple[int, int]:
     return n, d
 
 
-def _den(f, row: list, j: int, t: int, sigma: int, what: str) -> tuple[int, int]:
-    """Product of f(v_i, x, t) f(v_i, x, t - sigma) over i != j, x = row[j],
-    as an unreduced integer pair; PoleError at the first vanishing factor."""
-    x = row[j]
-    n = d = 1
-    for i, v in enumerate(row):
-        if i != j:
-            a1, b1 = f(v, x, t)
-            a2, b2 = f(v, x, t - sigma)
-            if a1 == 0 or a2 == 0:
-                raise PoleError(f"vanishing denominator: {what} at j={j}, i={i}")
-            n *= a1 * a2
-            d *= b1 * b2
-    return n, d
+def _dens(f, row: list, sigma: int, what: str) -> tuple[list, list]:
+    """For s = 0 and s = 1, with t = sigma*s, the products
+    f(v_i, x, t) f(v_i, x, t - sigma) over i != j at x = row[j], for every j,
+    as unreduced integer pairs.  The offset-0 products serve both s.
+    PoleError at the first vanishing factor."""
+    def at(off):
+        out = []
+        for j, x in enumerate(row):
+            n = d = 1
+            for i, v in enumerate(row):
+                if i != j:
+                    a, b = f(v, x, off)
+                    if a == 0:
+                        raise PoleError(f"vanishing denominator: {what} at j={j}, i={i}")
+                    n *= a
+                    d *= b
+            out.append((n, d))
+        return out
+
+    zero = at(0)
+    return tuple([(n0 * n, d0 * d) for (n0, d0), (n, d) in zip(zero, at(off))]
+                 for off in (-sigma, sigma))
 
 
 def _single_sum(f, row: list, others: list, sigma: int, what: str) -> Fraction:
     total = Fraction(0)
-    for s in (0, 1):
+    for s, dens in enumerate(_dens(f, row, sigma, what)):
         t = sigma * s
-        for j, x in enumerate(row):
-            dn, dd = _den(f, row, j, t, sigma, what)
+        for x, (dn, dd) in zip(row, dens):
             nn, nd = _num(f, others, x, t)
-            total += Fraction((-1) ** s * nn * dd, nd * dn)
+            if nn:
+                total += Fraction((-1) ** s * nn * dd, nd * dn)
     return total
+
+
+def _leave_one_out(pairs: list) -> list:
+    """For each j the product of the integer pairs other than pairs[j],
+    unreduced, from prefix and suffix products.  A full product is never
+    divided by one factor: a numerator factor can be 0."""
+    out = []
+    n = d = 1
+    for a, b in pairs:
+        out.append((n, d))
+        n *= a
+        d *= b
+    n = d = 1
+    for j in range(len(pairs) - 1, -1, -1):
+        pn, pd = out[j]
+        out[j] = pn * n, pd * d
+        a, b = pairs[j]
+        n *= a
+        d *= b
+    return out
 
 
 def _double_sum(f, D: list, A: list, B: list, C: list, sigma: int,
                 what: str, weight=None) -> Fraction:
-    """The double sum over x in A and y in B, each term times the integer
-    pair weight(s, x, y) when a weight is given."""
+    """The double sum over x = A[j] and y = B[l], each term times the integer
+    pair weight(s, x, y) when a weight is given.  With t = sigma*s, the term
+    is (-1)^s times the products of f(v, x, t - sigma) over D and B minus l
+    and of f(v, y, t) over C and A minus j, over the _dens products at x in
+    A and at y in B.
+
+    Each factor is evaluated once per s: the parts that depend on x alone
+    or on y alone are built once, and the products over B minus l at x and
+    over A minus j at y come from _leave_one_out."""
     total = Fraction(0)
-    for s in (0, 1):
+    dens = zip(_dens(f, A, sigma, what), _dens(f, B, sigma, what))
+    for s, (den_a, den_b) in enumerate(dens):
         t = sigma * s
-        den_a = [_den(f, A, j, t, sigma, what) for j in range(len(A))]
-        den_b = [_den(f, B, l, t, sigma, what) for l in range(len(B))]
-        for j, x in enumerate(A):
-            # the part of the term that depends on x alone
+        ys = []
+        for y, (bn, bd) in zip(B, den_b):
+            cn, cd = _num(f, C, y, t)
+            ys.append((y, cn * bd, cd * bn,
+                       _leave_one_out([f(v, y, t) for v in A])))
+        for j, (x, (an, ad)) in enumerate(zip(A, den_a)):
             xn, xd = _num(f, D, x, t - sigma)
-            an, ad = den_a[j]
+            if not xn:
+                continue
             xn, xd = (-1) ** s * xn * ad, xd * an
-            above = C + A[:j] + A[j + 1:]
-            for l, y in enumerate(B):
-                n1, d1 = _num(f, B[:l] + B[l + 1:], x, t - sigma)
-                n2, d2 = _num(f, above, y, t)
-                bn, bd = den_b[l]
-                num, den = xn * n1 * n2 * bd, xd * d1 * d2 * bn
+            rest_b = _leave_one_out([f(v, x, t - sigma) for v in B])
+            for (n1, d1), (y, yn, yd, rest_a) in zip(rest_b, ys):
+                n2, d2 = rest_a[j]
+                num = xn * n1 * yn * n2
+                if not num:
+                    continue
+                den = xd * d1 * yd * d2
                 if weight is not None:
                     wn, wd = weight(s, x, y)
                     num, den = num * wn, den * wd
@@ -320,9 +382,13 @@ def _a21_factors(q: Fraction):
     """A21's factor f(v, x, off) = x - q^(2 off) v and per-term weight
     q^(1 - 2s)/(x y), both on integer pairs and unreduced."""
     qn, qd = q.numerator, q.denominator
+    powers = {}  # each power of q once per evaluation
 
     def q_pow(e: int) -> tuple[int, int]:
-        return (qn ** e, qd ** e) if e >= 0 else (qd ** -e, qn ** -e)
+        pair = powers.get(e)
+        if pair is None:
+            pair = powers[e] = (qn ** e, qd ** e) if e >= 0 else (qd ** -e, qn ** -e)
+        return pair
 
     def f(v, x, off):
         (vn, vd), (xn, xd) = v, x
@@ -378,19 +444,22 @@ def evaluate_identity(ident: IdentityId, a: Assignment) -> Fraction:
 # memo hit finds the key by identity and never runs the dataclass __eq__
 _Q_POOL = tuple(QValue.quantum(q) for q in (Fraction(3, 2), 2, Fraction(5, 3),
                                             Fraction(7, 4)))
-_RANGE = (-12, 12)
+# a free slot's values -12 .. 12, as randrange bounds; randrange(a, b + 1)
+# is what randint(a, b) calls, so the stream, and every pinned report, is
+# randint's
+_RANGE = (-12, 13)
 
 
 def _sample_row(rng: random.Random, length: int, decreasing: bool) -> list[int]:
-    lo, hi = _RANGE
     if not decreasing:
-        return [rng.randint(lo, hi) for _ in range(length)]
-    # strictly decreasing rows mimic genuine L-rows (gap >= 1)
+        return [rng.randrange(*_RANGE) for _ in range(length)]
+    # strictly decreasing rows mimic genuine L-rows (gap >= 1), from a top
+    # entry in 10 .. 16
     vals = []
-    cur = rng.randint(hi - 2, hi + 4)
+    cur = rng.randrange(10, 17)
     for _ in range(length):
         vals.append(cur)
-        cur -= rng.randint(1, 3)
+        cur -= rng.randrange(1, 4)
     return vals
 
 
@@ -400,7 +469,7 @@ def _sample_raw(ident: IdentityId, rng: random.Random) -> Assignment:
     if tag in ("I25", "I26", "I27", "A46L", "A46R"):
         names = {"I25": "abcde", "I26": "ab", "I27": "a",
                  "A46L": "abcd", "A46R": "abcd"}[tag]
-        return Assignment(qv, scalars={x: rng.randint(*_RANGE) for x in names})
+        return Assignment(qv, scalars={x: rng.randrange(*_RANGE) for x in names})
     dec = rng.random() < 0.5
     if tag in _ROW_SUMS:
         case = _ROW_SUMS[tag]
@@ -416,7 +485,7 @@ def _sample_raw(ident: IdentityId, rng: random.Random) -> Assignment:
 
         def var() -> Fraction:
             # powers of q keep the variables in the identity's natural image
-            return q ** (2 * rng.randint(*_RANGE))
+            return q ** (2 * rng.randrange(*_RANGE))
 
         return Assignment(qv, arrays={
             "A": [var() for _ in range(k - 1)],

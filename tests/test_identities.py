@@ -26,10 +26,13 @@ from uhainf.identities import (
     _a21_factors,
     _as_row,
     _double_sum,
+    _row_numbers,
     _sample_raw,
     _single_sum,
 )
-from uhainf.patterns import row_range
+from uhainf.action import gauged_image, label
+from uhainf.patterns import enumerate_basis, row_range
+from uhainf.qnum import qbracket
 
 Q2 = QValue.quantum(2)
 Q32 = QValue.quantum(Fraction(3, 2))
@@ -434,9 +437,9 @@ def _ref_single_sum(fr, row, others, sigma):
     return total
 
 
-def _ref_double_sum(fr, D, A, B, C, sigma, weight=None):
+def _ref_double_sum(fr, D, A, B, C, sigma, weight=None, halves=(0, 1)):
     total = Fraction(0)
-    for s in (0, 1):
+    for s in halves:
         t = sigma * s
         for j, x in enumerate(A):
             rest_a = A[:j] + A[j + 1:]
@@ -467,7 +470,6 @@ class TestIntegerKernels:
 
     @staticmethod
     def _bracket(qv, shift):
-        from uhainf.qnum import qbracket
         return lambda v, x, off: qbracket(v - x + off + shift, qv)
 
     @pytest.mark.parametrize("shift", [0, 1, -2])
@@ -499,6 +501,64 @@ class TestIntegerKernels:
                 assert want != 0, (D, A, B, C)
                 assert _double_sum(_pairs(fr), D, A, B, C, sigma, "test") == want
 
+    # Zero numerator factors: one entry is set so that a factor at s = 0 is
+    # the zero bracket.  The leave-one-out products then vanish for every
+    # index but one, so building them by dividing a full product by one
+    # factor would divide 0 by 0.
+
+    @pytest.mark.parametrize("shift", [0, 1])
+    @pytest.mark.parametrize("sigma", [1, -1])
+    def test_single_sum_zero_factor(self, sigma, shift):
+        rng = random.Random(10 * sigma + shift)
+        for qv in (Q2, Q32, QValue.classical()):
+            for n in range(1, 5):
+                fr = self._bracket(qv, shift)
+                row = _spread_row(rng, n)
+                others = [rng.randint(-12, 12) for _ in range(2 * n - 1)]
+                others[0] = row[0] - shift
+                assert fr(others[0], row[0], 0) == 0
+                want = _ref_single_sum(fr, row, others, sigma)
+                assert want != 0, (row, others)
+                assert _single_sum(_pairs(fr), row, others, sigma, "test") == want
+
+    @staticmethod
+    def _zero_factor(where, D, A, B, C, sigma, shift):
+        """Set one entry so that a factor of the s = 0 terms is [0]; return
+        that factor's (v, x, off)."""
+        if where == "D":  # over D at x = A[0]
+            D[0] = A[0] + sigma - shift
+            return D[0], A[0], -sigma
+        if where == "C":  # over C at y = B[0]
+            C[0] = B[0] - shift
+            return C[0], B[0], 0
+        if where == "B minus l":  # over B minus l at x = A[0], for l != 0
+            B[0] = A[0] + sigma - shift
+            return B[0], A[0], -sigma
+        A[0] = B[0] - shift  # over A minus j at y = B[0], for j != 0
+        return A[0], B[0], 0
+
+    @pytest.mark.parametrize("where", ["D", "C", "B minus l", "A minus j"])
+    @pytest.mark.parametrize("shift", [0, 1])
+    @pytest.mark.parametrize("sigma", [1, -1])
+    def test_double_sum_zero_factor(self, sigma, shift, where):
+        rng = random.Random(f"{sigma} {shift} {where}")
+        for qv in (Q2, Q32, QValue.classical()):
+            for k in range(2, 4):
+                fr = self._bracket(qv, shift)
+                while True:  # until no denominator factor vanishes
+                    D, C = ([rng.randint(-12, 12) for _ in range(m)]
+                            for m in (k - 1, k + 2))
+                    A, B = _spread_row(rng, k), _spread_row(rng, k + 1)
+                    zero = self._zero_factor(where, D, A, B, C, sigma, shift)
+                    try:
+                        want = _ref_double_sum(fr, D, A, B, C, sigma)
+                    except ZeroDivisionError:
+                        continue
+                    break
+                assert fr(*zero) == 0
+                assert want != 0, (D, A, B, C)
+                assert _double_sum(_pairs(fr), D, A, B, C, sigma, "test") == want
+
     @pytest.mark.parametrize("q", [Fraction(5, 3), Fraction(-3, 7)])
     @pytest.mark.parametrize("sigma", [1, -1])
     def test_a21_factors(self, sigma, q):
@@ -515,6 +575,97 @@ class TestIntegerKernels:
             assert want != 0
             pairs = ([v.as_integer_ratio() for v in vs] for vs in rows)
             assert _double_sum(f, *pairs, sigma, "test", weight=weight) == want
+
+
+class TestA21Poles:
+    """A21 has no row pole test, so its kernel is its only pole check: the
+    kernel raises PoleError exactly when the Fraction reference divides by
+    zero, and otherwise returns the reference's value."""
+
+    @staticmethod
+    def _draws():
+        for n in range(2, 6):
+            rng = random.Random(n)
+            for _ in range(40):
+                yield _sample_raw(IdentityId("A21", n), rng)
+        rng = random.Random(0)
+        for n in range(3, 6):  # A has two entries or more from n = 3 on
+            for name in ("A", "B"):
+                for _ in range(5):
+                    a = _sample_raw(IdentityId("A21", n), rng)
+                    a.arrays[name][1] = a.arrays[name][0]
+                    yield a
+
+    def test_kernel_poles_are_the_reference_poles(self):
+        seen = set()
+        for a in self._draws():
+            q = a.qv.q
+            rows = [a.arrays[x] for x in "DABC"]
+            fr = lambda v, x, off: x - q ** (2 * off) * v
+            fr_weight = lambda s, x, y: q ** (1 - 2 * s) / (x * y)
+            try:
+                want = _ref_double_sum(fr, *rows, +1, fr_weight)
+            except ZeroDivisionError:
+                want = None
+            f, weight = _a21_factors(q)
+            pairs = ([v.as_integer_ratio() for v in vs] for vs in rows)
+            try:
+                got = _double_sum(f, *pairs, +1, "A21", weight=weight)
+            except PoleError:
+                got = None
+            assert got == want, a.arrays
+            seen.add(want is None)
+        assert seen == {True, False}
+
+
+class TestCartanDiagonals:
+    """The relations reduce to the identity corpus, measured on V_5 of
+    -1:1:2,1,0: read D, A, B, C from the L-rows of a pattern p that I23a or
+    I23b at index 1 reads.  Then the diagonal coefficient of E_k F_k at p,
+    in the rational gauge, is the s = 1 half of the double sum, and that of
+    F_k E_k is minus the s = 0 half, at every p where the double sum has no
+    pole."""
+
+    CASES = [(0, "I23a", 60), (-2, "I23b", 28)]  # rows 2k .. 2k+3, -2k-3 .. -2k
+
+    @staticmethod
+    def _l_values(p, r):
+        """L(i, r) = entry - i across row r of p; rows 0 and below are empty."""
+        return [x - i for i, x in zip(row_range(r), p.row(r))] if r >= 1 else []
+
+    @staticmethod
+    def _diagonal(g1, g2, p, params):
+        """The coefficient of p in g1 g2 p, from gauged_image."""
+        first = gauged_image(g2, p, params)
+        assert first is not None
+        total = Fraction(0)
+        for t, c in first:
+            second = gauged_image(g1, t, params)
+            assert second is not None
+            total += sum(c * d for u, d in second if u == p)
+        return total
+
+    @pytest.mark.parametrize("k,tag,count", CASES, ids=[t for _, t, _ in CASES])
+    @pytest.mark.parametrize("params_name", ["params_mid", "params_mid_classical"])
+    def test_diagonals_are_double_sum_halves(self, request, params_name,
+                                             k, tag, count):
+        params = request.getfixturevalue(params_name)
+        qv, sigma = params.qv, _ROW_SUMS[tag].sigma
+        fr = lambda v, x, off: qbracket(v - x + off, qv)
+        rows = _row_numbers(_ROW_SUMS[tag], 1)
+        e, f = label("E", k), label("F", k)
+        generic = 0
+        for p in enumerate_basis(params.signature, 5):
+            D, A, B, C = (self._l_values(p, rows[name]) for name in _ROWS)
+            try:
+                s0, s1 = (_ref_double_sum(fr, D, A, B, C, sigma, halves=(s,))
+                          for s in (0, 1))
+            except ZeroDivisionError:
+                continue
+            generic += 1
+            assert self._diagonal(e, f, p, params) == s1, p
+            assert self._diagonal(f, e, p, params) == -s0, p
+        assert generic == count
 
 
 class TestModuleLayout:
