@@ -27,7 +27,8 @@ from math import gcd, prod
 from types import MappingProxyType
 from typing import Optional
 
-from .qnum import QValue, RadicalSum, _square_decompose, qbracket, radical_of
+from .qnum import (QValue, RadicalSum, _decimal_str, _json_terms,
+                   _square_decompose, qbracket, radical_of)
 from .patterns import (
     CPattern,
     ModuleParams,
@@ -37,6 +38,7 @@ from .patterns import (
     _interlaced_after,
     _movable_against_above,
     _movable_against_below,
+    basis_rank,
     enumerate_basis,
     module_params,
     row_range,
@@ -198,7 +200,7 @@ def _window(p: CPattern, index: int) -> tuple[tuple[int, ...], ...]:
     """The rows row_a - 1 .. row_a + 2 of p, the only rows that E_index and
     F_index read; rows 0 and -1 are empty."""
     row_a = _ladder_rows(index)[0]
-    return tuple(p.row(q) if q >= 1 else () for q in range(row_a - 1, row_a + 3))
+    return tuple(p.row(q) for q in range(row_a - 1, row_a + 3))
 
 
 def _l_row(row: tuple[int, ...]) -> dict[int, int]:
@@ -256,6 +258,24 @@ class _Ladder:
 
 
 @cache
+def _coefficient(c: RadicalSum) -> RadicalSum:
+    """The first coefficient equal to c that was built, so that the images
+    of apply_generator hold one object per value and the rendering memos
+    of a matrix export find a repeated coefficient by identity, without
+    comparing Fractions.  Memoised for the life of the process."""
+    return c
+
+
+@cache
+def _rational_coefficient(numerator: int, denominator: int) -> RadicalSum:
+    """The interned coefficient (see _coefficient) of the rational
+    numerator/denominator, keyed on the two ints: H and C meet a handful of
+    values on every pattern, and an int key costs neither a Fraction hash
+    nor a RadicalSum build.  Memoised for the life of the process."""
+    return _coefficient(RadicalSum.from_rational(Fraction(numerator, denominator)))
+
+
+@cache
 def _ladder_window(
     kind: str, index: int, window: tuple[tuple[int, ...], ...], qv: QValue
 ) -> tuple[tuple[int, int, tuple, Optional[RadicalSum]], ...]:
@@ -304,8 +324,8 @@ def _ladder_window(
                 return tuple(out)
             b = prod(f.denominator for f in num_f)
             d = prod(f.denominator for f in den_f)
-            coeff = radical_of(Fraction(abs(a * d), abs(b * c))).scale(
-                -sign_s(j, l, lad.nu))
+            coeff = _coefficient(radical_of(Fraction(abs(a * d), abs(b * c)))
+                                 .scale(-sign_s(j, l, lad.nu)))
             out.append((j, l, moves, coeff))
     return tuple(out)
 
@@ -340,13 +360,11 @@ def apply_generator(
     ``terms`` is a mapping proxy, so ``add_term`` on it raises and no
     caller can change what a later call returns.
     """
-    if g.kind == "H":
-        coeff = weight_eigenvalue(p, g.index, params)
-        result = PatternVector({p: RadicalSum.from_rational(coeff)})
-    elif g.kind == "C":
-        result = PatternVector(
-            {p: RadicalSum.from_rational(params.xi0 - params.xi1)}
-        )
+    if g.kind in ("H", "C"):
+        r = (weight_eigenvalue(p, g.index, params) if g.kind == "H"
+             else params.xi0 - params.xi1)
+        result = PatternVector({p: _rational_coefficient(r.numerator,
+                                                         r.denominator)})
     else:
         result = _ladder_action(g.kind, g.index, p, params)
     result.terms = MappingProxyType(result.terms)
@@ -483,13 +501,16 @@ def _shifts_by(d: GeneratorLabel, g: GeneratorLabel, p: CPattern,
 
 
 def clear_caches() -> None:
-    """Empty every memo, 13 in all: qbracket, _square_decompose,
-    module_params, Signature.row, enumerate_basis, _fillings, the canonical
-    patterns and labels, the ladder windows, apply_generator, kappa,
-    gauged_image and _shifts_by.  Patterns and labels built after this are
+    """Empty every memo, 18 in all: qbracket, _square_decompose, the
+    rendered decimals and JSON terms of coefficients, module_params,
+    Signature.row, enumerate_basis, _fillings, basis_rank, the canonical
+    patterns, labels and coefficients, the rational coefficients of H and
+    C, the ladder windows, apply_generator, kappa, gauged_image and
+    _shifts_by.  Patterns, labels and coefficients built after this are
     new objects, and a patched _CASES or sign_s reaches every window."""
-    for memo in (qbracket, _square_decompose, module_params, Signature.row,
-                 enumerate_basis, _fillings, _canonical, label,
-                 _ladder_window, apply_generator, kappa, gauged_image,
-                 _shifts_by):
+    for memo in (qbracket, _square_decompose, _decimal_str, _json_terms,
+                 module_params, Signature.row, enumerate_basis, _fillings,
+                 basis_rank, _canonical, label, _coefficient,
+                 _rational_coefficient, _ladder_window, apply_generator,
+                 kappa, gauged_image, _shifts_by):
         memo.cache_clear()

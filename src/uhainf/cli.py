@@ -198,18 +198,15 @@ def cmd_matrix(cfg: RunConfig, generator: str) -> int:
     # targets may leave V_N; number them in the enlarged truncation V_{N+2}
     enlarged = cfg.level + 2
     count = basis_count(cfg.signature, enlarged)
-    row_of: dict = {}  # target -> its row, None beyond V_{N+2}
-    by_row = lambda x: count if row_of[x] is None else row_of[x]  # None last
     entries = []
     for col, p in enumerate(basis):
-        image = apply_generator(g, p, params)
-        for p2 in image.terms:
-            if p2 not in row_of:
-                row_of[p2] = basis_rank(cfg.signature, enlarged, p2)
-        for p2 in sorted(image.terms, key=by_row):
-            c = image.terms[p2]
+        # each target's row, None beyond V_{N+2}, read from the basis_rank memo
+        ranked = [(basis_rank(cfg.signature, enlarged, p2), p2, c)
+                  for p2, c in apply_generator(g, p, params).terms.items()]
+        ranked.sort(key=lambda t: count if t[0] is None else t[0])  # None last
+        for row, p2, c in ranked:
             entry = {
-                "row": row_of[p2],
+                "row": row,
                 "col": col,
                 "coeff": c.to_json(),
                 "decimal": c.to_decimal(),

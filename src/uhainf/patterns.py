@@ -189,6 +189,17 @@ class CPattern:
         for p, r in enumerate(rows, start=1):
             if len(r) != p:
                 raise ValueError(f"row {p} must have {p} entries, got {len(r)}")
+        self._store(sig, rows)
+
+    @classmethod
+    def _of_rows(cls, sig: Signature, rows: list[tuple[int, ...]]) -> "CPattern":
+        """A pattern of rows already in stored form (int tuples, row p of
+        length p), built without converting or checking them again."""
+        p = object.__new__(cls)
+        p._store(sig, rows)
+        return p
+
+    def _store(self, sig: Signature, rows: list[tuple[int, ...]]) -> None:
         while len(rows) > 1 and rows[-1] == sig.row(len(rows)):
             rows.pop()
         object.__setattr__(self, "sig", sig)
@@ -204,7 +215,9 @@ class CPattern:
         return len(self.rows) + 1
 
     def row(self, p: int) -> tuple[int, ...]:
-        if p <= len(self.rows):
+        """Row p; the signature row above the stored rows, and the empty
+        row for p < 1, as Signature.row gives."""
+        if 1 <= p <= len(self.rows):
             return self.rows[p - 1]
         return self.sig.row(p)
 
@@ -285,10 +298,16 @@ def shift(p: CPattern, moves: Sequence[tuple[int, int, int]]) -> CPattern:
     if not moves:
         return p
     top = max(len(p.rows), max(row for _, row, _ in moves))
-    rows = [list(p.row(q)) for q in range(1, top + 1)]
+    rows = [*p.rows, *map(p.sig.row, range(len(p.rows) + 1, top + 1))]
+    moved: dict[int, list[int]] = {}
     for i, row, delta in moves:
-        rows[row - 1][_position(i, row)] += delta
-    return _canonical(CPattern(p.sig, rows))
+        pos = _position(i, row)
+        if row not in moved:
+            moved[row] = list(rows[row - 1])
+        moved[row][pos] += delta
+    for row, r in moved.items():
+        rows[row - 1] = tuple(r)
+    return _canonical(CPattern._of_rows(p.sig, rows))
 
 
 def _interlaced_after(
@@ -421,12 +440,17 @@ def basis_count(sig: Signature, M: int) -> int:
     return _fillings(M - 1, sig.row(M))[1]
 
 
+@cache
 def basis_rank(sig: Signature, M: int, x: CPattern) -> Optional[int]:
     """x's position in enumerate_basis(sig, M); None when x.N > M.
 
     x is assumed to be a valid pattern over sig.  Since the basis order is
     lexicographic on rows M-1..1, the position is the sum over rows of the
     fillings that precede x's row p under its own row p + 1.
+
+    Memoised for the life of the process (see ``action.clear_caches``):
+    a matrix export ranks each target once, however many columns reach
+    it, and finds a canonical target (see _canonical) by identity.
     """
     if M < 2:
         raise ValueError("M must exceed 1")
@@ -442,7 +466,7 @@ def basis_rank(sig: Signature, M: int, x: CPattern) -> Optional[int]:
 
 
 def _row_sum(p: CPattern, row: int) -> int:
-    return sum(p.row(row)) if row >= 1 else 0
+    return sum(p.row(row))
 
 
 def weight_eigenvalue(p: CPattern, i: int, params: ModuleParams) -> Fraction:

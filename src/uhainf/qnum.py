@@ -145,7 +145,7 @@ class RadicalSum:
     immutable and hashable.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[int, Fraction] | Iterable[tuple[int, Fraction]] = ()):
         items = dict(terms)
@@ -232,8 +232,15 @@ class RadicalSum:
         return isinstance(other, RadicalSum) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        # computed when asked: nothing on the verification path hashes one
-        return hash(tuple(self._terms.items()))
+        """Hash of the canonical terms, computed on the first call and kept
+        in a slot: the verification path never hashes a sum, while the
+        rendering memos (_decimal_str, _json_terms) and the interned
+        coefficients of ``action._coefficient`` hash each one they meet."""
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(tuple(self._terms.items()))
+            return self._hash
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -248,21 +255,14 @@ class RadicalSum:
 
     def to_decimal(self) -> str:
         """At least 50 significant digits, computed with 10 guard digits in a
-        local context, so the caller's decimal precision is left alone."""
-        with localcontext() as ctx:
-            ctx.prec = 60
-            total = Decimal(0)
-            for k, c in self._terms.items():
-                val = Decimal(c.numerator) / Decimal(c.denominator)
-                if k != 1:
-                    val *= Decimal(k).sqrt()
-                total += val
-            return str(+total)
+        local context, so the caller's decimal precision is left alone.
+        Rendered once per distinct sum (see _decimal_str)."""
+        return _decimal_str(self)
 
     def to_json(self) -> list:
-        return [
-            {"coeff": str(c), "kernel": k} for k, c in self._terms.items()
-        ]
+        """A new list of new dicts on every call, built from the memoised
+        strings of _json_terms, so a caller may change what it gets."""
+        return [{"coeff": c, "kernel": k} for c, k in _json_terms(self)]
 
     @classmethod
     def from_json(cls, data: list) -> "RadicalSum":
@@ -270,6 +270,29 @@ class RadicalSum:
 
 
 _ZERO = RadicalSum()
+
+
+@cache
+def _decimal_str(s: RadicalSum) -> str:
+    """RadicalSum.to_decimal of s.  Memoised for the life of the process
+    (see ``action.clear_caches``); a string, so no caller can change it."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        total = Decimal(0)
+        for k, c in s._terms.items():
+            val = Decimal(c.numerator) / Decimal(c.denominator)
+            if k != 1:
+                val *= Decimal(k).sqrt()
+            total += val
+        return str(+total)
+
+
+@cache
+def _json_terms(s: RadicalSum) -> tuple[tuple[str, int], ...]:
+    """(coefficient string, kernel) of each term of s, in kernel order.
+    Memoised for the life of the process (see ``action.clear_caches``); a
+    tuple of strings and ints, which RadicalSum.to_json copies into dicts."""
+    return tuple((str(c), k) for k, c in s._terms.items())
 
 
 def radical_of(r: RationalLike) -> RadicalSum:

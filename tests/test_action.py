@@ -41,6 +41,8 @@ C = GeneratorLabel("C")
 
 ONE = RadicalSum.from_rational(1)
 
+MID = ["--signature=-1:1:2,1,0", "--xi0", "2", "--xi1", "0", "--q", "3/2"]
+
 
 class TestGeneratorLabel:
     def test_validation(self):
@@ -339,11 +341,17 @@ class TestMemo:
         basis = enumerate_basis(params.signature, 3)
         assert relations.check_cartan(0, 0, basis, params).passed
         assert patterns.basis_count(params.signature, 4) == 20
-        memos = (qnum.qbracket, qnum._square_decompose, module_params,
-                 Signature.row, enumerate_basis, patterns._fillings,
-                 patterns._canonical, action.label, action._ladder_window,
+        assert patterns.basis_rank(params.signature, 4, hw) is not None
+        c = apply_generator(H(0), hw, params).terms[hw]
+        assert c.to_json() and c.to_decimal()
+        memos = (qnum.qbracket, qnum._square_decompose, qnum._decimal_str,
+                 qnum._json_terms, module_params, Signature.row,
+                 enumerate_basis, patterns._fillings, patterns.basis_rank,
+                 patterns._canonical, action.label, action._coefficient,
+                 action._rational_coefficient, action._ladder_window,
                  apply_generator, action.kappa, action.gauged_image,
                  action._shifts_by)
+        assert len(memos) == 18  # the count the clear_caches docstring gives
         assert all(m.cache_info().currsize > 0 for m in memos)
         clear_caches()
         assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
@@ -376,6 +384,37 @@ class TestMemo:
         again = enumerate_basis(params.signature, 5)
         assert again == basis
         assert not any(a is b for a, b in zip(again, basis))
+
+    def test_equal_coefficients_are_one_object(self, params_mid):
+        # the images of every generator kind hold one coefficient object per
+        # value, so the rendering memos find a repeat by identity
+        clear_caches()
+        seen: dict = {}
+        count = 0
+        for p in enumerate_basis(params_mid.signature, 5):
+            for g in (E(0), F(0), E(-1), F(-1), E(1), F(-2), H(0), H(-1), C):
+                for c in apply_generator(g, p, params_mid).terms.values():
+                    assert seen.setdefault(c, c) is c
+                    count += 1
+        assert count > 4 * len(seen)
+
+    @pytest.mark.parametrize("argv", [
+        [*MID, "--level", "5", "--generator", "E:1"],
+        [*MID, "--level", "3", "--generator", "F:1"],  # targets escape V_3
+        [*MID, "--level", "5", "--generator", "H:0"],
+        [*MID, "--level", "4", "--generator", "C"],
+        # every target lies beyond V_{N+2}, so every row is null
+        ["--signature=-3:0:5,2,2,0", "--xi0", "2", "--xi1", "0",
+         "--level", "3", "--generator", "F:-3"],
+    ], ids=["E1", "F1-escaped", "H0", "C", "row-null"])
+    def test_matrix_bytes_warm_and_after_clearing(self, capsys, argv):
+        outs = []
+        for clear in (True, False, True):
+            if clear:
+                clear_caches()
+            assert cli.main(["matrix", *argv]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2] and '"entries":[{' in outs[0]
 
     def test_basis_is_one_shared_tuple_until_cleared(self, sig_mid):
         clear_caches()

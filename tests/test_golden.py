@@ -22,7 +22,10 @@ multiplied Fractions and found poles by evaluating brackets, before they
 multiplied integer pairs and tested the summed rows first.  The eight
 level-7 ladder matrices of the export benchmark were recorded while every
 (generator, pattern) pair solved its own ladder, before the ladder was
-solved once per window of four rows.
+solved once per window of four rows.  The H:0 and C matrices of the same
+workload, whose diagonal entries are rendered once per distinct
+coefficient, were recorded while every entry rendered its own coefficient
+and every column ranked its own targets.
 """
 
 import hashlib
@@ -180,9 +183,16 @@ EXPORT_LADDERS = {
     "F:-2": "bf6327b3ecc38fad4c0f24c39c4529618cd86506752ef8ac0bdd23a750f36bf2",
 }
 
+# ... and its diagonal and central generators.
+EXPORT_DIAGONALS = {
+    "H:0": "ef350bead801305d72ab3d77432eb07ec4635d499a17ff1b9cb8b0999dc46f7a",
+    "C": "b08692aaf8a420d7aed58b0dfb5c732c9f7d9489abe26a92e611a5cf65b30b5e",
+}
+EXPORT = EXPORT_LADDERS | EXPORT_DIAGONALS
 
-@pytest.mark.parametrize("generator,digest", EXPORT_LADDERS.items(),
-                         ids=[f"export-L7-{g}" for g in EXPORT_LADDERS])
+
+@pytest.mark.parametrize("generator,digest", EXPORT.items(),
+                         ids=[f"export-L7-{g}" for g in EXPORT])
 def test_export_ladder_digest(capsys, generator, digest):
     assert main(["matrix", *BASE, "--level", "7", "--generator", generator]) == 0
     out = capsys.readouterr().out

@@ -631,7 +631,7 @@ class TestCartanDiagonals:
     @staticmethod
     def _l_values(p, r):
         """L(i, r) = entry - i across row r of p; rows 0 and below are empty."""
-        return [x - i for i, x in zip(row_range(r), p.row(r))] if r >= 1 else []
+        return [x - i for i, x in zip(row_range(r), p.row(r))]
 
     @staticmethod
     def _diagonal(g1, g2, p, params):

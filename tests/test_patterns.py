@@ -234,6 +234,15 @@ class TestCPattern:
         with pytest.raises(AttributeError):
             p.rows = ()
 
+    def test_rows_below_one_are_empty(self, sig_mid):
+        # as Signature.row gives them, never a stored row read from the end
+        p = CPattern(sig_mid, [(1,), (2, 0), (2, 0, 0), (2, 1, 0, 0)])
+        assert p.N == 5
+        assert p.row(0) == () and p.row(-1) == () and p.row(-4) == ()
+        assert p.row(0) == sig_mid.row(0)
+        assert p.row(1) == (1,) and p.row(4) == (2, 1, 0, 0)
+        assert p.row(5) == sig_mid.row(5)
+
 
 class TestValidate:
     def test_examples(self, sig_small):
@@ -340,6 +349,19 @@ class TestShift:
         q = shift(p, [(1, 4, -1)])
         assert q.N == 5
         assert q.entry(1, 4) == sig_mid.row(4)[3] - 1
+
+    def test_shift_copies_only_moved_rows(self, sig_mid):
+        p = CPattern(sig_mid, [(1,), (2, 0), (2, 0, 0), (2, 1, 0, 0)])
+        q = shift(p, [(0, 2, +1), (-1, 3, -1)])
+        assert q.rows == ((1,), (2, 1), (1, 0, 0), (2, 1, 0, 0))
+        assert q.rows[0] is p.rows[0] and q.rows[3] is p.rows[3]
+        # two moves on one row both land in its one copy
+        r = shift(p, [(-2, 4, +1), (0, 4, -1)])
+        assert r.rows == ((1,), (2, 0), (2, 0, 0), (3, 1, -1, 0))
+        # a row moved back to the signature is dropped, as CPattern drops it
+        back = shift(CPattern(sig_mid, [(1,), (2, 0), (2, 1, 0)]), [(0, 2, +1)])
+        assert back == CPattern(sig_mid, [(1,)]) and back.N == 2
+        assert back.rows == ((1,),)
 
     def test_shifted_if_valid_agrees_with_full_validate(self, sig_mid):
         rng = random.Random(5)

@@ -246,13 +246,37 @@ class TestRadicalSum:
         assert RadicalSum.from_json(s.to_json()) == s
 
     def test_equal_sums_hash_equal(self):
-        # the hash reads the canonical terms: kernel order and zero
-        # coefficients do not change it
+        # the hash reads the canonical terms: kernel order, zero
+        # coefficients and the way a sum was built do not change it; it is
+        # kept in a slot on its first read, so a second read agrees
         a = RadicalSum({1: Fraction(-3, 4), 6: Fraction(2, 3)})
-        b = RadicalSum([(6, Fraction(4, 6)), (5, Fraction(0)), (1, Fraction(-3, 4))])
-        assert a == b and hash(a) == hash(b)
-        assert len({a, b}) == 1
+        sums = [
+            a,
+            RadicalSum([(6, Fraction(4, 6)), (5, Fraction(0)), (1, Fraction(-3, 4))]),
+            radical_of(Fraction(8, 3)) + RadicalSum.from_rational(Fraction(-3, 4)),
+            radical_of(6) * RadicalSum.from_rational(Fraction(2, 3))
+            - RadicalSum.from_rational(Fraction(3, 4)),
+            RadicalSum.from_json(a.to_json()),
+        ]
+        first = [hash(s) for s in sums]
+        assert all(s == a for s in sums) and len(set(first)) == 1
+        assert [hash(s) for s in sums] == first
+        assert len(set(sums)) == 1
         assert hash(RadicalSum({2: Fraction(0)})) == hash(RadicalSum())
+
+    def test_to_json_result_is_the_callers_own(self):
+        s = RadicalSum({1: Fraction(-3, 4), 6: Fraction(2, 3)})
+        expected = [{"coeff": "-3/4", "kernel": 1}, {"coeff": "2/3", "kernel": 6}]
+        got = s.to_json()
+        got[0]["coeff"] = "0"
+        got[1]["kernel"] = 99
+        del got[1]["coeff"]
+        got.append({"coeff": "1", "kernel": 1})
+        assert s.to_json() == expected
+        # an equal sum built apart reads the same rendering
+        assert RadicalSum({6: Fraction(4, 6), 1: Fraction(-3, 4)}).to_json() == expected
+        a, b = s.to_json(), s.to_json()
+        assert a is not b and not any(x is y for x, y in zip(a, b))
 
     def test_decimal_rendering(self):
         s = RadicalSum({2: Fraction(1)})
