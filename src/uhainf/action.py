@@ -138,15 +138,6 @@ class PatternVector:
             out.add_term(p, c)
         return out
 
-    def __sub__(self, other: "PatternVector") -> "PatternVector":
-        out = PatternVector(dict(self.terms))
-        for p, c in other.terms.items():
-            out.add_term(p, -c)
-        return out
-
-    def __neg__(self) -> "PatternVector":
-        return PatternVector({p: -c for p, c in self.terms.items()})
-
     def scale(self, c: RadicalSum) -> "PatternVector":
         if not c:
             return PatternVector()
@@ -196,11 +187,24 @@ def _ladder_rows(index: int) -> tuple[int, int]:
     return (2 * index + 1, 0) if index >= 0 else (-2 * index - 2, 1)
 
 
+def _rows_read(indices) -> tuple[int, int]:
+    """Slice bounds (lo, hi) of p.rows that hold every row E_k and F_k read
+    for k in indices: the rows row_a - 1 .. row_a + 2 of each k, and the
+    rows between them.  Rows 0 and -1 are empty, so lo is never below 0.
+
+    Stored rows are normalised, so two patterns over one signature with
+    equal p.rows[lo:hi] have equal rows lo + 1 .. hi, signature rows
+    included."""
+    rows = [_ladder_rows(k)[0] for k in indices]
+    return max(min(rows) - 2, 0), max(rows) + 2
+
+
 def _window(p: CPattern, index: int) -> tuple[tuple[int, ...], ...]:
     """The rows row_a - 1 .. row_a + 2 of p, the only rows that E_index and
-    F_index read; rows 0 and -1 are empty."""
-    row_a = _ladder_rows(index)[0]
-    return tuple(p.row(q) for q in range(row_a - 1, row_a + 3))
+    F_index read, ending at row hi of _rows_read; rows 0 and -1 are
+    empty."""
+    hi = _rows_read((index,))[1]
+    return tuple(map(p.row, range(hi - 3, hi + 1)))
 
 
 def _l_row(row: tuple[int, ...]) -> dict[int, int]:

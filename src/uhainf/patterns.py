@@ -10,8 +10,7 @@ for every position t of row p.  These arrays label an orthogonal-style
 basis of the module, and the finite truncation V_N (all patterns
 stabilizing at or below N) is finite dimensional, which is what makes
 exhaustive verification possible.  Entry indices i appear only where the
-formulas need them: the ladder coefficients, sign_s, CPattern.entry and
-shift.
+formulas need them: the ladder coefficients, sign_s and shift.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ __all__ = [
     "theta",
     "sign_s",
     "row_range",
-    "validate",
     "shift",
     "shifted_if_valid",
     "highest_weight_pattern",
@@ -177,13 +175,14 @@ class CPattern:
     Rows are stored bottom-up (rows[0] is row 1).  Construction normalizes
     to the minimal stabilization level: trailing stored rows equal to the
     corresponding signature row are dropped (always keeping row 1, so
-    N >= 2).  Equality and hashing are structural.
+    N >= 2).  Equality and hashing are structural.  An entry that is not an
+    int, a bool or a float included, raises ValueError, as in Signature.
     """
 
     __slots__ = ("sig", "rows", "_hash")
 
     def __init__(self, sig: Signature, rows: Sequence[Sequence[int]]):
-        rows = [tuple(map(int, r)) for r in rows]
+        rows = [tuple(map(_integer, r)) for r in rows]
         if not rows:
             rows = [sig.row(1)]
         for p, r in enumerate(rows, start=1):
@@ -221,11 +220,6 @@ class CPattern:
             return self.rows[p - 1]
         return self.sig.row(p)
 
-    def entry(self, i: int, p: int) -> int:
-        if p > len(self.rows):
-            return self.sig.value(i)
-        return self.rows[p - 1][_position(i, p)]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CPattern)
@@ -253,8 +247,7 @@ class CPattern:
 
     @classmethod
     def from_json(cls, data: dict) -> "CPattern":
-        rows = [tuple(map(_integer, r)) for r in data["rows"]]
-        return cls(Signature.from_json(data["signature"]), rows)
+        return cls(Signature.from_json(data["signature"]), data["rows"])
 
 
 @cache
@@ -274,11 +267,6 @@ def _interlaces(below: Sequence[int], above: Sequence[int]) -> bool:
     """Row below interlaces with the row above it: above[t] >= below[t] >=
     above[t+1] at every position t of the row below."""
     return all(a >= b >= c for b, a, c in zip(below, above, above[1:]))
-
-
-def validate(p: CPattern) -> bool:
-    """Full interlacing check: every stored row against the row above it."""
-    return all(_interlaces(p.row(q), p.row(q + 1)) for q in range(1, p.N))
 
 
 def _position(i: int, row: int) -> int:
@@ -408,7 +396,7 @@ def enumerate_basis(sig: Signature, N: int) -> tuple[CPattern, ...]:
         for combo in itertools.product(*_entry_intervals(above)):
             if p == 1:
                 rows = [combo, *reversed(upper_rows)]
-                out.append(_canonical(CPattern(sig, rows)))
+                out.append(_canonical(CPattern._of_rows(sig, rows)))
             else:
                 fill(p - 1, upper_rows + [combo])
 

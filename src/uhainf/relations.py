@@ -23,8 +23,8 @@ from .patterns import (
     weight_eigenvalue,
 )
 from .action import (GeneratorLabel, PatternVector, ZeroDenominatorError,
-                     _eigenvalue, _shifts_by, apply_generator, apply_word,
-                     gauged_image, label)
+                     _eigenvalue, _rows_read, _shifts_by, apply_generator,
+                     apply_word, gauged_image, label)
 from .report import CheckReport
 
 __all__ = [
@@ -85,6 +85,15 @@ def _record_residual(report: CheckReport, terms: Terms, p: CPattern,
         report.record(p, res, note=note)
 
 
+def _add_pair(acc: dict, key, n: int, d: int) -> None:
+    """acc[key] += n/d on unreduced (numerator, denominator) int pairs."""
+    cur = acc.get(key)
+    if cur is not None:
+        n0, d0 = cur
+        n, d = (n0 + n, d) if d0 == d else (n0 * d + n * d0, d0 * d)
+    acc[key] = (n, d)
+
+
 def _gauge_vanishes(terms: Terms, p: CPattern, params: ModuleParams) -> bool:
     """Whether the terms sum to zero on p in the rational gauge, with every
     edge they use kappa-consistent.
@@ -93,14 +102,21 @@ def _gauge_vanishes(terms: Terms, p: CPattern, params: ModuleParams) -> bool:
     with r_p' rational, and the root depends on p' alone, so an empty
     rational sum proves the relation at p.  False proves nothing: the
     caller then records the RadicalSum residual.  A zero denominator is
-    False too, and the residual raises its own.
+    False too, and the residual raises its own.  A proof at p covers every
+    pattern with p's rows in the windows of the words' letters (see
+    _decide_words).
+
+    The sums run on unreduced (numerator, denominator) int pairs, read from
+    the term coefficients and from gauged_image's Fractions, so no gcd is
+    taken: a sum is zero exactly when its numerator is.
     """
-    total: dict[CPattern, Fraction] = {}
+    total: dict[CPattern, tuple[int, int]] = {}
     for c, word in terms:
-        v = {p: c}
+        # ints have a numerator and a denominator too
+        v = {p: (c.numerator, c.denominator)}
         for g in reversed(word):
-            out: dict[CPattern, Fraction] = {}
-            for p1, c1 in v.items():
+            out: dict[CPattern, tuple[int, int]] = {}
+            for p1, (n1, d1) in v.items():
                 try:
                     image = gauged_image(g, p1, params)
                 except ZeroDenominatorError:
@@ -108,13 +124,45 @@ def _gauge_vanishes(terms: Terms, p: CPattern, params: ModuleParams) -> bool:
                 if image is None:
                     return False
                 for p2, c2 in image:
-                    cur = out.get(p2)
-                    out[p2] = c1 * c2 if cur is None else cur + c1 * c2
-            v = {p2: c2 for p2, c2 in out.items() if c2}
-        for p2, c2 in v.items():
-            cur = total.get(p2)
-            total[p2] = c2 if cur is None else cur + c2
-    return not any(total.values())
+                    _add_pair(out, p2, n1 * c2.numerator, d1 * c2.denominator)
+            v = {p2: nd for p2, nd in out.items() if nd[0]}
+        for p2, (n, d) in v.items():
+            _add_pair(total, p2, n, d)
+    return not any(n for n, _ in total.values())
+
+
+def _decide_words(report: CheckReport, indices: tuple[int, ...],
+                  params: ModuleParams):
+    """words(terms, p, note="") for one report: decide at p a relation whose
+    words use only E_k and F_k with k in indices, once per window of rows.
+
+    E_k and F_k read and move only the rows of action._window(p, k), and
+    their coefficients depend on those rows alone (the ladder is solved
+    per window).  So a word's residual at p depends only on p's rows in
+    the union of its letters' windows, and a proof at one pattern holds at
+    every pattern with the same rows there: its residual is the same sum,
+    carried to other patterns by the same moves.  The key is the slice of
+    p.rows that covers those windows (action._rows_read), completed by the
+    signature rows that p does not store, so that equal rows give one key.
+    A key is kept only after the gauge proves the relation at a pattern; a
+    pattern that fails, or raises a zero denominator, records its own
+    witness, and the next pattern with its key is decided again.
+    """
+    lo, hi = _rows_read(indices)
+    sig_rows = tuple(map(params.signature.row, range(1, hi + 1)))
+    decided: set[tuple[tuple[int, ...], ...]] = set()
+
+    def words(terms: Terms, p: CPattern, note: str = "") -> None:
+        rows = p.rows
+        key = rows[lo:hi] + sig_rows[max(len(rows), lo):]
+        if key in decided:
+            return
+        if _gauge_vanishes(terms, p, params):
+            decided.add(key)
+        else:
+            _record_residual(report, terms, p, params, note)
+
+    return words
 
 
 def check_cartan(i: int, j: int, basis: Sequence[CPattern],
@@ -128,6 +176,12 @@ def check_cartan(i: int, j: int, basis: Sequence[CPattern],
     eigenvalue shifts (_shifts_by), and [e_i, f_j] in the rational gauge
     (_gauge_vanishes); a word residual is built, and recorded if nonzero,
     only where that test fails.
+
+    [e_i, f_j] is decided once per window of rows (see _decide_words).
+    The diagonal families, and the bracket argument of [e_i, f_i] with
+    its non-integer check, stay per pattern: a diagonal generator may read
+    rows outside any window (h_0 does under the H-reads-next-index
+    mutation).  `checked` counts patterns.
     """
     report = CheckReport("cartan", {"i": i, "j": j})
     delta = (1 if i == j else 0) - (1 if i == j + 1 else 0)
@@ -139,6 +193,7 @@ def check_cartan(i: int, j: int, basis: Sequence[CPattern],
         (_H(i), _E(j), delta, f"[h_{i},e_{j}] mismatch"),
         (_H(i), _F(j), -delta, f"[h_{i},f_{j}] mismatch"),
     ]
+    words = _decide_words(report, (i, j), params)
     for p in basis:
         report.checked += 1
         with _witness_zero_denominator(report, p):
@@ -148,7 +203,8 @@ def check_cartan(i: int, j: int, basis: Sequence[CPattern],
                                      p, params, note)
             if i == j:
                 # [e_i, f_i] = bracket of the integer eigenvalue of
-                # h_i - h_{i+1} + (theta(-i) - theta(-i-1)) c
+                # h_i - h_{i+1} + (theta(-i) - theta(-i-1)) c; h_i and
+                # h_{i+1} read only rows of window i
                 lam = (
                     weight_eigenvalue(p, i, params)
                     - weight_eigenvalue(p, i + 1, params)
@@ -162,8 +218,7 @@ def check_cartan(i: int, j: int, basis: Sequence[CPattern],
                 note = f"[e_{i},f_{i}] mismatch"
             else:
                 terms, note = _commutator(_E(i), _F(j)), f"[e_{i},f_{j}] != 0"
-            if not _gauge_vanishes(terms, p, params):
-                _record_residual(report, terms, p, params, note)
+            words(terms, p, note)
     return report
 
 
@@ -174,6 +229,9 @@ def check_serre(family: str, variant: str, i: int, j: Optional[int],
     family "E" or "F"; variant "a" ([x_i, x_j] = 0 for |i-j| != 1),
     "b" (x_i^2 x_{i+1} - [2] x_i x_{i+1} x_i + x_{i+1} x_i^2 = 0) or
     "c" (the mirror with i and i+1 swapped).
+
+    Each instance is decided once per window of rows (see _decide_words),
+    and `checked` counts patterns.
     """
     if family not in ("E", "F"):
         raise ValueError("family must be E or F")
@@ -181,19 +239,20 @@ def check_serre(family: str, variant: str, i: int, j: Optional[int],
     if variant == "a":
         if j is None or abs(i - j) == 1:
             raise ValueError("variant a requires j with |i-j| != 1")
-        terms = _commutator(mk(i), mk(j))
+        terms, indices = _commutator(mk(i), mk(j)), (i, j)
     elif variant in ("b", "c"):
         a, b = (mk(i), mk(i + 1)) if variant == "b" else (mk(i + 1), mk(i))
         terms = [(1, (a, a, b)), (-qbracket(2, params.qv), (a, b, a)),
                  (1, (b, a, a))]
+        indices = (i, i + 1)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     report = CheckReport(f"serre-{family}{variant}", {"i": i, "j": j})
+    words = _decide_words(report, indices, params)
     for p in basis:
         report.checked += 1
         with _witness_zero_denominator(report, p):
-            if not _gauge_vanishes(terms, p, params):
-                _record_residual(report, terms, p, params)
+            words(terms, p)
     return report
 
 

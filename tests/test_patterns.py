@@ -14,8 +14,10 @@ from uhainf import (
     highest_weight_pattern,
 )
 from uhainf.patterns import (
+    _interlaces,
     _movable_against_above,
     _movable_against_below,
+    _position,
     basis_count,
     basis_rank,
     row_range,
@@ -23,9 +25,20 @@ from uhainf.patterns import (
     shifted_if_valid,
     sign_s,
     theta,
-    validate,
     weight_eigenvalue,
 )
+
+
+def validate(p: CPattern) -> bool:
+    """Full interlacing check: every stored row against the row above it."""
+    return all(_interlaces(p.row(q), p.row(q + 1)) for q in range(1, p.N))
+
+
+def entry(p: CPattern, i: int, row: int) -> int:
+    """M(i, row) of p, read by entry index i; IndexError outside the row."""
+    if row > len(p.rows):
+        return p.sig.value(i)
+    return p.rows[row - 1][_position(i, row)]
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +172,13 @@ class TestJsonRejectsNonIntegers:
         with pytest.raises(ValueError, match="expected an integer"):
             CPattern.from_json(data)
 
+    @pytest.mark.parametrize("rows", ["row 1", "row 2"])
+    def test_pattern_constructor(self, value, rows):
+        sig = Signature.from_json(_SIGNATURE_JSON)
+        rows = [(value,)] if rows == "row 1" else [(1,), (2, value)]
+        with pytest.raises(ValueError, match="expected an integer"):
+            CPattern(sig, rows)
+
 
 class TestModuleParams:
     def test_capital_mode_constraint(self):
@@ -204,11 +224,11 @@ class TestCPattern:
 
     def test_entry_indexing(self, sig_mid):
         p = CPattern(sig_mid, [(1,), (2, 0), (2, 1, 0)])
-        assert p.entry(0, 1) == 1
-        assert p.entry(-1, 2) == 2 and p.entry(0, 2) == 0
-        assert p.entry(1, 3) == 0
+        assert entry(p, 0, 1) == 1
+        assert entry(p, -1, 2) == 2 and entry(p, 0, 2) == 0
+        assert entry(p, 1, 3) == 0
         with pytest.raises(IndexError):
-            p.entry(1, 2)
+            entry(p, 1, 2)
 
     def test_minimal_level_normalization(self, sig_mid):
         # explicitly storing signature rows must renormalize to the same N
@@ -221,7 +241,7 @@ class TestCPattern:
         # L(i, p) = M(i, p) - i is strictly decreasing along every row of
         # a valid pattern
         for row in range(1, 6):
-            ls = [p.entry(i, row) - i for i in row_range(row)]
+            ls = [entry(p, i, row) - i for i in row_range(row)]
             assert all(a > b for a, b in zip(ls, ls[1:]))
 
     def test_json_roundtrip(self, sig_mid):
@@ -341,14 +361,14 @@ class TestShift:
     def test_shift_roundtrip(self, sig_mid):
         p = highest_weight_pattern(sig_mid)
         q = shift(p, [(0, 1, -1)])
-        assert q.entry(0, 1) == p.entry(0, 1) - 1
+        assert entry(q, 0, 1) == entry(p, 0, 1) - 1
         assert shift(q, [(0, 1, +1)]) == p
 
     def test_shift_materializes_upper_rows(self, sig_mid):
         p = highest_weight_pattern(sig_mid)
         q = shift(p, [(1, 4, -1)])
         assert q.N == 5
-        assert q.entry(1, 4) == sig_mid.row(4)[3] - 1
+        assert entry(q, 1, 4) == sig_mid.row(4)[3] - 1
 
     def test_shift_copies_only_moved_rows(self, sig_mid):
         p = CPattern(sig_mid, [(1,), (2, 0), (2, 0, 0), (2, 1, 0, 0)])

@@ -2,7 +2,7 @@ import hashlib
 import json
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import isqrt
 
 import pytest
@@ -340,8 +340,16 @@ def _H(i):
 _C = GeneratorLabel("C")
 
 
+def _minus(v, w):
+    """v - w, term by term."""
+    out = PatternVector(dict(v.terms))
+    for p, c in w.terms.items():
+        out.add_term(p, -c)
+    return out
+
+
 def _commutator(a, b, p, params):
-    return apply_word([a, b], p, params) - apply_word([b, a], p, params)
+    return _minus(apply_word([a, b], p, params), apply_word([b, a], p, params))
 
 
 def _word_cartan(i, j, basis, params):
@@ -357,9 +365,9 @@ def _word_cartan(i, j, basis, params):
             res = _commutator(_H(i), _H(j), p, params)
             if not res.is_zero():
                 report.record(p, res, note=f"[h_{i},h_{j}] != 0")
-            res = _commutator(_H(i), _E(j), p, params) - apply_generator(
+            res = _minus(_commutator(_H(i), _E(j), p, params), apply_generator(
                 _E(j), p, params
-            ).scale_rational(delta)
+            ).scale_rational(delta))
             if not res.is_zero():
                 report.record(p, res, note=f"[h_{i},e_{j}] mismatch")
             res = _commutator(_H(i), _F(j), p, params) + apply_generator(
@@ -376,9 +384,9 @@ def _word_cartan(i, j, basis, params):
                 if lam.denominator != 1:
                     report.record(p, None, note=f"non-integer bracket argument {lam}")
                     continue
-                res = _commutator(_E(i), _F(i), p, params) - PatternVector.unit(
+                res = _minus(_commutator(_E(i), _F(i), p, params), PatternVector.unit(
                     p
-                ).scale(RadicalSum.from_rational(qbracket(int(lam), params.qv)))
+                ).scale(RadicalSum.from_rational(qbracket(int(lam), params.qv))))
                 if not res.is_zero():
                     report.record(p, res, note=f"[e_{i},f_{i}] mismatch")
             else:
@@ -734,6 +742,17 @@ GAUGE_MODULES = [("params_mid", 5), ("params_mid_classical", 5),
                  ("params_wide", 4)]
 
 
+def _window_key(p, indices):
+    """p's rows in the windows of indices and every row between them, read
+    through action._window: row_a runs over 0, 1, 2, ... as k runs over
+    -1, 0, -2, 1, ..., so these are the windows of every k whose row_a lies
+    between those of indices."""
+    rows = [action._ladder_rows(k)[0] for k in indices]
+    span = range(-max(rows) - 1, max(rows) + 1)
+    return tuple(action._window(p, k) for k in span
+                 if min(rows) <= action._ladder_rows(k)[0] <= max(rows))
+
+
 class TestRationalGauge:
     @pytest.mark.parametrize("fixture,level", GAUGE_MODULES)
     def test_kappa_squarefree(self, request, fixture, level):
@@ -762,19 +781,28 @@ class TestRationalGauge:
 
     @pytest.mark.parametrize("fixture,level", GAUGE_MODULES)
     def test_decides_every_word_relation(self, request, fixture, level):
+        # the gauge decides every instance it is asked about, never falls
+        # back, and is asked once per window key of each report
         params = request.getfixturevalue(fixture)
         basis = enumerate_basis(params.signature, level)
-        with _gauge_spy() as counts:
-            reports = [check_cartan(i, j, basis, params)
-                       for i in WINDOW for j in WINDOW]
-            for fam in "EF":
-                for i in WINDOW:
-                    reports += [check_serre(fam, "a", i, j, basis, params)
-                                for j in WINDOW if abs(i - j) != 1]
-                    reports += [check_serre(fam, v, i, None, basis, params)
-                                for v in "bc"]
-        assert all(r.passed for r in reports)
-        assert counts == {True: len(reports) * len(basis), False: 0}
+        runs = [((i, j), partial(check_cartan, i, j))
+                for i in WINDOW for j in WINDOW]
+        for fam in "EF":
+            for i in WINDOW:
+                runs += [((i, j), partial(check_serre, fam, "a", i, j))
+                         for j in WINDOW if abs(i - j) != 1]
+                runs += [((i, i + 1), partial(check_serre, fam, v, i, None))
+                         for v in "bc"]
+        proofs = 0
+        for indices, check in runs:
+            with _gauge_spy() as counts:
+                report = check(basis, params)
+            assert report.passed and report.checked == len(basis)
+            keys = {_window_key(p, indices) for p in basis}
+            assert counts == {True: len(keys), False: 0}, (report.relation,
+                                                           indices)
+            proofs += len(keys)
+        assert proofs < len(runs) * len(basis)
 
     def test_inconsistent_edge_falls_back(self, params_mid):
         # F_0 scaled by sqrt(2): kappa, read along E alone, is unchanged,
@@ -807,6 +835,59 @@ class TestRationalGauge:
         assert counts[False] > 0 and counts[True] > 0
         assert _digest([r for _, r in runs]) == KILLS[name][0]
         assert {suite for suite, r in runs if not r.passed} == KILLS[name][1]
+
+
+# Window memo negative control.  check_cartan and check_serre decide an
+# E/F word relation once per window of rows, which is sound only while E_k
+# and F_k read no row outside action._window(p, k).  This mutation breaks
+# that: E_0 doubles its image on patterns whose row 4, outside E_0's rows 0
+# to 3, is the signature row.  The memo then hides failures that a check
+# of every pattern finds, and the pins below record how many.
+
+def _e0_reads_row_4(mp):
+    orig = action.apply_generator
+
+    def mutated(g, p, params):
+        image = orig(g, p, params)
+        if g == _E(0) and p.row(4) == p.sig.row(4):
+            return image.scale_rational(2)
+        return image
+
+    mp.setattr(action, "apply_generator", mutated)
+
+
+class TestWindowMemoNegativeControl:
+    # (relation, {"i", "j"}) -> (failures reported, failures on every pattern)
+    PINS = {
+        ("cartan", 0, 0): (2, 14),
+        ("cartan", 0, 1): (6, 6),
+        ("serre-Eb", 0, None): (8, 8),
+        ("serre-Ec", 0, None): (6, 6),
+    }
+
+    @staticmethod
+    def _failing(params, basis):
+        reports = [check_cartan(i, j, basis, params)
+                   for i in WINDOW for j in WINDOW]
+        for fam in "EF":
+            for i in WINDOW:
+                reports += [check_serre(fam, "a", i, j, basis, params)
+                            for j in WINDOW if abs(i - j) != 1]
+                reports += [check_serre(fam, v, i, None, basis, params)
+                            for v in "bc"]
+        return {(r.relation, r.params["i"], r.params["j"]): len(r.failures)
+                for r in reports if not r.passed}
+
+    def test_reads_outside_the_window(self, params_mid):
+        basis = enumerate_basis(params_mid.signature, 5)
+        with _mutated(_e0_reads_row_4):
+            reported = self._failing(params_mid, basis)
+        # a key over every row makes each pattern its own window
+        with _mutated(_e0_reads_row_4), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(relations, "_rows_read", lambda indices: (0, 8))
+            every = self._failing(params_mid, basis)
+        # both suites still fail, though the memo hides 12 of cartan (0, 0)'s
+        assert {k: (reported.get(k), every.get(k)) for k in every} == self.PINS
 
 
 # Restrictedness negative control.  No ladder mutation reaches the failure

@@ -1,0 +1,95 @@
+"""End-to-end time of `uhainf check --suite all` at four module sizes.
+
+usage: python3 tools/bench_levels.py
+
+Run from anywhere inside a source checkout; the package is imported from
+its ``src/`` directory.  For each (level, window) in SIZES a fresh
+interpreter imports ``uhainf.cli`` and runs `check --suite all` on the
+module -1:1:2,1,0 (xi0 = 2, xi1 = 0, q = 3/2, the defaults) twice in the
+same process: once with every memo empty (cold) and once more with the
+memos the first pass filled (warm).  Each child reports the wall seconds
+of both passes (``time.perf_counter``, stdout written to memory), its peak
+RSS (``ru_maxrss``) after both, the exit code and the sha256 of the cold
+stdout, which the CI pins at every size.  The sizes run one after another,
+never in parallel.
+
+Prints one JSON document with the git SHA and the Python version.  A
+checkout without git history reports ``"git_sha": null``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIZES = ((3, 4), (5, 6), (7, 3), (8, 3))
+MODULE = ("--signature=-1:1:2,1,0", "--xi0", "2", "--xi1", "0")
+
+
+def _child(level: int, window: int) -> dict:
+    from uhainf.cli import main
+
+    argv = ["check", *MODULE, "--suite", "all",
+            "--level", str(level), "--window", str(window)]
+    passes = []
+    for _ in ("cold", "warm"):
+        buf = io.StringIO()
+        t = time.perf_counter()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        passes.append((time.perf_counter() - t, code, buf.getvalue()))
+    (cold_s, code, out), (warm_s, warm_code, warm_out) = passes
+    return {
+        "level": level,
+        "window": window,
+        "cold_s": round(cold_s, 3),
+        "warm_s": round(warm_s, 3),
+        "peak_rss_mib": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "exit_code": code,
+        "warm_equals_cold": warm_out == out and warm_code == code,
+        "stdout_sha256": hashlib.sha256(out.encode()).hexdigest(),
+    }
+
+
+def _git_sha() -> str | None:
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                              capture_output=True, text=True, timeout=30)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def main() -> int:
+    if sys.argv[1:2] == ["--child"]:
+        print(json.dumps(_child(int(sys.argv[2]), int(sys.argv[3]))))
+        return 0
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    runs = []
+    for level, window in SIZES:
+        proc = subprocess.run(
+            [sys.executable, __file__, "--child", str(level), str(window)],
+            cwd=ROOT, env=env, capture_output=True, text=True, check=True)
+        runs.append(json.loads(proc.stdout))
+    print(json.dumps({
+        "git_sha": _git_sha(),
+        "python": platform.python_version(),
+        "command": "uhainf check " + " ".join(MODULE) + " --suite all",
+        "sizes": runs,
+    }, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
