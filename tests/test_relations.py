@@ -742,6 +742,21 @@ GAUGE_MODULES = [("params_mid", 5), ("params_mid_classical", 5),
                  ("params_wide", 4)]
 
 
+def _word_checks():
+    """(indices, check) for every Cartan pair and Serre instance over
+    WINDOW, indices being those of the relation's E/F letters;
+    check(basis, params) returns the report."""
+    runs = [((i, j), partial(check_cartan, i, j))
+            for i in WINDOW for j in WINDOW]
+    for fam in "EF":
+        for i in WINDOW:
+            runs += [((i, j), partial(check_serre, fam, "a", i, j))
+                     for j in WINDOW if abs(i - j) != 1]
+            runs += [((i, i + 1), partial(check_serre, fam, v, i, None))
+                     for v in "bc"]
+    return runs
+
+
 def _window_key(p, indices):
     """p's rows in the windows of indices and every row between them, read
     through action._window: row_a runs over 0, 1, 2, ... as k runs over
@@ -785,14 +800,7 @@ class TestRationalGauge:
         # back, and is asked once per window key of each report
         params = request.getfixturevalue(fixture)
         basis = enumerate_basis(params.signature, level)
-        runs = [((i, j), partial(check_cartan, i, j))
-                for i in WINDOW for j in WINDOW]
-        for fam in "EF":
-            for i in WINDOW:
-                runs += [((i, j), partial(check_serre, fam, "a", i, j))
-                         for j in WINDOW if abs(i - j) != 1]
-                runs += [((i, i + 1), partial(check_serre, fam, v, i, None))
-                         for v in "bc"]
+        runs = _word_checks()
         proofs = 0
         for indices, check in runs:
             with _gauge_spy() as counts:
@@ -867,14 +875,7 @@ class TestWindowMemoNegativeControl:
 
     @staticmethod
     def _failing(params, basis):
-        reports = [check_cartan(i, j, basis, params)
-                   for i in WINDOW for j in WINDOW]
-        for fam in "EF":
-            for i in WINDOW:
-                reports += [check_serre(fam, "a", i, j, basis, params)
-                            for j in WINDOW if abs(i - j) != 1]
-                reports += [check_serre(fam, v, i, None, basis, params)
-                            for v in "bc"]
+        reports = [check(basis, params) for _, check in _word_checks()]
         return {(r.relation, r.params["i"], r.params["j"]): len(r.failures)
                 for r in reports if not r.passed}
 
