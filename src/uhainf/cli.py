@@ -8,6 +8,7 @@ codes: 0 all checks pass, 1 a verification failed, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -192,16 +193,24 @@ def cmd_basis(cfg: RunConfig) -> int:
 
 
 def cmd_matrix(cfg: RunConfig, generator: str) -> int:
+    """Export one generator on V_N as sparse JSON, rows numbered in V_{N+2}.
+
+    The basis, the enlarged count and every rank are read through the
+    interned module's signature, not cfg.signature: each command parses a
+    new Signature, but ``params.signature`` is the one the first command
+    of the process built, so a basis_rank entry made by an earlier command
+    is found by identity rather than by comparing dataclass fields."""
     g = _parse_generator(generator)
     params = cfg.params
-    basis = enumerate_basis(cfg.signature, cfg.level)
+    sig = params.signature
+    basis = enumerate_basis(sig, cfg.level)
     # targets may leave V_N; number them in the enlarged truncation V_{N+2}
     enlarged = cfg.level + 2
-    count = basis_count(cfg.signature, enlarged)
+    count = basis_count(sig, enlarged)
     entries = []
     for col, p in enumerate(basis):
         # each target's row, None beyond V_{N+2}, read from the basis_rank memo
-        ranked = [(basis_rank(cfg.signature, enlarged, p2), p2, c)
+        ranked = [(basis_rank(sig, enlarged, p2), p2, c)
                   for p2, c in apply_generator(g, p, params).terms.items()]
         ranked.sort(key=lambda t: count if t[0] is None else t[0])  # None last
         for row, p2, c in ranked:
@@ -289,7 +298,17 @@ def cmd_check(cfg: RunConfig, suite: str) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first main() call and kept for the
+    life of the process.
+
+    Building it costs about ten times what parsing one command line does,
+    and a process that runs many commands (a warm pass, a test session)
+    would otherwise pay that on each.  It is not built at import, so
+    ``import uhainf.cli`` costs no more than before.  action.clear_caches()
+    leaves it alone: it holds no computed value, no fault-injection patch
+    reaches it, and action cannot import cli without an import cycle."""
     ap = argparse.ArgumentParser(
         prog="uhainf",
         description="Exact pattern-basis representations and verification suites",

@@ -40,8 +40,8 @@ with f(v, x, off) = x - q^(2 off) v, on the variables' integer pairs and
 unreduced: for x = q^(2L) and v = q^(2M) this is
 -q^(L+M+off)(q - q^-1)[M - L + off], and the per-term weight q^(1-2s)/(xy),
 also a pair, absorbs those monomials.  Each power of q is computed once per
-evaluation.  A21 has no row pole test: the kernel's denominator check is its
-only one.
+evaluation.  A21 tests A and B for poles before the kernel
+(``_reject_ratio_poles``), the multiplicative form of ``_reject_poles``.
 
 Two changes to a table row leave every identity true, so no test can tell
 them apart: flipping sigma (the identities are invariant under L -> -L),
@@ -199,6 +199,22 @@ def _reject_poles(rows, what: str) -> None:
         ordered = sorted(row)
         if any(w - v <= 1 for v, w in zip(ordered, ordered[1:])):
             raise PoleError(f"vanishing denominator: {what}")
+
+
+def _reject_ratio_poles(rows, q: Fraction, what: str) -> None:
+    """PoleError when two entries of a row of integer pairs are equal or in
+    ratio q^2.
+
+    A21's denominator factors over a row are x - q^(2 off) v with off in
+    {-1, 0, 1}, for every two entries v and x of the row, so this is exactly
+    when its kernel would meet a vanishing denominator."""
+    qn, qd = q.numerator ** 2, q.denominator ** 2
+    for row in rows:
+        for j, (xn, xd) in enumerate(row):
+            for vn, vd in row[:j]:
+                a, b = xn * vd, vn * xd  # x / v = a / b
+                if a == b or a * qd == b * qn or a * qn == b * qd:
+                    raise PoleError(f"vanishing denominator: {what}")
 
 
 def _num(f, values, x, off: int) -> tuple[int, int]:
@@ -411,10 +427,11 @@ def _eval_a21(a: Assignment, n: int) -> Fraction:
         raise ValueError("A21 arrays must have lengths n-1, n, n+1, n-2")
     if any(v == 0 for v in A + B + C + D):
         raise PoleError("A21 variables must be nonzero")
-    f, weight = _a21_factors(q)
     pairs = lambda vs: [v.as_integer_ratio() for v in vs]
-    total = _double_sum(f, pairs(D), pairs(A), pairs(B), pairs(C), +1, "A21",
-                        weight=weight)
+    pa, pb = pairs(A), pairs(B)
+    _reject_ratio_poles((pa, pb), q, "A21")
+    f, weight = _a21_factors(q)
+    total = _double_sum(f, pairs(D), pa, pb, pairs(C), +1, "A21", weight=weight)
     return total - (q - 1 / q) * (1 - q * q * math.prod(D + C) / math.prod(A + B))
 
 
@@ -450,16 +467,28 @@ _Q_POOL = tuple(QValue.quantum(q) for q in (Fraction(3, 2), 2, Fraction(5, 3),
 _RANGE = (-12, 13)
 
 
+def _randrange(rng: random.Random, start: int, stop: int) -> int:
+    """rng.randrange(start, stop), drawn as randrange draws it:
+    getrandbits(k), k the bit length of the width, until the draw is below
+    the width.  The stream is randrange's, without its argument checks."""
+    n = stop - start
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return start + r
+
+
 def _sample_row(rng: random.Random, length: int, decreasing: bool) -> list[int]:
     if not decreasing:
-        return [rng.randrange(*_RANGE) for _ in range(length)]
+        return [_randrange(rng, *_RANGE) for _ in range(length)]
     # strictly decreasing rows mimic genuine L-rows (gap >= 1), from a top
     # entry in 10 .. 16
     vals = []
-    cur = rng.randrange(10, 17)
+    cur = _randrange(rng, 10, 17)
     for _ in range(length):
         vals.append(cur)
-        cur -= rng.randrange(1, 4)
+        cur -= _randrange(rng, 1, 4)
     return vals
 
 
@@ -469,7 +498,7 @@ def _sample_raw(ident: IdentityId, rng: random.Random) -> Assignment:
     if tag in ("I25", "I26", "I27", "A46L", "A46R"):
         names = {"I25": "abcde", "I26": "ab", "I27": "a",
                  "A46L": "abcd", "A46R": "abcd"}[tag]
-        return Assignment(qv, scalars={x: rng.randrange(*_RANGE) for x in names})
+        return Assignment(qv, scalars={x: _randrange(rng, *_RANGE) for x in names})
     dec = rng.random() < 0.5
     if tag in _ROW_SUMS:
         case = _ROW_SUMS[tag]
@@ -485,7 +514,7 @@ def _sample_raw(ident: IdentityId, rng: random.Random) -> Assignment:
 
         def var() -> Fraction:
             # powers of q keep the variables in the identity's natural image
-            return q ** (2 * rng.randrange(*_RANGE))
+            return q ** (2 * _randrange(rng, *_RANGE))
 
         return Assignment(qv, arrays={
             "A": [var() for _ in range(k - 1)],

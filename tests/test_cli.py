@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +15,7 @@ from uhainf import (
     apply_generator,
     enumerate_basis,
 )
+import uhainf
 from uhainf import patterns
 from uhainf.action import clear_caches
 from uhainf.cli import RunConfig, _build_parser, main
@@ -290,6 +294,63 @@ class TestMatrix:
         second = run(capsys, ["matrix", *BASE, "--level", "7", "--generator", "F:-2"])
         assert second[0] == 0
         assert patterns._fillings.cache_info().misses == misses
+
+
+    def test_second_command_ranks_by_identity(self, capsys, monkeypatch):
+        """A matrix command numbers its targets through the interned module's
+        signature, so the same command run again finds every basis_rank
+        entry by identity: the only Signature comparison left is the one
+        module_params makes to find the module."""
+        argv = ["matrix", *BASE, "--level", "7", "--generator", "E:1"]
+        clear_caches()
+        first = run(capsys, argv)
+        calls = []
+        orig = Signature.__eq__
+
+        def spy(self, other):
+            calls.append(other)
+            return orig(self, other)
+
+        monkeypatch.setattr(Signature, "__eq__", spy)
+        assert run(capsys, argv) == first
+        assert len(json.loads(first[1])["entries"]) > 500
+        assert len(calls) <= 1
+
+
+class TestParserMemo:
+    """main() builds the argument parser once per process, on first use."""
+
+    def test_not_built_at_import(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(uhainf.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import uhainf.cli as cli; "
+             "print(cli._build_parser.cache_info().currsize)"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+    def test_built_once(self, capsys):
+        _build_parser.cache_clear()
+        for level in ("2", "3"):
+            assert run(capsys, ["basis", *BASE, "--level", level])[0] == 0
+        info = _build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_usage_errors_leave_it_intact(self, capsys):
+        argv = ["check", *BASE, "--suite", "hw", "--level", "3"]
+        _build_parser.cache_clear()
+        alone = run(capsys, argv)
+        assert alone[0] == 0
+        _build_parser.cache_clear()
+        code, out, _ = run(capsys, [*argv, "--window", "-1"])
+        assert (code, out) == (2, "")
+        with pytest.raises(SystemExit) as exc:  # rejected by argparse itself
+            main([*argv, "--suite", "bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, argv) == alone
+        assert _build_parser.cache_info().misses == 1
 
 
 class TestCheck:

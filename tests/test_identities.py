@@ -18,6 +18,7 @@ from uhainf import (
     fuzz_identity,
 )
 from uhainf.identities import (
+    CORPUS,
     IDENTITY_TAGS,
     _REJECTION_BUDGET,
     _ROWS,
@@ -26,6 +27,7 @@ from uhainf.identities import (
     _a21_factors,
     _as_row,
     _double_sum,
+    _randrange,
     _row_numbers,
     _sample_raw,
     _single_sum,
@@ -161,6 +163,36 @@ class TestSampling:
             for seed in range(5):
                 a = random_generic_assignment(ident, seed=seed)
                 assert evaluate_identity(ident, a) == 0, (tag, seed)
+
+
+class TestSamplerStream:
+    """The sampler draws its bounded integers from getrandbits as randrange
+    does, so every seed gives the draws, and leaves the generator in the
+    state, that randrange would: the pinned reports stay as they are."""
+
+    def test_randrange_widths(self):
+        for seed in range(50):
+            ours, ref = random.Random(seed), random.Random(seed)
+            for start, stop in ((-12, 13), (10, 17), (1, 4), (0, 1), (5, 37)):
+                got = [_randrange(ours, start, stop) for _ in range(20)]
+                assert got == [ref.randrange(start, stop) for _ in range(20)]
+            assert ours.getstate() == ref.getstate()
+
+    def test_sampler_against_randrange(self, monkeypatch):
+        import uhainf.identities as idm
+
+        def sample(ident, seed, draws=8):
+            rng = random.Random(seed)
+            out = [_sample_raw(ident, rng) for _ in range(draws)]
+            return [(a.qv, a.scalars, a.arrays, a.excluded) for a in out], rng.getstate()
+
+        idents = sorted(set(CORPUS), key=str)
+        got = {(i, seed): sample(i, seed) for i in idents for seed in range(40)}
+        # the reference: each bounded draw is the generator's own randrange
+        monkeypatch.setattr(idm, "_randrange",
+                            lambda rng, start, stop: rng.randrange(start, stop))
+        for (ident, seed), draws in got.items():
+            assert sample(ident, seed) == draws, (ident, seed)
 
 
 class TestFuzz:
@@ -388,27 +420,54 @@ class TestPoleTest:
         return False
 
     def _compare(self, monkeypatch, ident, seed):
-        import uhainf.identities as idm
         rng = random.Random(seed)
+        return self._compare_draws(
+            monkeypatch, ident, (_sample_raw(ident, rng) for _ in range(self.DRAWS)))
+
+    def _compare_draws(self, monkeypatch, ident, draws):
+        import uhainf.identities as idm
         seen = set()
-        for _ in range(self.DRAWS):
-            a = _sample_raw(ident, rng)
+        for a in draws:
             with monkeypatch.context() as m:  # the row test alone
                 m.setattr(idm, "_single_sum", lambda *args: Fraction(0))
                 m.setattr(idm, "_double_sum", lambda *args, **kw: Fraction(0))
                 rows = self._raises_pole(ident, a)
             with monkeypatch.context() as m:  # the kernel alone
                 m.setattr(idm, "_reject_poles", lambda rows, what: None)
+                m.setattr(idm, "_reject_ratio_poles", lambda rows, q, what: None)
                 kernel = self._raises_pole(ident, a)
             assert rows == kernel, (ident, a.arrays, a.excluded)
             seen.add(rows)
         return seen
 
-    @pytest.mark.parametrize("tag", [*_ROW_SUMS, "A26"])
+    @pytest.mark.parametrize("tag", [*_ROW_SUMS, "A26", "A21"])
     def test_rows_reject_exactly_the_kernel_poles(self, monkeypatch, tag):
         seen = set()
         for size in range(max(_SIZED[tag], 1), 5):
             seen |= self._compare(monkeypatch, IdentityId(tag, size), seed=size)
+        assert seen == {True, False}
+
+    def test_a21_off_the_image(self, monkeypatch):
+        """A21 at signed rational variables, with the last entry of A or B
+        set equal to, or q^2 or q^-2 times, its first on most draws."""
+        rng = random.Random(5)
+        var = lambda: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                               rng.randint(1, 9))
+
+        def draws(n):
+            for _ in range(self.DRAWS):
+                qv = rng.choice([Q2, Q32])
+                arrays = {x: [var() for _ in range(m)]
+                          for x, m in zip("ABCD", (n - 1, n, n + 1, n - 2))}
+                ratio = rng.choice([1, qv.q ** 2, qv.q ** -2, None])
+                row = arrays[rng.choice("AB" if n > 2 else "B")]
+                if ratio is not None:
+                    row[-1] = row[0] * ratio
+                yield Assignment(qv, arrays=arrays)
+
+        seen = set()
+        for n in range(2, 5):
+            seen |= self._compare_draws(monkeypatch, IdentityId("A21", n), draws(n))
         assert seen == {True, False}
 
     @pytest.mark.parametrize("mutation", ["swap-summed-cut", "other-unused"])
@@ -578,9 +637,9 @@ class TestIntegerKernels:
 
 
 class TestA21Poles:
-    """A21 has no row pole test, so its kernel is its only pole check: the
-    kernel raises PoleError exactly when the Fraction reference divides by
-    zero, and otherwise returns the reference's value."""
+    """A21's kernel raises PoleError exactly when the Fraction reference
+    divides by zero, and otherwise returns the reference's value; the row
+    test before it (TestPoleTest) rejects those same draws."""
 
     @staticmethod
     def _draws():

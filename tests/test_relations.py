@@ -365,12 +365,14 @@ def _word_cartan(i, j, basis, params):
             res = _commutator(_H(i), _H(j), p, params)
             if not res.is_zero():
                 report.record(p, res, note=f"[h_{i},h_{j}] != 0")
-            res = _minus(_commutator(_H(i), _E(j), p, params), apply_generator(
+            # action.apply_generator, read at call time as the words read
+            # it, so that a patch of E or F reaches both sides
+            res = _minus(_commutator(_H(i), _E(j), p, params), action.apply_generator(
                 _E(j), p, params
             ).scale_rational(delta))
             if not res.is_zero():
                 report.record(p, res, note=f"[h_{i},e_{j}] mismatch")
-            res = _commutator(_H(i), _F(j), p, params) + apply_generator(
+            res = _commutator(_H(i), _F(j), p, params) + action.apply_generator(
                 _F(j), p, params
             ).scale_rational(delta)
             if not res.is_zero():
@@ -889,6 +891,23 @@ class TestWindowMemoNegativeControl:
             every = self._failing(params_mid, basis)
         # both suites still fail, though the memo hides 12 of cartan (0, 0)'s
         assert {k: (reported.get(k), every.get(k)) for k in every} == self.PINS
+
+    def test_oracle_reads_the_patch(self, params_mid):
+        """Under this mutation [h_i, e_0] still holds, since E_0 is doubled
+        on both sides of it, so the word oracle must report no [h_i,e_0]
+        mismatch that check_cartan does not."""
+        basis = enumerate_basis(params_mid.signature, 5)
+
+        def mismatches(check):
+            return {(i, json.dumps(f.get("pattern"), sort_keys=True))
+                    for i in WINDOW
+                    for f in check(i, 0, basis, params_mid).failures
+                    if f.get("note") == f"[h_{i},e_0] mismatch"}
+
+        with _mutated(_e0_reads_row_4):
+            oracle = mismatches(_word_cartan)
+            suite = mismatches(check_cartan)
+        assert oracle <= suite
 
 
 # Restrictedness negative control.  No ladder mutation reaches the failure
