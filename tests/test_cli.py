@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import uhainf
 from uhainf import (
     GeneratorLabel,
     ModuleParams,
@@ -15,7 +16,6 @@ from uhainf import (
     apply_generator,
     enumerate_basis,
 )
-import uhainf
 from uhainf import patterns
 from uhainf.action import clear_caches
 from uhainf.cli import RunConfig, _build_parser, main
@@ -294,7 +294,6 @@ class TestMatrix:
         second = run(capsys, ["matrix", *BASE, "--level", "7", "--generator", "F:-2"])
         assert second[0] == 0
         assert patterns._fillings.cache_info().misses == misses
-
 
     def test_second_command_ranks_by_identity(self, capsys, monkeypatch):
         """A matrix command numbers its targets through the interned module's
