@@ -10,8 +10,8 @@ entries are first filtered to those that can move at all, then every
 surviving pair is checked in full on integers, and only a pair that passes
 becomes a target pattern.
 All of that reads only four rows of the pattern, the window around the two
-rows that move, so it is solved once per window (_ladder_window) and each
-pattern only builds its targets from the solution.
+rows that move (_window), so it is solved once per window (_ladder_window),
+and apply_generator only builds each pattern's targets from the solution.
 One kernel (_Ladder) serves every index.  For index -1 the lower row of the
 pair is the empty row 0, so only the bottom entry moves and every factor
 read from row 0 or the row below it is an empty product.  Diagonal
@@ -188,9 +188,9 @@ def _ladder_rows(index: int) -> tuple[int, int]:
 
 
 def _rows_read(indices) -> tuple[int, int]:
-    """Slice bounds (lo, hi) of p.rows that hold every row E_k and F_k read
-    for k in indices: the rows row_a - 1 .. row_a + 2 of each k, and the
-    rows between them.  Rows 0 and -1 are empty, so lo is never below 0.
+    """Slice bounds (lo, hi) of p.rows, the key span of _decide_words, that
+    hold every row of _window(p, k) for k in indices and the rows between
+    them.  Rows 0 and -1 are empty, so lo is never below 0.
 
     Stored rows are normalised, so two patterns over one signature with
     equal p.rows[lo:hi] have equal rows lo + 1 .. hi, signature rows
@@ -201,10 +201,9 @@ def _rows_read(indices) -> tuple[int, int]:
 
 def _window(p: CPattern, index: int) -> tuple[tuple[int, ...], ...]:
     """The rows row_a - 1 .. row_a + 2 of p, the only rows that E_index and
-    F_index read, ending at row hi of _rows_read; rows 0 and -1 are
-    empty."""
-    hi = _rows_read((index,))[1]
-    return tuple(map(p.row, range(hi - 3, hi + 1)))
+    F_index read; rows 0 and -1 are empty."""
+    row_a = _ladder_rows(index)[0]
+    return tuple(map(p.row, range(row_a - 1, row_a + 3)))
 
 
 def _l_row(row: tuple[int, ...]) -> dict[int, int]:
@@ -334,32 +333,14 @@ def _ladder_window(
     return tuple(out)
 
 
-def _ladder_action(
-    kind: str, index: int, p: CPattern, params: ModuleParams
-) -> PatternVector:
-    """E_index or F_index on one pattern: the window is solved once, by
-    _ladder_window, and each pattern only builds its targets.
-
-    A zero denominator is raised here, on every call, naming p.
-    """
-    out = PatternVector()
-    for j, l, moves, coeff in _ladder_window(kind, index, _window(p, index),
-                                             params.qv):
-        if coeff is None:
-            raise ZeroDenominatorError(
-                f"{kind}_{index}: zero denominator on valid target "
-                f"(j={j}, l={l}) of {p!r}"
-            )
-        out.add_term(shift(p, moves), coeff)
-    return out
-
-
 @cache
 def apply_generator(
     g: GeneratorLabel, p: CPattern, params: ModuleParams
 ) -> PatternVector:
     """Action of a single generator on a basis pattern.
 
+    E and F build p's targets from the solution of its window
+    (_ladder_window); a zero denominator is raised on every call, naming p.
     Memoised for the life of the process.  The result is read-only: its
     ``terms`` is a mapping proxy, so ``add_term`` on it raises and no
     caller can change what a later call returns.
@@ -370,7 +351,15 @@ def apply_generator(
         result = PatternVector({p: _rational_coefficient(r.numerator,
                                                          r.denominator)})
     else:
-        result = _ladder_action(g.kind, g.index, p, params)
+        result = PatternVector()
+        for j, l, moves, coeff in _ladder_window(
+                g.kind, g.index, _window(p, g.index), params.qv):
+            if coeff is None:
+                raise ZeroDenominatorError(
+                    f"{g}: zero denominator on valid target "
+                    f"(j={j}, l={l}) of {p!r}"
+                )
+            result.add_term(shift(p, moves), coeff)
     result.terms = MappingProxyType(result.terms)
     return result
 
@@ -504,6 +493,14 @@ def _shifts_by(d: GeneratorLabel, g: GeneratorLabel, p: CPattern,
     return True
 
 
+# The memos, captured at import, so that a name rebound later (a test patch,
+# a tracing wrapper) can neither hide one nor make clear_caches() raise.
+_MEMOS = (qbracket, _square_decompose, _decimal_str, _json_terms,
+          module_params, Signature.row, enumerate_basis, _fillings,
+          basis_rank, _canonical, label, _coefficient, _rational_coefficient,
+          _ladder_window, apply_generator, kappa, gauged_image, _shifts_by)
+
+
 def clear_caches() -> None:
     """Empty every memo, 18 in all: qbracket, _square_decompose, the
     rendered decimals and JSON terms of coefficients, module_params,
@@ -512,9 +509,5 @@ def clear_caches() -> None:
     C, the ladder windows, apply_generator, kappa, gauged_image and
     _shifts_by.  Patterns, labels and coefficients built after this are
     new objects, and a patched _CASES or sign_s reaches every window."""
-    for memo in (qbracket, _square_decompose, _decimal_str, _json_terms,
-                 module_params, Signature.row, enumerate_basis, _fillings,
-                 basis_rank, _canonical, label, _coefficient,
-                 _rational_coefficient, _ladder_window, apply_generator,
-                 kappa, gauged_image, _shifts_by):
+    for memo in _MEMOS:
         memo.cache_clear()

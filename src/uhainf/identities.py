@@ -422,17 +422,18 @@ def _eval_a21(a: Assignment, n: int) -> Fraction:
     if a.qv.is_classical:
         raise PoleError("A21 is a multiplicative identity; it needs a rational q")
     q = a.qv.q
-    A, B, C, D = ([Fraction(v) for v in a.arrays[x]] for x in "ABCD")
+    # each variable, an int or a Fraction, as its integer pair, read once
+    A, B, C, D = ([v.as_integer_ratio() for v in a.arrays[x]] for x in "ABCD")
     if [len(A), len(B), len(C), len(D)] != [n - 1, n, n + 1, n - 2]:
         raise ValueError("A21 arrays must have lengths n-1, n, n+1, n-2")
-    if any(v == 0 for v in A + B + C + D):
+    if any(vn == 0 for vn, _ in A + B + C + D):
         raise PoleError("A21 variables must be nonzero")
-    pairs = lambda vs: [v.as_integer_ratio() for v in vs]
-    pa, pb = pairs(A), pairs(B)
-    _reject_ratio_poles((pa, pb), q, "A21")
+    _reject_ratio_poles((A, B), q, "A21")
     f, weight = _a21_factors(q)
-    total = _double_sum(f, pairs(D), pa, pb, pairs(C), +1, "A21", weight=weight)
-    return total - (q - 1 / q) * (1 - q * q * math.prod(D + C) / math.prod(A + B))
+    total = _double_sum(f, D, A, B, C, +1, "A21", weight=weight)
+    # prod(D + C) / prod(A + B) = (tn / td) / (bn / bd); neither side is empty
+    (tn, td), (bn, bd) = (map(math.prod, zip(*vs)) for vs in (D + C, A + B))
+    return total - (q - 1 / q) * (1 - q * q * Fraction(tn * bd, td * bn))
 
 
 def evaluate_identity(ident: IdentityId, a: Assignment) -> Fraction:

@@ -224,7 +224,7 @@ class CPattern:
         return (
             isinstance(other, CPattern)
             and self._hash == other._hash
-            and self.sig == other.sig
+            and (self.sig is other.sig or self.sig == other.sig)
             and self.rows == other.rows
         )
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import prod
 
@@ -198,7 +199,7 @@ def deletion_diagnostics(
     TestDeletionConvention uses it to confirm that skipped targets are
     exactly the ill-defined ones: valid targets never divide by zero, and
     invalid targets always have a vanishing numerator or denominator.
-    Unlike _ladder_action it sweeps every (j, l) pair, with no entry
+    Unlike apply_generator it sweeps every (j, l) pair, with no entry
     filter, so it is an oracle for the filters.  It shares shifted_if_valid
     and the bracket factors (_Ladder.factors) with the action, so it does
     not check those.  A product of exact brackets vanishes exactly when one
@@ -331,19 +332,9 @@ class TestMemo:
         clear_caches()
         assert [m.cache_info().currsize for m in memos] == [0, 0, 0]
 
-    def test_clear_caches_empties_every_memo(self, params_mid):
-        params = module_params(params_mid.signature, params_mid.xi0,
-                               params_mid.xi1, params_mid.qv, params_mid.mode)
-        hw = highest_weight_pattern(params.signature)
-        apply_word([E(0), F(0), F(-1)], hw, params)
-        qnum.radical_of(12)
-        assert action.gauged_image(F(0), hw, params)
-        basis = enumerate_basis(params.signature, 3)
-        assert relations.check_cartan(0, 0, basis, params).passed
-        assert patterns.basis_count(params.signature, 4) == 20
-        assert patterns.basis_rank(params.signature, 4, hw) is not None
-        c = apply_generator(H(0), hw, params).terms[hw]
-        assert c.to_json() and c.to_decimal()
+    @staticmethod
+    def _every_memo():
+        """The 18 memos, as the modules bind them before any patch."""
         memos = (qnum.qbracket, qnum._square_decompose, qnum._decimal_str,
                  qnum._json_terms, module_params, Signature.row,
                  enumerate_basis, patterns._fillings, patterns.basis_rank,
@@ -352,9 +343,73 @@ class TestMemo:
                  apply_generator, action.kappa, action.gauged_image,
                  action._shifts_by)
         assert len(memos) == 18  # the count the clear_caches docstring gives
+        return memos
+
+    @staticmethod
+    def _fill(params_mid):
+        """Put an entry in every memo, reading each function through its
+        module's name, as the suites and the CLI do."""
+        params = patterns.module_params(params_mid.signature, params_mid.xi0,
+                                        params_mid.xi1, params_mid.qv,
+                                        params_mid.mode)
+        hw = highest_weight_pattern(params.signature)
+        action.apply_word([E(0), F(0), F(-1)], hw, params)
+        qnum.radical_of(12)
+        assert action.gauged_image(F(0), hw, params)
+        basis = patterns.enumerate_basis(params.signature, 3)
+        assert relations.check_cartan(0, 0, basis, params).passed
+        assert patterns.basis_count(params.signature, 4) == 20
+        assert patterns.basis_rank(params.signature, 4, hw) is not None
+        c = action.apply_generator(H(0), hw, params).terms[hw]
+        assert c.to_json() and c.to_decimal()
+
+    def test_clear_caches_empties_every_memo(self, params_mid):
+        memos = self._every_memo()
+        self._fill(params_mid)
         assert all(m.cache_info().currsize > 0 for m in memos)
         clear_caches()
         assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
+
+    def test_clear_caches_survives_rebound_names(self, params_mid,
+                                                 monkeypatch):
+        """bench/tracing.py wraps enumerate_basis, apply_generator and
+        qbracket in plain functions and rebinds every uhainf name that held
+        one.  clear_caches() must still empty every memo, without raising
+        AttributeError on a wrapper."""
+        memos = self._every_memo()
+        for memo in (enumerate_basis, apply_generator, qnum.qbracket):
+            def traced(*args, _memo=memo, **kwargs):
+                return _memo(*args, **kwargs)
+
+            for name, module in list(sys.modules.items()):
+                if name == "uhainf" or name.startswith("uhainf."):
+                    for key, value in list(vars(module).items()):
+                        if value is memo:
+                            monkeypatch.setattr(module, key, traced)
+        assert action.apply_generator is not apply_generator
+        self._fill(params_mid)
+        assert all(m.cache_info().currsize > 0 for m in memos)
+        clear_caches()
+        assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
+
+    def test_new_targets_meet_the_basis_signature_by_identity(
+            self, capsys, monkeypatch):
+        """A ladder target and the basis pattern it is interned to share
+        one Signature object, so comparing them compares no fields: a cold
+        matrix export calls Signature.__eq__ nowhere."""
+        calls = []
+        dataclass_eq = Signature.__eq__
+
+        def spy(self, other):
+            calls.append(other)
+            return dataclass_eq(self, other)
+
+        clear_caches()
+        monkeypatch.setattr(Signature, "__eq__", spy)
+        assert cli.main(["matrix", *MID, "--level", "5",
+                         "--generator", "E:1"]) == 0
+        assert '"entries":[{' in capsys.readouterr().out
+        assert calls == []
 
     @pytest.mark.parametrize("fixture", ["params_mid", "params_mid_classical"])
     def test_memo_hits_are_identity_hits(self, request, fixture):
@@ -517,6 +572,21 @@ class TestCoefficientOracle:
                     assert dict(got.terms) == want.terms, (kind, k, p)
                     nonzero += bool(want.terms)
         assert nonzero > 0
+
+
+class TestRowsRead:
+    def test_covers_every_window_row(self, sig_wide):
+        """_rows_read(indices), the key span of relations._decide_words,
+        holds every row >= 1 of _window(p, k) for k in indices.  Row q of
+        any pattern has q entries, so a window row's length is its number."""
+        p = highest_weight_pattern(sig_wide)
+        for k in range(-6, 7):
+            for j in range(-6, 7):
+                lo, hi = action._rows_read((k, j))
+                for index in (k, j):
+                    numbers = [len(r) for r in _window(p, index) if r]
+                    assert numbers and all(lo < q <= hi for q in numbers), (
+                        k, j, index, numbers, (lo, hi))
 
 
 class TestLadderWindow:

@@ -130,6 +130,27 @@ class TestFrozenEvaluations:
         })
         assert evaluate_identity(IdentityId("A21", 2), a) == 0
 
+    def test_a21_int_and_fraction_arrays_agree(self):
+        """A21 reads each variable as its integer pair, so ints, the equal
+        Fractions and a mix of both give one value.  A21 holds at any
+        nonzero variables off its poles, not only at powers of q, so that
+        value is 0."""
+        arrays = {
+            2: {"A": [2], "B": [3, -5], "C": [7, 11, -13], "D": []},
+            3: {"A": [2, -3], "B": [5, 7, -11], "C": [13, 17, -19, 23],
+                "D": [29]},
+        }
+        for n, ints in arrays.items():
+            fractions = {x: [Fraction(v) for v in vs] for x, vs in ints.items()}
+            mixed = {x: [Fraction(v) if i % 2 else v for i, v in enumerate(vs)]
+                     for x, vs in ints.items()}
+            for q in (Fraction(3, 2), Fraction(7, 4)):
+                qv = QValue.quantum(q)
+                values = [evaluate_identity(IdentityId("A21", n),
+                                            Assignment(qv, arrays=a))
+                          for a in (ints, fractions, mixed)]
+                assert values == [0, 0, 0]
+
     def test_a21_rejects_classical(self):
         with pytest.raises(PoleError):
             evaluate_identity(
