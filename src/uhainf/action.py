@@ -187,23 +187,16 @@ def _ladder_rows(index: int) -> tuple[int, int]:
     return (2 * index + 1, 0) if index >= 0 else (-2 * index - 2, 1)
 
 
-def _rows_read(indices) -> tuple[int, int]:
-    """Slice bounds (lo, hi) of p.rows, the key span of _decide_words, that
-    hold every row of _window(p, k) for k in indices and the rows between
-    them.  Rows 0 and -1 are empty, so lo is never below 0.
-
-    Stored rows are normalised, so two patterns over one signature with
-    equal p.rows[lo:hi] have equal rows lo + 1 .. hi, signature rows
-    included."""
-    rows = [_ladder_rows(k)[0] for k in indices]
-    return max(min(rows) - 2, 0), max(rows) + 2
+def _window_rows(index: int) -> range:
+    """The row numbers row_a - 1 .. row_a + 2, the only rows that E_index
+    and F_index read; rows 0 and -1 are empty."""
+    row_a = _ladder_rows(index)[0]
+    return range(row_a - 1, row_a + 3)
 
 
 def _window(p: CPattern, index: int) -> tuple[tuple[int, ...], ...]:
-    """The rows row_a - 1 .. row_a + 2 of p, the only rows that E_index and
-    F_index read; rows 0 and -1 are empty."""
-    row_a = _ladder_rows(index)[0]
-    return tuple(map(p.row, range(row_a - 1, row_a + 3)))
+    """p's rows in _window_rows(index), the key of the ladder kernel."""
+    return tuple(map(p.row, _window_rows(index)))
 
 
 def _l_row(row: tuple[int, ...]) -> dict[int, int]:

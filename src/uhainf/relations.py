@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .qnum import qbracket, radical_of
@@ -23,7 +24,7 @@ from .patterns import (
     weight_eigenvalue,
 )
 from .action import (GeneratorLabel, PatternVector, ZeroDenominatorError,
-                     _eigenvalue, _rows_read, _shifts_by, apply_generator,
+                     _eigenvalue, _shifts_by, _window_rows, apply_generator,
                      apply_word, gauged_image, label)
 from .report import CheckReport
 
@@ -141,20 +142,21 @@ def _decide_words(report: CheckReport, indices: tuple[int, ...],
     per window).  So a word's residual at p depends only on p's rows in
     the union of its letters' windows, and a proof at one pattern holds at
     every pattern with the same rows there: its residual is the same sum,
-    carried to other patterns by the same moves.  The key is the slice of
-    p.rows that covers those windows (action._rows_read), completed by the
-    signature rows that p does not store, so that equal rows give one key.
+    carried to other patterns by the same moves.  The key is p's rows at
+    those row numbers (action._window_rows), the signature rows filling in
+    those that p does not store, so that equal rows give one key; rows
+    between two far-apart windows are read by no letter and stay out.
     A key is kept only after the gauge proves the relation at a pattern; a
     pattern that fails, or raises a zero denominator, records its own
     witness, and the next pattern with its key is decided again.
     """
-    lo, hi = _rows_read(indices)
-    sig_rows = tuple(map(params.signature.row, range(1, hi + 1)))
+    rows = sorted({r for k in indices for r in _window_rows(k) if r >= 1})
+    key_of = itemgetter(*(r - 1 for r in rows))
+    sig_rows = tuple(map(params.signature.row, range(1, rows[-1] + 1)))
     decided: set[tuple[tuple[int, ...], ...]] = set()
 
     def words(terms: Terms, p: CPattern, note: str = "") -> None:
-        rows = p.rows
-        key = rows[lo:hi] + sig_rows[max(len(rows), lo):]
+        key = key_of(p.rows + sig_rows[len(p.rows):])
         if key in decided:
             return
         if _gauge_vanishes(terms, p, params):

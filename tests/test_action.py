@@ -574,21 +574,6 @@ class TestCoefficientOracle:
         assert nonzero > 0
 
 
-class TestRowsRead:
-    def test_covers_every_window_row(self, sig_wide):
-        """_rows_read(indices), the key span of relations._decide_words,
-        holds every row >= 1 of _window(p, k) for k in indices.  Row q of
-        any pattern has q entries, so a window row's length is its number."""
-        p = highest_weight_pattern(sig_wide)
-        for k in range(-6, 7):
-            for j in range(-6, 7):
-                lo, hi = action._rows_read((k, j))
-                for index in (k, j):
-                    numbers = [len(r) for r in _window(p, index) if r]
-                    assert numbers and all(lo < q <= hi for q in numbers), (
-                        k, j, index, numbers, (lo, hi))
-
-
 class TestLadderWindow:
     """_ladder_window is keyed on the four rows a ladder reads, not on the
     pattern, so a memo hit serves a pattern that it was not solved for."""

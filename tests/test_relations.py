@@ -760,14 +760,9 @@ def _word_checks():
 
 
 def _window_key(p, indices):
-    """p's rows in the windows of indices and every row between them, read
-    through action._window: row_a runs over 0, 1, 2, ... as k runs over
-    -1, 0, -2, 1, ..., so these are the windows of every k whose row_a lies
-    between those of indices."""
-    rows = [action._ladder_rows(k)[0] for k in indices]
-    span = range(-max(rows) - 1, max(rows) + 1)
-    return tuple(action._window(p, k) for k in span
-                 if min(rows) <= action._ladder_rows(k)[0] <= max(rows))
+    """p's rows in the windows of the relation's letters, read through
+    action._window: the only rows its words read or move."""
+    return tuple(action._window(p, k) for k in sorted(set(indices)))
 
 
 class TestRationalGauge:
@@ -813,6 +808,15 @@ class TestRationalGauge:
                                                            indices)
             proofs += len(keys)
         assert proofs < len(runs) * len(basis)
+
+    def test_far_apart_windows_leave_the_rows_between(self, params_mid):
+        # E_-1/F_-1 read rows 1, 2 and E_2/F_2 rows 4 to 7; row 3 is read by
+        # neither, so patterns that differ only there share one proof
+        basis = enumerate_basis(params_mid.signature, 5)
+        with _gauge_spy() as counts:
+            report = check_cartan(-1, 2, basis, params_mid)
+        assert report.passed and len(basis) == 75
+        assert counts == {True: 36, False: 0}
 
     def test_inconsistent_edge_falls_back(self, params_mid):
         # F_0 scaled by sqrt(2): kappa, read along E alone, is unchanged,
@@ -887,7 +891,7 @@ class TestWindowMemoNegativeControl:
             reported = self._failing(params_mid, basis)
         # a key over every row makes each pattern its own window
         with _mutated(_e0_reads_row_4), pytest.MonkeyPatch.context() as mp:
-            mp.setattr(relations, "_rows_read", lambda indices: (0, 8))
+            mp.setattr(relations, "_window_rows", lambda k: range(1, 9))
             every = self._failing(params_mid, basis)
         # both suites still fail, though the memo hides 12 of cartan (0, 0)'s
         assert {k: (reported.get(k), every.get(k)) for k in every} == self.PINS

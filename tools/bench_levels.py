@@ -1,4 +1,4 @@
-"""End-to-end time of `uhainf check --suite all` at four module sizes.
+"""End-to-end time of `uhainf check --suite all` at five module sizes.
 
 usage: python3 tools/bench_levels.py
 
@@ -10,7 +10,9 @@ same process: once with every memo empty (cold) and once more with the
 memos the first pass filled (warm).  Each child reports the wall seconds
 of both passes (``time.perf_counter``, stdout written to memory), its peak
 RSS (``ru_maxrss``) after both, the exit code and the sha256 of the cold
-stdout, which the CI pins at every size.  The sizes run one after another,
+stdout, which the CI pins at every size.  A third, untimed pass counts the
+calls of ``relations._gauge_vanishes`` (``gauge_calls``), which the memos
+do not change, so the timed passes run unwrapped.  The sizes run one after another,
 never in parallel.
 
 Prints one JSON document with the git SHA and the Python version.  A
@@ -32,33 +34,54 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SIZES = ((3, 4), (5, 6), (7, 3), (8, 3))
+SIZES = ((3, 4), (5, 6), (6, 6), (7, 3), (8, 3))
 MODULE = ("--signature=-1:1:2,1,0", "--xi0", "2", "--xi1", "0")
 
 
-def _child(level: int, window: int) -> dict:
+def _run(argv: list[str]) -> tuple[float, int, str]:
     from uhainf.cli import main
 
+    buf = io.StringIO()
+    t = time.perf_counter()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return time.perf_counter() - t, code, buf.getvalue()
+
+
+def _gauge_calls(argv: list[str]) -> int:
+    from uhainf import relations
+
+    orig = relations._gauge_vanishes
+    calls = 0
+
+    def counted(terms, p, params):
+        nonlocal calls
+        calls += 1
+        return orig(terms, p, params)
+
+    relations._gauge_vanishes = counted
+    try:
+        _run(argv)
+    finally:
+        relations._gauge_vanishes = orig
+    return calls
+
+
+def _child(level: int, window: int) -> dict:
     argv = ["check", *MODULE, "--suite", "all",
             "--level", str(level), "--window", str(window)]
-    passes = []
-    for _ in ("cold", "warm"):
-        buf = io.StringIO()
-        t = time.perf_counter()
-        with contextlib.redirect_stdout(buf):
-            code = main(argv)
-        passes.append((time.perf_counter() - t, code, buf.getvalue()))
-    (cold_s, code, out), (warm_s, warm_code, warm_out) = passes
+    (cold_s, code, out), (warm_s, warm_code, warm_out) = _run(argv), _run(argv)
+    peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
         "level": level,
         "window": window,
         "cold_s": round(cold_s, 3),
         "warm_s": round(warm_s, 3),
-        "peak_rss_mib": round(
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "peak_rss_mib": round(peak_rss / 1024, 1),
         "exit_code": code,
         "warm_equals_cold": warm_out == out and warm_code == code,
         "stdout_sha256": hashlib.sha256(out.encode()).hexdigest(),
+        "gauge_calls": _gauge_calls(argv),
     }
 
 
