@@ -12,8 +12,8 @@ of both passes (``time.perf_counter``, stdout written to memory), its peak
 RSS (``ru_maxrss``) after both, the exit code and the sha256 of the cold
 stdout, which the CI pins at every size.  A third, untimed pass counts the
 calls of ``relations._gauge_vanishes`` (``gauge_calls``), which the memos
-do not change, so the timed passes run unwrapped.  The sizes run one after another,
-never in parallel.
+do not change, so the timed passes run unwrapped.  The sizes run one
+after another, never in parallel.
 
 Prints one JSON document with the git SHA and the Python version.  A
 checkout without git history reports ``"git_sha": null``.
