@@ -5,10 +5,9 @@ even row directly above it by +-1; the coefficient is a square root of an
 absolute value of a product/quotient of q-brackets of L-differences, where
 L(i, p) = M(i, p) - i.  Candidate targets that break the interlacing
 conditions are dropped (their coefficients are the ill-defined ones).  This
-is done before any arithmetic and before any pattern is built: each row's
-entries are first filtered to those that can move at all, then every
-surviving pair is checked in full on integers, and only a pair that passes
-becomes a target pattern.
+is decided on integers, before any arithmetic and before any pattern is
+built, by patterns._interlaces on the moved rows and their neighbours, and
+only a candidate that passes becomes a target pattern.
 All of that reads only four rows of the pattern, the window around the two
 rows that move (_window), so it is solved once per window (_ladder_window),
 and apply_generator only builds each pattern's targets from the solution.
@@ -35,9 +34,7 @@ from .patterns import (
     Signature,
     _canonical,
     _fillings,
-    _interlaced_after,
-    _movable_against_above,
-    _movable_against_below,
+    _interlaces,
     basis_rank,
     enumerate_basis,
     module_params,
@@ -220,7 +217,6 @@ class _Ladder:
                  window: tuple[tuple[int, ...], ...]):
         self.row_a, self.nu = _ladder_rows(index)
         self.row_b = self.row_a + 1
-        self.window = window
         self.o1, self.d1, self.o2, self.d2, self.delta = _CASES[(kind, index < 0)]
         below, ra, rb, above = window
         self.la = _l_row(ra)
@@ -228,10 +224,6 @@ class _Ladder:
         self.lbelow = list(_l_row(below).values())
         self.labove = list(_l_row(above).values())
         self.slots_a = row_range(self.row_a) or range(1)
-
-    def row(self, q: int) -> tuple[int, ...]:
-        """Row q of the window's pattern, for row_a - 1 <= q <= row_b + 1."""
-        return self.window[q - self.row_a + 1]
 
     def moves(self, j: int, l: int) -> tuple[tuple[int, int, int], ...]:
         move_b = (l, self.row_b, self.delta)
@@ -271,12 +263,20 @@ def _rational_coefficient(numerator: int, denominator: int) -> RadicalSum:
     return _coefficient(RadicalSum.from_rational(Fraction(numerator, denominator)))
 
 
+def _each_moved(row: tuple[int, ...], slots: range, delta: int):
+    """(i, row with the entry of index i moved by delta) for each index i
+    in slots, in order.  The empty row 0 has the one slot 0, which moves
+    nothing."""
+    for t, i in enumerate(slots):
+        yield i, row[:t] + (row[t] + delta,) + row[t + 1:] if row else row
+
+
 @cache
 def _ladder_window(
     kind: str, index: int, window: tuple[tuple[int, ...], ...], qv: QValue
 ) -> tuple[tuple[int, int, tuple, Optional[RadicalSum]], ...]:
-    """E_index or F_index on every pattern with this window: filter, then
-    check, then solve.
+    """E_index or F_index on every pattern with this window: check, then
+    solve.
 
     Returns (j, l, moves, coefficient) for each candidate whose target
     interlaces and whose coefficient is nonzero, in (j, l) order.  A
@@ -285,13 +285,14 @@ def _ladder_window(
     and could not name the caller's pattern.
 
     A candidate moves (j, row_a) and (l, row_b = row_a + 1) by the same
-    delta.  Entries are filtered before they are paired: j must keep the
-    row below row_a interlaced (a condition free of l), and l must stay
-    between its neighbors in the row above row_b, which does not move.  The
-    filter is only a necessary condition, so each surviving pair still goes
-    through the interlacing check of every touched row.  The brackets are
-    multiplied as integer numerators and denominators, and a coefficient
-    builds one Fraction, in lowest terms, for radical_of.
+    delta.  Only three pairs of rows change, and the window holds all of
+    them, so three _interlaces checks decide a candidate exactly: row_a
+    with j moved over the row below it (once per j), row_b with l moved
+    under the row above it (once per l), and the two moved rows (once per
+    pair that passes both).  For index -1, row_a is the empty row 0, which
+    interlaces under any row.  The brackets are multiplied as integer
+    numerators and denominators, and a coefficient builds one Fraction, in
+    lowest terms, for radical_of.
 
     The window holds every row these steps read, and no pattern, so every
     pattern with the same four rows shares one entry.  _CASES and sign_s
@@ -301,14 +302,17 @@ def _ladder_window(
     """
     lad = _Ladder(kind, index, window)
     below, ra, rb, above = window
-    ls = _movable_against_above(rb, above, lad.delta)
-    js = _movable_against_below(ra, below, lad.delta) if lad.la else lad.slots_a
+    js = [(j, ra_j) for j, ra_j in _each_moved(ra, lad.slots_a, lad.delta)
+          if _interlaces(below, ra_j)]
+    ls = [(l, rb_l)
+          for l, rb_l in _each_moved(rb, row_range(lad.row_b), lad.delta)
+          if _interlaces(rb_l, above)]
     out = []
-    for j in js:
-        for l in ls:
-            moves = lad.moves(j, l)
-            if not _interlaced_after(lad.row, moves):
+    for j, ra_j in js:
+        for l, rb_l in ls:
+            if not _interlaces(ra_j, rb_l):
                 continue
+            moves = lad.moves(j, l)
             num_f, den_f = lad.factors(j, l, qv)
             # num/den = (a/b) / (c/d) = (a*d) / (b*c); b and d are positive
             a = prod(f.numerator for f in num_f)

@@ -266,7 +266,10 @@ def _canonical(p: CPattern) -> CPattern:
 def _interlaces(below: Sequence[int], above: Sequence[int]) -> bool:
     """Row below interlaces with the row above it: above[t] >= below[t] >=
     above[t+1] at every position t of the row below."""
-    return all(a >= b >= c for b, a, c in zip(below, above, above[1:]))
+    for b, a, c in zip(below, above, above[1:]):
+        if not a >= b >= c:
+            return False
+    return True
 
 
 def _position(i: int, row: int) -> int:
@@ -277,6 +280,19 @@ def _position(i: int, row: int) -> int:
     return pos
 
 
+def _moved(row_of: Callable[[int], Sequence[int]],
+           moves: Sequence[tuple[int, int, int]]) -> dict[int, list[int]]:
+    """{row: its entries with the moves applied} for each row a move
+    touches, copied from row_of; an out-of-range move raises IndexError."""
+    moved: dict[int, list[int]] = {}
+    for i, row, delta in moves:
+        pos = _position(i, row)
+        if row not in moved:
+            moved[row] = list(row_of(row))
+        moved[row][pos] += delta
+    return moved
+
+
 def shift(p: CPattern, moves: Sequence[tuple[int, int, int]]) -> CPattern:
     """Apply entry replacements M(i, row) -> M(i, row) + delta, no validation.
 
@@ -285,46 +301,12 @@ def shift(p: CPattern, moves: Sequence[tuple[int, int, int]]) -> CPattern:
     """
     if not moves:
         return p
-    top = max(len(p.rows), max(row for _, row, _ in moves))
+    moved = _moved(p.row, moves)
+    top = max(len(p.rows), *moved)
     rows = [*p.rows, *map(p.sig.row, range(len(p.rows) + 1, top + 1))]
-    moved: dict[int, list[int]] = {}
-    for i, row, delta in moves:
-        pos = _position(i, row)
-        if row not in moved:
-            moved[row] = list(rows[row - 1])
-        moved[row][pos] += delta
     for row, r in moved.items():
         rows[row - 1] = tuple(r)
     return _canonical(CPattern._of_rows(p.sig, rows))
-
-
-def _interlaced_after(
-    row_of: Callable[[int], Sequence[int]],
-    moves: Sequence[tuple[int, int, int]],
-) -> bool:
-    """Whether the moves keep a valid pattern, read through row_of, valid.
-
-    Only the rows a move touches are copied and shifted; each is checked
-    against the row above it and, above row 1, against the row below it
-    (both as moved).  No other pair of rows can fail.  An out-of-range
-    move raises IndexError, as in shift.
-    """
-    moved: dict[int, list[int]] = {}
-    for i, row, delta in moves:
-        pos = _position(i, row)
-        if row not in moved:
-            moved[row] = list(row_of(row))
-        moved[row][pos] += delta
-
-    def moved_row(q: int) -> Sequence[int]:
-        return moved[q] if q in moved else row_of(q)
-
-    for row, r in moved.items():
-        if not _interlaces(r, moved_row(row + 1)):
-            return False
-        if row > 1 and not _interlaces(moved_row(row - 1), r):
-            return False
-    return True
 
 
 def shifted_if_valid(
@@ -332,32 +314,20 @@ def shifted_if_valid(
 ) -> Optional[CPattern]:
     """Shift p if the result still interlaces; None if it does not.
 
-    Checks first (_interlaced_after), builds after: shift builds the
-    pattern only when every check passes.  Assumes p itself is valid.
+    Each moved row is checked with _interlaces against the rows below and
+    above it, both as moved; no other pair of rows changes, and row 0,
+    under row 1, is empty.  The pattern is built only when every check
+    passes.  Assumes p itself is valid.
     """
-    return shift(p, moves) if _interlaced_after(p.row, moves) else None
+    moved = _moved(p.row, moves)
 
+    def row(q: int) -> Sequence[int]:
+        return moved[q] if q in moved else p.row(q)
 
-def _movable_against_above(
-    row: Sequence[int], above: Sequence[int], delta: int
-) -> list[int]:
-    """Indices i of row whose entry, moved alone by delta, still lies between
-    its neighbors in the row above.  A necessary condition for any set of
-    moves that shifts (i, row) by delta and leaves the row above alone."""
-    return [i for t, (i, x) in enumerate(zip(row_range(len(row)), row))
-            if above[t] >= x + delta >= above[t + 1]]
-
-
-def _movable_against_below(
-    row: Sequence[int], below: Sequence[int], delta: int
-) -> list[int]:
-    """Indices i of row whose move by delta keeps the row below interlaced
-    under it (row 0, under row 1, is empty).  A necessary condition for any
-    set of moves that shifts (i, row) by delta and leaves the rest of row
-    and the row below alone."""
-    return [i for t, (i, x) in enumerate(zip(row_range(len(row)), row))
-            if (t == len(below) or below[t] <= x + delta)
-            and (t == 0 or x + delta <= below[t - 1])]
+    if all(_interlaces(row(q - 1), r) and _interlaces(r, row(q + 1))
+           for q, r in moved.items()):
+        return shift(p, moves)
+    return None
 
 
 def highest_weight_pattern(sig: Signature) -> CPattern:

@@ -77,13 +77,15 @@ def _record_residual(report: CheckReport, terms: Terms, p: CPattern,
                      params: ModuleParams, note: str = "") -> None:
     """Sum the terms on p over RadicalSum coefficients and record the sum
     as the witness of p if it is nonzero.  Words are applied in the order
-    of the terms, so the first zero denominator raised is always the same.
+    of the terms, so the first zero denominator raised is always the same;
+    it is recorded as the witness of p instead.
     """
-    res = PatternVector()
-    for c, word in terms:
-        res = res + apply_word(word, p, params).scale_rational(c)
-    if not res.is_zero():
-        report.record(p, res, note=note)
+    with _witness_zero_denominator(report, p):
+        res = PatternVector()
+        for c, word in terms:
+            res = res + apply_word(word, p, params).scale_rational(c)
+        if not res.is_zero():
+            report.record(p, res, note=note)
 
 
 def _add_pair(acc: dict, key, n: int, d: int) -> None:
@@ -253,8 +255,7 @@ def check_serre(family: str, variant: str, i: int, j: Optional[int],
     words = _decide_words(report, indices, params)
     for p in basis:
         report.checked += 1
-        with _witness_zero_denominator(report, p):
-            words(terms, p)
+        words(terms, p)
     return report
 
 

@@ -199,10 +199,11 @@ def deletion_diagnostics(
     TestDeletionConvention uses it to confirm that skipped targets are
     exactly the ill-defined ones: valid targets never divide by zero, and
     invalid targets always have a vanishing numerator or denominator.
-    Unlike apply_generator it sweeps every (j, l) pair, with no entry
-    filter, so it is an oracle for the filters.  It shares shifted_if_valid
-    and the bracket factors (_Ladder.factors) with the action, so it does
-    not check those.  A product of exact brackets vanishes exactly when one
+    Unlike apply_generator it sweeps every (j, l) pair and decides each
+    one on the built pattern (shifted_if_valid), not on the window's rows,
+    so it is an oracle for the kernel's interlacing checks.  It shares
+    _interlaces and the bracket factors (_Ladder.factors) with the action,
+    so it does not check those.  A product of exact brackets vanishes exactly when one
     of its factors does.  For index -1 the only candidates are (0, l).
     """
     qv = params.qv

@@ -15,8 +15,6 @@ from uhainf import (
 )
 from uhainf.patterns import (
     _interlaces,
-    _movable_against_above,
-    _movable_against_below,
     _position,
     basis_count,
     basis_rank,
@@ -420,25 +418,6 @@ class TestShift:
             with pytest.raises(IndexError):
                 shifted_if_valid(p, moves)
 
-    def test_movable_filters_are_necessary(self, sig_mid):
-        """Every valid ladder-shaped move (j, row), (l, row + 1) by the same
-        delta passes both entry filters."""
-        kept = 0
-        for p in enumerate_basis(sig_mid, 5):
-            for row in range(1, 7):
-                for delta in (-1, 1):
-                    below = p.row(row - 1) if row > 1 else ()
-                    js = _movable_against_below(p.row(row), below, delta)
-                    ls = _movable_against_above(p.row(row + 1), p.row(row + 2),
-                                                delta)
-                    for j in row_range(row):
-                        for l in row_range(row + 1):
-                            moves = [(j, row, delta), (l, row + 1, delta)]
-                            if shifted_if_valid(p, moves) is not None:
-                                assert j in js and l in ls, (p, moves)
-                                kept += 1
-        assert kept > 0
-
 
 class TestWideSignature:
     """The exhaustive oracle tests and the shifted_if_valid tests above, run
@@ -455,8 +434,6 @@ class TestWideSignature:
     test_shifted_if_valid_agrees_with_full_validate = (
         TestShift.test_shifted_if_valid_agrees_with_full_validate)
     test_shifted_if_valid_two_moves = TestShift.test_shifted_if_valid_two_moves
-    test_movable_filters_are_necessary = (
-        TestShift.test_movable_filters_are_necessary)
 
 
 V5_MID = enumerate_basis(Signature(-1, 1, (2, 1, 0)), 5)

@@ -23,7 +23,8 @@ from uhainf import (
 from uhainf import action, relations
 from uhainf.action import (GeneratorLabel, PatternVector, ZeroDenominatorError,
                            apply_generator, apply_word, clear_caches)
-from uhainf.patterns import highest_weight_pattern, sign_s, theta, weight_eigenvalue
+from uhainf.patterns import (_interlaces, highest_weight_pattern, sign_s, theta,
+                             weight_eigenvalue)
 from uhainf.qnum import RadicalSum, qbracket
 
 
@@ -708,6 +709,28 @@ class TestKillLists:
         basis = enumerate_basis(params_boundary.signature, 4)
         assert any(not apply_generator(_F(2), p, params_boundary).is_zero()
                    for p in basis)
+
+
+# The ladder kernel keeps only candidates whose target interlaces.  On an
+# intact action a candidate that breaks interlacing has a vanishing bracket
+# product (TestDeletionConvention), so dropping one of the kernel's checks
+# shows only under a broken formula: there every target must still be a
+# valid pattern.
+
+@pytest.mark.parametrize("name", sorted(LADDER_MUTATIONS))
+def test_targets_stay_valid_under_mutation(params_mid, name):
+    basis = enumerate_basis(params_mid.signature, 4)
+    with _mutated(MUTATIONS[name]):
+        for p in basis:
+            for k in range(-3, 4):
+                for g in (_E(k), _F(k)):
+                    try:
+                        targets = apply_generator(g, p, params_mid).terms
+                    except ZeroDenominatorError:
+                        continue
+                    for t in targets:
+                        assert all(_interlaces(t.row(q), t.row(q + 1))
+                                   for q in range(1, t.N)), (name, g, p, t)
 
 
 # The rational gauge.  check_cartan's [e_i, f_j] and every Serre instance
