@@ -464,47 +464,23 @@ def _eigenvalue(d: GeneratorLabel, p: CPattern,
     return mono[1] if mono is not None and mono[0] == 1 else None
 
 
-@cache
-def _shifts_by(d: GeneratorLabel, g: GeneratorLabel, p: CPattern,
-               params: ModuleParams, delta: int) -> bool:
-    """Whether d acts on p and on every target p' of g·p by rational
-    eigenvalues with d(p') - d(p) = delta.
-
-    Then [d, g]·p - delta·g·p = sum a_p' (d(p') - d(p) - delta)·p' is zero
-    exactly, so True proves the relation at p.  False proves nothing: the
-    caller then builds the word residual.  The eigenvalues are read through
-    apply_generator, as the words read them, and the calls made here are a
-    subset of the words' calls, so a zero denominator is raised in the same
-    check either way.  Memoised for the life of the process, so the Cartan
-    suite decides each diagonal family once per (d, g, p), whatever index
-    pair reports it; a raised zero denominator is not memoised.
-    """
-    image = apply_generator(g, p, params)
-    base = _eigenvalue(d, p, params)
-    if base is None:
-        return False
-    for p2 in image.terms:
-        ev = _eigenvalue(d, p2, params)
-        if ev is None or ev - base != delta:
-            return False
-    return True
-
-
 # The memos, captured at import, so that a name rebound later (a test patch,
 # a tracing wrapper) can neither hide one nor make clear_caches() raise.
 _MEMOS = (qbracket, _square_decompose, _decimal_str, _json_terms,
           module_params, Signature.row, enumerate_basis, _fillings,
           basis_rank, _canonical, label, _coefficient, _rational_coefficient,
-          _ladder_window, apply_generator, kappa, gauged_image, _shifts_by)
+          _ladder_window, apply_generator, kappa, gauged_image)
 
 
 def clear_caches() -> None:
-    """Empty every memo, 18 in all: qbracket, _square_decompose, the
+    """Empty every memo, 17 in all: qbracket, _square_decompose, the
     rendered decimals and JSON terms of coefficients, module_params,
     Signature.row, enumerate_basis, _fillings, basis_rank, the canonical
     patterns, labels and coefficients, the rational coefficients of H and
-    C, the ladder windows, apply_generator, kappa, gauged_image and
-    _shifts_by.  Patterns, labels and coefficients built after this are
-    new objects, and a patched _CASES or sign_s reaches every window."""
+    C, the ladder windows, apply_generator, kappa and gauged_image.
+    Patterns, labels and coefficients built after this are new objects,
+    and a patched _CASES or sign_s reaches every window.  The Cartan
+    suite's relations.ShiftTable is no memo: each run of the suite builds
+    its own."""
     for memo in _MEMOS:
         memo.cache_clear()

@@ -247,9 +247,11 @@ def _run_suite(cfg: RunConfig, suite: str) -> list[rel.CheckReport]:
     W = cfg.window
     if suite in ("cartan", "all"):
         basis = enumerate_basis(sig, cfg.level)
+        # the diagonal families of every index pair, decided once per run
+        shifts = rel.ShiftTable(basis, params)
         for i in range(-W, W + 1):
             for j in range(-W, W + 1):
-                reports.append(rel.check_cartan(i, j, basis, params))
+                reports.append(rel.check_cartan(i, j, basis, params, shifts))
     if suite in ("serre", "all"):
         basis = enumerate_basis(sig, cfg.level)
         for i in range(-W, W + 1):

@@ -318,6 +318,12 @@ def shifted_if_valid(
     above it, both as moved; no other pair of rows changes, and row 0,
     under row 1, is empty.  The pattern is built only when every check
     passes.  Assumes p itself is valid.
+
+    The ladder kernel (action._ladder_window) decides its own candidates
+    and never calls this.  It exists for relations.check_boundary_f, which
+    builds the closed form's target here, independently of the kernel, so
+    that a fault in the kernel's interlacing checks cannot hide in both
+    sides of that comparison.
     """
     moved = _moved(p.row, moves)
 

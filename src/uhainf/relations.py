@@ -24,12 +24,13 @@ from .patterns import (
     weight_eigenvalue,
 )
 from .action import (GeneratorLabel, PatternVector, ZeroDenominatorError,
-                     _eigenvalue, _shifts_by, _window_rows, apply_generator,
-                     apply_word, gauged_image, label)
+                     _eigenvalue, _window_rows, apply_generator, apply_word,
+                     gauged_image, label)
 from .report import CheckReport
 
 __all__ = [
     "CheckReport",
+    "ShiftTable",
     "check_cartan",
     "check_serre",
     "check_highest_weight",
@@ -169,24 +170,133 @@ def _decide_words(report: CheckReport, indices: tuple[int, ...],
     return words
 
 
+class _Eigenvalues(dict):
+    """{p: the eigenvalue of d at p}, read through _eigenvalue on first ask:
+    an int when integral, a Fraction otherwise, None when d·p is not a
+    rational multiple of p."""
+
+    def __init__(self, d: GeneratorLabel, params: ModuleParams):
+        super().__init__()
+        self.d, self.params = d, params
+
+    def __missing__(self, p: CPattern):
+        r = _eigenvalue(self.d, p, self.params)
+        if r is not None and r.denominator == 1:
+            r = r.numerator
+        self[p] = r
+        return r
+
+
+class ShiftTable:
+    """The Cartan suite's diagonal families on one basis, decided once for
+    every index pair that reports them.
+
+    A family [d, g] = shift·g has d diagonal (C or H_i) and g one of H_j,
+    E_j, F_j.  Where d acts on p and on every target p' of g·p by rational
+    eigenvalues with d(p') - d(p) = shift, [d, g]·p - shift·g·p = sum a_p'
+    (d(p') - d(p) - shift)·p' is zero exactly; it holds too when g·p = 0.
+    The eigenvalues are read through apply_generator, as the words read
+    them, so a broken H or C action is seen.  failing(d, g, shift) is the
+    set of basis positions where this test does not decide the family: the
+    report builds the word residual there, and records it if nonzero.
+
+    Each eigenvalue of a pattern is read once, each g·p once, and each
+    (d, g, shift) cell is decided once, so [c, e_j] is decided once for
+    every i.  A g·p that raises a zero denominator is not kept: its position
+    fails in each of g's cells, and the report calls g·p again at that
+    family, so it raises in every report that meets it.  The table holds
+    no memo: it lives as long as its owner keeps it, one run of the suite
+    in cli._run_suite.
+    """
+
+    def __init__(self, basis: Sequence[CPattern], params: ModuleParams):
+        self.basis, self.params = basis, params
+        self._eigenvalues: dict[GeneratorLabel, _Eigenvalues] = {}
+        self._targets: dict[GeneratorLabel, list] = {}
+        self._cells: dict[tuple, frozenset[int]] = {}
+
+    def _targets_of(self, g: GeneratorLabel) -> list:
+        """The targets of g·p for each basis pattern p, None where it raises."""
+        targets = self._targets.get(g)
+        if targets is None:
+            targets = []
+            for p in self.basis:
+                try:
+                    targets.append(apply_generator(g, p, self.params).terms)
+                except ZeroDenominatorError:
+                    targets.append(None)
+            self._targets[g] = targets
+        return targets
+
+    def failing(self, d: GeneratorLabel, g: GeneratorLabel,
+                shift: int) -> frozenset[int]:
+        """The basis positions where [d, g] = shift·g is not decided."""
+        key = (d, g, shift)
+        cell = self._cells.get(key)
+        if cell is not None:
+            return cell
+        ev = self._eigenvalues.get(d)
+        if ev is None:
+            ev = self._eigenvalues[d] = _Eigenvalues(d, self.params)
+        fails = []
+        for pos, (p, targets) in enumerate(zip(self.basis,
+                                               self._targets_of(g))):
+            base = None if targets is None else ev[p]
+            if base is None:
+                fails.append(pos)
+                continue
+            for t in targets:
+                e = ev[t]
+                if e is None or e - base != shift:
+                    fails.append(pos)
+                    break
+        cell = self._cells[key] = frozenset(fails)
+        return cell
+
+
+def _diagonal_residuals(report: CheckReport, failing: list, pos: int,
+                        p: CPattern, params: ModuleParams) -> bool:
+    """Record the word residual of each family in failing that fails at
+    position pos; False when a zero denominator ends pattern p.
+
+    g·p is applied first, outside _record_residual, so a zero denominator
+    ends p at the first family that meets it and skips p's later families
+    and its words, as in a report built from words alone.
+    """
+    with _witness_zero_denominator(report, p):
+        for d, g, shift, note, fails in failing:
+            if pos in fails:
+                apply_generator(g, p, params)
+                _record_residual(report, _commutator(d, g) + [(-shift, (g,))],
+                                 p, params, note)
+        return True
+    return False
+
+
 def check_cartan(i: int, j: int, basis: Sequence[CPattern],
-                 params: ModuleParams) -> CheckReport:
+                 params: ModuleParams,
+                 shifts: Optional[ShiftTable] = None) -> CheckReport:
     """All Cartan-type relations for the index pair (i, j) on the given basis.
 
     Covers: centrality of the central element, commuting diagonal
     generators, the diagonal action on raising/lowering generators, the
     bracket pairing at equal index, and vanishing mixed brackets.  The
-    four families whose left factor is diagonal are first tested by
-    eigenvalue shifts (_shifts_by), and [e_i, f_j] in the rational gauge
-    (_gauge_vanishes); a word residual is built, and recorded if nonzero,
-    only where that test fails.
+    four families whose left factor is diagonal are read from the shift
+    table (a new one unless the caller shares one across index pairs), and
+    [e_i, f_j] is first tested in the rational gauge (_gauge_vanishes); a
+    word residual is built, and recorded if nonzero, only where that test
+    fails.
 
     [e_i, f_j] is decided once per window of rows (see _decide_words).
-    The diagonal families, and the bracket argument of [e_i, f_i] with
-    its non-integer check, stay per pattern: a diagonal generator may read
-    rows outside any window (h_0 does under the H-reads-next-index
-    mutation).  `checked` counts patterns.
+    The diagonal families are decided per pattern, and the bracket
+    argument of [e_i, f_i] with its non-integer check stays per pattern: a
+    diagonal generator may read rows outside any window (h_0 does under
+    the H-reads-next-index mutation).  `checked` counts patterns.
     """
+    if shifts is None:
+        shifts = ShiftTable(basis, params)
+    elif shifts.basis is not basis or shifts.params != params:
+        raise ValueError("the shift table was built for another basis or module")
     report = CheckReport("cartan", {"i": i, "j": j})
     delta = (1 if i == j else 0) - (1 if i == j + 1 else 0)
     # (d, g, shift): [d, g] = shift·g with d diagonal.  c is central,
@@ -197,32 +307,31 @@ def check_cartan(i: int, j: int, basis: Sequence[CPattern],
         (_H(i), _E(j), delta, f"[h_{i},e_{j}] mismatch"),
         (_H(i), _F(j), -delta, f"[h_{i},f_{j}] mismatch"),
     ]
+    failing = [(d, g, shift, note, fails) for d, g, shift, note in diagonal
+               if (fails := shifts.failing(d, g, shift))]
+    if i != j:
+        terms, note = _commutator(_E(i), _F(j)), f"[e_{i},f_{j}] != 0"
     words = _decide_words(report, (i, j), params)
-    for p in basis:
+    for pos, p in enumerate(basis):
         report.checked += 1
-        with _witness_zero_denominator(report, p):
-            for d, g, shift, note in diagonal:
-                if not _shifts_by(d, g, p, params, shift):
-                    _record_residual(report, _commutator(d, g) + [(-shift, (g,))],
-                                     p, params, note)
-            if i == j:
-                # [e_i, f_i] = bracket of the integer eigenvalue of
-                # h_i - h_{i+1} + (theta(-i) - theta(-i-1)) c; h_i and
-                # h_{i+1} read only rows of window i
-                lam = (
-                    weight_eigenvalue(p, i, params)
-                    - weight_eigenvalue(p, i + 1, params)
-                    + (theta(-i) - theta(-i - 1)) * (params.xi0 - params.xi1)
-                )
-                if lam.denominator != 1:
-                    report.record(p, None, note=f"non-integer bracket argument {lam}")
-                    continue
-                terms = _commutator(_E(i), _F(i)) + [
-                    (-qbracket(int(lam), params.qv), ())]
-                note = f"[e_{i},f_{i}] mismatch"
-            else:
-                terms, note = _commutator(_E(i), _F(j)), f"[e_{i},f_{j}] != 0"
-            words(terms, p, note)
+        if failing and not _diagonal_residuals(report, failing, pos, p, params):
+            continue
+        if i == j:
+            # [e_i, f_i] = bracket of the integer eigenvalue of
+            # h_i - h_{i+1} + (theta(-i) - theta(-i-1)) c; h_i and
+            # h_{i+1} read only rows of window i
+            lam = (
+                weight_eigenvalue(p, i, params)
+                - weight_eigenvalue(p, i + 1, params)
+                + (theta(-i) - theta(-i - 1)) * (params.xi0 - params.xi1)
+            )
+            if lam.denominator != 1:
+                report.record(p, None, note=f"non-integer bracket argument {lam}")
+                continue
+            terms = _commutator(_E(i), _F(i)) + [
+                (-qbracket(int(lam), params.qv), ())]
+            note = f"[e_{i},f_{i}] mismatch"
+        words(terms, p, note)
     return report
 
 

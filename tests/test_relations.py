@@ -26,6 +26,7 @@ from uhainf.action import (GeneratorLabel, PatternVector, ZeroDenominatorError,
 from uhainf.patterns import (_interlaces, highest_weight_pattern, sign_s, theta,
                              weight_eigenvalue)
 from uhainf.qnum import RadicalSum, qbracket
+from uhainf.relations import ShiftTable
 
 
 class TestCheckReport:
@@ -65,6 +66,13 @@ class TestCartan:
         basis = enumerate_basis(params_mid.signature, 4)
         for i, j in ((0, 1), (1, 0), (-1, 0), (-2, 1), (2, -2)):
             assert check_cartan(i, j, basis, params_mid).passed
+
+    def test_shift_table_belongs_to_one_basis(self, params_mid):
+        # the table's cells are positions in its own basis
+        shifts = ShiftTable(enumerate_basis(params_mid.signature, 3), params_mid)
+        with pytest.raises(ValueError):
+            check_cartan(0, 0, enumerate_basis(params_mid.signature, 4),
+                         params_mid, shifts)
 
     def test_classical(self, params_mid_classical):
         basis = enumerate_basis(params_mid_classical.signature, 4)
@@ -442,9 +450,11 @@ def params_boundary():
 
 
 def _every_suite(params, params_boundary):
-    """(suite, report) pairs, in the order the digests hash the reports."""
+    """(suite, report) pairs, in the order the digests hash the reports.
+    The Cartan reports share one shift table, as cli._run_suite's do."""
     basis = enumerate_basis(params.signature, 4)
-    runs = [("cartan", check_cartan(i, j, basis, params))
+    shifts = ShiftTable(basis, params)
+    runs = [("cartan", check_cartan(i, j, basis, params, shifts))
             for i in WINDOW for j in WINDOW]
     for fam in "EF":
         for i in WINDOW:
@@ -660,6 +670,25 @@ class TestNegativeControl:
                          if not r.passed)
         notes = [f.get("note", "") for f in first.failures]
         assert any(n.startswith("zero denominator: E_") for n in notes), notes
+
+    def test_shared_table_records_every_zero_denominator(self, params_mid):
+        """Under E+side-d1-1, E_1 divides by zero on 23 patterns of V_5 (on
+        V_4 only inside words).  The shift table keeps no raising E_1·p, so
+        every report that meets one through one shared table records it as
+        the word-only oracle does: [c, e_1] is one cell for every i, and it
+        raises in each of their reports."""
+        basis = enumerate_basis(params_mid.signature, 5)
+        indices = range(-1, 3)
+        with _mutated(MUTATIONS["E+side-d1-1"]):
+            shifts = ShiftTable(basis, params_mid)
+            got = [check_cartan(i, j, basis, params_mid, shifts).to_json()
+                   for i in indices for j in indices]
+            words = _cartan_json(_word_cartan, basis, params_mid, indices)
+        assert got == words
+        meets = {(r["params"]["i"], r["params"]["j"]) for r in got
+                 if any(f.get("note", "").startswith("zero denominator: E_1:")
+                        for f in r["failures"])}
+        assert {(i, 1) for i in indices} <= meets, meets
 
     def test_no_mutation_outlives_its_patch(self, params_mid):
         basis = enumerate_basis(params_mid.signature, 4)
