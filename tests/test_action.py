@@ -312,6 +312,17 @@ class TestMemo:
         w.add_term(hw, ONE)
         assert len(w.terms) == 2 and len(v.terms) == 1
 
+    def test_clear_caches_empties_all_four_memos(self, params_mid):
+        hw = highest_weight_pattern(params_mid.signature)
+        apply_word([E(0), F(0), F(-1)], hw, params_mid)
+        qnum.radical_of(12)
+        enumerate_basis(params_mid.signature, 3)
+        memos = (qnum.qbracket, qnum._square_decompose, apply_generator,
+                 enumerate_basis)
+        assert all(m.cache_info().currsize > 0 for m in memos)
+        clear_caches()
+        assert [m.cache_info().currsize for m in memos] == [0, 0, 0, 0]
+
     def test_clear_caches_empties_the_gauge_and_module_memos(self, params_mid):
         hw = highest_weight_pattern(params_mid.signature)
         module_params(params_mid.signature, params_mid.xi0, params_mid.xi1,
