@@ -433,9 +433,13 @@ def _row_sum(p: CPattern, row: int) -> int:
     return sum(p.row(row))
 
 
-def weight_eigenvalue(p: CPattern, i: int, params: ModuleParams) -> Fraction:
-    """Diagonal action at index i: difference of two adjacent row sums plus
-    the label corrections."""
+def weight_eigenvalue(p: CPattern, i: int,
+                      params: ModuleParams) -> int | Fraction:
+    """Diagonal action at index i: difference of two adjacent row sums
+    minus xi0 (i <= 0) or xi1 (i > 0), to which the label corrections
+    (xi1 - xi0)·theta(-i) - xi1 reduce; an int when that label is
+    integral, a Fraction otherwise."""
     hi_row = 2 * abs(i) + theta(i)
-    val = Fraction(_row_sum(p, hi_row) - _row_sum(p, hi_row - 1))
-    return val + (params.xi1 - params.xi0) * theta(-i) - params.xi1
+    val = _row_sum(p, hi_row) - _row_sum(p, hi_row - 1)
+    xi = params.xi0 if i <= 0 else params.xi1
+    return val - xi.numerator if xi.denominator == 1 else val - xi

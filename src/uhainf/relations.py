@@ -135,10 +135,29 @@ def _gauge_vanishes(terms: Terms, p: CPattern, params: ModuleParams) -> bool:
     return not any(n for n, _ in total.values())
 
 
-def _decide_words(report: CheckReport, indices: tuple[int, ...],
+def _apart(i: int, j: int) -> bool:
+    """Whether neither index moves a row in the other's window: E_k and F_k
+    move the middle two rows of _window_rows(k), |row_a(i) - row_a(j)| >= 3."""
+    wi, wj = _window_rows(i), _window_rows(j)
+    return not (set(wi[1:3]) & set(wj) or set(wj[1:3]) & set(wi))
+
+
+def _commute_by_locality(a: GeneratorLabel, b: GeneratorLabel, p: CPattern,
+                         params: ModuleParams) -> bool:
+    """Whether [a, b] = 0 at p follows from _apart: each letter sees the
+    same window before and after the other acts.  False when a·p or b·p
+    raises a zero denominator, which the words then record."""
+    try:
+        apply_generator(a, p, params), apply_generator(b, p, params)
+    except ZeroDenominatorError:
+        return False
+    return True
+
+
+def _decide_words(report: CheckReport, letters: tuple[GeneratorLabel, ...],
                   params: ModuleParams):
     """words(terms, p, note="") for one report: decide at p a relation whose
-    words use only E_k and F_k with k in indices, once per window of rows.
+    words use only the two letters (E or F), once per window of rows.
 
     E_k and F_k read and move only the rows of action._window(p, k), and
     their coefficients depend on those rows alone (the ladder is solved
@@ -152,8 +171,15 @@ def _decide_words(report: CheckReport, indices: tuple[int, ...],
     A key is kept only after the gauge proves the relation at a pattern; a
     pattern that fails, or raises a zero denominator, records its own
     witness, and the next pattern with its key is decided again.
+
+    Letters that are _apart (Serre b/c and Cartan i == j never are) form a
+    commutator, and a new key of theirs is proved by locality without the
+    gauge unless a letter raises at p (_commute_by_locality).
     """
-    rows = sorted({r for k in indices for r in _window_rows(k) if r >= 1})
+    a, b = letters
+    apart = _apart(a.index, b.index)
+    rows = sorted({r for g in letters for r in _window_rows(g.index)
+                   if r >= 1})
     key_of = itemgetter(*(r - 1 for r in rows))
     sig_rows = tuple(map(params.signature.row, range(1, rows[-1] + 1)))
     decided: set[tuple[tuple[int, ...], ...]] = set()
@@ -162,7 +188,8 @@ def _decide_words(report: CheckReport, indices: tuple[int, ...],
         key = key_of(p.rows + sig_rows[len(p.rows):])
         if key in decided:
             return
-        if _gauge_vanishes(terms, p, params):
+        if (apart and _commute_by_locality(a, b, p, params)
+                or _gauge_vanishes(terms, p, params)):
             decided.add(key)
         else:
             _record_residual(report, terms, p, params, note)
@@ -283,9 +310,9 @@ def check_cartan(i: int, j: int, basis: Sequence[CPattern],
     bracket pairing at equal index, and vanishing mixed brackets.  The
     four families whose left factor is diagonal are read from the shift
     table (a new one unless the caller shares one across index pairs), and
-    [e_i, f_j] is first tested in the rational gauge (_gauge_vanishes); a
-    word residual is built, and recorded if nonzero, only where that test
-    fails.
+    [e_i, f_j] is first decided by locality when i and j are far apart, or
+    else in the rational gauge (_gauge_vanishes); a word residual is built,
+    and recorded if nonzero, only where neither decides it.
 
     [e_i, f_j] is decided once per window of rows (see _decide_words).
     The diagonal families are decided per pattern, and the bracket
@@ -311,7 +338,12 @@ def check_cartan(i: int, j: int, basis: Sequence[CPattern],
                if (fails := shifts.failing(d, g, shift))]
     if i != j:
         terms, note = _commutator(_E(i), _F(j)), f"[e_{i},f_{j}] != 0"
-    words = _decide_words(report, (i, j), params)
+    else:
+        # the c term of [e_i, f_i]'s bracket argument
+        c_term = (theta(-i) - theta(-i - 1)) * (params.xi0 - params.xi1)
+        if c_term.denominator == 1:
+            c_term = c_term.numerator
+    words = _decide_words(report, (_E(i), _F(j)), params)
     for pos, p in enumerate(basis):
         report.checked += 1
         if failing and not _diagonal_residuals(report, failing, pos, p, params):
@@ -320,11 +352,8 @@ def check_cartan(i: int, j: int, basis: Sequence[CPattern],
             # [e_i, f_i] = bracket of the integer eigenvalue of
             # h_i - h_{i+1} + (theta(-i) - theta(-i-1)) c; h_i and
             # h_{i+1} read only rows of window i
-            lam = (
-                weight_eigenvalue(p, i, params)
-                - weight_eigenvalue(p, i + 1, params)
-                + (theta(-i) - theta(-i - 1)) * (params.xi0 - params.xi1)
-            )
+            lam = (weight_eigenvalue(p, i, params)
+                   - weight_eigenvalue(p, i + 1, params) + c_term)
             if lam.denominator != 1:
                 report.record(p, None, note=f"non-integer bracket argument {lam}")
                 continue
@@ -352,16 +381,16 @@ def check_serre(family: str, variant: str, i: int, j: Optional[int],
     if variant == "a":
         if j is None or abs(i - j) == 1:
             raise ValueError("variant a requires j with |i-j| != 1")
-        terms, indices = _commutator(mk(i), mk(j)), (i, j)
+        terms, letters = _commutator(mk(i), mk(j)), (mk(i), mk(j))
     elif variant in ("b", "c"):
         a, b = (mk(i), mk(i + 1)) if variant == "b" else (mk(i + 1), mk(i))
         terms = [(1, (a, a, b)), (-qbracket(2, params.qv), (a, b, a)),
                  (1, (b, a, a))]
-        indices = (i, i + 1)
+        letters = (a, b)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     report = CheckReport(f"serre-{family}{variant}", {"i": i, "j": j})
-    words = _decide_words(report, indices, params)
+    words = _decide_words(report, letters, params)
     for p in basis:
         report.checked += 1
         words(terms, p)

@@ -483,6 +483,25 @@ class TestWeights:
         assert weight_eigenvalue(hw, 0, params) == Fraction(1) - Fraction(1, 3)
         assert weight_eigenvalue(hw, 1, params) == Fraction(0) - Fraction(-1, 2)
 
+    @staticmethod
+    def _three_fractions(p, i, params):
+        """The row-sum difference as a Fraction plus both label terms."""
+        hi_row = 2 * abs(i) + theta(i)
+        val = Fraction(sum(p.row(hi_row)) - sum(p.row(hi_row - 1)))
+        return val + (params.xi1 - params.xi0) * theta(-i) - params.xi1
+
+    @pytest.mark.parametrize("xi0", [Fraction(2), Fraction(5, 2)])
+    def test_int_where_the_label_is_integral(self, sig_mid, xi0):
+        params = ModuleParams(sig_mid, xi0, Fraction(0),
+                              QValue.quantum(Fraction(3, 2)), "a_infinity")
+        for p in enumerate_basis(sig_mid, 5):
+            for i in range(-4, 5):
+                got = weight_eigenvalue(p, i, params)
+                assert got == self._three_fractions(p, i, params), (p, i)
+                # i <= 0 reads xi0, i > 0 reads xi1 = 0
+                integral = i > 0 or xi0.denominator == 1
+                assert type(got) is (int if integral else Fraction), (p, i)
+
 
 @st.composite
 def signatures(draw):

@@ -763,22 +763,31 @@ def test_targets_stay_valid_under_mutation(params_mid, name):
 
 
 # The rational gauge.  check_cartan's [e_i, f_j] and every Serre instance
-# first try relations._gauge_vanishes; only where it cannot prove the
-# relation is the RadicalSum residual built.  The spy counts both outcomes.
+# first try relations._gauge_vanishes, unless their letters are far enough
+# apart to commute by locality; only where neither proves the relation is
+# the RadicalSum residual built.  The spy counts every outcome.
 
 @contextmanager
 def _gauge_spy():
-    """{True: proofs, False: fallbacks} of _gauge_vanishes in the block."""
-    counts = {True: 0, False: 0}
+    """{True: proofs, False: fallbacks} of _gauge_vanishes in the block,
+    and {"locality": proofs} of relations._commute_by_locality."""
+    counts = {True: 0, False: 0, "locality": 0}
     orig = relations._gauge_vanishes
+    orig_local = relations._commute_by_locality
 
     def spy(terms, p, params):
         proved = orig(terms, p, params)
         counts[proved] += 1
         return proved
 
+    def local_spy(a, b, p, params):
+        proved = orig_local(a, b, p, params)
+        counts["locality"] += proved
+        return proved
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(relations, "_gauge_vanishes", spy)
+        mp.setattr(relations, "_commute_by_locality", local_spy)
         yield counts
 
 
@@ -817,6 +826,11 @@ def _window_key(p, indices):
     return tuple(action._window(p, k) for k in sorted(set(indices)))
 
 
+def _far_apart(i, j):
+    """Whether E/F at indices i and j move rows at least three apart."""
+    return abs(action._ladder_rows(i)[0] - action._ladder_rows(j)[0]) >= 3
+
+
 class TestRationalGauge:
     @pytest.mark.parametrize("fixture,level", GAUGE_MODULES)
     def test_kappa_squarefree(self, request, fixture, level):
@@ -845,8 +859,9 @@ class TestRationalGauge:
 
     @pytest.mark.parametrize("fixture,level", GAUGE_MODULES)
     def test_decides_every_word_relation(self, request, fixture, level):
-        # the gauge decides every instance it is asked about, never falls
-        # back, and is asked once per window key of each report
+        # every instance is decided, never by a fallback, with one proof
+        # per window key of each report: by locality when the letters are
+        # far apart, by the gauge otherwise
         params = request.getfixturevalue(fixture)
         basis = enumerate_basis(params.signature, level)
         runs = _word_checks()
@@ -855,20 +870,22 @@ class TestRationalGauge:
             with _gauge_spy() as counts:
                 report = check(basis, params)
             assert report.passed and report.checked == len(basis)
-            keys = {_window_key(p, indices) for p in basis}
-            assert counts == {True: len(keys), False: 0}, (report.relation,
-                                                           indices)
-            proofs += len(keys)
+            keys = len({_window_key(p, indices) for p in basis})
+            local = keys if _far_apart(*indices) else 0
+            assert counts == {True: keys - local, False: 0,
+                              "locality": local}, (report.relation, indices)
+            proofs += keys
         assert proofs < len(runs) * len(basis)
 
     def test_far_apart_windows_leave_the_rows_between(self, params_mid):
         # E_-1/F_-1 read rows 1, 2 and E_2/F_2 rows 4 to 7; row 3 is read by
-        # neither, so patterns that differ only there share one proof
+        # neither, so patterns that differ only there share one proof, here
+        # by locality
         basis = enumerate_basis(params_mid.signature, 5)
         with _gauge_spy() as counts:
             report = check_cartan(-1, 2, basis, params_mid)
         assert report.passed and len(basis) == 75
-        assert counts == {True: 36, False: 0}
+        assert counts == {True: 0, False: 0, "locality": 36}
 
     def test_inconsistent_edge_falls_back(self, params_mid):
         # F_0 scaled by sqrt(2): kappa, read along E alone, is unchanged,
@@ -901,6 +918,41 @@ class TestRationalGauge:
         assert counts[False] > 0 and counts[True] > 0
         assert _digest([r for _, r in runs]) == KILLS[name][0]
         assert {suite for suite, r in runs if not r.passed} == KILLS[name][1]
+
+
+# Locality.  E_k and F_k move only the middle two rows of their window, so
+# letters at indices whose windows miss each other's moved rows commute:
+# _decide_words proves such a commutator without the gauge.
+
+class TestLocality:
+    INDICES = range(-6, 7)
+
+    def test_apart_is_three_rows(self):
+        for i in self.INDICES:
+            for j in self.INDICES:
+                assert relations._apart(i, j) == _far_apart(i, j), (i, j)
+
+    def test_no_pair_is_apart_with_one_window(self):
+        # the window memo negative control's key over every row
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(relations, "_window_rows", lambda k: range(1, 9))
+            assert not any(relations._apart(i, j)
+                           for i in self.INDICES for j in self.INDICES)
+
+    @pytest.mark.parametrize("fixture,level", [("params_mid", 5),
+                                               ("params_wide", 4)])
+    def test_apart_letters_commute_as_words(self, request, fixture, level):
+        params = request.getfixturevalue(fixture)
+        basis = enumerate_basis(params.signature, level)
+        pairs = [(i, j) for i in range(-4, 5) for j in range(-4, 5)
+                 if relations._apart(i, j)]
+        assert pairs
+        for i, j in pairs:
+            for x in (_E(i), _F(i)):
+                for y in (_E(j), _F(j)):
+                    for p in basis:
+                        assert (apply_word((x, y), p, params)
+                                == apply_word((y, x), p, params)), (x, y, p)
 
 
 # Window memo negative control.  check_cartan and check_serre decide an

@@ -11,8 +11,10 @@ memos the first pass filled (warm).  Each child reports the wall seconds
 of both passes (``time.perf_counter``, stdout written to memory), its peak
 RSS (``ru_maxrss``) after both, the exit code and the sha256 of the cold
 stdout, which the CI pins at every size.  A third, untimed pass counts the
-calls of ``relations._gauge_vanishes`` (``gauge_calls``), which the memos
-do not change, so the timed passes run unwrapped.  The sizes run one
+calls of ``relations._gauge_vanishes`` (``gauge_calls``) and the window
+keys that ``relations._commute_by_locality`` proves without the gauge
+(``locality_decisions``), which the memos do not change, so the timed
+passes run unwrapped.  The sizes run one
 after another, never in parallel.  The largest, level 9 / window 3
 (V_9 = 8,820 patterns), takes about half a minute for its three passes
 and peaks at about 210 MiB (Python 3.11, a 2-vCPU VM).
@@ -50,23 +52,30 @@ def _run(argv: list[str]) -> tuple[float, int, str]:
     return time.perf_counter() - t, code, buf.getvalue()
 
 
-def _gauge_calls(argv: list[str]) -> int:
+def _decisions(argv: list[str]) -> dict:
+    """Gauge calls and locality proofs of one pass of argv."""
     from uhainf import relations
 
-    orig = relations._gauge_vanishes
-    calls = 0
+    orig, orig_local = relations._gauge_vanishes, relations._commute_by_locality
+    counts = {"gauge_calls": 0, "locality_decisions": 0}
 
     def counted(terms, p, params):
-        nonlocal calls
-        calls += 1
+        counts["gauge_calls"] += 1
         return orig(terms, p, params)
 
+    def counted_local(a, b, p, params):
+        proved = orig_local(a, b, p, params)
+        counts["locality_decisions"] += proved
+        return proved
+
     relations._gauge_vanishes = counted
+    relations._commute_by_locality = counted_local
     try:
         _run(argv)
     finally:
         relations._gauge_vanishes = orig
-    return calls
+        relations._commute_by_locality = orig_local
+    return counts
 
 
 def _child(level: int, window: int) -> dict:
@@ -83,7 +92,7 @@ def _child(level: int, window: int) -> dict:
         "exit_code": code,
         "warm_equals_cold": warm_out == out and warm_code == code,
         "stdout_sha256": hashlib.sha256(out.encode()).hexdigest(),
-        "gauge_calls": _gauge_calls(argv),
+        **_decisions(argv),
     }
 
 
