@@ -168,9 +168,10 @@ def _decide_words(report: CheckReport, letters: tuple[GeneratorLabel, ...],
     those row numbers (action._window_rows), the signature rows filling in
     those that p does not store, so that equal rows give one key; rows
     between two far-apart windows are read by no letter and stay out.
-    A key is kept only after the gauge proves the relation at a pattern; a
-    pattern that fails, or raises a zero denominator, records its own
-    witness, and the next pattern with its key is decided again.
+    A key is kept only after the gauge, or locality, proves the relation
+    at a pattern; a pattern that fails, or raises a zero denominator,
+    records its own witness, and the next pattern with its key is decided
+    again.
 
     Letters that are _apart (Serre b/c and Cartan i == j never are) form a
     commutator, and a new key of theirs is proved by locality without the
@@ -381,7 +382,8 @@ def check_serre(family: str, variant: str, i: int, j: Optional[int],
     if variant == "a":
         if j is None or abs(i - j) == 1:
             raise ValueError("variant a requires j with |i-j| != 1")
-        terms, letters = _commutator(mk(i), mk(j)), (mk(i), mk(j))
+        letters = (mk(i), mk(j))
+        terms = _commutator(*letters)
     elif variant in ("b", "c"):
         a, b = (mk(i), mk(i + 1)) if variant == "b" else (mk(i + 1), mk(i))
         terms = [(1, (a, a, b)), (-qbracket(2, params.qv), (a, b, a)),
