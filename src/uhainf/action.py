@@ -13,8 +13,9 @@ rows that move (_window), so it is solved once per window (_ladder_window),
 and apply_generator only builds each pattern's targets from the solution.
 One kernel (_Ladder) serves every index.  For index -1 the lower row of the
 pair is the empty row 0, so only the bottom entry moves and every factor
-read from row 0 or the row below it is an empty product.  Diagonal
-generators multiply the pattern by an exact rational eigenvalue.
+read from row 0 or the row below it is an empty product.  Every E/F
+coefficient is one monomial (n/d)·sqrt(k), k squarefree (monomial_image).
+Diagonal generators multiply the pattern by an exact rational eigenvalue.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import gcd, prod
+from math import prod
 from types import MappingProxyType
 from typing import Optional
 
@@ -52,9 +53,8 @@ __all__ = [
     "apply_to_vector",
     "apply_word",
     "clear_caches",
-    "gauged_image",
-    "kappa",
     "label",
+    "monomial_image",
 ]
 
 
@@ -385,69 +385,24 @@ def apply_word(
     return v
 
 
-# The rational gauge.  Every E/F coefficient is one monomial c·sqrt(k).
-# Each pattern p gets a squarefree kappa_p, 1 at the top pattern; in the
-# basis sqrt(kappa_p)·p an edge p -> p' whose kernel k satisfies
-# kappa_p' = kappa_p·k/g^2, g = gcd(kappa_p, k), has the rational entry c·g.
-# This is the unnormalised Gelfand-Tsetlin basis.  A word then acts by
-# rational matrices, and a relation that vanishes there vanishes on the
-# RadicalSum basis too, as long as every edge it used was consistent.
-
-
 @cache
-def kappa(p: CPattern, params: ModuleParams) -> Optional[int]:
-    """The squarefree gauge factor of p, or None when it has none.
-
-    1 at the top pattern.  Elsewhere it is read along the first target t of
-    the first nonzero E_j on p, whose coefficient has kernel k: kappa_p =
-    kappa_t·k/g^2 with g = gcd(kappa_t, k).  E raises the weight, so the
-    recursion ends at the top pattern.  None when no E_j acts on a pattern
-    other than the top one, or that coefficient is not a monomial.
-    Memoised for the life of the process.
-    """
-    if p.N == 2 and p.rows[0] == p.sig.row(1):
-        return 1
-    # E_j moves row 2j + 2 (j >= 0) or -2j - 1 (j < 0); only rows below p.N
-    # can move, and they are tried bottom row first
-    for row in range(1, p.N):
-        j = row // 2 - 1 if row % 2 == 0 else -(row + 1) // 2
-        terms = apply_generator(label("E", j), p, params).terms
-        if not terms:
-            continue
-        target, c = next(iter(terms.items()))
-        mono = c.monomial()
-        kt = None if mono is None else kappa(target, params)
-        if kt is None:
-            return None
-        g = gcd(kt, mono[0])
-        return kt * mono[0] // (g * g)
-    return None
-
-
-@cache
-def gauged_image(
+def monomial_image(
     g: GeneratorLabel, p: CPattern, params: ModuleParams
-) -> Optional[tuple[tuple[CPattern, Fraction], ...]]:
-    """g·p in the rational gauge, as (target, c·d) pairs; None unless every
-    edge is a monomial c·sqrt(k) with kappa_target = kappa_p·k/d^2, where
-    d = gcd(kappa_p, k).
+) -> Optional[tuple[tuple[CPattern, int, int, int], ...]]:
+    """g·p as (target, k, n, d) for each term (n/d)·sqrt(k), with k
+    squarefree and n/d in lowest terms; None when a coefficient is not one
+    such monomial, which only a broken action builds.
 
     Read from apply_generator through this module's name, so a patched
     action reaches it.  Memoised for the life of the process.
     """
-    kp = kappa(p, params)
-    if kp is None:
-        return None
     out = []
     for target, c in apply_generator(g, p, params).terms.items():
         mono = c.monomial()
         if mono is None:
             return None
         k, r = mono
-        d = gcd(kp, k)
-        if kappa(target, params) != kp * k // (d * d):
-            return None
-        out.append((target, r if d == 1 else r * d))
+        out.append((target, k, r.numerator, r.denominator))
     return tuple(out)
 
 
@@ -469,15 +424,15 @@ def _eigenvalue(d: GeneratorLabel, p: CPattern,
 _MEMOS = (qbracket, _square_decompose, _decimal_str, _json_terms,
           module_params, Signature.row, enumerate_basis, _fillings,
           basis_rank, _canonical, label, _coefficient, _rational_coefficient,
-          _ladder_window, apply_generator, kappa, gauged_image)
+          _ladder_window, apply_generator, monomial_image)
 
 
 def clear_caches() -> None:
-    """Empty every memo, 17 in all: qbracket, _square_decompose, the
+    """Empty every memo, 16 in all: qbracket, _square_decompose, the
     rendered decimals and JSON terms of coefficients, module_params,
     Signature.row, enumerate_basis, _fillings, basis_rank, the canonical
     patterns, labels and coefficients, the rational coefficients of H and
-    C, the ladder windows, apply_generator, kappa and gauged_image.
+    C, the ladder windows, apply_generator and monomial_image.
     Patterns, labels and coefficients built after this are new objects,
     and a patched _CASES or sign_s reaches every window.  The Cartan
     suite's relations.ShiftTable is no memo: each run of the suite builds

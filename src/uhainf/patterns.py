@@ -162,9 +162,10 @@ def module_params(signature: Signature, xi0: Fraction, xi1: Fraction,
     """One shared ModuleParams per module, memoised for the life of the
     process (see ``action.clear_caches``).
 
-    The memos keyed on a module (apply_generator, the gauge) then find an
-    entry made by an earlier command by identity, without comparing the
-    dataclass fields; qbracket does the same with the shared ``qv``.
+    The memos keyed on a module (apply_generator, monomial_image) then
+    find an entry made by an earlier command by identity, without
+    comparing the dataclass fields; qbracket does the same with the
+    shared ``qv``.
     """
     return ModuleParams(signature, xi0, xi1, qv, mode)
 
@@ -255,7 +256,7 @@ def _canonical(p: CPattern) -> CPattern:
     """The first pattern equal to p that was built, so that the patterns
     shift and enumerate_basis return are one object per (signature, rows).
 
-    A memo keyed on patterns (apply_generator, kappa, gauged_image) and a
+    A memo keyed on patterns (apply_generator, monomial_image) and a
     PatternVector's terms then find a ladder target by identity, without
     comparing rows.  Memoised for the life of the process (see
     ``action.clear_caches``).

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -25,7 +26,7 @@ from .patterns import (
 )
 from .action import (GeneratorLabel, PatternVector, ZeroDenominatorError,
                      _eigenvalue, _window_rows, apply_generator, apply_word,
-                     gauged_image, label)
+                     label, monomial_image)
 from .report import CheckReport
 
 __all__ = [
@@ -98,40 +99,40 @@ def _add_pair(acc: dict, key, n: int, d: int) -> None:
     acc[key] = (n, d)
 
 
-def _gauge_vanishes(terms: Terms, p: CPattern, params: ModuleParams) -> bool:
-    """Whether the terms sum to zero on p in the rational gauge, with every
-    edge they use kappa-consistent.
+def _words_vanish(terms: Terms, p: CPattern, params: ModuleParams) -> bool:
+    """Whether the terms sum to zero on p, decided exactly on ints.
 
-    In the gauge a word sends p to sum_p' r_p'·sqrt(kappa_p'/kappa_p)·p'
-    with r_p' rational, and the root depends on p' alone, so an empty
-    rational sum proves the relation at p.  False proves nothing: the
-    caller then records the RadicalSum residual.  A zero denominator is
-    False too, and the residual raises its own.  A proof at p covers every
-    pattern with p's rows in the windows of the words' letters (see
-    _decide_words).
-
-    The sums run on unreduced (numerator, denominator) int pairs, read from
-    the term coefficients and from gauged_image's Fractions, so no gcd is
-    taken: a sum is zero exactly when its numerator is.
+    Each E/F coefficient is a monomial (n/d)·sqrt(k), k squarefree
+    (action.monomial_image), and sqrt(k1)·sqrt(k2) = h·sqrt(k1·k2/h^2)
+    with h = gcd(k1, k2), so the words' paths sum per (pattern, k).  Roots
+    of distinct squarefree ints are linearly independent over the
+    rationals, so the sum is empty exactly when _record_residual records
+    nothing.  False is a nonzero sum, a zero denominator or a coefficient
+    that is not a monomial.  True at p covers every pattern with p's rows
+    in the windows of the words' letters (see _decide_words).  The sums
+    run on unreduced int pairs, so no gcd is taken of a sum: a sum is zero
+    exactly when its numerator is.
     """
-    total: dict[CPattern, tuple[int, int]] = {}
+    total: dict[tuple[CPattern, int], tuple[int, int]] = {}
     for c, word in terms:
         # ints have a numerator and a denominator too
-        v = {p: (c.numerator, c.denominator)}
+        v = {(p, 1): (c.numerator, c.denominator)}
         for g in reversed(word):
-            out: dict[CPattern, tuple[int, int]] = {}
-            for p1, (n1, d1) in v.items():
+            out: dict[tuple[CPattern, int], tuple[int, int]] = {}
+            for (p1, k1), (n1, d1) in v.items():
                 try:
-                    image = gauged_image(g, p1, params)
+                    image = monomial_image(g, p1, params)
                 except ZeroDenominatorError:
                     return False
                 if image is None:
                     return False
-                for p2, c2 in image:
-                    _add_pair(out, p2, n1 * c2.numerator, d1 * c2.denominator)
-            v = {p2: nd for p2, nd in out.items() if nd[0]}
-        for p2, (n, d) in v.items():
-            _add_pair(total, p2, n, d)
+                for p2, k2, n2, d2 in image:
+                    h = gcd(k1, k2)
+                    _add_pair(out, (p2, k1 * k2 // (h * h)), n1 * n2 * h,
+                              d1 * d2)
+            v = {key: nd for key, nd in out.items() if nd[0]}
+        for key, (n, d) in v.items():
+            _add_pair(total, key, n, d)
     return not any(n for n, _ in total.values())
 
 
@@ -168,14 +169,14 @@ def _decide_words(report: CheckReport, letters: tuple[GeneratorLabel, ...],
     those row numbers (action._window_rows), the signature rows filling in
     those that p does not store, so that equal rows give one key; rows
     between two far-apart windows are read by no letter and stay out.
-    A key is kept only after the gauge, or locality, proves the relation
-    at a pattern; a pattern that fails, or raises a zero denominator,
-    records its own witness, and the next pattern with its key is decided
-    again.
+    A key is kept only after the exact sum (_words_vanish), or locality,
+    proves the relation at a pattern; a pattern that fails, or raises a
+    zero denominator, records its own witness, and the next pattern with
+    its key is decided again.
 
     Letters that are _apart (Serre b/c and Cartan i == j never are) form a
     commutator, and a new key of theirs is proved by locality without the
-    gauge unless a letter raises at p (_commute_by_locality).
+    sum unless a letter raises at p (_commute_by_locality).
     """
     a, b = letters
     apart = _apart(a.index, b.index)
@@ -190,7 +191,7 @@ def _decide_words(report: CheckReport, letters: tuple[GeneratorLabel, ...],
         if key in decided:
             return
         if (apart and _commute_by_locality(a, b, p, params)
-                or _gauge_vanishes(terms, p, params)):
+                or _words_vanish(terms, p, params)):
             decided.add(key)
         else:
             _record_residual(report, terms, p, params, note)
@@ -312,8 +313,8 @@ def check_cartan(i: int, j: int, basis: Sequence[CPattern],
     four families whose left factor is diagonal are read from the shift
     table (a new one unless the caller shares one across index pairs), and
     [e_i, f_j] is first decided by locality when i and j are far apart, or
-    else in the rational gauge (_gauge_vanishes); a word residual is built,
-    and recorded if nonzero, only where neither decides it.
+    else by an exact int sum over its words (_words_vanish); the word
+    residual is built, and recorded, only where neither proves it.
 
     [e_i, f_j] is decided once per window of rows (see _decide_words).
     The diagonal families are decided per pattern, and the bracket

@@ -327,22 +327,22 @@ class TestMemo:
         hw = highest_weight_pattern(params_mid.signature)
         module_params(params_mid.signature, params_mid.xi0, params_mid.xi1,
                       params_mid.qv, params_mid.mode)
-        assert action.gauged_image(F(0), hw, params_mid)
-        memos = (module_params, action.kappa, action.gauged_image)
+        assert action.monomial_image(F(0), hw, params_mid)
+        memos = (module_params, action.monomial_image)
         assert all(m.cache_info().currsize > 0 for m in memos)
         clear_caches()
-        assert [m.cache_info().currsize for m in memos] == [0, 0, 0]
+        assert [m.cache_info().currsize for m in memos] == [0, 0]
 
     @staticmethod
     def _every_memo():
-        """The 17 memos, as the modules bind them before any patch."""
+        """The 16 memos, as the modules bind them before any patch."""
         memos = (qnum.qbracket, qnum._square_decompose, qnum._decimal_str,
                  qnum._json_terms, module_params, Signature.row,
                  enumerate_basis, patterns._fillings, patterns.basis_rank,
                  patterns._canonical, action.label, action._coefficient,
                  action._rational_coefficient, action._ladder_window,
-                 apply_generator, action.kappa, action.gauged_image)
-        assert len(memos) == 17  # the count the clear_caches docstring gives
+                 apply_generator, action.monomial_image)
+        assert len(memos) == 16  # the count the clear_caches docstring gives
         return memos
 
     @staticmethod
@@ -355,7 +355,7 @@ class TestMemo:
         hw = highest_weight_pattern(params.signature)
         action.apply_word([E(0), F(0), F(-1)], hw, params)
         qnum.radical_of(12)
-        assert action.gauged_image(F(0), hw, params)
+        assert action.monomial_image(F(0), hw, params)
         basis = patterns.enumerate_basis(params.signature, 3)
         assert relations.check_cartan(0, 0, basis, params).passed
         assert patterns.basis_count(params.signature, 4) == 20

@@ -3,7 +3,7 @@ import json
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache, partial
-from math import isqrt
+from math import gcd
 
 import pytest
 
@@ -103,7 +103,7 @@ class TestCartan:
 
     def test_detects_broken_relation(self, params_mid):
         # sanity: if the action is perturbed, the checker must notice.  E_0
-        # acts twice over; the words and the rational gauge both read it
+        # acts twice over; the words and the exact sum both read it
         # through action.apply_generator
         def doubled_e0(mp):
             orig = action.apply_generator
@@ -762,17 +762,17 @@ def test_targets_stay_valid_under_mutation(params_mid, name):
                                    for q in range(1, t.N)), (name, g, p, t)
 
 
-# The rational gauge.  check_cartan's [e_i, f_j] and every Serre instance
-# first try relations._gauge_vanishes, unless their letters are far enough
+# The exact word sum.  check_cartan's [e_i, f_j] and every Serre instance
+# first try relations._words_vanish, unless their letters are far enough
 # apart to commute by locality; only where neither proves the relation is
 # the RadicalSum residual built.  The spy counts every outcome.
 
 @contextmanager
-def _gauge_spy():
-    """{True: proofs, False: fallbacks} of _gauge_vanishes in the block,
+def _decider_spy():
+    """{True: proofs, False: fallbacks} of _words_vanish in the block,
     and {"locality": proofs} of relations._commute_by_locality."""
     counts = {True: 0, False: 0, "locality": 0}
-    orig = relations._gauge_vanishes
+    orig = relations._words_vanish
     orig_local = relations._commute_by_locality
 
     def spy(terms, p, params):
@@ -786,13 +786,9 @@ def _gauge_spy():
         return proved
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(relations, "_gauge_vanishes", spy)
+        mp.setattr(relations, "_words_vanish", spy)
         mp.setattr(relations, "_commute_by_locality", local_spy)
         yield counts
-
-
-def _squarefree(k):
-    return k >= 1 and all(k % (d * d) for d in range(2, isqrt(k) + 1))
 
 
 @pytest.fixture
@@ -801,8 +797,8 @@ def params_wide(sig_wide):
                         QValue.quantum(Fraction(7, 4)), "a_infinity")
 
 
-GAUGE_MODULES = [("params_mid", 5), ("params_mid_classical", 5),
-                 ("params_wide", 4)]
+DECIDER_MODULES = [("params_mid", 5), ("params_mid_classical", 5),
+                   ("params_wide", 4)]
 
 
 def _word_checks():
@@ -831,43 +827,104 @@ def _far_apart(i, j):
     return abs(action._ladder_rows(i)[0] - action._ladder_rows(j)[0]) >= 3
 
 
-class TestRationalGauge:
-    @pytest.mark.parametrize("fixture,level", GAUGE_MODULES)
-    def test_kappa_squarefree(self, request, fixture, level):
-        params = request.getfixturevalue(fixture)
-        assert action.kappa(highest_weight_pattern(params.signature),
-                            params) == 1
-        for p in enumerate_basis(params.signature, level):
-            assert _squarefree(action.kappa(p, params)), p
+def _f0_times_root2(mp):
+    """F_0 scaled by sqrt(2): every coefficient stays one monomial, and
+    [e_0, f_0] picks up a root that its bracket term lacks."""
+    root2 = RadicalSum({2: Fraction(1)})
+    orig = action.apply_generator
 
-    @pytest.mark.parametrize("fixture,level", GAUGE_MODULES)
-    def test_gauged_entries(self, request, fixture, level):
-        # an entry r of p -> p' is c·sqrt(k)·sqrt(kappa_p/kappa_p'): same
-        # sign as c, and r^2·kappa_p' = c^2·k·kappa_p
+    def mutated(g, p, params):
+        image = orig(g, p, params)
+        return image.scale(root2) if g == _F(0) else image
+
+    mp.setattr(action, "apply_generator", mutated)
+
+
+EXACTNESS_ACTIONS = {"intact": lambda mp: None, "F_0*sqrt2": _f0_times_root2,
+                     **{name: MUTATIONS[name]
+                        for name in ("E+side-o1+1", "F-side-d1-1")}}
+
+
+class TestRationalGauge:
+    """The exact word sum, relations._words_vanish, and its memo
+    action.monomial_image."""
+
+    @pytest.mark.parametrize("fixture,level", DECIDER_MODULES)
+    def test_monomial_entries(self, request, fixture, level):
+        # each entry (n/d)·sqrt(k) is apply_generator's coefficient, with
+        # n/d in lowest terms
         params = request.getfixturevalue(fixture)
-        kappa = action.kappa
         for p in enumerate_basis(params.signature, level):
             for g in [_E(i) for i in WINDOW] + [_F(i) for i in WINDOW]:
-                image = action.gauged_image(g, p, params)
+                image = action.monomial_image(g, p, params)
                 entries = apply_generator(g, p, params).terms
-                assert [t for t, _ in image] == list(entries)
-                for target, r in image:
-                    k, c = entries[target].monomial()
-                    assert (r > 0) == (c > 0)
-                    assert (r * r * kappa(target, params)
-                            == c * c * k * kappa(p, params))
+                assert [t for t, *_ in image] == list(entries)
+                for target, k, n, d in image:
+                    assert d > 0 and gcd(n, d) == 1
+                    assert RadicalSum({k: Fraction(n, d)}) == entries[target]
 
-    @pytest.mark.parametrize("fixture,level", GAUGE_MODULES)
+    @pytest.mark.parametrize("action_name", sorted(EXACTNESS_ACTIONS))
+    @pytest.mark.parametrize("fixture,level", [("params_mid", 5),
+                                               ("params_wide", 4)])
+    def test_decider_is_exact(self, request, fixture, level, action_name):
+        # at every pattern of every word relation, with no window key kept,
+        # the sum proves the relation exactly where _record_residual
+        # records nothing
+        params = request.getfixturevalue(fixture)
+        basis = enumerate_basis(params.signature, level)
+        verdicts = []
+
+        def decide_every_pattern(report, letters, params):
+            def words(terms, p, note=""):
+                probe = CheckReport("probe")
+                relations._record_residual(probe, terms, p, params)
+                proved = relations._words_vanish(terms, p, params)
+                assert proved == (not probe.failures), (report.relation, p)
+                verdicts.append(proved)
+            return words
+
+        with (_mutated(EXACTNESS_ACTIONS[action_name]),
+              pytest.MonkeyPatch.context() as mp):
+            mp.setattr(relations, "_decide_words", decide_every_pattern)
+            for _, check in _word_checks():
+                check(basis, params)
+        assert True in verdicts
+        assert (False in verdicts) == (action_name != "intact")
+
+    def test_non_monomial_coefficient_is_not_proved(self, params_mid):
+        # E_0 scaled by 1 + sqrt(2): its coefficients are two-term sums
+        one_plus_root2 = RadicalSum({1: Fraction(1), 2: Fraction(1)})
+
+        def e0_two_terms(mp):
+            orig = action.apply_generator
+
+            def mutated(g, p, params):
+                image = orig(g, p, params)
+                return image.scale(one_plus_root2) if g == _E(0) else image
+
+            mp.setattr(action, "apply_generator", mutated)
+
+        basis = enumerate_basis(params_mid.signature, 4)
+        with _mutated(e0_two_terms), _decider_spy() as counts:
+            moved = [p for p in basis
+                     if not action.apply_generator(_E(0), p, params_mid).is_zero()]
+            assert moved and all(action.monomial_image(_E(0), p, params_mid)
+                                 is None for p in moved)
+            rep = check_cartan(0, 0, basis, params_mid)
+        assert not rep.passed
+        assert counts[False] >= len(rep.failures) > 0
+
+    @pytest.mark.parametrize("fixture,level", DECIDER_MODULES)
     def test_decides_every_word_relation(self, request, fixture, level):
         # every instance is decided, never by a fallback, with one proof
         # per window key of each report: by locality when the letters are
-        # far apart, by the gauge otherwise
+        # far apart, by the exact sum otherwise
         params = request.getfixturevalue(fixture)
         basis = enumerate_basis(params.signature, level)
         runs = _word_checks()
         proofs = 0
         for indices, check in runs:
-            with _gauge_spy() as counts:
+            with _decider_spy() as counts:
                 report = check(basis, params)
             assert report.passed and report.checked == len(basis)
             keys = len({_window_key(p, indices) for p in basis})
@@ -882,38 +939,24 @@ class TestRationalGauge:
         # neither, so patterns that differ only there share one proof, here
         # by locality
         basis = enumerate_basis(params_mid.signature, 5)
-        with _gauge_spy() as counts:
+        with _decider_spy() as counts:
             report = check_cartan(-1, 2, basis, params_mid)
         assert report.passed and len(basis) == 75
         assert counts == {True: 0, False: 0, "locality": 36}
 
     def test_inconsistent_edge_falls_back(self, params_mid):
-        # F_0 scaled by sqrt(2): kappa, read along E alone, is unchanged,
-        # so every F_0 edge breaks kappa_p' = kappa_p·k/g^2
-        root2 = RadicalSum({2: Fraction(1)})
-
-        def f0_times_root2(mp):
-            orig = action.apply_generator
-
-            def mutated(g, p, params):
-                image = orig(g, p, params)
-                return image.scale(root2) if g == _F(0) else image
-
-            mp.setattr(action, "apply_generator", mutated)
-
         basis = enumerate_basis(params_mid.signature, 4)
-        with _mutated(f0_times_root2), _gauge_spy() as counts:
+        with _mutated(_f0_times_root2), _decider_spy() as counts:
             moved = [p for p in basis
                      if not action.apply_generator(_F(0), p, params_mid).is_zero()]
-            assert moved and all(action.gauged_image(_F(0), p, params_mid) is None
-                                 for p in moved)
+            assert moved
             rep = check_cartan(0, 0, basis, params_mid)
         assert not rep.passed
         assert counts[False] >= len(rep.failures) > 0
 
     @pytest.mark.parametrize("name", ["E+side-o1+1", "F-side-d1-1"])
     def test_fallback_keeps_the_row(self, params_mid, params_boundary, name):
-        with _gauge_spy() as counts, _mutated(MUTATIONS[name]):
+        with _decider_spy() as counts, _mutated(MUTATIONS[name]):
             runs = _every_suite(params_mid, params_boundary)
         assert counts[False] > 0 and counts[True] > 0
         assert _digest([r for _, r in runs]) == KILLS[name][0]
@@ -922,7 +965,7 @@ class TestRationalGauge:
 
 # Locality.  E_k and F_k move only the middle two rows of their window, so
 # letters at indices whose windows miss each other's moved rows commute:
-# _decide_words proves such a commutator without the gauge.
+# _decide_words proves such a commutator without the exact sum.
 
 class TestLocality:
     INDICES = range(-6, 7)

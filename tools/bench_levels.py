@@ -11,8 +11,9 @@ memos the first pass filled (warm).  Each child reports the wall seconds
 of both passes (``time.perf_counter``, stdout written to memory), its peak
 RSS (``ru_maxrss``) after both, the exit code and the sha256 of the cold
 stdout, which the CI pins at every size.  A third, untimed pass counts the
-calls of ``relations._gauge_vanishes`` (``gauge_calls``) and the window
-keys that ``relations._commute_by_locality`` proves without the gauge
+calls of ``relations._words_vanish``, the exact word sum
+(``word_sum_calls``), and the window keys that
+``relations._commute_by_locality`` proves without it
 (``locality_decisions``), which the memos do not change, so the timed
 passes run unwrapped.  The sizes run one
 after another, never in parallel.  The largest, level 9 / window 3
@@ -53,14 +54,14 @@ def _run(argv: list[str]) -> tuple[float, int, str]:
 
 
 def _decisions(argv: list[str]) -> dict:
-    """Gauge calls and locality proofs of one pass of argv."""
+    """Word-sum calls and locality proofs of one pass of argv."""
     from uhainf import relations
 
-    orig, orig_local = relations._gauge_vanishes, relations._commute_by_locality
-    counts = {"gauge_calls": 0, "locality_decisions": 0}
+    orig, orig_local = relations._words_vanish, relations._commute_by_locality
+    counts = {"word_sum_calls": 0, "locality_decisions": 0}
 
     def counted(terms, p, params):
-        counts["gauge_calls"] += 1
+        counts["word_sum_calls"] += 1
         return orig(terms, p, params)
 
     def counted_local(a, b, p, params):
@@ -68,12 +69,12 @@ def _decisions(argv: list[str]) -> dict:
         counts["locality_decisions"] += proved
         return proved
 
-    relations._gauge_vanishes = counted
+    relations._words_vanish = counted
     relations._commute_by_locality = counted_local
     try:
         _run(argv)
     finally:
-        relations._gauge_vanishes = orig
+        relations._words_vanish = orig
         relations._commute_by_locality = orig_local
     return counts
 
