@@ -388,22 +388,17 @@ def apply_word(
 @cache
 def monomial_image(
     g: GeneratorLabel, p: CPattern, params: ModuleParams
-) -> Optional[tuple[tuple[CPattern, int, int, int], ...]]:
-    """g·p as (target, k, n, d) for each term (n/d)·sqrt(k), with k
-    squarefree and n/d in lowest terms; None when a coefficient is not one
-    such monomial, which only a broken action builds.
+) -> tuple[tuple[CPattern, int, int, int], ...]:
+    """g·p as (target, k, n, d) for each term (n/d)·sqrt(k) of each
+    coefficient, with k squarefree and n/d in lowest terms: one entry per
+    target unless a broken action builds a coefficient of several terms.
 
     Read from apply_generator through this module's name, so a patched
     action reaches it.  Memoised for the life of the process.
     """
-    out = []
-    for target, c in apply_generator(g, p, params).terms.items():
-        mono = c.monomial()
-        if mono is None:
-            return None
-        k, r = mono
-        out.append((target, k, r.numerator, r.denominator))
-    return tuple(out)
+    return tuple((target, k, r.numerator, r.denominator)
+                 for target, c in apply_generator(g, p, params).terms.items()
+                 for k, r in c.terms.items())
 
 
 def _eigenvalue(d: GeneratorLabel, p: CPattern,

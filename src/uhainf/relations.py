@@ -3,6 +3,8 @@
 Every check computes a residual vector in exact arithmetic and passes only
 when the residual is identically zero (the empty radical sum on every
 pattern).  Failures carry the offending pattern and residual as witnesses.
+A relation given as words is summed once, on ints (_word_sum): the same
+sum decides it and, where it is nonzero, is its witness.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from math import gcd
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .qnum import qbracket, radical_of
+from .qnum import RadicalSum, qbracket, radical_of
 from .patterns import (
     CPattern,
     ModuleParams,
@@ -25,8 +27,8 @@ from .patterns import (
     weight_eigenvalue,
 )
 from .action import (GeneratorLabel, PatternVector, ZeroDenominatorError,
-                     _eigenvalue, _window_rows, apply_generator, apply_word,
-                     label, monomial_image)
+                     _eigenvalue, _window_rows, apply_generator, label,
+                     monomial_image)
 from .report import CheckReport
 
 __all__ = [
@@ -75,21 +77,6 @@ def _commutator(a: GeneratorLabel, b: GeneratorLabel) -> list:
     return [(1, (a, b)), (-1, (b, a))]
 
 
-def _record_residual(report: CheckReport, terms: Terms, p: CPattern,
-                     params: ModuleParams, note: str = "") -> None:
-    """Sum the terms on p over RadicalSum coefficients and record the sum
-    as the witness of p if it is nonzero.  Words are applied in the order
-    of the terms, so the first zero denominator raised is always the same;
-    it is recorded as the witness of p instead.
-    """
-    with _witness_zero_denominator(report, p):
-        res = PatternVector()
-        for c, word in terms:
-            res = res + apply_word(word, p, params).scale_rational(c)
-        if not res.is_zero():
-            report.record(p, res, note=note)
-
-
 def _add_pair(acc: dict, key, n: int, d: int) -> None:
     """acc[key] += n/d on unreduced (numerator, denominator) int pairs."""
     cur = acc.get(key)
@@ -99,19 +86,18 @@ def _add_pair(acc: dict, key, n: int, d: int) -> None:
     acc[key] = (n, d)
 
 
-def _words_vanish(terms: Terms, p: CPattern, params: ModuleParams) -> bool:
-    """Whether the terms sum to zero on p, decided exactly on ints.
+def _word_sum(terms: Terms, p: CPattern, params: ModuleParams) -> dict:
+    """The terms summed on p, exactly on ints: {(pattern, k): (n, d)} for
+    each nonzero term (n/d)·sqrt(k)·pattern of the residual.
 
-    Each E/F coefficient is a monomial (n/d)·sqrt(k), k squarefree
+    Each E/F coefficient is a sum of monomials (n/d)·sqrt(k), k squarefree
     (action.monomial_image), and sqrt(k1)·sqrt(k2) = h·sqrt(k1·k2/h^2)
     with h = gcd(k1, k2), so the words' paths sum per (pattern, k).  Roots
     of distinct squarefree ints are linearly independent over the
-    rationals, so the sum is empty exactly when _record_residual records
-    nothing.  False is a nonzero sum, a zero denominator or a coefficient
-    that is not a monomial.  True at p covers every pattern with p's rows
-    in the windows of the words' letters (see _decide_words).  The sums
-    run on unreduced int pairs, so no gcd is taken of a sum: a sum is zero
-    exactly when its numerator is.
+    rationals, so the residual is zero exactly when the sum is empty.  The
+    sums run on unreduced int pairs, so no gcd is taken of a sum: a sum is
+    zero exactly when its numerator is.  Words are applied in the order of
+    the terms, so the first ZeroDenominatorError raised is always the same.
     """
     total: dict[tuple[CPattern, int], tuple[int, int]] = {}
     for c, word in terms:
@@ -120,20 +106,33 @@ def _words_vanish(terms: Terms, p: CPattern, params: ModuleParams) -> bool:
         for g in reversed(word):
             out: dict[tuple[CPattern, int], tuple[int, int]] = {}
             for (p1, k1), (n1, d1) in v.items():
-                try:
-                    image = monomial_image(g, p1, params)
-                except ZeroDenominatorError:
-                    return False
-                if image is None:
-                    return False
-                for p2, k2, n2, d2 in image:
+                for p2, k2, n2, d2 in monomial_image(g, p1, params):
                     h = gcd(k1, k2)
                     _add_pair(out, (p2, k1 * k2 // (h * h)), n1 * n2 * h,
                               d1 * d2)
             v = {key: nd for key, nd in out.items() if nd[0]}
         for key, (n, d) in v.items():
             _add_pair(total, key, n, d)
-    return not any(n for n, _ in total.values())
+    return {key: nd for key, nd in total.items() if nd[0]}
+
+
+def _record_residual(report: CheckReport, terms: Terms, p: CPattern,
+                     params: ModuleParams, note: str = "") -> bool:
+    """Whether the terms vanish on p (_word_sum).  A nonzero sum is
+    recorded as the witness of p, and a zero denominator as its note."""
+    try:
+        total = _word_sum(terms, p, params)
+    except ZeroDenominatorError as exc:
+        report.record(p, None, note=f"zero denominator: {exc}")
+        return False
+    if not total:
+        return True
+    coeffs: dict[CPattern, dict[int, Fraction]] = {}
+    for (q, k), (n, d) in total.items():
+        coeffs.setdefault(q, {})[k] = Fraction(n, d)
+    report.record(p, PatternVector({q: RadicalSum(c)
+                                    for q, c in coeffs.items()}), note=note)
+    return False
 
 
 def _apart(i: int, j: int) -> bool:
@@ -169,10 +168,10 @@ def _decide_words(report: CheckReport, letters: tuple[GeneratorLabel, ...],
     those row numbers (action._window_rows), the signature rows filling in
     those that p does not store, so that equal rows give one key; rows
     between two far-apart windows are read by no letter and stay out.
-    A key is kept only after the exact sum (_words_vanish), or locality,
-    proves the relation at a pattern; a pattern that fails, or raises a
-    zero denominator, records its own witness, and the next pattern with
-    its key is decided again.
+    A key is kept only after the exact sum (_record_residual), or
+    locality, proves the relation at a pattern; a pattern that fails, or
+    raises a zero denominator, records its own witness, and the next
+    pattern with its key is decided again.
 
     Letters that are _apart (Serre b/c and Cartan i == j never are) form a
     commutator, and a new key of theirs is proved by locality without the
@@ -190,11 +189,9 @@ def _decide_words(report: CheckReport, letters: tuple[GeneratorLabel, ...],
         key = key_of(p.rows + sig_rows[len(p.rows):])
         if key in decided:
             return
-        if (apart and _commute_by_locality(a, b, p, params)
-                or _words_vanish(terms, p, params)):
+        if ((apart and _commute_by_locality(a, b, p, params))
+                or _record_residual(report, terms, p, params, note)):
             decided.add(key)
-        else:
-            _record_residual(report, terms, p, params, note)
 
     return words
 
@@ -288,9 +285,10 @@ def _diagonal_residuals(report: CheckReport, failing: list, pos: int,
     """Record the word residual of each family in failing that fails at
     position pos; False when a zero denominator ends pattern p.
 
-    g·p is applied first, outside _record_residual, so a zero denominator
-    ends p at the first family that meets it and skips p's later families
-    and its words, as in a report built from words alone.
+    g·p is applied first, outside _record_residual (which records a zero
+    denominator and returns), so a zero denominator ends p at the first
+    family that meets it and skips p's later families and its words, as
+    in a report built from words alone.
     """
     with _witness_zero_denominator(report, p):
         for d, g, shift, note, fails in failing:
@@ -313,8 +311,8 @@ def check_cartan(i: int, j: int, basis: Sequence[CPattern],
     four families whose left factor is diagonal are read from the shift
     table (a new one unless the caller shares one across index pairs), and
     [e_i, f_j] is first decided by locality when i and j are far apart, or
-    else by an exact int sum over its words (_words_vanish); the word
-    residual is built, and recorded, only where neither proves it.
+    else by an exact int sum over its words, which is recorded as the
+    witness where it is nonzero (_record_residual).
 
     [e_i, f_j] is decided once per window of rows (see _decide_words).
     The diagonal families are decided per pattern, and the bracket

@@ -323,7 +323,7 @@ class TestMemo:
         clear_caches()
         assert [m.cache_info().currsize for m in memos] == [0, 0, 0, 0]
 
-    def test_clear_caches_empties_the_gauge_and_module_memos(self, params_mid):
+    def test_clear_caches_empties_the_word_sum_and_module_memos(self, params_mid):
         hw = highest_weight_pattern(params_mid.signature)
         module_params(params_mid.signature, params_mid.xi0, params_mid.xi1,
                       params_mid.qv, params_mid.mode)

@@ -763,20 +763,22 @@ def test_targets_stay_valid_under_mutation(params_mid, name):
 
 
 # The exact word sum.  check_cartan's [e_i, f_j] and every Serre instance
-# first try relations._words_vanish, unless their letters are far enough
-# apart to commute by locality; only where neither proves the relation is
-# the RadicalSum residual built.  The spy counts every outcome.
+# are decided by relations._record_residual, which sums the words on ints
+# and records the sum as the witness where it is nonzero, unless their
+# letters are far enough apart to commute by locality.  The spy counts
+# every outcome.
 
 @contextmanager
 def _decider_spy():
-    """{True: proofs, False: fallbacks} of _words_vanish in the block,
-    and {"locality": proofs} of relations._commute_by_locality."""
+    """{True: proofs, False: witnessed failures} of _record_residual in the
+    block (word relations, and the diagonal families the shift table does
+    not decide), and {"locality": proofs} of _commute_by_locality."""
     counts = {True: 0, False: 0, "locality": 0}
-    orig = relations._words_vanish
+    orig = relations._record_residual
     orig_local = relations._commute_by_locality
 
-    def spy(terms, p, params):
-        proved = orig(terms, p, params)
+    def spy(report, terms, p, params, note=""):
+        proved = orig(report, terms, p, params, note)
         counts[proved] += 1
         return proved
 
@@ -786,7 +788,7 @@ def _decider_spy():
         return proved
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(relations, "_words_vanish", spy)
+        mp.setattr(relations, "_record_residual", spy)
         mp.setattr(relations, "_commute_by_locality", local_spy)
         yield counts
 
@@ -846,8 +848,8 @@ EXACTNESS_ACTIONS = {"intact": lambda mp: None, "F_0*sqrt2": _f0_times_root2,
 
 
 class TestRationalGauge:
-    """The exact word sum, relations._words_vanish, and its memo
-    action.monomial_image."""
+    """The exact word sum, relations._word_sum, as _record_residual decides
+    and records it, and its memo action.monomial_image."""
 
     @pytest.mark.parametrize("fixture,level", DECIDER_MODULES)
     def test_monomial_entries(self, request, fixture, level):
@@ -868,18 +870,28 @@ class TestRationalGauge:
                                                ("params_wide", 4)])
     def test_decider_is_exact(self, request, fixture, level, action_name):
         # at every pattern of every word relation, with no window key kept,
-        # the sum proves the relation exactly where _record_residual
-        # records nothing
+        # _record_residual's verdict and witness are those of the residual
+        # summed over RadicalSum coefficients by apply_word
         params = request.getfixturevalue(fixture)
         basis = enumerate_basis(params.signature, level)
         verdicts = []
 
         def decide_every_pattern(report, letters, params):
             def words(terms, p, note=""):
-                probe = CheckReport("probe")
-                relations._record_residual(probe, terms, p, params)
-                proved = relations._words_vanish(terms, p, params)
-                assert proved == (not probe.failures), (report.relation, p)
+                probe, expected = CheckReport("probe"), CheckReport("probe")
+                proved = relations._record_residual(probe, terms, p, params,
+                                                    note)
+                try:
+                    res = PatternVector()
+                    for c, word in terms:
+                        res = res + apply_word(word, p,
+                                               params).scale_rational(c)
+                    if not res.is_zero():
+                        expected.record(p, res, note=note)
+                except ZeroDenominatorError as exc:
+                    expected.record(p, None, note=f"zero denominator: {exc}")
+                assert proved == (not expected.failures), (report.relation, p)
+                assert probe.failures == expected.failures, (report.relation, p)
                 verdicts.append(proved)
             return words
 
@@ -892,7 +904,9 @@ class TestRationalGauge:
         assert (False in verdicts) == (action_name != "intact")
 
     def test_non_monomial_coefficient_is_not_proved(self, params_mid):
-        # E_0 scaled by 1 + sqrt(2): its coefficients are two-term sums
+        # E_0 scaled by 1 + sqrt(2): its coefficients are two-term sums,
+        # listed term by term, and the exact sum fails [e_0, f_0] with the
+        # witnesses of the residual built from words
         one_plus_root2 = RadicalSum({1: Fraction(1), 2: Fraction(1)})
 
         def e0_two_terms(mp):
@@ -905,20 +919,26 @@ class TestRationalGauge:
             mp.setattr(action, "apply_generator", mutated)
 
         basis = enumerate_basis(params_mid.signature, 4)
-        with _mutated(e0_two_terms), _decider_spy() as counts:
-            moved = [p for p in basis
-                     if not action.apply_generator(_E(0), p, params_mid).is_zero()]
-            assert moved and all(action.monomial_image(_E(0), p, params_mid)
-                                 is None for p in moved)
+        with _mutated(e0_two_terms):
+            moved = 0
+            for p in basis:
+                targets = list(action.apply_generator(_E(0), p,
+                                                      params_mid).terms)
+                image = action.monomial_image(_E(0), p, params_mid)
+                assert [t for t, *_ in image] == [t for t in targets
+                                                  for _ in range(2)]
+                moved += bool(targets)
             rep = check_cartan(0, 0, basis, params_mid)
-        assert not rep.passed
-        assert counts[False] >= len(rep.failures) > 0
+            words = _word_cartan(0, 0, basis, params_mid)
+        assert moved
+        assert rep.to_json() == words.to_json()
+        assert len(rep.failures) == 14
 
     @pytest.mark.parametrize("fixture,level", DECIDER_MODULES)
     def test_decides_every_word_relation(self, request, fixture, level):
-        # every instance is decided, never by a fallback, with one proof
-        # per window key of each report: by locality when the letters are
-        # far apart, by the exact sum otherwise
+        # every instance is proved, with no witness recorded, once per
+        # window key of each report: by locality when the letters are far
+        # apart, by the exact sum otherwise
         params = request.getfixturevalue(fixture)
         basis = enumerate_basis(params.signature, level)
         runs = _word_checks()
@@ -944,7 +964,7 @@ class TestRationalGauge:
         assert report.passed and len(basis) == 75
         assert counts == {True: 0, False: 0, "locality": 36}
 
-    def test_inconsistent_edge_falls_back(self, params_mid):
+    def test_inconsistent_edge_is_witnessed(self, params_mid):
         basis = enumerate_basis(params_mid.signature, 4)
         with _mutated(_f0_times_root2), _decider_spy() as counts:
             moved = [p for p in basis
@@ -952,10 +972,11 @@ class TestRationalGauge:
             assert moved
             rep = check_cartan(0, 0, basis, params_mid)
         assert not rep.passed
-        assert counts[False] >= len(rep.failures) > 0
+        assert counts[False] == len(rep.failures) > 0
 
     @pytest.mark.parametrize("name", ["E+side-o1+1", "F-side-d1-1"])
-    def test_fallback_keeps_the_row(self, params_mid, params_boundary, name):
+    def test_failing_sum_keeps_the_row(self, params_mid, params_boundary,
+                                       name):
         with _decider_spy() as counts, _mutated(MUTATIONS[name]):
             runs = _every_suite(params_mid, params_boundary)
         assert counts[False] > 0 and counts[True] > 0

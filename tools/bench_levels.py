@@ -11,12 +11,12 @@ memos the first pass filled (warm).  Each child reports the wall seconds
 of both passes (``time.perf_counter``, stdout written to memory), its peak
 RSS (``ru_maxrss``) after both, the exit code and the sha256 of the cold
 stdout, which the CI pins at every size.  A third, untimed pass counts the
-calls of ``relations._words_vanish``, the exact word sum
-(``word_sum_calls``), and the window keys that
-``relations._commute_by_locality`` proves without it
+calls of ``relations._word_sum``, the exact word sum that both decides a
+word relation and builds its witness (``word_sum_calls``), and the window
+keys that ``relations._commute_by_locality`` proves without it
 (``locality_decisions``), which the memos do not change, so the timed
-passes run unwrapped.  The sizes run one
-after another, never in parallel.  The largest, level 9 / window 3
+passes run unwrapped.  The sizes run one after another, never in
+parallel.  The largest, level 9 / window 3
 (V_9 = 8,820 patterns), takes about half a minute for its three passes
 and peaks at about 210 MiB (Python 3.11, a 2-vCPU VM).
 
@@ -57,7 +57,7 @@ def _decisions(argv: list[str]) -> dict:
     """Word-sum calls and locality proofs of one pass of argv."""
     from uhainf import relations
 
-    orig, orig_local = relations._words_vanish, relations._commute_by_locality
+    orig, orig_local = relations._word_sum, relations._commute_by_locality
     counts = {"word_sum_calls": 0, "locality_decisions": 0}
 
     def counted(terms, p, params):
@@ -69,12 +69,12 @@ def _decisions(argv: list[str]) -> dict:
         counts["locality_decisions"] += proved
         return proved
 
-    relations._words_vanish = counted
+    relations._word_sum = counted
     relations._commute_by_locality = counted_local
     try:
         _run(argv)
     finally:
-        relations._words_vanish = orig
+        relations._word_sum = orig
         relations._commute_by_locality = orig_local
     return counts
 
