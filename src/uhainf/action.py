@@ -27,8 +27,8 @@ from math import prod
 from types import MappingProxyType
 from typing import Optional
 
-from .qnum import (QValue, RadicalSum, _decimal_str, _json_terms,
-                   _square_decompose, qbracket, radical_of)
+from .qnum import (QValue, RadicalSum, _bracket_pair, _decimal_str,
+                   _json_terms, _square_decompose, qbracket, radical_of)
 from .patterns import (
     CPattern,
     ModuleParams,
@@ -416,18 +416,20 @@ def _eigenvalue(d: GeneratorLabel, p: CPattern,
 
 # The memos, captured at import, so that a name rebound later (a test patch,
 # a tracing wrapper) can neither hide one nor make clear_caches() raise.
-_MEMOS = (qbracket, _square_decompose, _decimal_str, _json_terms,
-          module_params, Signature.row, enumerate_basis, _fillings,
-          basis_rank, _canonical, label, _coefficient, _rational_coefficient,
-          _ladder_window, apply_generator, monomial_image)
+_MEMOS = (qbracket, _bracket_pair, _square_decompose, _decimal_str,
+          _json_terms, module_params, Signature.row, enumerate_basis,
+          _fillings, basis_rank, _canonical, label, _coefficient,
+          _rational_coefficient, _ladder_window, apply_generator,
+          monomial_image)
 
 
 def clear_caches() -> None:
-    """Empty every memo, 16 in all: qbracket, _square_decompose, the
-    rendered decimals and JSON terms of coefficients, module_params,
-    Signature.row, enumerate_basis, _fillings, basis_rank, the canonical
-    patterns, labels and coefficients, the rational coefficients of H and
-    C, the ladder windows, apply_generator and monomial_image.
+    """Empty every memo, 17 in all: qbracket and its integer pairs
+    (_bracket_pair), _square_decompose, the rendered decimals and JSON
+    terms of coefficients, module_params, Signature.row, enumerate_basis,
+    _fillings, basis_rank, the canonical patterns, labels and
+    coefficients, the rational coefficients of H and C, the ladder
+    windows, apply_generator and monomial_image.
     Patterns, labels and coefficients built after this are new objects,
     and a patched _CASES or sign_s reaches every window.  The Cartan
     suite's relations.ShiftTable is no memo: each run of the suite builds

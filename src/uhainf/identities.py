@@ -23,17 +23,23 @@ come in an even number, and its two denominator brackets change sign
 together.
 
 A factor is an integer pair (numerator, denominator).  The kernels multiply
-ints, test a denominator factor's numerator for 0, skip a term whose
-numerator is 0 and build one Fraction per other term.  Each draw does its
-arithmetic once.  The row sums take the bracket f(v, x, off) = [v - x + off]
-from a table that lives for one evaluation (``_brackets``), so the qbracket
-memo is asked once per distinct argument.  The denominator products over a
-summed row are built once per offset, and the offset-0 products serve both
-s (``_dens``).  Per s, the double sum builds the parts of the terms that
-depend on x alone or on y alone once, and reads the products over B minus
-y at x and over A minus x at y from prefix and suffix products
-(``_leave_one_out``), never by dividing a full product by one factor, which
-can be 0.
+ints, test a denominator factor's numerator for 0 and skip a term whose
+numerator is 0.  They keep the running sum as an integer pair, add each
+other term by cross-multiplying and reduce it by one gcd (``_add``), and
+build one Fraction at the end; Fractions are canonical, so the value is the
+one a sum of Fractions gives.  A product of numerator factors times the
+reciprocal of a product of denominator factors first cancels the common
+factor of the two products' denominators (``_reduced``).  Each draw does
+its arithmetic once.  The row sums read the bracket f(v, x, off) =
+[v - x + off] as an integer pair from the ``qnum._bracket_pair`` memo into
+a table that lives for one evaluation (``_brackets``), and test their
+summed rows for poles before they read the other rows.  The denominator
+products over a summed row are built once per offset, and the offset-0
+factors serve both s (``_dens``).  Per s, the double sum builds the parts
+of the terms that depend on x alone or on y alone once, and reads the
+products over B minus y at x and over A minus x at y from prefix and
+suffix products (``_leave_one_out``), never by dividing a full product by
+one factor, which can be 0.
 
 A21 is I23a in the variables q^(2L).  It runs through the same double sum
 with f(v, x, off) = x - q^(2 off) v, on the variables' integer pairs and
@@ -58,7 +64,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .qnum import QValue, qbracket
+from .qnum import QValue, _bracket_pair, qbracket
 from .patterns import row_range
 from .report import CheckReport
 
@@ -174,16 +180,17 @@ def _as_row(p: int, values) -> list:
 def _brackets(qv: QValue):
     """The row-sum factor f(v, x, off) = [v - x + off] as an integer pair.
 
-    Each distinct argument is read once from the qbracket memo into a table
-    that lives as long as the returned function, i.e. for one evaluation."""
+    Each distinct argument is read once from the _bracket_pair memo into a
+    table that lives as long as the returned function, i.e. for one
+    evaluation: a hit in that table costs less than a memo hit, which
+    hashes the QValue."""
     table = {}
 
     def f(v, x, off):
         m = v - x + off
         pair = table.get(m)
         if pair is None:
-            b = qbracket(m, qv)
-            pair = table[m] = b.numerator, b.denominator
+            pair = table[m] = _bracket_pair(m, qv)
         return pair
     return f
 
@@ -229,37 +236,56 @@ def _num(f, values, x, off: int) -> tuple[int, int]:
 
 def _dens(f, row: list, sigma: int, what: str) -> tuple[list, list]:
     """For s = 0 and s = 1, with t = sigma*s, the products
-    f(v_i, x, t) f(v_i, x, t - sigma) over i != j at x = row[j], for every j,
-    as unreduced integer pairs.  The offset-0 products serve both s.
-    PoleError at the first vanishing factor."""
-    def at(off):
-        out = []
-        for j, x in enumerate(row):
-            n = d = 1
-            for i, v in enumerate(row):
-                if i != j:
-                    a, b = f(v, x, off)
-                    if a == 0:
-                        raise PoleError(f"vanishing denominator: {what} at j={j}, i={i}")
-                    n *= a
-                    d *= b
-            out.append((n, d))
-        return out
+    f(v, x, t) f(v, x, t - sigma) over the entries v of the row other than
+    x = row[j], for every j, as unreduced integer pairs.  The offset-0
+    factor serves both s.  PoleError at a vanishing factor."""
+    out = [], []
+    for j, x in enumerate(row):
+        n0 = d0 = n1 = d1 = 1
+        for v in row[:j] + row[j + 1:]:
+            a, b = f(v, x, 0)
+            a0, b0 = f(v, x, -sigma)
+            a1, b1 = f(v, x, sigma)
+            if not (a and a0 and a1):
+                raise PoleError(f"vanishing denominator: {what} at j={j}")
+            n0 *= a * a0
+            d0 *= b * b0
+            n1 *= a * a1
+            d1 *= b * b1
+        out[0].append((n0, d0))
+        out[1].append((n1, d1))
+    return out
 
-    zero = at(0)
-    return tuple([(n0 * n, d0 * d) for (n0, d0), (n, d) in zip(zero, at(off))]
-                 for off in (-sigma, sigma))
+
+def _reduced(n: int, d: int, a: int, b: int) -> tuple[int, int]:
+    """(n/d) (a/b) as an integer pair, with gcd(a, d) cancelled.  The
+    kernels pass a product of numerator factors as n/d and the reciprocal
+    of a product of denominator factors as a/b, so d and a are both
+    products of factor denominators: for q = u/v a bracket's denominator is
+    a power of uv, so they share a large factor."""
+    g = math.gcd(a, d)
+    return n * (a // g), (d // g) * b
+
+
+def _add(tn: int, td: int, n: int, d: int) -> tuple[int, int]:
+    """tn/td + n/d as an integer pair in lowest terms (its denominator may
+    be negative).  Reducing after every term keeps the denominator from
+    growing to the product of every term's."""
+    n = tn * d + n * td
+    d *= td
+    g = math.gcd(n, d)
+    return n // g, d // g
 
 
 def _single_sum(f, row: list, others: list, sigma: int, what: str) -> Fraction:
-    total = Fraction(0)
+    tn, td = 0, 1
     for s, dens in enumerate(_dens(f, row, sigma, what)):
         t = sigma * s
         for x, (dn, dd) in zip(row, dens):
             nn, nd = _num(f, others, x, t)
             if nn:
-                total += Fraction((-1) ** s * nn * dd, nd * dn)
-    return total
+                tn, td = _add(tn, td, *_reduced(-nn if s else nn, nd, dd, dn))
+    return Fraction(tn, td)
 
 
 def _leave_one_out(pairs: list) -> list:
@@ -293,52 +319,57 @@ def _double_sum(f, D: list, A: list, B: list, C: list, sigma: int,
     Each factor is evaluated once per s: the parts that depend on x alone
     or on y alone are built once, and the products over B minus l at x and
     over A minus j at y come from _leave_one_out."""
-    total = Fraction(0)
+    tn, td = 0, 1
     dens = zip(_dens(f, A, sigma, what), _dens(f, B, sigma, what))
     for s, (den_a, den_b) in enumerate(dens):
         t = sigma * s
         ys = []
         for y, (bn, bd) in zip(B, den_b):
-            cn, cd = _num(f, C, y, t)
-            ys.append((y, cn * bd, cd * bn,
-                       _leave_one_out([f(v, y, t) for v in A])))
+            yn, yd = _reduced(*_num(f, C, y, t), bd, bn)
+            ys.append((y, yn, yd, _leave_one_out([f(v, y, t) for v in A])))
         for j, (x, (an, ad)) in enumerate(zip(A, den_a)):
             xn, xd = _num(f, D, x, t - sigma)
             if not xn:
                 continue
-            xn, xd = (-1) ** s * xn * ad, xd * an
+            xn, xd = _reduced(-xn if s else xn, xd, ad, an)
             rest_b = _leave_one_out([f(v, x, t - sigma) for v in B])
             for (n1, d1), (y, yn, yd, rest_a) in zip(rest_b, ys):
                 n2, d2 = rest_a[j]
-                num = xn * n1 * yn * n2
+                num = (xn * n1) * (yn * n2)
                 if not num:
                     continue
-                den = xd * d1 * yd * d2
+                den = (xd * d1) * (yd * d2)
                 if weight is not None:
                     wn, wd = weight(s, x, y)
                     num, den = num * wn, den * wd
-                total += Fraction(num, den)
-    return total
+                tn, td = _add(tn, td, num, den)
+    return Fraction(tn, td)
 
 
 def _eval_row_sum(a: Assignment, tag: str, k: int) -> Fraction:
+    """The summed rows are tested for poles before the other rows are read,
+    so a rejected draw costs no more than that test."""
     case = _ROW_SUMS[tag]
-    f = _brackets(a.qv)
     p = _row_numbers(case, k)
-    rows = {name: _as_row(p[name], a.arrays[name])
-            for name in _ROWS if name != case.unused}
+
+    def row(name):
+        return _as_row(p[name], a.arrays[name])
+
+    f = _brackets(a.qv)
     if case.summed is None:
-        D, A, B, C = rows.values()
+        A, B = row("row_a"), row("row_b")
         _reject_poles((A, B), tag)
+        D, C = row("row_below"), row("row_above")
         rhs = qbracket(case.sigma * (sum(A) + sum(B) - sum(C) - sum(D)) - 1, a.qv)
         return _double_sum(f, D, A, B, C, case.sigma, tag) - rhs
-    _reject_poles((rows[case.summed],), tag)
+    summed = row(case.summed)
+    _reject_poles((summed,), tag)
+    [other] = (name for name in _ROWS
+               if name not in (case.summed, case.cut, case.unused))
     labels = a.excluded["labels"]
-    others = [v for name, vs in rows.items()
-              if name not in (case.summed, case.cut) for v in vs]
-    others += [v for i, v in zip(row_range(p[case.cut]), rows[case.cut])
-               if i not in labels]
-    return _single_sum(f, rows[case.summed], others, case.sigma, tag)
+    others = row(other) + [v for i, v in zip(row_range(p[case.cut]), row(case.cut))
+                           if i not in labels]
+    return _single_sum(f, summed, others, case.sigma, tag)
 
 
 def _eval_a26(a: Assignment, n: int) -> Fraction:
@@ -468,28 +499,33 @@ _Q_POOL = tuple(QValue.quantum(q) for q in (Fraction(3, 2), 2, Fraction(5, 3),
 _RANGE = (-12, 13)
 
 
-def _randrange(rng: random.Random, start: int, stop: int) -> int:
-    """rng.randrange(start, stop), drawn as randrange draws it:
-    getrandbits(k), k the bit length of the width, until the draw is below
-    the width.  The stream is randrange's, without its argument checks."""
+def _randranges(rng: random.Random, start: int, stop: int,
+                count: int) -> list[int]:
+    """count draws of rng.randrange(start, stop), each drawn as randrange
+    draws it: getrandbits(k), k the bit length of the width, until the draw
+    is below the width.  The stream, and the generator's state after it,
+    are randrange's, without its argument checks or a call per draw."""
     n = stop - start
     k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return start + r
+    bits = rng.getrandbits
+    out = []
+    while len(out) < count:
+        r = bits(k)
+        if r < n:
+            out.append(start + r)
+    return out
 
 
 def _sample_row(rng: random.Random, length: int, decreasing: bool) -> list[int]:
     if not decreasing:
-        return [_randrange(rng, *_RANGE) for _ in range(length)]
+        return _randranges(rng, *_RANGE, length)
     # strictly decreasing rows mimic genuine L-rows (gap >= 1), from a top
-    # entry in 10 .. 16
+    # entry in 10 .. 16; the gap below the last entry is drawn and unused
     vals = []
-    cur = _randrange(rng, 10, 17)
-    for _ in range(length):
+    [cur] = _randranges(rng, 10, 17, 1)
+    for gap in _randranges(rng, 1, 4, length):
         vals.append(cur)
-        cur -= _randrange(rng, 1, 4)
+        cur -= gap
     return vals
 
 
@@ -499,7 +535,8 @@ def _sample_raw(ident: IdentityId, rng: random.Random) -> Assignment:
     if tag in ("I25", "I26", "I27", "A46L", "A46R"):
         names = {"I25": "abcde", "I26": "ab", "I27": "a",
                  "A46L": "abcd", "A46R": "abcd"}[tag]
-        return Assignment(qv, scalars={x: _randrange(rng, *_RANGE) for x in names})
+        return Assignment(qv, scalars=dict(
+            zip(names, _randranges(rng, *_RANGE, len(names)))))
     dec = rng.random() < 0.5
     if tag in _ROW_SUMS:
         case = _ROW_SUMS[tag]
@@ -512,16 +549,10 @@ def _sample_raw(ident: IdentityId, rng: random.Random) -> Assignment:
         return Assignment(qv, arrays=rows, excluded={"labels": tuple(labels)})
     if tag == "A21":
         q = qv.q
-
-        def var() -> Fraction:
-            # powers of q keep the variables in the identity's natural image
-            return q ** (2 * _randrange(rng, *_RANGE))
-
+        # powers of q keep the variables in the identity's natural image
         return Assignment(qv, arrays={
-            "A": [var() for _ in range(k - 1)],
-            "B": [var() for _ in range(k)],
-            "C": [var() for _ in range(k + 1)],
-            "D": [var() for _ in range(k - 2)],
+            x: [q ** (2 * e) for e in _randranges(rng, *_RANGE, m)]
+            for x, m in zip("ABCD", (k - 1, k, k + 1, k - 2))
         })
     if tag == "A26":
         return Assignment(qv, arrays={

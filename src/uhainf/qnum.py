@@ -97,6 +97,15 @@ def qbracket(x: int, qv: QValue) -> Fraction:
     return (q ** (2 * x) - 1) / (q ** (x - 1) * (q * q - 1))
 
 
+@cache
+def _bracket_pair(x: int, qv: QValue) -> tuple[int, int]:
+    """qbracket(x, qv) as its (numerator, denominator) pair of ints, the
+    form the identity kernels multiply.  Memoised for the life of the
+    process (see ``action.clear_caches``)."""
+    b = qbracket(x, qv)
+    return b.numerator, b.denominator
+
+
 # --- squarefree decomposition -------------------------------------------------
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]

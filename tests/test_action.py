@@ -20,7 +20,7 @@ from uhainf import (
     enumerate_basis,
     highest_weight_pattern,
 )
-from uhainf import action, cli, patterns, qnum, relations
+from uhainf import action, cli, identities, patterns, qnum, relations
 from uhainf.action import ZeroDenominatorError, _Ladder, _window, clear_caches
 from uhainf.patterns import (module_params, row_range, shift, shifted_if_valid,
                              sign_s, weight_eigenvalue)
@@ -333,16 +333,25 @@ class TestMemo:
         clear_caches()
         assert [m.cache_info().currsize for m in memos] == [0, 0]
 
+    def test_clear_caches_empties_the_bracket_pair_memo(self):
+        # the identity kernels read every bracket through this memo
+        ident = identities.IdentityId("I23a", 2)
+        assert identities.fuzz_identity(ident, trials=2, seed=1).passed
+        assert qnum._bracket_pair.cache_info().currsize > 0
+        clear_caches()
+        assert qnum._bracket_pair.cache_info().currsize == 0
+
     @staticmethod
     def _every_memo():
-        """The 16 memos, as the modules bind them before any patch."""
-        memos = (qnum.qbracket, qnum._square_decompose, qnum._decimal_str,
-                 qnum._json_terms, module_params, Signature.row,
-                 enumerate_basis, patterns._fillings, patterns.basis_rank,
-                 patterns._canonical, action.label, action._coefficient,
-                 action._rational_coefficient, action._ladder_window,
-                 apply_generator, action.monomial_image)
-        assert len(memos) == 16  # the count the clear_caches docstring gives
+        """The 17 memos, as the modules bind them before any patch."""
+        memos = (qnum.qbracket, qnum._bracket_pair, qnum._square_decompose,
+                 qnum._decimal_str, qnum._json_terms, module_params,
+                 Signature.row, enumerate_basis, patterns._fillings,
+                 patterns.basis_rank, patterns._canonical, action.label,
+                 action._coefficient, action._rational_coefficient,
+                 action._ladder_window, apply_generator,
+                 action.monomial_image)
+        assert len(memos) == 17  # the count the clear_caches docstring gives
         return memos
 
     @staticmethod
@@ -362,6 +371,8 @@ class TestMemo:
         assert patterns.basis_rank(params.signature, 4, hw) is not None
         c = action.apply_generator(H(0), hw, params).terms[hw]
         assert c.to_json() and c.to_decimal()
+        ident = identities.IdentityId("I23a", 2)
+        assert identities.fuzz_identity(ident, trials=1, seed=1).passed
 
     def test_clear_caches_empties_every_memo(self, params_mid):
         memos = self._every_memo()

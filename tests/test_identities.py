@@ -27,7 +27,7 @@ from uhainf.identities import (
     _a21_factors,
     _as_row,
     _double_sum,
-    _randrange,
+    _randranges,
     _row_numbers,
     _sample_raw,
     _single_sum,
@@ -192,12 +192,17 @@ class TestSamplerStream:
     state, that randrange would: the pinned reports stay as they are."""
 
     def test_randrange_widths(self):
+        # the sampler's widths 25, 7 and 3 (5, 3 and 2 bits), a power of 2
+        # and widths of 1 and 32, at counts 0 and up, one call per count
+        ranges = ((-12, 13), (10, 17), (1, 4), (0, 1), (5, 37), (-3, 5))
         for seed in range(50):
             ours, ref = random.Random(seed), random.Random(seed)
-            for start, stop in ((-12, 13), (10, 17), (1, 4), (0, 1), (5, 37)):
-                got = [_randrange(ours, start, stop) for _ in range(20)]
-                assert got == [ref.randrange(start, stop) for _ in range(20)]
-            assert ours.getstate() == ref.getstate()
+            for start, stop in ranges:
+                for count in (0, 1, 2, 5, 20):
+                    got = _randranges(ours, start, stop, count)
+                    want = [ref.randrange(start, stop) for _ in range(count)]
+                    assert got == want, (seed, start, stop, count)
+                    assert ours.getstate() == ref.getstate()
 
     def test_sampler_against_randrange(self, monkeypatch):
         import uhainf.identities as idm
@@ -210,8 +215,9 @@ class TestSamplerStream:
         idents = sorted(set(CORPUS), key=str)
         got = {(i, seed): sample(i, seed) for i in idents for seed in range(40)}
         # the reference: each bounded draw is the generator's own randrange
-        monkeypatch.setattr(idm, "_randrange",
-                            lambda rng, start, stop: rng.randrange(start, stop))
+        monkeypatch.setattr(
+            idm, "_randranges", lambda rng, start, stop, count:
+            [rng.randrange(start, stop) for _ in range(count)])
         for (ident, seed), draws in got.items():
             assert sample(ident, seed) == draws, (ident, seed)
 
@@ -655,6 +661,83 @@ class TestIntegerKernels:
             assert want != 0
             pairs = ([v.as_integer_ratio() for v in vs] for vs in rows)
             assert _double_sum(f, *pairs, sigma, "test", weight=weight) == want
+
+
+class TestPairSums:
+    """The sums keep their running total as a reduced integer pair and build
+    one Fraction at the end.  On broken inputs, where the value is not 0,
+    that Fraction equals the per-term Fraction sum of the same factors, and
+    a failing draw's witness keeps the value string it had when each term
+    was summed as its own Fraction."""
+
+    # (identity, broken input, the first witness's "value" at seed 3)
+    WITNESSES = [
+        ("I24b", "swap-summed-cut",
+         "-9551063005759468637399405635141946860269/"
+         "112054255551263532604650219215650816"),
+        ("A21", "shift-offset", "-34057476738393274683752448/1376671195471"),
+    ]
+
+    @staticmethod
+    def _break(monkeypatch, tag, broken):
+        """Swap the summed and cut rows of a single sum's table row, or
+        shift the double sum's factor by one; return the kernel that runs."""
+        if broken == "swap-summed-cut":
+            case = TestRowSumTable._mutations(_ROW_SUMS[tag])[broken]
+            monkeypatch.setitem(_ROW_SUMS, tag, case)
+            return "_single_sum", _single_sum
+        return "_double_sum", TestDoubleSumKernel._mutations(_double_sum)[broken]
+
+    @staticmethod
+    def _spy(monkeypatch, name, kernel):
+        """Run kernel as identities.<name>, recording each call's arguments
+        and value."""
+        import uhainf.identities as idm
+        calls = []
+
+        def spy(*args, **kw):
+            value = kernel(*args, **kw)
+            calls.append((args, kw, value))
+            return value
+        monkeypatch.setattr(idm, name, spy)
+        return calls
+
+    @staticmethod
+    def _fractions(pair_fn, shift=0):
+        """An integer-pair factor as a Fraction-valued one, at offset + shift."""
+        return lambda v, x, off: Fraction(*pair_fn(v, x, off + shift))
+
+    @pytest.mark.parametrize("tag", ["I24a", "I24b", "I24c", "I24d"])
+    def test_single_sum_with_swapped_rows(self, monkeypatch, tag):
+        calls = self._spy(monkeypatch, *self._break(monkeypatch, tag,
+                                                    "swap-summed-cut"))
+        rep = fuzz_identity(IdentityId(tag, 2), trials=5, seed=3)
+        assert len(rep.failures) == len(calls) == 5
+        for (f, row, others, sigma, _), _, value in calls:
+            assert value != 0
+            assert value == _ref_single_sum(self._fractions(f), row, others, sigma)
+
+    @pytest.mark.parametrize("tag,size", [("I23a", 2), ("I23b", 2), ("A21", 2),
+                                          ("A21", 4)])
+    def test_double_sum_with_shifted_factor(self, monkeypatch, tag, size):
+        calls = self._spy(monkeypatch, *self._break(monkeypatch, tag,
+                                                    "shift-offset"))
+        rep = fuzz_identity(IdentityId(tag, size), trials=5, seed=3)
+        assert len(rep.failures) == len(calls) == 5
+        for (f, D, A, B, C, sigma, _), kw, value in calls:
+            weight = kw.get("weight")
+            fr_weight = None if weight is None else (
+                lambda s, x, y: Fraction(*weight(s, x, y)))
+            assert value != 0
+            assert value == _ref_double_sum(self._fractions(f, shift=1),
+                                            D, A, B, C, sigma, fr_weight)
+
+    @pytest.mark.parametrize("tag,broken,value", WITNESSES,
+                             ids=[t for t, _, _ in WITNESSES])
+    def test_witness_value(self, monkeypatch, tag, broken, value):
+        self._spy(monkeypatch, *self._break(monkeypatch, tag, broken))
+        rep = fuzz_identity(IdentityId(tag, 2), trials=5, seed=3)
+        assert rep.failures[0]["residual"]["value"] == value
 
 
 class TestA21Poles:
