@@ -9,13 +9,17 @@ is decided on integers, before any arithmetic and before any pattern is
 built, by patterns._interlaces on the moved rows and their neighbours, and
 only a candidate that passes becomes a target pattern.
 All of that reads only four rows of the pattern, the window around the two
-rows that move (_window), so it is solved once per window (_ladder_window),
-and apply_generator only builds each pattern's targets from the solution.
+rows that move (_window), so it is solved once per window (_ladder_window):
+the solution is each target's two moved rows and its coefficient, and
+apply_generator only splices those rows into a copy of the pattern's.
 One kernel (_Ladder) serves every index.  For index -1 the lower row of the
 pair is the empty row 0, so only the bottom entry moves and every factor
-read from row 0 or the row below it is an empty product.  Every E/F
-coefficient is one monomial (n/d)·sqrt(k), k squarefree (monomial_image).
-Diagonal generators multiply the pattern by an exact rational eigenvalue.
+read from row 0 or the row below it is an empty product.  The kernel
+multiplies each bracket as its pair of ints (qnum._bracket_pair), so every
+E/F coefficient comes out as one monomial (n/d)·sqrt(k), k squarefree,
+interned by _monomial.
+Diagonal generators multiply the pattern by an exact rational eigenvalue,
+the monomial with k = 1.
 """
 
 from __future__ import annotations
@@ -23,12 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import prod
+from math import gcd
 from types import MappingProxyType
 from typing import Optional
 
 from .qnum import (QValue, RadicalSum, _bracket_pair, _decimal_str,
-                   _json_terms, _square_decompose, qbracket, radical_of)
+                   _json_terms, _square_decompose, qbracket)
 from .patterns import (
     CPattern,
     ModuleParams,
@@ -40,7 +44,6 @@ from .patterns import (
     enumerate_basis,
     module_params,
     row_range,
-    shift,
     sign_s,
     weight_eigenvalue,
 )
@@ -225,42 +228,31 @@ class _Ladder:
         self.labove = list(_l_row(above).values())
         self.slots_a = row_range(self.row_a) or range(1)
 
-    def moves(self, j: int, l: int) -> tuple[tuple[int, int, int], ...]:
-        move_b = (l, self.row_b, self.delta)
-        return ((j, self.row_a, self.delta), move_b) if self.la else (move_b,)
-
-    def factors(
-        self, j: int, l: int, qv: QValue
-    ) -> tuple[list[Fraction], list[Fraction]]:
-        """Numerator and denominator bracket factors of candidate (j, l)."""
+    def arguments(self, j: int, l: int) -> tuple[list[int], list[int]]:
+        """Numerator and denominator bracket arguments of candidate (j, l):
+        its coefficient is the square root of the absolute value of
+        prod [num] / prod [den], up to the sign."""
         la_rest = [v for i, v in self.la.items() if i != j]
         lb_rest = [v for i, v in self.lb.items() if i != l]
         ll, o2, d2 = self.lb[l], self.o2, self.d2
-        num = [qbracket(v - ll + o2, qv) for v in self.labove + la_rest]
-        den = [qbracket(v - ll + d, qv) for v in lb_rest for d in (0, d2)]
+        num = [v - ll + o2 for v in self.labove + la_rest]
+        den = [v - ll + d for v in lb_rest for d in (0, d2)]
         if self.la:
             lj, o1, d1 = self.la[j], self.o1, self.d1
-            num += [qbracket(v - lj + o1, qv) for v in lb_rest + self.lbelow]
-            den += [qbracket(v - lj + d, qv) for v in la_rest for d in (0, d1)]
+            num += [v - lj + o1 for v in lb_rest + self.lbelow]
+            den += [v - lj + d for v in la_rest for d in (0, d1)]
         return num, den
 
 
 @cache
-def _coefficient(c: RadicalSum) -> RadicalSum:
-    """The first coefficient equal to c that was built, so that the images
-    of apply_generator hold one object per value and the rendering memos
-    of a matrix export find a repeated coefficient by identity, without
-    comparing Fractions.  Memoised for the life of the process."""
-    return c
-
-
-@cache
-def _rational_coefficient(numerator: int, denominator: int) -> RadicalSum:
-    """The interned coefficient (see _coefficient) of the rational
-    numerator/denominator, keyed on the two ints: H and C meet a handful of
-    values on every pattern, and an int key costs neither a Fraction hash
-    nor a RadicalSum build.  Memoised for the life of the process."""
-    return _coefficient(RadicalSum.from_rational(Fraction(numerator, denominator)))
+def _monomial(k: int, n: int, d: int) -> RadicalSum:
+    """The coefficient (n/d)·sqrt(k), k squarefree, d > 0 and gcd(n, d) = 1,
+    keyed on the three ints, so that each value is one object: the images
+    of apply_generator, ladder and diagonal alike, share it, and the
+    rendering memos of a matrix export find a repeated coefficient by
+    identity, without comparing Fractions.  n = 0 gives the zero sum.
+    Memoised for the life of the process."""
+    return RadicalSum({k: Fraction(n, d)})
 
 
 def _each_moved(row: tuple[int, ...], slots: range, delta: int):
@@ -271,18 +263,34 @@ def _each_moved(row: tuple[int, ...], slots: range, delta: int):
         yield i, row[:t] + (row[t] + delta,) + row[t + 1:] if row else row
 
 
+def _products(args: list[int], pairs: dict,
+              qv: QValue) -> tuple[int, int]:
+    """(product of numerators, product of denominators) of the brackets of
+    args, read from pairs, a table {argument: _bracket_pair} that lives for
+    one solve and that this fills as it goes, so no lookup hashes qv."""
+    n = d = 1
+    for x in args:
+        try:
+            xn, xd = pairs[x]
+        except KeyError:
+            xn, xd = pairs[x] = _bracket_pair(x, qv)
+        n *= xn
+        d *= xd
+    return n, d
+
+
 @cache
 def _ladder_window(
     kind: str, index: int, window: tuple[tuple[int, ...], ...], qv: QValue
-) -> tuple[tuple[int, int, tuple, Optional[RadicalSum]], ...]:
+) -> tuple[tuple[int, int, tuple, tuple, Optional[RadicalSum]], ...]:
     """E_index or F_index on every pattern with this window: check, then
     solve.
 
-    Returns (j, l, moves, coefficient) for each candidate whose target
-    interlaces and whose coefficient is nonzero, in (j, l) order.  A
-    candidate whose denominator vanishes ends the tuple with coefficient
-    None, a marker that the caller raises on: an exception is not memoised
-    and could not name the caller's pattern.
+    Returns (j, l, row_a moved, row_b moved, coefficient) for each
+    candidate whose target interlaces and whose coefficient is nonzero, in
+    (j, l) order.  A candidate whose denominator vanishes ends the tuple
+    with coefficient None, a marker that the caller raises on: an exception
+    is not memoised and could not name the caller's pattern.
 
     A candidate moves (j, row_a) and (l, row_b = row_a + 1) by the same
     delta.  Only three pairs of rows change, and the window holds all of
@@ -290,9 +298,11 @@ def _ladder_window(
     with j moved over the row below it (once per j), row_b with l moved
     under the row above it (once per l), and the two moved rows (once per
     pair that passes both).  For index -1, row_a is the empty row 0, which
-    interlaces under any row.  The brackets are multiplied as integer
-    numerators and denominators, and a coefficient builds one Fraction, in
-    lowest terms, for radical_of.
+    interlaces under any row, moves nothing and is returned as ().  The
+    brackets of each candidate's arguments (_Ladder.arguments) are
+    multiplied as int pairs into a/b over c/d; |a·d| / |b·c| is reduced by
+    one gcd to N/D, and N·D = s²·k gives the coefficient ±(s/D)·sqrt(k),
+    so no Fraction is built unless _monomial meets a new value.
 
     The window holds every row these steps read, and no pattern, so every
     pattern with the same four rows shares one entry.  _CASES and sign_s
@@ -307,26 +317,28 @@ def _ladder_window(
     ls = [(l, rb_l)
           for l, rb_l in _each_moved(rb, row_range(lad.row_b), lad.delta)
           if _interlaces(rb_l, above)]
+    pairs: dict[int, tuple[int, int]] = {}
     out = []
     for j, ra_j in js:
         for l, rb_l in ls:
             if not _interlaces(ra_j, rb_l):
                 continue
-            moves = lad.moves(j, l)
-            num_f, den_f = lad.factors(j, l, qv)
+            num_args, den_args = lad.arguments(j, l)
             # num/den = (a/b) / (c/d) = (a*d) / (b*c); b and d are positive
-            a = prod(f.numerator for f in num_f)
+            a, b = _products(num_args, pairs, qv)
             if not a:
                 continue
-            c = prod(f.numerator for f in den_f)
+            c, d = _products(den_args, pairs, qv)
             if not c:
-                out.append((j, l, moves, None))
+                out.append((j, l, ra_j, rb_l, None))
                 return tuple(out)
-            b = prod(f.denominator for f in num_f)
-            d = prod(f.denominator for f in den_f)
-            coeff = _coefficient(radical_of(Fraction(abs(a * d), abs(b * c)))
-                                 .scale(-sign_s(j, l, lad.nu)))
-            out.append((j, l, moves, coeff))
+            num, den = abs(a * d), abs(b * c)
+            g = gcd(num, den)
+            num, den = num // g, den // g
+            s, k = _square_decompose(num * den)
+            g = gcd(s, den)
+            out.append((j, l, ra_j, rb_l, _monomial(
+                k, -sign_s(j, l, lad.nu) * (s // g), den // g)))
     return tuple(out)
 
 
@@ -336,27 +348,36 @@ def apply_generator(
 ) -> PatternVector:
     """Action of a single generator on a basis pattern.
 
-    E and F build p's targets from the solution of its window
-    (_ladder_window); a zero denominator is raised on every call, naming p.
-    Memoised for the life of the process.  The result is read-only: its
-    ``terms`` is a mapping proxy, so ``add_term`` on it raises and no
-    caller can change what a later call returns.
+    E and F read the solution of p's window (_ladder_window) and build each
+    target from one copy of p's rows, padded with signature rows up to
+    row_b, with the two moved rows put in; a zero denominator is raised on
+    every call, naming p.  Memoised for the life of the process.  The
+    result is read-only: its ``terms`` is a mapping proxy, so ``add_term``
+    on it raises and no caller can change what a later call returns.
     """
     if g.kind in ("H", "C"):
         r = (weight_eigenvalue(p, g.index, params) if g.kind == "H"
              else params.xi0 - params.xi1)
-        result = PatternVector({p: _rational_coefficient(r.numerator,
-                                                         r.denominator)})
+        result = PatternVector({p: _monomial(1, r.numerator, r.denominator)})
     else:
         result = PatternVector()
-        for j, l, moves, coeff in _ladder_window(
-                g.kind, g.index, _window(p, g.index), params.qv):
+        solved = _ladder_window(g.kind, g.index, _window(p, g.index),
+                                params.qv)
+        if solved:
+            row_a = _ladder_rows(g.index)[0]
+            sig = p.sig
+            rows = [*p.rows, *map(sig.row, range(len(p.rows) + 1, row_a + 2))]
+        for j, l, ra_j, rb_l, coeff in solved:
             if coeff is None:
                 raise ZeroDenominatorError(
                     f"{g}: zero denominator on valid target "
                     f"(j={j}, l={l}) of {p!r}"
                 )
-            result.add_term(shift(p, moves), coeff)
+            target = rows.copy()
+            if row_a:
+                target[row_a - 1] = ra_j
+            target[row_a] = rb_l
+            result.terms[_canonical(CPattern._of_rows(sig, target))] = coeff
     result.terms = MappingProxyType(result.terms)
     return result
 
@@ -418,18 +439,17 @@ def _eigenvalue(d: GeneratorLabel, p: CPattern,
 # a tracing wrapper) can neither hide one nor make clear_caches() raise.
 _MEMOS = (qbracket, _bracket_pair, _square_decompose, _decimal_str,
           _json_terms, module_params, Signature.row, enumerate_basis,
-          _fillings, basis_rank, _canonical, label, _coefficient,
-          _rational_coefficient, _ladder_window, apply_generator,
-          monomial_image)
+          _fillings, basis_rank, _canonical, label, _monomial,
+          _ladder_window, apply_generator, monomial_image)
 
 
 def clear_caches() -> None:
-    """Empty every memo, 17 in all: qbracket and its integer pairs
+    """Empty every memo, 16 in all: qbracket and its integer pairs
     (_bracket_pair), _square_decompose, the rendered decimals and JSON
     terms of coefficients, module_params, Signature.row, enumerate_basis,
-    _fillings, basis_rank, the canonical patterns, labels and
-    coefficients, the rational coefficients of H and C, the ladder
-    windows, apply_generator and monomial_image.
+    _fillings, basis_rank, the canonical patterns, labels and monomial
+    coefficients (_monomial, which the ladder windows and the H and C
+    images share), the ladder windows, apply_generator and monomial_image.
     Patterns, labels and coefficients built after this are new objects,
     and a patched _CASES or sign_s reaches every window.  The Cartan
     suite's relations.ShiftTable is no memo: each run of the suite builds

@@ -254,7 +254,8 @@ class CPattern:
 @cache
 def _canonical(p: CPattern) -> CPattern:
     """The first pattern equal to p that was built, so that the patterns
-    shift and enumerate_basis return are one object per (signature, rows).
+    shift, enumerate_basis and the ladder branch of action.apply_generator
+    return are one object per (signature, rows).
 
     A memo keyed on patterns (apply_generator, monomial_image) and a
     PatternVector's terms then find a ladder target by identity, without

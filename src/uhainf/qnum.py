@@ -243,8 +243,8 @@ class RadicalSum:
     def __hash__(self) -> int:
         """Hash of the canonical terms, computed on the first call and kept
         in a slot: the verification path never hashes a sum, while the
-        rendering memos (_decimal_str, _json_terms) and the interned
-        coefficients of ``action._coefficient`` hash each one they meet."""
+        rendering memos (_decimal_str, _json_terms) hash each one they
+        meet."""
         try:
             return self._hash
         except AttributeError:

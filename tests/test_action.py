@@ -24,6 +24,7 @@ from uhainf import action, cli, identities, patterns, qnum, relations
 from uhainf.action import ZeroDenominatorError, _Ladder, _window, clear_caches
 from uhainf.patterns import (module_params, row_range, shift, shifted_if_valid,
                              sign_s, weight_eigenvalue)
+from uhainf.qnum import qbracket
 
 
 def E(i):
@@ -189,6 +190,22 @@ class TestLadder:
         assert apply_word([E(0), F(0)], hw, params_mid_classical).terms[hw] == ONE
 
 
+def _moves(lad, j, l):
+    """The entry moves of candidate (j, l) of a _Ladder, as shift takes
+    them: (j, row_a) and (l, row_b) by delta, or (l, row_b) alone when
+    row_a is the empty row 0 (index -1)."""
+    move_b = (l, lad.row_b, lad.delta)
+    return ((j, lad.row_a, lad.delta), move_b) if lad.la else (move_b,)
+
+
+def _factors(lad, j, l, qv):
+    """The numerator and denominator brackets of candidate (j, l), as
+    Fractions from qbracket of _Ladder.arguments."""
+    num_args, den_args = lad.arguments(j, l)
+    return ([qbracket(x, qv) for x in num_args],
+            [qbracket(x, qv) for x in den_args])
+
+
 def deletion_diagnostics(
     kind: str, index: int, p: CPattern, params: ModuleParams
 ) -> list[tuple[int, int, bool, bool, bool]]:
@@ -202,17 +219,17 @@ def deletion_diagnostics(
     Unlike apply_generator it sweeps every (j, l) pair and decides each
     one on the built pattern (shifted_if_valid), not on the window's rows,
     so it is an oracle for the kernel's interlacing checks.  It shares
-    _interlaces and the bracket factors (_Ladder.factors) with the action,
-    so it does not check those.  A product of exact brackets vanishes exactly when one
-    of its factors does.  For index -1 the only candidates are (0, l).
+    _interlaces and the bracket arguments (_Ladder.arguments) with the
+    action, so it does not check those.  A product of exact brackets
+    vanishes exactly when one of its factors does.  For index -1 the only
+    candidates are (0, l).
     """
-    qv = params.qv
     lad = _Ladder(kind, index, _window(p, index))
     out = []
     for j in lad.slots_a:
         for l in row_range(lad.row_b):
-            valid = shifted_if_valid(p, lad.moves(j, l)) is not None
-            num_f, den_f = lad.factors(j, l, qv)
+            valid = shifted_if_valid(p, _moves(lad, j, l)) is not None
+            num_f, den_f = _factors(lad, j, l, params.qv)
             out.append((j, l, valid, 0 in num_f, 0 in den_f))
     return out
 
@@ -343,15 +360,14 @@ class TestMemo:
 
     @staticmethod
     def _every_memo():
-        """The 17 memos, as the modules bind them before any patch."""
+        """The 16 memos, as the modules bind them before any patch."""
         memos = (qnum.qbracket, qnum._bracket_pair, qnum._square_decompose,
                  qnum._decimal_str, qnum._json_terms, module_params,
                  Signature.row, enumerate_basis, patterns._fillings,
                  patterns.basis_rank, patterns._canonical, action.label,
-                 action._coefficient, action._rational_coefficient,
-                 action._ladder_window, apply_generator,
+                 action._monomial, action._ladder_window, apply_generator,
                  action.monomial_image)
-        assert len(memos) == 17  # the count the clear_caches docstring gives
+        assert len(memos) == 16  # the count the clear_caches docstring gives
         return memos
 
     @staticmethod
@@ -533,20 +549,22 @@ class TestCachedHashes:
 
 
 # Differential oracle for the ladder coefficients: the action as it was
-# computed with Fraction products, built from the same _Ladder.factors and
-# swept over every candidate pair.  The action multiplies integer
-# numerators and denominators instead, so the two must agree term by term,
-# signs included (the bracket of a negative argument is negative).
+# computed with Fraction products of qbracket, built from the same
+# _Ladder.arguments, swept over every candidate pair and shifted into
+# targets by shift.  The action multiplies the integer pairs of
+# _bracket_pair instead and splices the moved rows itself, so the two must
+# agree term by term, signs included (the bracket of a negative argument is
+# negative).
 
 def _fraction_ladder(kind, index, p, params):
     lad = _Ladder(kind, index, _window(p, index))
     out = PatternVector()
     for j in lad.slots_a:
         for l in row_range(lad.row_b):
-            target = shifted_if_valid(p, lad.moves(j, l))
+            target = shifted_if_valid(p, _moves(lad, j, l))
             if target is None:
                 continue
-            num_f, den_f = lad.factors(j, l, params.qv)
+            num_f, den_f = _factors(lad, j, l, params.qv)
             num = prod(num_f, start=Fraction(1))
             if not num:
                 continue
@@ -655,3 +673,65 @@ class TestLadderWindow:
                 assert str(cold.value) == msg2
         finally:
             clear_caches()
+
+
+class TestSplicedTargets:
+    """_ladder_window returns each candidate's two moved rows and one
+    interned monomial; apply_generator splices the rows into a copy of the
+    pattern's.  Each coefficient is the _monomial of its own reduced key,
+    and each target is the canonical pattern that shift builds from the
+    candidate's moves."""
+
+    @pytest.mark.parametrize("qname", sorted(_ORACLE_Q))
+    @pytest.mark.parametrize("module", sorted(_ORACLE_MODULES))
+    def test_monomials_and_targets(self, module, qname):
+        sig, xi0, xi1, level = _ORACLE_MODULES[module]
+        params = ModuleParams(sig, Fraction(xi0), Fraction(xi1),
+                              _ORACLE_Q[qname], "a_infinity")
+        kernels = set()
+        seen = {"bottom": 0, "above_N": 0}
+        for p in enumerate_basis(sig, level):
+            for k in range(-3, 4):
+                for kind in ("E", "F"):
+                    image = apply_generator(GeneratorLabel(kind, k), p, params)
+                    solved = action._ladder_window(kind, k, _window(p, k),
+                                                   params.qv)
+                    assert len(image.terms) == len(solved), (kind, k, p)
+                    lad = _Ladder(kind, k, _window(p, k))
+                    for (target, coeff), (j, l, _, _, c) in zip(
+                            image.terms.items(), solved):
+                        assert target is shift(p, _moves(lad, j, l))
+                        kernel, r = coeff.monomial()
+                        assert r.denominator > 0
+                        assert coeff is c is action._monomial(
+                            kernel, r.numerator, r.denominator)
+                        kernels.add(kernel)
+                        seen["bottom"] += k == -1
+                        seen["above_N"] += target.N > p.N
+        assert all(seen.values()), seen
+        factorint = pytest.importorskip("sympy").factorint
+        assert all(max(factorint(k).values(), default=1) == 1 for k in kernels)
+
+    def test_diagonal_images_are_the_k1_monomials(self, params_mid):
+        """H and C are the k = 1 case of the same memo: one object per
+        eigenvalue, shared with any ladder coefficient of that value, and
+        no term for a zero eigenvalue."""
+        hw = highest_weight_pattern(params_mid.signature)
+        assert (apply_generator(F(0), hw, params_mid).terms
+                == {CPattern(params_mid.signature, [(0,), (2, 0)]):
+                    action._monomial(1, -1, 1)})
+        r = params_mid.xi0 - params_mid.xi1
+        assert (apply_generator(C, hw, params_mid).terms[hw]
+                is action._monomial(1, r.numerator, r.denominator))
+        zero = 0
+        for p in enumerate_basis(params_mid.signature, 4):
+            for i in range(-2, 3):
+                r = weight_eigenvalue(p, i, params_mid)
+                terms = apply_generator(H(i), p, params_mid).terms
+                if r:
+                    assert terms[p] is action._monomial(1, r.numerator,
+                                                        r.denominator)
+                else:
+                    zero += 1
+                    assert not terms
+        assert zero > 0

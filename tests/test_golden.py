@@ -25,7 +25,11 @@ level-7 ladder matrices of the export benchmark were recorded while every
 solved once per window of four rows.  The H:0 and C matrices of the same
 workload, whose diagonal entries are rendered once per distinct
 coefficient, were recorded while every entry rendered its own coefficient
-and every column ranked its own targets.
+and every column ranked its own targets.  The two runs at q = 2/3, the only
+end-to-end runs at a q below 1, were recorded while the ladder kernel still
+built a Fraction per coefficient for radical_of and every target went
+through shift, before it multiplied int bracket pairs into an interned
+monomial and spliced the two moved rows.
 """
 
 import hashlib
@@ -35,6 +39,7 @@ import pytest
 from uhainf.cli import main
 
 BASE = ["--signature=-1:1:2,1,0", "--xi0", "2", "--xi1", "0", "--q", "3/2"]
+BASE_Q_BELOW_1 = [*BASE[:-1], "2/3"]
 WIDE = ["--signature=-2:2:3,3,1,0,-1", "--xi0", "3", "--xi1", "-1", "--q", "7/4"]
 
 GOLDEN = [
@@ -129,6 +134,17 @@ GOLDEN = [
         0,
         "4ef0fccac68841d8869501b66f6dd02cb3e725472088908188b40ded5ab1e6d3",
     ),
+    (
+        ["check", *BASE_Q_BELOW_1, "--suite", "all", "--level", "5",
+         "--window", "3", "--trials", "20"],
+        0,
+        "ef6df54315a7999bcd555393924ec394a890b39c6ac50dde159f74a6d2b82712",
+    ),
+    (
+        ["matrix", *BASE_Q_BELOW_1, "--level", "6", "--generator", "E:1"],
+        0,
+        "b99cf3e2fb958011616618a488480f95bd086cfd3435406c6f6b8de5b9160294",
+    ),
 ]
 
 
@@ -136,7 +152,8 @@ IDS = ["check-all", "matrix-E1", "matrix-Fm3-escaped", "matrix-F1-escaped",
        "matrix-row-null", "cartan-L5-W6", "cartan-L4-W3-classical",
        "basis-L7", "wide-basis-L6", "wide-matrix-E1", "wide-matrix-Fm2",
        "wide-cartan-L4-W2", "matrix-Em1-L6", "matrix-Fm1-L6",
-       "matrix-Fm1-L6-classical", "wide-matrix-Fm1", "boundary-closed-form"]
+       "matrix-Fm1-L6-classical", "wide-matrix-Fm1", "boundary-closed-form",
+       "check-all-L5-W3-q-below-1", "matrix-E1-L6-q-below-1"]
 
 
 @pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=IDS)

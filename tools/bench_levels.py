@@ -10,15 +10,19 @@ same process: once with every memo empty (cold) and once more with the
 memos the first pass filled (warm).  Each child reports the wall seconds
 of both passes (``time.perf_counter``, stdout written to memory), its peak
 RSS (``ru_maxrss``) after both, the exit code and the sha256 of the cold
-stdout, which the CI pins at every size.  A third, untimed pass counts the
-calls of ``relations._word_sum``, the exact word sum that both decides a
-word relation and builds its witness (``word_sum_calls``), and the window
-keys that ``relations._commute_by_locality`` proves without it
+stdout, which the CI pins at every size.  A third, untimed pass starts with
+every memo empty again.  It counts the calls of ``relations._word_sum``,
+the exact word sum that both decides a word relation and builds its
+witness (``word_sum_calls``), and the window keys that
+``relations._commute_by_locality`` proves without it
 (``locality_decisions``), which the memos do not change, so the timed
-passes run unwrapped.  The sizes run one after another, never in
-parallel.  The largest, level 9 / window 3
-(V_9 = 8,820 patterns), takes about half a minute for its three passes
-and peaks at about 210 MiB (Python 3.11, a 2-vCPU VM).
+passes run unwrapped.  After it, the ``cache_info()`` of the ladder kernel
+``action._ladder_window`` (``ladder_window``: one miss per window solved)
+and of the coefficient memo ``action._monomial`` (``monomial``: one miss
+per distinct coefficient) is read, not wrapped, as hits, misses and size.
+The sizes run one after another, never in parallel.  The largest, level 9
+/ window 3 (V_9 = 8,820 patterns), takes about 35 seconds for its three
+passes and peaks at about 210 MiB (Python 3.11, a 2-vCPU VM).
 
 Prints one JSON document with the git SHA and the Python version.  A
 checkout without git history reports ``"git_sha": null``.
@@ -54,8 +58,9 @@ def _run(argv: list[str]) -> tuple[float, int, str]:
 
 
 def _decisions(argv: list[str]) -> dict:
-    """Word-sum calls and locality proofs of one pass of argv."""
-    from uhainf import relations
+    """Word-sum calls and locality proofs of one cold pass of argv, and the
+    kernel's and the coefficient memo's cache_info() after it."""
+    from uhainf import action, relations
 
     orig, orig_local = relations._word_sum, relations._commute_by_locality
     counts = {"word_sum_calls": 0, "locality_decisions": 0}
@@ -71,11 +76,17 @@ def _decisions(argv: list[str]) -> dict:
 
     relations._word_sum = counted
     relations._commute_by_locality = counted_local
+    action.clear_caches()
     try:
         _run(argv)
     finally:
         relations._word_sum = orig
         relations._commute_by_locality = orig_local
+    for name, memo in (("ladder_window", action._ladder_window),
+                       ("monomial", action._monomial)):
+        info = memo.cache_info()
+        counts[name] = {"hits": info.hits, "misses": info.misses,
+                        "size": info.currsize}
     return counts
 
 
