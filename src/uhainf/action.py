@@ -11,15 +11,17 @@ only a candidate that passes becomes a target pattern.
 All of that reads only four rows of the pattern, the window around the two
 rows that move (_window), so it is solved once per window (_ladder_window):
 the solution is each target's two moved rows and its coefficient, and
-apply_generator only splices those rows into a copy of the pattern's.
-One kernel (_Ladder) serves every index.  For index -1 the lower row of the
+monomial_image, the one memo of g·p, splices those rows into a copy of the
+pattern's.  One kernel (_Ladder) serves every index.  For index -1 the lower row of the
 pair is the empty row 0, so only the bottom entry moves and every factor
 read from row 0 or the row below it is an empty product.  The kernel
 multiplies each bracket as its pair of ints (qnum._bracket_pair), so every
 E/F coefficient comes out as one monomial (n/d)·sqrt(k), k squarefree,
-interned by _monomial.
+given as the ints (k, n, d).
 Diagonal generators multiply the pattern by an exact rational eigenvalue,
-the monomial with k = 1.
+the monomial with k = 1.  apply_generator is a fresh PatternVector view of
+monomial_image; with apply_to_vector and apply_word it is the RadicalSum
+oracle that the suites' int word sum is tested against.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import gcd
-from types import MappingProxyType
 from typing import Optional
 
 from .qnum import (QValue, RadicalSum, _bracket_pair, _decimal_str,
@@ -247,11 +248,11 @@ class _Ladder:
 @cache
 def _monomial(k: int, n: int, d: int) -> RadicalSum:
     """The coefficient (n/d)·sqrt(k), k squarefree, d > 0 and gcd(n, d) = 1,
-    keyed on the three ints, so that each value is one object: the images
-    of apply_generator, ladder and diagonal alike, share it, and the
-    rendering memos of a matrix export find a repeated coefficient by
-    identity, without comparing Fractions.  n = 0 gives the zero sum.
-    Memoised for the life of the process."""
+    keyed on the three ints, so that each value is one object: every
+    apply_generator view and every matrix column, ladder and diagonal
+    alike, share it, and the rendering memos of a matrix export find a
+    repeated coefficient by identity, without comparing Fractions.  n = 0
+    gives the zero sum.  Memoised for the life of the process."""
     return RadicalSum({k: Fraction(n, d)})
 
 
@@ -282,15 +283,16 @@ def _products(args: list[int], pairs: dict,
 @cache
 def _ladder_window(
     kind: str, index: int, window: tuple[tuple[int, ...], ...], qv: QValue
-) -> tuple[tuple[int, int, tuple, tuple, Optional[RadicalSum]], ...]:
+) -> tuple[tuple[int, int, tuple, tuple, int, int, int], ...]:
     """E_index or F_index on every pattern with this window: check, then
     solve.
 
-    Returns (j, l, row_a moved, row_b moved, coefficient) for each
-    candidate whose target interlaces and whose coefficient is nonzero, in
-    (j, l) order.  A candidate whose denominator vanishes ends the tuple
-    with coefficient None, a marker that the caller raises on: an exception
-    is not memoised and could not name the caller's pattern.
+    Returns (j, l, row_a moved, row_b moved, k, n, d) for each candidate
+    whose target interlaces and whose coefficient (n/d)·sqrt(k) is
+    nonzero, in (j, l) order, with k squarefree, d > 0 and gcd(n, d) = 1.
+    A candidate whose denominator vanishes ends the tuple with d = 0, a
+    marker that the caller raises on: an exception is not memoised and
+    could not name the caller's pattern.
 
     A candidate moves (j, row_a) and (l, row_b = row_a + 1) by the same
     delta.  Only three pairs of rows change, and the window holds all of
@@ -302,7 +304,7 @@ def _ladder_window(
     brackets of each candidate's arguments (_Ladder.arguments) are
     multiplied as int pairs into a/b over c/d; |a·d| / |b·c| is reduced by
     one gcd to N/D, and N·D = s²·k gives the coefficient ±(s/D)·sqrt(k),
-    so no Fraction is built unless _monomial meets a new value.
+    so no Fraction is built.
 
     The window holds every row these steps read, and no pattern, so every
     pattern with the same four rows shares one entry.  _CASES and sign_s
@@ -330,56 +332,29 @@ def _ladder_window(
                 continue
             c, d = _products(den_args, pairs, qv)
             if not c:
-                out.append((j, l, ra_j, rb_l, None))
+                out.append((j, l, ra_j, rb_l, 0, 0, 0))
                 return tuple(out)
             num, den = abs(a * d), abs(b * c)
             g = gcd(num, den)
             num, den = num // g, den // g
             s, k = _square_decompose(num * den)
             g = gcd(s, den)
-            out.append((j, l, ra_j, rb_l, _monomial(
-                k, -sign_s(j, l, lad.nu) * (s // g), den // g)))
+            out.append((j, l, ra_j, rb_l, k, -sign_s(j, l, lad.nu) * (s // g),
+                        den // g))
     return tuple(out)
 
 
-@cache
 def apply_generator(
     g: GeneratorLabel, p: CPattern, params: ModuleParams
 ) -> PatternVector:
-    """Action of a single generator on a basis pattern.
-
-    E and F read the solution of p's window (_ladder_window) and build each
-    target from one copy of p's rows, padded with signature rows up to
-    row_b, with the two moved rows put in; a zero denominator is raised on
-    every call, naming p.  Memoised for the life of the process.  The
-    result is read-only: its ``terms`` is a mapping proxy, so ``add_term``
-    on it raises and no caller can change what a later call returns.
-    """
-    if g.kind in ("H", "C"):
-        r = (weight_eigenvalue(p, g.index, params) if g.kind == "H"
-             else params.xi0 - params.xi1)
-        result = PatternVector({p: _monomial(1, r.numerator, r.denominator)})
-    else:
-        result = PatternVector()
-        solved = _ladder_window(g.kind, g.index, _window(p, g.index),
-                                params.qv)
-        if solved:
-            row_a = _ladder_rows(g.index)[0]
-            sig = p.sig
-            rows = [*p.rows, *map(sig.row, range(len(p.rows) + 1, row_a + 2))]
-        for j, l, ra_j, rb_l, coeff in solved:
-            if coeff is None:
-                raise ZeroDenominatorError(
-                    f"{g}: zero denominator on valid target "
-                    f"(j={j}, l={l}) of {p!r}"
-                )
-            target = rows.copy()
-            if row_a:
-                target[row_a - 1] = ra_j
-            target[row_a] = rb_l
-            result.terms[_canonical(CPattern._of_rows(sig, target))] = coeff
-    result.terms = MappingProxyType(result.terms)
-    return result
+    """g·p as a new PatternVector of the interned _monomial of each entry of
+    monomial_image (read through this module's name, so a patched image
+    reaches it), summing entries of one target.  Not memoised: the caller
+    may change the vector.  A zero denominator raises, naming p."""
+    v = PatternVector()
+    for target, k, n, d in monomial_image(g, p, params):
+        v.add_term(target, _monomial(k, n, d))
+    return v
 
 
 def apply_to_vector(
@@ -410,29 +385,53 @@ def apply_word(
 def monomial_image(
     g: GeneratorLabel, p: CPattern, params: ModuleParams
 ) -> tuple[tuple[CPattern, int, int, int], ...]:
-    """g·p as (target, k, n, d) for each term (n/d)·sqrt(k) of each
-    coefficient, with k squarefree and n/d in lowest terms: one entry per
-    target unless a broken action builds a coefficient of several terms.
-
-    Read from apply_generator through this module's name, so a patched
-    action reaches it.  Memoised for the life of the process.
+    """g·p as (target, k, n, d) for each term (n/d)·sqrt(k), k squarefree,
+    d > 0 and gcd(n, d) = 1: one entry per canonical target, in the
+    kernel's (j, l) order.  H and C give (p, 1, n, d), or nothing for a zero
+    eigenvalue.  E and F splice the moved rows of p's window solution
+    (_ladder_window) into one copy of p's rows, padded with signature rows
+    up to row_b; a zero denominator raises on every call, naming (j, l) and
+    p.  Ints and shared patterns only, so no caller can change what a later
+    call returns.  Memoised for the life of the process.
     """
-    return tuple((target, k, r.numerator, r.denominator)
-                 for target, c in apply_generator(g, p, params).terms.items()
-                 for k, r in c.terms.items())
+    if g.kind in ("H", "C"):
+        r = (weight_eigenvalue(p, g.index, params) if g.kind == "H"
+             else params.xi0 - params.xi1)
+        return ((p, 1, r.numerator, r.denominator),) if r else ()
+    solved = _ladder_window(g.kind, g.index, _window(p, g.index), params.qv)
+    if not solved:
+        return ()
+    row_a = _ladder_rows(g.index)[0]
+    sig = p.sig
+    rows = [*p.rows, *map(sig.row, range(len(p.rows) + 1, row_a + 2))]
+    out = []
+    for j, l, ra_j, rb_l, k, n, d in solved:
+        if not d:
+            raise ZeroDenominatorError(
+                f"{g}: zero denominator on valid target "
+                f"(j={j}, l={l}) of {p!r}"
+            )
+        target = rows.copy()
+        if row_a:
+            target[row_a - 1] = ra_j
+        target[row_a] = rb_l
+        out.append((_canonical(CPattern._of_rows(sig, target)), k, n, d))
+    return tuple(out)
 
 
 def _eigenvalue(d: GeneratorLabel, p: CPattern,
-                params: ModuleParams) -> Optional[Fraction]:
-    """The rational r with d·p = r·p, or None when d·p has another form."""
-    terms = apply_generator(d, p, params).terms
-    if not terms:
-        return Fraction(0)
-    c = terms.get(p)
-    if c is None or len(terms) != 1:
+                params: ModuleParams) -> Optional[int | Fraction]:
+    """The rational r with d·p = r·p, read from monomial_image: an int when
+    integral, a Fraction otherwise, None when d·p has another form."""
+    image = monomial_image(d, p, params)
+    if not image:
+        return 0
+    if len(image) != 1:
         return None
-    mono = c.monomial()
-    return mono[1] if mono is not None and mono[0] == 1 else None
+    target, k, n, den = image[0]
+    if k != 1 or target != p:
+        return None
+    return n if den == 1 else Fraction(n, den)
 
 
 # The memos, captured at import, so that a name rebound later (a test patch,
@@ -440,16 +439,17 @@ def _eigenvalue(d: GeneratorLabel, p: CPattern,
 _MEMOS = (qbracket, _bracket_pair, _square_decompose, _decimal_str,
           _json_terms, module_params, Signature.row, enumerate_basis,
           _fillings, basis_rank, _canonical, label, _monomial,
-          _ladder_window, apply_generator, monomial_image)
+          _ladder_window, monomial_image)
 
 
 def clear_caches() -> None:
-    """Empty every memo, 16 in all: qbracket and its integer pairs
+    """Empty every memo, 15 in all: qbracket and its integer pairs
     (_bracket_pair), _square_decompose, the rendered decimals and JSON
     terms of coefficients, module_params, Signature.row, enumerate_basis,
-    _fillings, basis_rank, the canonical patterns, labels and monomial
-    coefficients (_monomial, which the ladder windows and the H and C
-    images share), the ladder windows, apply_generator and monomial_image.
+    _fillings, basis_rank, the canonical patterns, labels, the monomial
+    coefficients that apply_generator and the matrix export render
+    (_monomial), the ladder windows, and monomial_image, the one memo of
+    g·p (apply_generator is a view of it, not a memo).
     Patterns, labels and coefficients built after this are new objects,
     and a patched _CASES or sign_s reaches every window.  The Cartan
     suite's relations.ShiftTable is no memo: each run of the suite builds

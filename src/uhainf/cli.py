@@ -18,7 +18,7 @@ from typing import Optional
 from .qnum import QValue
 from .patterns import (MODES, ModuleParams, Signature, basis_count, basis_rank,
                        enumerate_basis, module_params)
-from .action import GeneratorLabel, apply_generator, label
+from .action import GeneratorLabel, _monomial, label, monomial_image
 from . import relations as rel
 from .identities import CORPUS, fuzz_identity
 
@@ -209,9 +209,10 @@ def cmd_matrix(cfg: RunConfig, generator: str) -> int:
     count = basis_count(sig, enlarged)
     entries = []
     for col, p in enumerate(basis):
-        # each target's row, None beyond V_{N+2}, read from the basis_rank memo
-        ranked = [(basis_rank(sig, enlarged, p2), p2, c)
-                  for p2, c in apply_generator(g, p, params).terms.items()]
+        # each target's row, None beyond V_{N+2}, from the basis_rank memo,
+        # and its interned coefficient, which the rendering memos key on
+        ranked = [(basis_rank(sig, enlarged, p2), p2, _monomial(k, n, d))
+                  for p2, k, n, d in monomial_image(g, p, params)]
         ranked.sort(key=lambda t: count if t[0] is None else t[0])  # None last
         for row, p2, c in ranked:
             entry = {

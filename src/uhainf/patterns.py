@@ -162,10 +162,9 @@ def module_params(signature: Signature, xi0: Fraction, xi1: Fraction,
     """One shared ModuleParams per module, memoised for the life of the
     process (see ``action.clear_caches``).
 
-    The memos keyed on a module (apply_generator, monomial_image) then
-    find an entry made by an earlier command by identity, without
-    comparing the dataclass fields; qbracket does the same with the
-    shared ``qv``.
+    The memo keyed on a module (action.monomial_image) then finds an entry
+    made by an earlier command by identity, without comparing the
+    dataclass fields; qbracket does the same with the shared ``qv``.
     """
     return ModuleParams(signature, xi0, xi1, qv, mode)
 
@@ -254,12 +253,11 @@ class CPattern:
 @cache
 def _canonical(p: CPattern) -> CPattern:
     """The first pattern equal to p that was built, so that the patterns
-    shift, enumerate_basis and the ladder branch of action.apply_generator
+    shift, enumerate_basis and the ladder branch of action.monomial_image
     return are one object per (signature, rows).
 
-    A memo keyed on patterns (apply_generator, monomial_image) and a
-    PatternVector's terms then find a ladder target by identity, without
-    comparing rows.  Memoised for the life of the process (see
+    A memo keyed on patterns (action.monomial_image) and a PatternVector's
+    terms then find a ladder target by identity, without comparing rows.  Memoised for the life of the process (see
     ``action.clear_caches``).
     """
     return p

@@ -181,12 +181,6 @@ class RadicalSum:
     def terms(self) -> dict[int, Fraction]:
         return dict(self._terms)
 
-    def monomial(self) -> Optional[tuple[int, Fraction]]:
-        """(kernel, coefficient) of a one-term sum, else None; no copy."""
-        if len(self._terms) != 1:
-            return None
-        return next(iter(self._terms.items()))
-
     # -- arithmetic --
 
     def __add__(self, other: "RadicalSum") -> "RadicalSum":

@@ -148,7 +148,7 @@ def _commute_by_locality(a: GeneratorLabel, b: GeneratorLabel, p: CPattern,
     same window before and after the other acts.  False when a·p or b·p
     raises a zero denominator, which the words then record."""
     try:
-        apply_generator(a, p, params), apply_generator(b, p, params)
+        monomial_image(a, p, params), monomial_image(b, p, params)
     except ZeroDenominatorError:
         return False
     return True
@@ -206,10 +206,7 @@ class _Eigenvalues(dict):
         self.d, self.params = d, params
 
     def __missing__(self, p: CPattern):
-        r = _eigenvalue(self.d, p, self.params)
-        if r is not None and r.denominator == 1:
-            r = r.numerator
-        self[p] = r
+        r = self[p] = _eigenvalue(self.d, p, self.params)
         return r
 
 
@@ -221,10 +218,11 @@ class ShiftTable:
     E_j, F_j.  Where d acts on p and on every target p' of g·p by rational
     eigenvalues with d(p') - d(p) = shift, [d, g]·p - shift·g·p = sum a_p'
     (d(p') - d(p) - shift)·p' is zero exactly; it holds too when g·p = 0.
-    The eigenvalues are read through apply_generator, as the words read
-    them, so a broken H or C action is seen.  failing(d, g, shift) is the
-    set of basis positions where this test does not decide the family: the
-    report builds the word residual there, and records it if nonzero.
+    The eigenvalues and targets are read from action.monomial_image, as the
+    words read them, so a broken H or C action is seen.  failing(d, g,
+    shift) is the set of basis positions where this test does not decide
+    the family: the report builds the word residual there, and records it
+    if nonzero.
 
     Each eigenvalue of a pattern is read once, each g·p once, and each
     (d, g, shift) cell is decided once, so [c, e_j] is decided once for
@@ -242,13 +240,14 @@ class ShiftTable:
         self._cells: dict[tuple, frozenset[int]] = {}
 
     def _targets_of(self, g: GeneratorLabel) -> list:
-        """The targets of g·p for each basis pattern p, None where it raises."""
+        """The monomial_image of g·p for each basis pattern p, None where it
+        raises."""
         targets = self._targets.get(g)
         if targets is None:
             targets = []
             for p in self.basis:
                 try:
-                    targets.append(apply_generator(g, p, self.params).terms)
+                    targets.append(monomial_image(g, p, self.params))
                 except ZeroDenominatorError:
                     targets.append(None)
             self._targets[g] = targets
@@ -271,7 +270,7 @@ class ShiftTable:
             if base is None:
                 fails.append(pos)
                 continue
-            for t in targets:
+            for t, _, _, _ in targets:
                 e = ev[t]
                 if e is None or e - base != shift:
                     fails.append(pos)
@@ -293,7 +292,7 @@ def _diagonal_residuals(report: CheckReport, failing: list, pos: int,
     with _witness_zero_denominator(report, p):
         for d, g, shift, note, fails in failing:
             if pos in fails:
-                apply_generator(g, p, params)
+                monomial_image(g, p, params)
                 _record_residual(report, _commutator(d, g) + [(-shift, (g,))],
                                  p, params, note)
         return True
@@ -402,7 +401,8 @@ def check_highest_weight(params: ModuleParams,
                          window: tuple[int, int]) -> CheckReport:
     """Raising generators kill the top pattern; diagonal eigenvalues match
     the closed forms M_i - xi1 (i >= 1) and M_i - xi0 (i <= 0), read both
-    through apply_generator and straight from the row-sum formula."""
+    from the action (action._eigenvalue, with the apply_generator view as
+    the witness) and straight from the row-sum formula."""
     report = CheckReport("highest-weight", {"window": list(window)})
     hw = highest_weight_pattern(params.signature)
     sig = params.signature
@@ -464,7 +464,7 @@ def check_restrictedness(params: ModuleParams, N: int) -> CheckReport:
     def nonzero_witness(kind: str, k: int):
         g = label(kind, k)
         for p in basis:
-            if not apply_generator(g, p, params).is_zero():
+            if monomial_image(g, p, params):
                 return p
         return None
 
@@ -482,7 +482,7 @@ def check_restrictedness(params: ModuleParams, N: int) -> CheckReport:
                 elif kind == "E":
                     # stability: in-range raising generators keep V_N inside V_N
                     for p in basis:
-                        for p2 in apply_generator(g, p, params).terms:
+                        for p2, _, _, _ in monomial_image(g, p, params):
                             if p2.N > N:
                                 report.record(p, None,
                                               note=f"e_{k} escapes V_{N} to level {p2.N}")

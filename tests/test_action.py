@@ -1,7 +1,7 @@
 import random
 import sys
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -311,16 +311,18 @@ class TestWords:
 
 class TestMemo:
     def test_cached_result_is_read_only(self, params_mid):
-        # the memoised F_0 image of the top pattern has one term; adding to
-        # it must fail rather than change what every later call returns
+        # the memo holds the F_0 image of the top pattern as ints, and each
+        # call builds a new vector from it, so adding to one vector leaves
+        # what every later call returns unchanged
         sig = params_mid.signature
         hw = highest_weight_pattern(sig)
         target = CPattern(sig, [(0,), (2, 0)])
         v = apply_generator(F(0), hw, params_mid)
-        with pytest.raises(TypeError):
-            v.add_term(CPattern(sig, [(2,)]), ONE)
+        v.add_term(CPattern(sig, [(2,)]), ONE)
         again = apply_generator(F(0), hw, params_mid)
+        assert again is not v
         assert again.terms == {target: RadicalSum.from_rational(-1)}
+        assert action.monomial_image(F(0), hw, params_mid) == ((target, 1, -1, 1),)
 
     def test_arithmetic_on_a_cached_result_is_writable(self, params_mid):
         hw = highest_weight_pattern(params_mid.signature)
@@ -334,7 +336,7 @@ class TestMemo:
         apply_word([E(0), F(0), F(-1)], hw, params_mid)
         qnum.radical_of(12)
         enumerate_basis(params_mid.signature, 3)
-        memos = (qnum.qbracket, qnum._square_decompose, apply_generator,
+        memos = (qnum.qbracket, qnum._square_decompose, action.monomial_image,
                  enumerate_basis)
         assert all(m.cache_info().currsize > 0 for m in memos)
         clear_caches()
@@ -360,14 +362,16 @@ class TestMemo:
 
     @staticmethod
     def _every_memo():
-        """The 16 memos, as the modules bind them before any patch."""
+        """The 15 memos, as the modules bind them before any patch."""
         memos = (qnum.qbracket, qnum._bracket_pair, qnum._square_decompose,
                  qnum._decimal_str, qnum._json_terms, module_params,
                  Signature.row, enumerate_basis, patterns._fillings,
                  patterns.basis_rank, patterns._canonical, action.label,
-                 action._monomial, action._ladder_window, apply_generator,
+                 action._monomial, action._ladder_window,
                  action.monomial_image)
-        assert len(memos) == 16  # the count the clear_caches docstring gives
+        assert len(memos) == 15  # the count the clear_caches docstring gives
+        # apply_generator is a view of monomial_image, not a memo
+        assert not hasattr(apply_generator, "cache_info")
         return memos
 
     @staticmethod
@@ -402,12 +406,13 @@ class TestMemo:
 
     def test_clear_caches_survives_rebound_names(self, params_mid,
                                                  monkeypatch):
-        """bench/tracing.py wraps enumerate_basis, apply_generator and
-        qbracket in plain functions and rebinds every uhainf name that held
-        one.  clear_caches() must still empty every memo, without raising
-        AttributeError on a wrapper."""
+        """bench/tracing.py wraps enumerate_basis and qbracket in plain
+        functions and rebinds every uhainf name that held one; so may a
+        test that patches monomial_image.  clear_caches() must still empty
+        every memo, without raising AttributeError on a wrapper."""
         memos = self._every_memo()
-        for memo in (enumerate_basis, apply_generator, qnum.qbracket):
+        image = action.monomial_image
+        for memo in (enumerate_basis, image, qnum.qbracket):
             def traced(*args, _memo=memo, **kwargs):
                 return _memo(*args, **kwargs)
 
@@ -416,7 +421,8 @@ class TestMemo:
                     for key, value in list(vars(module).items()):
                         if value is memo:
                             monkeypatch.setattr(module, key, traced)
-        assert action.apply_generator is not apply_generator
+        assert action.monomial_image is not image
+        assert relations.monomial_image is not image
         self._fill(params_mid)
         assert all(m.cache_info().currsize > 0 for m in memos)
         clear_caches()
@@ -621,11 +627,11 @@ class TestLadderWindow:
                   for k in range(-4, 5) for kind in ("E", "F")]
         clear_caches()
         # warm every window, then read each pattern's action from a fresh
-        # apply_generator memo, so that most kernel calls are hits
+        # monomial_image memo, so that most kernel calls are hits
         for g in labels:
             for p in basis:
                 apply_generator(g, p, params)
-        apply_generator.cache_clear()
+        action.monomial_image.cache_clear()
         before = action._ladder_window.cache_info()
         for g in labels:
             for p in basis:
@@ -676,11 +682,11 @@ class TestLadderWindow:
 
 
 class TestSplicedTargets:
-    """_ladder_window returns each candidate's two moved rows and one
-    interned monomial; apply_generator splices the rows into a copy of the
-    pattern's.  Each coefficient is the _monomial of its own reduced key,
-    and each target is the canonical pattern that shift builds from the
-    candidate's moves."""
+    """_ladder_window returns each candidate's two moved rows and the ints
+    (k, n, d) of its coefficient (n/d)·sqrt(k); monomial_image splices the
+    rows into a copy of the pattern's.  Each apply_generator coefficient is
+    the interned _monomial of its reduced ints, and each target is the
+    canonical pattern that shift builds from the candidate's moves."""
 
     @pytest.mark.parametrize("qname", sorted(_ORACLE_Q))
     @pytest.mark.parametrize("module", sorted(_ORACLE_MODULES))
@@ -698,13 +704,13 @@ class TestSplicedTargets:
                                                    params.qv)
                     assert len(image.terms) == len(solved), (kind, k, p)
                     lad = _Ladder(kind, k, _window(p, k))
-                    for (target, coeff), (j, l, _, _, c) in zip(
+                    for (target, coeff), (j, l, _, _, k_, n, d) in zip(
                             image.terms.items(), solved):
                         assert target is shift(p, _moves(lad, j, l))
-                        kernel, r = coeff.monomial()
-                        assert r.denominator > 0
-                        assert coeff is c is action._monomial(
-                            kernel, r.numerator, r.denominator)
+                        assert d > 0 and gcd(n, d) == 1
+                        [(kernel, r)] = coeff.terms.items()
+                        assert (kernel, r) == (k_, Fraction(n, d))
+                        assert coeff is action._monomial(k_, n, d)
                         kernels.add(kernel)
                         seen["bottom"] += k == -1
                         seen["above_N"] += target.N > p.N

@@ -804,7 +804,7 @@ class TestCartanDiagonals:
         c = apply_word((g1, g2), p, params).terms.get(p)
         if c is None:
             return Fraction(0)
-        k, r = c.monomial()
+        [(k, r)] = c.terms.items()
         assert k == 1
         return r
 

@@ -104,15 +104,15 @@ class TestCartan:
     def test_detects_broken_relation(self, params_mid):
         # sanity: if the action is perturbed, the checker must notice.  E_0
         # acts twice over; the words and the exact sum both read it
-        # through action.apply_generator
+        # through action.monomial_image
         def doubled_e0(mp):
-            orig = action.apply_generator
+            orig = _intact_action()
 
             def mutated(g, p, params):
                 image = orig(g, p, params)
                 return image.scale_rational(2) if g == _E(0) else image
 
-            mp.setattr(action, "apply_generator", mutated)
+            _patch_action(mp, mutated)
 
         basis = enumerate_basis(params_mid.signature, 3)
         with _mutated(doubled_e0):
@@ -260,11 +260,38 @@ class TestCharge:
 
 # Fault injection.  Each mutation breaks the action in one way: a +-1 change
 # to a ladder offset (o1, d1, o2, d2 of each action._CASES row), a flipped
-# sign_s parity, or a broken H or C branch of apply_generator.  KILLS pins,
-# for each one, every suite's reports and the set of suites that fail.
-# apply_generator's memo outlives a patch, so it is cleared before and after
-# each one: otherwise it would hide the mutation, or carry it into later
-# tests.
+# sign_s parity, or a broken H or C branch of the action.  KILLS pins, for
+# each one, every suite's reports and the set of suites that fail.  The
+# memos outlive a patch, so they are cleared before and after each one:
+# otherwise they would hide the mutation, or carry it into later tests.
+
+def _intact_action():
+    """The apply_generator view of the monomial_image memo bound now, before
+    a patch, so that a mutation built on it does not read itself."""
+    image = action.monomial_image
+
+    def view(g, p, params):
+        v = PatternVector()
+        for target, k, n, d in image(g, p, params):
+            v.add_term(target, action._monomial(k, n, d))
+        return v
+
+    return view
+
+
+def _patch_action(mp, mutated):
+    """Make mutated(g, p, params), a PatternVector, the action: patch it
+    into monomial_image where action and relations read it, listed as
+    (target, k, n, d) for each term of each coefficient, so that the word
+    sum, the eigenvalues, the scans and the apply_generator view see it."""
+    def image(g, p, params):
+        return tuple((target, k, r.numerator, r.denominator)
+                     for target, c in mutated(g, p, params).terms.items()
+                     for k, r in c.terms.items())
+
+    mp.setattr(action, "monomial_image", image)
+    mp.setattr(relations, "monomial_image", image)
+
 
 def _offset_mutation(key, slot, step):
     def mutate(mp):
@@ -295,7 +322,7 @@ def _h_reads_next_index(mp, index=0):
 
 def _c_depends_on_pattern(mp):
     """C acts on p by xi0 - xi1 plus the h_0 eigenvalue of p."""
-    orig = action.apply_generator
+    orig = _intact_action()
 
     def mutated(g, p, params):
         if g.kind != "C":
@@ -303,13 +330,11 @@ def _c_depends_on_pattern(mp):
         ev = params.xi0 - params.xi1 + weight_eigenvalue(p, 0, params)
         return PatternVector({p: RadicalSum.from_rational(ev)})
 
-    # apply_to_vector (words) and the suites both read the module names
-    mp.setattr(action, "apply_generator", mutated)
-    mp.setattr(relations, "apply_generator", mutated)
+    _patch_action(mp, mutated)
 
 
 # The Cartan suite tests [c, g], [h_i, h_j], [h_i, e_j] and [h_i, f_j] by
-# eigenvalue shifts read through apply_generator, so a broken H or C branch
+# eigenvalue shifts read from monomial_image, so a broken H or C branch
 # must still fail.
 MUTATIONS["H-reads-next-index"] = _h_reads_next_index
 MUTATIONS["C-depends-on-pattern"] = _c_depends_on_pattern
@@ -319,7 +344,7 @@ MUTATIONS["unmutated"] = lambda mp: None
 
 @contextmanager
 def _mutated(mutation):
-    """Apply a mutation with apply_generator's memo cleared on both sides."""
+    """Apply a mutation with every memo cleared on both sides."""
     clear_caches()
     try:
         with pytest.MonkeyPatch.context() as mp:
@@ -833,13 +858,13 @@ def _f0_times_root2(mp):
     """F_0 scaled by sqrt(2): every coefficient stays one monomial, and
     [e_0, f_0] picks up a root that its bracket term lacks."""
     root2 = RadicalSum({2: Fraction(1)})
-    orig = action.apply_generator
+    orig = _intact_action()
 
     def mutated(g, p, params):
         image = orig(g, p, params)
         return image.scale(root2) if g == _F(0) else image
 
-    mp.setattr(action, "apply_generator", mutated)
+    _patch_action(mp, mutated)
 
 
 EXACTNESS_ACTIONS = {"intact": lambda mp: None, "F_0*sqrt2": _f0_times_root2,
@@ -910,13 +935,13 @@ class TestRationalGauge:
         one_plus_root2 = RadicalSum({1: Fraction(1), 2: Fraction(1)})
 
         def e0_two_terms(mp):
-            orig = action.apply_generator
+            orig = _intact_action()
 
             def mutated(g, p, params):
                 image = orig(g, p, params)
                 return image.scale(one_plus_root2) if g == _E(0) else image
 
-            mp.setattr(action, "apply_generator", mutated)
+            _patch_action(mp, mutated)
 
         basis = enumerate_basis(params_mid.signature, 4)
         with _mutated(e0_two_terms):
@@ -1027,7 +1052,7 @@ class TestLocality:
 # of every pattern finds, and the pins below record how many.
 
 def _e0_reads_row_4(mp):
-    orig = action.apply_generator
+    orig = _intact_action()
 
     def mutated(g, p, params):
         image = orig(g, p, params)
@@ -1035,7 +1060,7 @@ def _e0_reads_row_4(mp):
             return image.scale_rational(2)
         return image
 
-    mp.setattr(action, "apply_generator", mutated)
+    _patch_action(mp, mutated)
 
 
 class TestWindowMemoNegativeControl:
@@ -1089,7 +1114,7 @@ class TestWindowMemoNegativeControl:
 
 def _break_restrictedness(mp, params):
     level5 = next(p for p in enumerate_basis(params.signature, 5) if p.N == 5)
-    orig = relations.apply_generator
+    orig = _intact_action()
 
     def mutated(g, p, params):
         if g.kind != "C" and g.index == 5:
@@ -1098,7 +1123,7 @@ def _break_restrictedness(mp, params):
             return PatternVector.unit(level5)
         return orig(g, p, params)
 
-    mp.setattr(relations, "apply_generator", mutated)
+    _patch_action(mp, mutated)
 
 
 # The digest is that of the report recorded while check_restrictedness also

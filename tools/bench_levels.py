@@ -18,8 +18,9 @@ witness (``word_sum_calls``), and the window keys that
 (``locality_decisions``), which the memos do not change, so the timed
 passes run unwrapped.  After it, the ``cache_info()`` of the ladder kernel
 ``action._ladder_window`` (``ladder_window``: one miss per window solved)
-and of the coefficient memo ``action._monomial`` (``monomial``: one miss
-per distinct coefficient) is read, not wrapped, as hits, misses and size.
+and of the image memo ``action.monomial_image`` (``monomial_image``: one
+miss per distinct generator and pattern) is read, not wrapped, as hits,
+misses and size.
 The sizes run one after another, never in parallel.  The largest, level 9
 / window 3 (V_9 = 8,820 patterns), takes about 35 seconds for its three
 passes and peaks at about 210 MiB (Python 3.11, a 2-vCPU VM).
@@ -59,7 +60,7 @@ def _run(argv: list[str]) -> tuple[float, int, str]:
 
 def _decisions(argv: list[str]) -> dict:
     """Word-sum calls and locality proofs of one cold pass of argv, and the
-    kernel's and the coefficient memo's cache_info() after it."""
+    kernel's and the image memo's cache_info() after it."""
     from uhainf import action, relations
 
     orig, orig_local = relations._word_sum, relations._commute_by_locality
@@ -83,7 +84,7 @@ def _decisions(argv: list[str]) -> dict:
         relations._word_sum = orig
         relations._commute_by_locality = orig_local
     for name, memo in (("ladder_window", action._ladder_window),
-                       ("monomial", action._monomial)):
+                       ("monomial_image", action.monomial_image)):
         info = memo.cache_info()
         counts[name] = {"hits": info.hits, "misses": info.misses,
                         "size": info.currsize}
