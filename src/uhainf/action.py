@@ -19,9 +19,12 @@ multiplies each bracket as its pair of ints (qnum._bracket_pair), so every
 E/F coefficient comes out as one monomial (n/d)·sqrt(k), k squarefree,
 given as the ints (k, n, d).
 Diagonal generators multiply the pattern by an exact rational eigenvalue,
-the monomial with k = 1.  apply_generator is a fresh PatternVector view of
+the monomial with k = 1.  The relations' word sum and the matrix export
+read these ints directly (the export renders them through qnum._rendered).
+apply_generator builds a fresh PatternVector of RadicalSums from
 monomial_image; with apply_to_vector and apply_word it is the RadicalSum
-oracle that the suites' int word sum is tested against.
+oracle that the suites' int word sum is tested against, and the hw,
+restrictedness and boundary suites read it for their witnesses.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from functools import cache
 from math import gcd
 from typing import Optional
 
-from .qnum import (QValue, RadicalSum, _bracket_pair, _decimal_str,
-                   _json_terms, _square_decompose, qbracket)
+from .qnum import (QValue, RadicalSum, _bracket_pair, _rendered,
+                   _square_decompose, qbracket)
 from .patterns import (
     CPattern,
     ModuleParams,
@@ -245,17 +248,6 @@ class _Ladder:
         return num, den
 
 
-@cache
-def _monomial(k: int, n: int, d: int) -> RadicalSum:
-    """The coefficient (n/d)·sqrt(k), k squarefree, d > 0 and gcd(n, d) = 1,
-    keyed on the three ints, so that each value is one object: every
-    apply_generator view and every matrix column, ladder and diagonal
-    alike, share it, and the rendering memos of a matrix export find a
-    repeated coefficient by identity, without comparing Fractions.  n = 0
-    gives the zero sum.  Memoised for the life of the process."""
-    return RadicalSum({k: Fraction(n, d)})
-
-
 def _each_moved(row: tuple[int, ...], slots: range, delta: int):
     """(i, row with the entry of index i moved by delta) for each index i
     in slots, in order.  The empty row 0 has the one slot 0, which moves
@@ -347,13 +339,15 @@ def _ladder_window(
 def apply_generator(
     g: GeneratorLabel, p: CPattern, params: ModuleParams
 ) -> PatternVector:
-    """g·p as a new PatternVector of the interned _monomial of each entry of
-    monomial_image (read through this module's name, so a patched image
-    reaches it), summing entries of one target.  Not memoised: the caller
-    may change the vector.  A zero denominator raises, naming p."""
+    """g·p as a new PatternVector with the coefficient
+    RadicalSum({k: n/d}) of each entry of monomial_image (read through
+    this module's name, so a patched image reaches it), summing entries of
+    one target.  Not memoised: the caller may change the vector.  Only
+    the suites' witnesses and the RadicalSum oracle read it.  A zero
+    denominator raises, naming p."""
     v = PatternVector()
     for target, k, n, d in monomial_image(g, p, params):
-        v.add_term(target, _monomial(k, n, d))
+        v.add_term(target, RadicalSum({k: Fraction(n, d)}))
     return v
 
 
@@ -436,23 +430,22 @@ def _eigenvalue(d: GeneratorLabel, p: CPattern,
 
 # The memos, captured at import, so that a name rebound later (a test patch,
 # a tracing wrapper) can neither hide one nor make clear_caches() raise.
-_MEMOS = (qbracket, _bracket_pair, _square_decompose, _decimal_str,
-          _json_terms, module_params, Signature.row, enumerate_basis,
-          _fillings, basis_rank, _canonical, label, _monomial,
-          _ladder_window, monomial_image)
+_MEMOS = (qbracket, _bracket_pair, _square_decompose, _rendered,
+          module_params, Signature.row, enumerate_basis, _fillings,
+          basis_rank, _canonical, label, _ladder_window, monomial_image)
 
 
 def clear_caches() -> None:
-    """Empty every memo, 15 in all: qbracket and its integer pairs
-    (_bracket_pair), _square_decompose, the rendered decimals and JSON
-    terms of coefficients, module_params, Signature.row, enumerate_basis,
-    _fillings, basis_rank, the canonical patterns, labels, the monomial
-    coefficients that apply_generator and the matrix export render
-    (_monomial), the ladder windows, and monomial_image, the one memo of
-    g·p (apply_generator is a view of it, not a memo).
-    Patterns, labels and coefficients built after this are new objects,
-    and a patched _CASES or sign_s reaches every window.  The Cartan
-    suite's relations.ShiftTable is no memo: each run of the suite builds
-    its own."""
+    """Empty every memo, 13 in all: qbracket and its integer pairs
+    (_bracket_pair), _square_decompose, the rendered coefficient strings
+    and decimals of the matrix export (_rendered, keyed on the ints
+    (k, n, d)), module_params, Signature.row, enumerate_basis, _fillings,
+    basis_rank, the canonical patterns, labels, the ladder windows, and
+    monomial_image, the one memo of g·p (apply_generator is a view of it,
+    not a memo).
+    Patterns and labels built after this are new objects, and a patched
+    _CASES or sign_s reaches every window.  The Cartan suite's
+    relations.ShiftTable is no memo: each run of the suite builds its
+    own."""
     for memo in _MEMOS:
         memo.cache_clear()

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .qnum import QValue
-from .patterns import (MODES, ModuleParams, Signature, basis_count, basis_rank,
-                       enumerate_basis, module_params)
-from .action import GeneratorLabel, _monomial, label, monomial_image
+from .qnum import QValue, _rendered
+from .patterns import (MODES, ModuleParams, Signature, _integer, basis_count,
+                       basis_rank, enumerate_basis, module_params)
+from .action import GeneratorLabel, label, monomial_image
 from . import relations as rel
 from .identities import CORPUS, fuzz_identity
 
@@ -135,13 +135,6 @@ def _mode(value) -> str:
     return value
 
 
-def _integer(value) -> int:
-    # int() would truncate 4.7, read true as 1 and fail on null with TypeError
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"expected an integer, got {json.dumps(value)}")
-    return value
-
-
 def _path(value) -> str:
     # open() would take an integer as a file descriptor
     if not isinstance(value, str):
@@ -209,17 +202,18 @@ def cmd_matrix(cfg: RunConfig, generator: str) -> int:
     count = basis_count(sig, enlarged)
     entries = []
     for col, p in enumerate(basis):
-        # each target's row, None beyond V_{N+2}, from the basis_rank memo,
-        # and its interned coefficient, which the rendering memos key on
-        ranked = [(basis_rank(sig, enlarged, p2), p2, _monomial(k, n, d))
+        # each target's row, None beyond V_{N+2}, from the basis_rank memo
+        ranked = [(basis_rank(sig, enlarged, p2), p2, k, n, d)
                   for p2, k, n, d in monomial_image(g, p, params)]
         ranked.sort(key=lambda t: count if t[0] is None else t[0])  # None last
-        for row, p2, c in ranked:
+        for row, p2, k, n, d in ranked:
+            # each distinct coefficient is rendered once, keyed on its ints
+            coeff, decimal = _rendered(k, n, d)
             entry = {
                 "row": row,
                 "col": col,
-                "coeff": c.to_json(),
-                "decimal": c.to_decimal(),
+                "coeff": [{"coeff": coeff, "kernel": k}],
+                "decimal": decimal,
             }
             if p2.N > cfg.level:  # targets are valid, so this means outside V_N
                 entry["escaped"] = True

@@ -61,7 +61,9 @@ def row_range(p: int) -> range:
 
 def _integer(value) -> int:
     """value itself when it is an int; ValueError for anything else, a bool
-    included, so that a float or true read from JSON is not truncated."""
+    included, so that a float or true read from JSON is not truncated.
+    Signature, CPattern and the CLI's integer config fields read through
+    it."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"expected an integer, got {value!r}")
     return value
@@ -253,11 +255,13 @@ class CPattern:
 @cache
 def _canonical(p: CPattern) -> CPattern:
     """The first pattern equal to p that was built, so that the patterns
-    shift, enumerate_basis and the ladder branch of action.monomial_image
-    return are one object per (signature, rows).
+    shift, enumerate_basis, highest_weight_pattern and the ladder branch of
+    action.monomial_image return are one object per (signature, rows).  One
+    of three interners, with module_params and action.label.
 
-    A memo keyed on patterns (action.monomial_image) and a PatternVector's
-    terms then find a ladder target by identity, without comparing rows.  Memoised for the life of the process (see
+    The memos keyed on patterns (action.monomial_image, basis_rank) and a
+    PatternVector's terms then find a ladder target by identity, without
+    comparing rows.  Memoised for the life of the process (see
     ``action.clear_caches``).
     """
     return p

@@ -154,7 +154,7 @@ class RadicalSum:
     immutable and hashable.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, Fraction] | Iterable[tuple[int, Fraction]] = ()):
         items = dict(terms)
@@ -235,15 +235,7 @@ class RadicalSum:
         return isinstance(other, RadicalSum) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        """Hash of the canonical terms, computed on the first call and kept
-        in a slot: the verification path never hashes a sum, while the
-        rendering memos (_decimal_str, _json_terms) hash each one they
-        meet."""
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash(tuple(self._terms.items()))
-            return self._hash
+        return hash(tuple(self._terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -258,14 +250,21 @@ class RadicalSum:
 
     def to_decimal(self) -> str:
         """At least 50 significant digits, computed with 10 guard digits in a
-        local context, so the caller's decimal precision is left alone.
-        Rendered once per distinct sum (see _decimal_str)."""
-        return _decimal_str(self)
+        local context, so the caller's decimal precision is left alone."""
+        with localcontext() as ctx:
+            ctx.prec = 60
+            total = Decimal(0)
+            for k, c in self._terms.items():
+                val = Decimal(c.numerator) / Decimal(c.denominator)
+                if k != 1:
+                    val *= Decimal(k).sqrt()
+                total += val
+            return str(+total)
 
     def to_json(self) -> list:
-        """A new list of new dicts on every call, built from the memoised
-        strings of _json_terms, so a caller may change what it gets."""
-        return [{"coeff": c, "kernel": k} for c, k in _json_terms(self)]
+        """{"coeff": string, "kernel": k} for each term, in kernel order: a
+        new list of new dicts on every call, so a caller may change it."""
+        return [{"coeff": str(c), "kernel": k} for k, c in self._terms.items()]
 
     @classmethod
     def from_json(cls, data: list) -> "RadicalSum":
@@ -276,26 +275,17 @@ _ZERO = RadicalSum()
 
 
 @cache
-def _decimal_str(s: RadicalSum) -> str:
-    """RadicalSum.to_decimal of s.  Memoised for the life of the process
-    (see ``action.clear_caches``); a string, so no caller can change it."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        total = Decimal(0)
-        for k, c in s._terms.items():
-            val = Decimal(c.numerator) / Decimal(c.denominator)
-            if k != 1:
-                val *= Decimal(k).sqrt()
-            total += val
-        return str(+total)
-
-
-@cache
-def _json_terms(s: RadicalSum) -> tuple[tuple[str, int], ...]:
-    """(coefficient string, kernel) of each term of s, in kernel order.
-    Memoised for the life of the process (see ``action.clear_caches``); a
-    tuple of strings and ints, which RadicalSum.to_json copies into dicts."""
-    return tuple((str(c), k) for k, c in s._terms.items())
+def _rendered(k: int, n: int, d: int) -> tuple[str, str]:
+    """The coefficient string and the decimal of the monomial (n/d)·sqrt(k),
+    k squarefree, d > 0 and gcd(n, d) = 1, n != 0: the "coeff" and
+    "decimal" of a matrix entry, read from RadicalSum.to_json and
+    to_decimal.  Keyed on the ints that action.monomial_image holds, so a
+    repeated coefficient is found without building a sum.  Memoised for
+    the life of the process (see ``action.clear_caches``); strings, so no
+    caller can change them."""
+    s = RadicalSum({k: Fraction(n, d)})
+    [term] = s.to_json()
+    return term["coeff"], s.to_decimal()
 
 
 def radical_of(r: RationalLike) -> RadicalSum:

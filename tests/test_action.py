@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import random
 import sys
 from fractions import Fraction
@@ -362,14 +365,13 @@ class TestMemo:
 
     @staticmethod
     def _every_memo():
-        """The 15 memos, as the modules bind them before any patch."""
+        """The 13 memos, as the modules bind them before any patch."""
         memos = (qnum.qbracket, qnum._bracket_pair, qnum._square_decompose,
-                 qnum._decimal_str, qnum._json_terms, module_params,
-                 Signature.row, enumerate_basis, patterns._fillings,
-                 patterns.basis_rank, patterns._canonical, action.label,
-                 action._monomial, action._ladder_window,
+                 qnum._rendered, module_params, Signature.row,
+                 enumerate_basis, patterns._fillings, patterns.basis_rank,
+                 patterns._canonical, action.label, action._ladder_window,
                  action.monomial_image)
-        assert len(memos) == 15  # the count the clear_caches docstring gives
+        assert len(memos) == 13  # the count the clear_caches docstring gives
         # apply_generator is a view of monomial_image, not a memo
         assert not hasattr(apply_generator, "cache_info")
         return memos
@@ -389,8 +391,11 @@ class TestMemo:
         assert relations.check_cartan(0, 0, basis, params).passed
         assert patterns.basis_count(params.signature, 4) == 20
         assert patterns.basis_rank(params.signature, 4, hw) is not None
-        c = action.apply_generator(H(0), hw, params).terms[hw]
-        assert c.to_json() and c.to_decimal()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):  # renders through _rendered
+            assert cli.main(["matrix", *MID, "--level", "3",
+                             "--generator", "H:0"]) == 0
+        assert '"entries":[{' in out.getvalue()
         ident = identities.IdentityId("I23a", 2)
         assert identities.fuzz_identity(ident, trials=1, seed=1).passed
 
@@ -476,18 +481,41 @@ class TestMemo:
         assert again == basis
         assert not any(a is b for a, b in zip(again, basis))
 
-    def test_equal_coefficients_are_one_object(self, params_mid):
-        # the images of every generator kind hold one coefficient object per
-        # value, so the rendering memos find a repeat by identity
+    # the ten generators of the benchmark's export workload, on V_7
+    EXPORT = ("E:0", "F:0", "E:1", "F:1", "E:-1", "F:-1", "E:-2", "F:-2",
+              "H:0", "C")
+
+    def test_export_renders_each_distinct_coefficient_once(self, capsys,
+                                                           params_mid):
+        """The ten exports hold 4,922 entries and 28 distinct coefficients:
+        _rendered misses once per distinct (k, n, d), hits on every other
+        entry, and each entry it holds is the RadicalSum rendering."""
         clear_caches()
-        seen: dict = {}
-        count = 0
-        for p in enumerate_basis(params_mid.signature, 5):
-            for g in (E(0), F(0), E(-1), F(-1), E(1), F(-2), H(0), H(-1), C):
-                for c in apply_generator(g, p, params_mid).terms.values():
-                    assert seen.setdefault(c, c) is c
-                    count += 1
-        assert count > 4 * len(seen)
+        pairs, entries = set(), 0
+        for generator in self.EXPORT:
+            assert cli.main(["matrix", *MID, "--level", "7",
+                             "--generator", generator]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            for entry in doc["entries"]:
+                [term] = entry["coeff"]
+                pairs.add((term["coeff"], term["kernel"]))
+                entries += 1
+        info = qnum._rendered.cache_info()
+        assert info.misses == 28 == len(pairs) == info.currsize
+        assert info.hits + info.misses == entries == 4922
+        basis = enumerate_basis(params_mid.signature, 7)
+        monomials = {(k, n, d)
+                     for generator in self.EXPORT
+                     for p in basis
+                     for _, k, n, d in action.monomial_image(
+                         cli._parse_generator(generator), p, params_mid)}
+        assert len(monomials) == 28
+        for k, n, d in monomials:
+            s = RadicalSum({k: Fraction(n, d)})
+            assert qnum._rendered(k, n, d) == (s.to_json()[0]["coeff"],
+                                               s.to_decimal())
+        # every lookup above hit: these are the memo's 28 entries
+        assert qnum._rendered.cache_info().misses == 28
 
     @pytest.mark.parametrize("argv", [
         [*MID, "--level", "5", "--generator", "E:1"],
@@ -685,8 +713,8 @@ class TestSplicedTargets:
     """_ladder_window returns each candidate's two moved rows and the ints
     (k, n, d) of its coefficient (n/d)·sqrt(k); monomial_image splices the
     rows into a copy of the pattern's.  Each apply_generator coefficient is
-    the interned _monomial of its reduced ints, and each target is the
-    canonical pattern that shift builds from the candidate's moves."""
+    the RadicalSum of its reduced ints, and each target is the canonical
+    pattern that shift builds from the candidate's moves."""
 
     @pytest.mark.parametrize("qname", sorted(_ORACLE_Q))
     @pytest.mark.parametrize("module", sorted(_ORACLE_MODULES))
@@ -710,7 +738,7 @@ class TestSplicedTargets:
                         assert d > 0 and gcd(n, d) == 1
                         [(kernel, r)] = coeff.terms.items()
                         assert (kernel, r) == (k_, Fraction(n, d))
-                        assert coeff is action._monomial(k_, n, d)
+                        assert coeff == RadicalSum({k_: Fraction(n, d)})
                         kernels.add(kernel)
                         seen["bottom"] += k == -1
                         seen["above_N"] += target.N > p.N
@@ -719,24 +747,22 @@ class TestSplicedTargets:
         assert all(max(factorint(k).values(), default=1) == 1 for k in kernels)
 
     def test_diagonal_images_are_the_k1_monomials(self, params_mid):
-        """H and C are the k = 1 case of the same memo: one object per
-        eigenvalue, shared with any ladder coefficient of that value, and
-        no term for a zero eigenvalue."""
+        """H and C are the k = 1 case of the same memo: the eigenvalue as a
+        rational sum, and no term for a zero eigenvalue."""
         hw = highest_weight_pattern(params_mid.signature)
         assert (apply_generator(F(0), hw, params_mid).terms
                 == {CPattern(params_mid.signature, [(0,), (2, 0)]):
-                    action._monomial(1, -1, 1)})
+                    RadicalSum.from_rational(-1)})
         r = params_mid.xi0 - params_mid.xi1
         assert (apply_generator(C, hw, params_mid).terms[hw]
-                is action._monomial(1, r.numerator, r.denominator))
+                == RadicalSum.from_rational(r))
         zero = 0
         for p in enumerate_basis(params_mid.signature, 4):
             for i in range(-2, 3):
                 r = weight_eigenvalue(p, i, params_mid)
                 terms = apply_generator(H(i), p, params_mid).terms
                 if r:
-                    assert terms[p] is action._monomial(1, r.numerator,
-                                                        r.denominator)
+                    assert terms[p] == RadicalSum.from_rational(r)
                 else:
                     zero += 1
                     assert not terms

@@ -247,8 +247,8 @@ class TestRadicalSum:
 
     def test_equal_sums_hash_equal(self):
         # the hash reads the canonical terms: kernel order, zero
-        # coefficients and the way a sum was built do not change it; it is
-        # kept in a slot on its first read, so a second read agrees
+        # coefficients and the way a sum was built do not change it, and a
+        # second read agrees
         a = RadicalSum({1: Fraction(-3, 4), 6: Fraction(2, 3)})
         sums = [
             a,

@@ -273,7 +273,7 @@ def _intact_action():
     def view(g, p, params):
         v = PatternVector()
         for target, k, n, d in image(g, p, params):
-            v.add_term(target, action._monomial(k, n, d))
+            v.add_term(target, RadicalSum({k: Fraction(n, d)}))
         return v
 
     return view
