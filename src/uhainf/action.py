@@ -15,7 +15,8 @@ monomial_image, the one memo of g·p, splices those rows into a copy of the
 pattern's.  One kernel (_Ladder) serves every index.  For index -1 the lower row of the
 pair is the empty row 0, so only the bottom entry moves and every factor
 read from row 0 or the row below it is an empty product.  The kernel
-multiplies each bracket as its pair of ints (qnum._bracket_pair), so every
+multiplies each bracket as its pair of ints, read from q's one bracket
+table (qnum._bracket_pairs, which the identity corpus shares), so every
 E/F coefficient comes out as one monomial (n/d)·sqrt(k), k squarefree,
 given as the ints (k, n, d).
 Diagonal generators multiply the pattern by an exact rational eigenvalue,
@@ -35,8 +36,8 @@ from functools import cache
 from math import gcd
 from typing import Optional
 
-from .qnum import (QValue, RadicalSum, _bracket_pair, _rendered,
-                   _square_decompose, qbracket)
+from .qnum import (QValue, RadicalSum, _bracket_pairs, _rendered,
+                   _square_decompose)
 from .patterns import (
     CPattern,
     ModuleParams,
@@ -256,17 +257,12 @@ def _each_moved(row: tuple[int, ...], slots: range, delta: int):
         yield i, row[:t] + (row[t] + delta,) + row[t + 1:] if row else row
 
 
-def _products(args: list[int], pairs: dict,
-              qv: QValue) -> tuple[int, int]:
+def _products(args: list[int], pairs: dict) -> tuple[int, int]:
     """(product of numerators, product of denominators) of the brackets of
-    args, read from pairs, a table {argument: _bracket_pair} that lives for
-    one solve and that this fills as it goes, so no lookup hashes qv."""
+    args, read from pairs, the bracket table of q (qnum._bracket_pairs)."""
     n = d = 1
     for x in args:
-        try:
-            xn, xd = pairs[x]
-        except KeyError:
-            xn, xd = pairs[x] = _bracket_pair(x, qv)
+        xn, xd = pairs[x]
         n *= xn
         d *= xd
     return n, d
@@ -293,10 +289,10 @@ def _ladder_window(
     under the row above it (once per l), and the two moved rows (once per
     pair that passes both).  For index -1, row_a is the empty row 0, which
     interlaces under any row, moves nothing and is returned as ().  The
-    brackets of each candidate's arguments (_Ladder.arguments) are
-    multiplied as int pairs into a/b over c/d; |a·d| / |b·c| is reduced by
-    one gcd to N/D, and N·D = s²·k gives the coefficient ±(s/D)·sqrt(k),
-    so no Fraction is built.
+    brackets of each candidate's arguments (_Ladder.arguments), read from
+    q's bracket table, are multiplied as int pairs into a/b over c/d;
+    |a·d| / |b·c| is reduced by one gcd to N/D, and N·D = s²·k gives the
+    coefficient ±(s/D)·sqrt(k), so no Fraction is built.
 
     The window holds every row these steps read, and no pattern, so every
     pattern with the same four rows shares one entry.  _CASES and sign_s
@@ -311,7 +307,7 @@ def _ladder_window(
     ls = [(l, rb_l)
           for l, rb_l in _each_moved(rb, row_range(lad.row_b), lad.delta)
           if _interlaces(rb_l, above)]
-    pairs: dict[int, tuple[int, int]] = {}
+    pairs = _bracket_pairs(qv)
     out = []
     for j, ra_j in js:
         for l, rb_l in ls:
@@ -319,10 +315,10 @@ def _ladder_window(
                 continue
             num_args, den_args = lad.arguments(j, l)
             # num/den = (a/b) / (c/d) = (a*d) / (b*c); b and d are positive
-            a, b = _products(num_args, pairs, qv)
+            a, b = _products(num_args, pairs)
             if not a:
                 continue
-            c, d = _products(den_args, pairs, qv)
+            c, d = _products(den_args, pairs)
             if not c:
                 out.append((j, l, ra_j, rb_l, 0, 0, 0))
                 return tuple(out)
@@ -430,19 +426,19 @@ def _eigenvalue(d: GeneratorLabel, p: CPattern,
 
 # The memos, captured at import, so that a name rebound later (a test patch,
 # a tracing wrapper) can neither hide one nor make clear_caches() raise.
-_MEMOS = (qbracket, _bracket_pair, _square_decompose, _rendered,
+_MEMOS = (_bracket_pairs, _square_decompose, _rendered,
           module_params, Signature.row, enumerate_basis, _fillings,
           basis_rank, _canonical, label, _ladder_window, monomial_image)
 
 
 def clear_caches() -> None:
-    """Empty every memo, 13 in all: qbracket and its integer pairs
-    (_bracket_pair), _square_decompose, the rendered coefficient strings
-    and decimals of the matrix export (_rendered, keyed on the ints
-    (k, n, d)), module_params, Signature.row, enumerate_basis, _fillings,
-    basis_rank, the canonical patterns, labels, the ladder windows, and
-    monomial_image, the one memo of g·p (apply_generator is a view of it,
-    not a memo).
+    """Empty every memo, 12 in all: the bracket tables (_bracket_pairs, one
+    per q, which qbracket and both kernels read), _square_decompose, the
+    rendered coefficient strings and decimals of the matrix export
+    (_rendered, keyed on the ints (k, n, d)), module_params, Signature.row,
+    enumerate_basis, _fillings, basis_rank, the canonical patterns, labels,
+    the ladder windows, and monomial_image, the one memo of g·p
+    (apply_generator is a view of it, not a memo).
     Patterns and labels built after this are new objects, and a patched
     _CASES or sign_s reaches every window.  The Cartan suite's
     relations.ShiftTable is no memo: each run of the suite builds its

@@ -31,15 +31,15 @@ one a sum of Fractions gives.  A product of numerator factors times the
 reciprocal of a product of denominator factors first cancels the common
 factor of the two products' denominators (``_reduced``).  Each draw does
 its arithmetic once.  The row sums read the bracket f(v, x, off) =
-[v - x + off] as an integer pair from the ``qnum._bracket_pair`` memo into
-a table that lives for one evaluation (``_brackets``), and test their
-summed rows for poles before they read the other rows.  The denominator
-products over a summed row are built once per offset, and the offset-0
-factors serve both s (``_dens``).  Per s, the double sum builds the parts
-of the terms that depend on x alone or on y alone once, and reads the
-products over B minus y at x and over A minus x at y from prefix and
-suffix products (``_leave_one_out``), never by dividing a full product by
-one factor, which can be 0.
+[v - x + off] as an integer pair from q's one bracket table,
+``qnum._bracket_pairs``, which the ladder kernel shares (``_brackets``),
+and test their summed rows for poles before they read the other rows.
+The denominator products over a summed row are built once per offset,
+and the offset-0 factors serve both s (``_dens``).  Per s, the double sum
+builds the parts of the terms that depend on x alone or on y alone once,
+and reads the products over B minus y at x and over A minus x at y from
+prefix and suffix products (``_leave_one_out``), never by dividing a full
+product by one factor, which can be 0.
 
 A21 is I23a in the variables q^(2L).  It runs through the same double sum
 with f(v, x, off) = x - q^(2 off) v, on the variables' integer pairs and
@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .qnum import QValue, _bracket_pair, qbracket
+from .qnum import QValue, _bracket_pairs, qbracket
 from .patterns import row_range
 from .report import CheckReport
 
@@ -178,21 +178,10 @@ def _as_row(p: int, values) -> list:
 
 
 def _brackets(qv: QValue):
-    """The row-sum factor f(v, x, off) = [v - x + off] as an integer pair.
-
-    Each distinct argument is read once from the _bracket_pair memo into a
-    table that lives as long as the returned function, i.e. for one
-    evaluation: a hit in that table costs less than a memo hit, which
-    hashes the QValue."""
-    table = {}
-
-    def f(v, x, off):
-        m = v - x + off
-        pair = table.get(m)
-        if pair is None:
-            pair = table[m] = _bracket_pair(m, qv)
-        return pair
-    return f
+    """The row-sum factor f(v, x, off) = [v - x + off] as an integer pair,
+    read from qv's bracket table, which is looked up once per evaluation."""
+    table = _bracket_pairs(qv)
+    return lambda v, x, off: table[v - x + off]
 
 
 def _reject_poles(rows, what: str) -> None:
@@ -489,8 +478,9 @@ def evaluate_identity(ident: IdentityId, a: Assignment) -> Fraction:
 
 # --- sampling ------------------------------------------------------------
 
-# QValue objects, not rationals: every draw reuses one of these, so a qbracket
-# memo hit finds the key by identity and never runs the dataclass __eq__
+# QValue objects, not rationals: every draw reuses one of these, so the
+# bracket-table lookup finds the key by identity and never runs the
+# dataclass __eq__
 _Q_POOL = tuple(QValue.quantum(q) for q in (Fraction(3, 2), 2, Fraction(5, 3),
                                             Fraction(7, 4)))
 # a free slot's values -12 .. 12, as randrange bounds; randrange(a, b + 1)

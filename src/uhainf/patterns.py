@@ -166,7 +166,8 @@ def module_params(signature: Signature, xi0: Fraction, xi1: Fraction,
 
     The memo keyed on a module (action.monomial_image) then finds an entry
     made by an earlier command by identity, without comparing the
-    dataclass fields; qbracket does the same with the shared ``qv``.
+    dataclass fields; qnum._bracket_pairs does the same with the shared
+    ``qv``.
     """
     return ModuleParams(signature, xi0, xi1, qv, mode)
 

@@ -49,7 +49,7 @@ class QValue:
 
     mode: str  # "quantum" | "classical"
     q: Optional[Fraction] = None
-    # every qbracket memo lookup hashes the QValue; the Fraction is slow to hash
+    # every memo keyed on a QValue hashes it; the Fraction is slow to hash
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -82,28 +82,40 @@ class QValue:
         return self.mode == "classical"
 
 
+class _BracketPairs(dict):
+    """{x: the q-bracket [x] as its (numerator, denominator) pair of ints}
+    for one q, the form the ladder and identity kernels multiply.  A
+    missing x is computed once, on first read, so a hit is a plain dict
+    lookup that hashes no QValue."""
+
+    __slots__ = ("qv",)
+
+    def __init__(self, qv: QValue):
+        self.qv = qv
+
+    def __missing__(self, x: int) -> tuple[int, int]:
+        qv = self.qv
+        if qv.is_classical or x == 0:
+            b = Fraction(x)
+        else:
+            q = qv.q
+            # (q^x - q^-x)/(q - q^-1) = (q^(2x) - 1) / (q^(x-1) * (q^2 - 1))
+            b = (q ** (2 * x) - 1) / (q ** (x - 1) * (q * q - 1))
+        pair = self[x] = b.numerator, b.denominator
+        return pair
+
+
 @cache
+def _bracket_pairs(qv: QValue) -> _BracketPairs:
+    """The one bracket table of qv, shared by every reader.  Memoised for
+    the life of the process (see ``action.clear_caches``)."""
+    return _BracketPairs(qv)
+
+
 def qbracket(x: int, qv: QValue) -> Fraction:
-    """The q-bracket of an integer: (q^x - q^-x) / (q - q^-1), or x classically.
-
-    Memoised for the life of the process (see ``action.clear_caches``).
-    """
-    if qv.is_classical:
-        return Fraction(x)
-    q = qv.q
-    if x == 0:
-        return Fraction(0)
-    # (q^x - q^-x)/(q - q^-1) = (q^(2x) - 1) / (q^(x-1) * (q^2 - 1))
-    return (q ** (2 * x) - 1) / (q ** (x - 1) * (q * q - 1))
-
-
-@cache
-def _bracket_pair(x: int, qv: QValue) -> tuple[int, int]:
-    """qbracket(x, qv) as its (numerator, denominator) pair of ints, the
-    form the identity kernels multiply.  Memoised for the life of the
-    process (see ``action.clear_caches``)."""
-    b = qbracket(x, qv)
-    return b.numerator, b.denominator
+    """The q-bracket of an integer: (q^x - q^-x) / (q - q^-1), or x
+    classically, read from qv's bracket table."""
+    return Fraction(*_bracket_pairs(qv)[x])
 
 
 # --- squarefree decomposition -------------------------------------------------

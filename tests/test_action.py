@@ -339,8 +339,8 @@ class TestMemo:
         apply_word([E(0), F(0), F(-1)], hw, params_mid)
         qnum.radical_of(12)
         enumerate_basis(params_mid.signature, 3)
-        memos = (qnum.qbracket, qnum._square_decompose, action.monomial_image,
-                 enumerate_basis)
+        memos = (qnum._bracket_pairs, qnum._square_decompose,
+                 action.monomial_image, enumerate_basis)
         assert all(m.cache_info().currsize > 0 for m in memos)
         clear_caches()
         assert [m.cache_info().currsize for m in memos] == [0, 0, 0, 0]
@@ -355,25 +355,43 @@ class TestMemo:
         clear_caches()
         assert [m.cache_info().currsize for m in memos] == [0, 0]
 
-    def test_clear_caches_empties_the_bracket_pair_memo(self):
-        # the identity kernels read every bracket through this memo
-        ident = identities.IdentityId("I23a", 2)
-        assert identities.fuzz_identity(ident, trials=2, seed=1).passed
-        assert qnum._bracket_pair.cache_info().currsize > 0
+    def test_both_kernels_fill_one_bracket_table(self, params_mid):
+        """A ladder solve and an I23a trial at the same q fill the one
+        table of qnum._bracket_pairs, and clear_caches() replaces it by a
+        new, empty one."""
         clear_caches()
-        assert qnum._bracket_pair.cache_info().currsize == 0
+        table = qnum._bracket_pairs(params_mid.qv)
+        assert not table
+        hw = highest_weight_pattern(params_mid.signature)
+        assert action.monomial_image(F(0), hw, params_mid)
+        solved = set(table)
+        assert solved
+        # an equal QValue built anew finds the same table
+        a = identities.Assignment(QValue.quantum(Fraction(3, 2)), arrays={
+            "row_below": [], "row_a": [4], "row_b": [7, 1],
+            "row_above": [9, 5, -2],
+        })
+        assert identities.evaluate_identity(
+            identities.IdentityId("I23a", 1), a) == 0
+        assert qnum._bracket_pairs(a.qv) is table
+        assert set(table) > solved
+        clear_caches()
+        fresh = qnum._bracket_pairs(params_mid.qv)
+        assert fresh is not table and not fresh
 
     @staticmethod
     def _every_memo():
-        """The 13 memos, as the modules bind them before any patch."""
-        memos = (qnum.qbracket, qnum._bracket_pair, qnum._square_decompose,
+        """The 12 memos, as the modules bind them before any patch."""
+        memos = (qnum._bracket_pairs, qnum._square_decompose,
                  qnum._rendered, module_params, Signature.row,
                  enumerate_basis, patterns._fillings, patterns.basis_rank,
                  patterns._canonical, action.label, action._ladder_window,
                  action.monomial_image)
-        assert len(memos) == 13  # the count the clear_caches docstring gives
-        # apply_generator is a view of monomial_image, not a memo
+        assert len(memos) == 12  # the count the clear_caches docstring gives
+        # apply_generator is a view of monomial_image, and qbracket a view
+        # of the bracket table: neither is a memo
         assert not hasattr(apply_generator, "cache_info")
+        assert not hasattr(qnum.qbracket, "cache_info")
         return memos
 
     @staticmethod
@@ -414,7 +432,8 @@ class TestMemo:
         """bench/tracing.py wraps enumerate_basis and qbracket in plain
         functions and rebinds every uhainf name that held one; so may a
         test that patches monomial_image.  clear_caches() must still empty
-        every memo, without raising AttributeError on a wrapper."""
+        every memo, the bracket table that the wrapped qbracket reads
+        included, without raising AttributeError on a wrapper."""
         memos = self._every_memo()
         image = action.monomial_image
         for memo in (enumerate_basis, image, qnum.qbracket):
@@ -585,10 +604,10 @@ class TestCachedHashes:
 # Differential oracle for the ladder coefficients: the action as it was
 # computed with Fraction products of qbracket, built from the same
 # _Ladder.arguments, swept over every candidate pair and shifted into
-# targets by shift.  The action multiplies the integer pairs of
-# _bracket_pair instead and splices the moved rows itself, so the two must
-# agree term by term, signs included (the bracket of a negative argument is
-# negative).
+# targets by shift.  The action multiplies the integer pairs of the
+# bracket table (qnum._bracket_pairs) instead and splices the moved rows
+# itself, so the two must agree term by term, signs included (the bracket
+# of a negative argument is negative).
 
 def _fraction_ladder(kind, index, p, params):
     lad = _Ladder(kind, index, _window(p, index))

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,7 @@ from uhainf.qnum import (
     NegativeRadicandError,
     QValue,
     RadicalSum,
+    _bracket_pairs,
     _square_decompose,
     qbracket,
     radical_of,
@@ -63,6 +65,26 @@ class TestQBracket:
         for qv in (Q2, Q32, QValue.quantum(Fraction(-5, 3))):
             for x in range(1, 15):
                 assert qbracket(x, qv) != 0
+
+    @pytest.mark.parametrize("qv", [Q32, QValue.quantum(Fraction(7, 4)),
+                                    QValue.quantum(Fraction(2, 3)), Q2, CL],
+                             ids=["q3_2", "q7_4", "q2_3", "q2", "classical"])
+    def test_bracket_table_holds_reduced_pairs(self, qv):
+        """Each entry of q's bracket table is a reduced pair with a positive
+        denominator, equal to the bracket computed here from its
+        definition, and qbracket reads it."""
+        table = _bracket_pairs(qv)
+        for x in range(-15, 16):
+            n, d = table[x]
+            assert d > 0 and gcd(n, d) == 1
+            if qv.is_classical:
+                want = Fraction(x)
+            else:
+                q = qv.q
+                want = (q ** x - q ** -x) / (q - 1 / q)
+            assert Fraction(n, d) == want
+            assert qbracket(x, qv) == Fraction(n, d)
+        assert _bracket_pairs(qv) is table
 
 
 class TestRadicalOf:
