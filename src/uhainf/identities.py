@@ -22,32 +22,40 @@ with b and c as the other rows: its brackets [a_i - v - s] = -[v - a_i + s]
 come in an even number, and its two denominator brackets change sign
 together.
 
-A factor is an integer pair (numerator, denominator).  The kernels multiply
-ints, test a denominator factor's numerator for 0 and skip a term whose
-numerator is 0.  They keep the running sum as an integer pair, add each
-other term by cross-multiplying and reduce it by one gcd (``_add``), and
-build one Fraction at the end; Fractions are canonical, so the value is the
-one a sum of Fractions gives.  A product of numerator factors times the
-reciprocal of a product of denominator factors first cancels the common
-factor of the two products' denominators (``_reduced``).  Each draw does
-its arithmetic once.  The row sums read the bracket f(v, x, off) =
-[v - x + off] as an integer pair from q's one bracket table,
-``qnum._bracket_pairs``, which the ladder kernel shares (``_brackets``),
-and test their summed rows for poles before they read the other rows.
-The denominator products over a summed row are built once per offset,
-and the offset-0 factors serve both s (``_dens``).  Per s, the double sum
-builds the parts of the terms that depend on x alone or on y alone once,
-and reads the products over B minus y at x and over A minus x at y from
-prefix and suffix products (``_leave_one_out``), never by dividing a full
-product by one factor, which can be 0.
+The kernels read a factor as an int and an exponent: f(vs, x, off) gives,
+for v in vs, ints n and exponents e with f(v, x, off) = n / g^e, g being
+the kernel's base.  At q = u/w in lowest terms q's bracket table,
+``qnum._bracket_pairs``, which the ladder kernel shares, holds [n] as
+(N, |uw|^(|n| - 1)) (N is prime to u and w), so the row sums read each
+bracket [v - x + off] as N and |v - x + off| - 1 with g = |uw|, or g = 1
+classically (``_brackets``).  A term is then (-1)^s times a product of ints
+over a product of ints times g^E, E being the exponents of its denominator
+factors minus those of its numerator factors.  Each draw puts its terms
+over one denominator: the lcm of the int denominators, times g to the
+lowest E, so the sum is a sum of int products, each times g to its E minus
+the lowest, with no gcd per term.  The kernels test a denominator factor
+for 0, skip a term whose numerator is 0, and return the sum as an integer
+pair, from which the caller builds one Fraction; Fractions are canonical, so the
+value is the one a sum of Fractions gives.  The denominator products over a
+summed row are built once per offset, and the offset-0 factors serve both
+s (``_dens``).  Per s, the double sum builds the parts of the terms that
+depend on x alone or on y alone once, and reads the products over B minus
+y at x and over A minus x at y from prefix and suffix products
+(``_leave_one_out``), never by dividing a full product by one factor, which
+can be 0; a term's exponent is the sum of its x part, its y part and the
+exponents of the two left-out factors.  The row sums test their summed
+rows for poles before they read the other rows.
 
 A21 is I23a in the variables q^(2L).  It runs through the same double sum
-with f(v, x, off) = x - q^(2 off) v, on the variables' integer pairs and
-unreduced: for x = q^(2L) and v = q^(2M) this is
--q^(L+M+off)(q - q^-1)[M - L + off], and the per-term weight q^(1-2s)/(xy),
-also a pair, absorbs those monomials.  Each power of q is computed once per
-evaluation.  A21 tests A and B for poles before the kernel
+on the variables' integer pairs, with the factor q^-off (x - q^(2 off) v)
+xd vd, an int over |uw|^|off|, and the weight 1/(vn vd) at x and at y.  On
+A21's rows, the monomials that this factor leaves out, times A21's weight
+q^(1-2s)/(xy), are q K times this weight in every term, K being one
+constant per draw, so the caller multiplies the kernel's sum by q K
+(``_a21_factors``).  A21 tests A and B for poles before the kernel
 (``_reject_ratio_poles``), the multiplicative form of ``_reject_poles``.
+The closed-form identities I25-I27 and A46 multiply, divide and add their
+brackets as unreduced integer pairs from the same table.
 
 Two changes to a table row leave every identity true, so no test can tell
 them apart: flipping sigma (the identities are invariant under L -> -L),
@@ -58,13 +66,13 @@ breaks the identity.
 
 from __future__ import annotations
 
-import math
 import random
+from math import lcm, prod
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .qnum import QValue, _bracket_pairs, qbracket
+from .qnum import QValue, _bracket_pairs
 from .patterns import row_range
 from .report import CheckReport
 
@@ -136,12 +144,6 @@ class Assignment:
     excluded: dict = field(default_factory=dict)
 
 
-def _div(num: Fraction, den: Fraction, what: str) -> Fraction:
-    if den == 0:
-        raise PoleError(f"vanishing denominator: {what}")
-    return num / den
-
-
 # --- row sums ------------------------------------------------------------
 # Rows hold L-values in index order over the ranges patterns use: row p
 # covers row_range(p).  The four rows of a row-sum identity are, bottom up:
@@ -178,10 +180,26 @@ def _as_row(p: int, values) -> list:
 
 
 def _brackets(qv: QValue):
-    """The row-sum factor f(v, x, off) = [v - x + off] as an integer pair,
-    read from qv's bracket table, which is looked up once per evaluation."""
+    """The row-sum factor f(vs, x, off) over the brackets [v - x + off], v
+    in vs, and its base g: |uw| at q = u/w, 1 classically.
+
+    f returns the brackets' numerators, read from qv's bracket table,
+    which is looked up once per evaluation, and their exponents: the table
+    holds [n] as (N, g^(|n| - 1)) for n != 0 (N is prime to u and w), and
+    [0] = 0 whatever its exponent."""
     table = _bracket_pairs(qv)
-    return lambda v, x, off: table[v - x + off]
+    g = 1 if qv.is_classical else abs(qv.q.numerator * qv.q.denominator)
+
+    def f(vs, x, off):
+        ns, es = [], []
+        c = x - off
+        for v in vs:
+            d = v - c
+            ns.append(table[d][0])
+            es.append(abs(d) - 1)
+        return ns, es
+
+    return f, g
 
 
 def _reject_poles(rows, what: str) -> None:
@@ -201,9 +219,9 @@ def _reject_ratio_poles(rows, q: Fraction, what: str) -> None:
     """PoleError when two entries of a row of integer pairs are equal or in
     ratio q^2.
 
-    A21's denominator factors over a row are x - q^(2 off) v with off in
-    {-1, 0, 1}, for every two entries v and x of the row, so this is exactly
-    when its kernel would meet a vanishing denominator."""
+    A21's denominator factors over a row vanish where x - q^(2 off) v does,
+    off in {-1, 0, 1}, for every two entries v and x of the row, so this is
+    exactly when its kernel would meet a vanishing denominator."""
     qn, qd = q.numerator ** 2, q.denominator ** 2
     for row in rows:
         for j, (xn, xd) in enumerate(row):
@@ -213,126 +231,126 @@ def _reject_ratio_poles(rows, q: Fraction, what: str) -> None:
                     raise PoleError(f"vanishing denominator: {what}")
 
 
-def _num(f, values, x, off: int) -> tuple[int, int]:
-    """Product of f(v, x, off) over values, as an unreduced integer pair."""
-    n = d = 1
-    for v in values:
-        a, b = f(v, x, off)
-        n *= a
-        d *= b
-    return n, d
-
-
 def _dens(f, row: list, sigma: int, what: str) -> tuple[list, list]:
     """For s = 0 and s = 1, with t = sigma*s, the products
     f(v, x, t) f(v, x, t - sigma) over the entries v of the row other than
-    x = row[j], for every j, as unreduced integer pairs.  The offset-0
-    factor serves both s.  PoleError at a vanishing factor."""
+    x = row[j], for every j, as (int, exponent).  The offset-0 factors
+    serve both s.  PoleError at a vanishing factor."""
     out = [], []
     for j, x in enumerate(row):
-        n0 = d0 = n1 = d1 = 1
-        for v in row[:j] + row[j + 1:]:
-            a, b = f(v, x, 0)
-            a0, b0 = f(v, x, -sigma)
-            a1, b1 = f(v, x, sigma)
-            if not (a and a0 and a1):
-                raise PoleError(f"vanishing denominator: {what} at j={j}")
-            n0 *= a * a0
-            d0 *= b * b0
-            n1 *= a * a1
-            d1 *= b * b1
-        out[0].append((n0, d0))
-        out[1].append((n1, d1))
+        rest = row[:j] + row[j + 1:]
+        n0, e0 = f(rest, x, 0)
+        n1, e1 = f(rest, x, -sigma)
+        n2, e2 = f(rest, x, sigma)
+        p0, p1, p2 = prod(n0), prod(n1), prod(n2)
+        if not (p0 and p1 and p2):
+            raise PoleError(f"vanishing denominator: {what} at j={j}")
+        e = sum(e0)
+        out[0].append((p0 * p1, e + sum(e1)))
+        out[1].append((p0 * p2, e + sum(e2)))
     return out
 
 
-def _reduced(n: int, d: int, a: int, b: int) -> tuple[int, int]:
-    """(n/d) (a/b) as an integer pair, with gcd(a, d) cancelled.  The
-    kernels pass a product of numerator factors as n/d and the reciprocal
-    of a product of denominator factors as a/b, so d and a are both
-    products of factor denominators: for q = u/v a bracket's denominator is
-    a power of uv, so they share a large factor."""
-    g = math.gcd(a, d)
-    return n * (a // g), (d // g) * b
+def _scaled(num: int, den: int, g: int, lo: int) -> tuple[int, int]:
+    """num g^lo / den as an integer pair."""
+    return (num * g ** lo, den) if lo >= 0 else (num, den * g ** -lo)
 
 
-def _add(tn: int, td: int, n: int, d: int) -> tuple[int, int]:
-    """tn/td + n/d as an integer pair in lowest terms (its denominator may
-    be negative).  Reducing after every term keeps the denominator from
-    growing to the product of every term's."""
-    n = tn * d + n * td
-    d *= td
-    g = math.gcd(n, d)
-    return n // g, d // g
-
-
-def _single_sum(f, row: list, others: list, sigma: int, what: str) -> Fraction:
-    tn, td = 0, 1
+def _single_sum(f, g: int, row: list, others: list, sigma: int,
+                what: str) -> tuple[int, int]:
+    """The sum over x = row[j] and s of (-1)^s n/d g^e, n and d being the
+    int products of the numerator and the denominator factors, over one
+    denominator: the lcm of the d times g to the lowest e."""
+    terms = []
     for s, dens in enumerate(_dens(f, row, sigma, what)):
         t = sigma * s
-        for x, (dn, dd) in zip(row, dens):
-            nn, nd = _num(f, others, x, t)
-            if nn:
-                tn, td = _add(tn, td, *_reduced(-nn if s else nn, nd, dd, dn))
-    return Fraction(tn, td)
+        for x, (d, e) in zip(row, dens):
+            ns, es = f(others, x, t)
+            n = prod(ns)
+            if n:
+                terms.append((-n if s else n, d, e - sum(es)))
+    if not terms:
+        return 0, 1
+    lcm_d = lcm(*[d for _, d, _ in terms])
+    lo = min([e for _, _, e in terms])
+    num = 0
+    for n, d, e in terms:
+        num += n * (lcm_d // d) * g ** (e - lo)
+    return _scaled(num, lcm_d, g, lo)
 
 
-def _leave_one_out(pairs: list) -> list:
-    """For each j the product of the integer pairs other than pairs[j],
-    unreduced, from prefix and suffix products.  A full product is never
-    divided by one factor: a numerator factor can be 0."""
+def _leave_one_out(ns: list) -> list:
+    """For each j the product of the ints other than ns[j], from prefix and
+    suffix products.  A full product is never divided by one factor: a
+    numerator factor can be 0."""
     out = []
-    n = d = 1
-    for a, b in pairs:
-        out.append((n, d))
-        n *= a
-        d *= b
-    n = d = 1
-    for j in range(len(pairs) - 1, -1, -1):
-        pn, pd = out[j]
-        out[j] = pn * n, pd * d
-        a, b = pairs[j]
-        n *= a
-        d *= b
+    p = 1
+    for n in ns:
+        out.append(p)
+        p *= n
+    p = 1
+    for j in range(len(ns) - 1, -1, -1):
+        out[j] *= p
+        p *= ns[j]
     return out
 
 
-def _double_sum(f, D: list, A: list, B: list, C: list, sigma: int,
-                what: str, weight=None) -> Fraction:
-    """The double sum over x = A[j] and y = B[l], each term times the integer
-    pair weight(s, x, y) when a weight is given.  With t = sigma*s, the term
-    is (-1)^s times the products of f(v, x, t - sigma) over D and B minus l
-    and of f(v, y, t) over C and A minus j, over the _dens products at x in
-    A and at y in B.
+def _double_sum(f, g: int, D: list, A: list, B: list, C: list, sigma: int,
+                what: str, weight=None) -> tuple[int, int]:
+    """The double sum over x = A[j] and y = B[l], each term times the
+    integer pairs weight(x) and weight(y) when a weight is given.  With
+    t = sigma*s, the term is (-1)^s times the products of f(v, x, t - sigma)
+    over D and B minus l and of f(v, y, t) over C and A minus j, over the
+    _dens products at x in A and at y in B.
 
     Each factor is evaluated once per s: the parts that depend on x alone
-    or on y alone are built once, and the products over B minus l at x and
-    over A minus j at y come from _leave_one_out."""
-    tn, td = 0, 1
+    or on y alone are built once, the products over B minus l at x and over
+    A minus j at y come from _leave_one_out, and a term's exponent is its
+    x part, its y part and the exponents of the two left-out factors.  The
+    x parts go over the lcm of their denominators and so do the y parts, so
+    the sum is a sum of int dot products over one denominator."""
+    halves = []
     dens = zip(_dens(f, A, sigma, what), _dens(f, B, sigma, what))
     for s, (den_a, den_b) in enumerate(dens):
         t = sigma * s
         ys = []
-        for y, (bn, bd) in zip(B, den_b):
-            yn, yd = _reduced(*_num(f, C, y, t), bd, bn)
-            ys.append((y, yn, yd, _leave_one_out([f(v, y, t) for v in A])))
-        for j, (x, (an, ad)) in enumerate(zip(A, den_a)):
-            xn, xd = _num(f, D, x, t - sigma)
-            if not xn:
+        for y, (d, e) in zip(B, den_b):
+            (nc, ec), (na, ea) = f(C, y, t), f(A, y, t)
+            n = prod(nc)
+            if weight is not None:
+                wn, wd = weight(y)
+                n, d = n * wn, d * wd
+            ys.append((n, d, e - sum(ec) - sum(ea), _leave_one_out(na), ea))
+        xs = []
+        for j, (x, (d, e)) in enumerate(zip(A, den_a)):
+            nd, ed = f(D, x, t - sigma)
+            n = prod(nd)
+            if not n:
                 continue
-            xn, xd = _reduced(-xn if s else xn, xd, ad, an)
-            rest_b = _leave_one_out([f(v, x, t - sigma) for v in B])
-            for (n1, d1), (y, yn, yd, rest_a) in zip(rest_b, ys):
-                n2, d2 = rest_a[j]
-                num = (xn * n1) * (yn * n2)
-                if not num:
-                    continue
-                den = (xd * d1) * (yd * d2)
-                if weight is not None:
-                    wn, wd = weight(s, x, y)
-                    num, den = num * wn, den * wd
-                tn, td = _add(tn, td, num, den)
-    return Fraction(tn, td)
+            nb, eb = f(B, x, t - sigma)
+            if weight is not None:
+                wn, wd = weight(x)
+                n, d = n * wn, d * wd
+            e -= sum(ed) + sum(eb)
+            exps = [e + ey + ebl + eay[j] for (_, _, ey, _, eay), ebl in zip(ys, eb)]
+            xs.append((-n if s else n, d, j, _leave_one_out(nb), exps))
+        halves.append((xs, ys))
+    every = [e for xs, _ in halves for x in xs for e in x[4]]
+    if not every:
+        return 0, 1
+    lcm_a = lcm(*(x[1] for xs, _ in halves for x in xs))
+    lcm_b = lcm(*(y[1] for _, ys in halves for y in ys))
+    lo = min(every)
+    num = 0
+    for xs, ys in halves:
+        scaled = [n * (lcm_b // d) for n, d, *_ in ys]
+        rest_a = [y[3] for y in ys]
+        for n, d, j, rest_b, exps in xs:
+            row = 0
+            for rb, ra, e, m in zip(rest_b, rest_a, exps, scaled):
+                row += rb * ra[j] * g ** (e - lo) * m
+            num += n * (lcm_a // d) * row
+    return _scaled(num, lcm_a * lcm_b, g, lo)
 
 
 def _eval_row_sum(a: Assignment, tag: str, k: int) -> Fraction:
@@ -344,13 +362,15 @@ def _eval_row_sum(a: Assignment, tag: str, k: int) -> Fraction:
     def row(name):
         return _as_row(p[name], a.arrays[name])
 
-    f = _brackets(a.qv)
+    f, g = _brackets(a.qv)
     if case.summed is None:
         A, B = row("row_a"), row("row_b")
         _reject_poles((A, B), tag)
         D, C = row("row_below"), row("row_above")
-        rhs = qbracket(case.sigma * (sum(A) + sum(B) - sum(C) - sum(D)) - 1, a.qv)
-        return _double_sum(f, D, A, B, C, case.sigma, tag) - rhs
+        n, d = _double_sum(f, g, D, A, B, C, case.sigma, tag)
+        rn, rd = _bracket_pairs(a.qv)[
+            case.sigma * (sum(A) + sum(B) - sum(C) - sum(D)) - 1]
+        return Fraction(n * rd - rn * d, d * rd)
     summed = row(case.summed)
     _reject_poles((summed,), tag)
     [other] = (name for name in _ROWS
@@ -358,7 +378,7 @@ def _eval_row_sum(a: Assignment, tag: str, k: int) -> Fraction:
     labels = a.excluded["labels"]
     others = row(other) + [v for i, v in zip(row_range(p[case.cut]), row(case.cut))
                            if i not in labels]
-    return _single_sum(f, summed, others, case.sigma, tag)
+    return Fraction(*_single_sum(f, g, summed, others, case.sigma, tag))
 
 
 def _eval_a26(a: Assignment, n: int) -> Fraction:
@@ -366,76 +386,119 @@ def _eval_a26(a: Assignment, n: int) -> Fraction:
     if [len(aa), len(bb), len(cc)] != [n, n - 1, n - 1]:
         raise ValueError("A26 arrays must have lengths n, n-1, n-1")
     _reject_poles((aa,), "A26")
-    return _single_sum(_brackets(a.qv), aa, bb + cc, +1, "A26")
+    return Fraction(*_single_sum(*_brackets(a.qv), aa, bb + cc, +1, "A26"))
 
 
-def _serre(br, x: int, y: int) -> Fraction:
+# The closed-form identities multiply, divide and add the brackets as
+# integer pairs, unreduced, and build one Fraction at the end.
+
+def _mul(*pairs) -> tuple[int, int]:
+    n = d = 1
+    for a, b in pairs:
+        n *= a
+        d *= b
+    return n, d
+
+
+def _div(num: tuple, den: tuple, what: str) -> tuple[int, int]:
+    if not den[0]:
+        raise PoleError(f"vanishing denominator: {what}")
+    return num[0] * den[1], num[1] * den[0]
+
+
+def _plus(*pairs) -> tuple[int, int]:
+    n, d = 0, 1
+    for a, b in pairs:
+        n, d = n * b + a * d, d * b
+    return n, d
+
+
+def _serre(br, x: int, y: int) -> tuple[int, int]:
     """[x-1][y-1] - [2][x][y-1] + [x][y]."""
-    return br(x - 1) * br(y - 1) - br(2) * br(x) * br(y - 1) + br(x) * br(y)
+    n, d = _mul(br[2], br[x], br[y - 1])
+    return _plus(_mul(br[x - 1], br[y - 1]), (-n, d), _mul(br[x], br[y]))
 
 
 def _eval_i25(a: Assignment) -> Fraction:
-    br = lambda x: qbracket(x, a.qv)
+    br = _bracket_pairs(a.qv)
     sa, sb, sc, sd, se = (a.scalars[x] for x in "abcde")
-    q1 = _div(br(sa - sd) * br(sc - se - 1),
-              br(sd - se - 1) * br(sc - sa - 1), "I25 [d-e-1][c-a-1]")
-    q1 += _div(br(sc - sd - 1) * br(sa - se),
-               br(sd - se + 1) * br(sc - sa - 1), "I25 [d-e+1][c-a-1]")
-    q2 = _div(br(sa - se - 1) * br(sc - sd),
-              br(sd - se - 1) * br(sc - sa + 1), "I25 [d-e-1][c-a+1]")
-    q2 += _div(br(sa - sd - 1) * br(sc - se),
-               br(sd - se + 1) * br(sc - sa + 1), "I25 [d-e+1][c-a+1]")
-    return _serre(br, sa - sb, sc - sb) * q1 + q2 * _serre(br, sc - sb, sa - sb)
+    q1 = _plus(
+        _div(_mul(br[sa - sd], br[sc - se - 1]),
+             _mul(br[sd - se - 1], br[sc - sa - 1]), "I25 [d-e-1][c-a-1]"),
+        _div(_mul(br[sc - sd - 1], br[sa - se]),
+             _mul(br[sd - se + 1], br[sc - sa - 1]), "I25 [d-e+1][c-a-1]"))
+    q2 = _plus(
+        _div(_mul(br[sa - se - 1], br[sc - sd]),
+             _mul(br[sd - se - 1], br[sc - sa + 1]), "I25 [d-e-1][c-a+1]"),
+        _div(_mul(br[sa - sd - 1], br[sc - se]),
+             _mul(br[sd - se + 1], br[sc - sa + 1]), "I25 [d-e+1][c-a+1]"))
+    return Fraction(*_plus(_mul(_serre(br, sa - sb, sc - sb), q1),
+                           _mul(q2, _serre(br, sc - sb, sa - sb))))
 
 
 def _eval_i26(a: Assignment) -> Fraction:
-    br = lambda x: qbracket(x, a.qv)
+    br = _bracket_pairs(a.qv)
     sa, sb = a.scalars["a"], a.scalars["b"]
-    t1 = _div(_serre(br, sa, sb), br(sa - sb + 1), "I26 [a-b+1]")
-    t2 = _div(_serre(br, sb, sa), br(sa - sb - 1), "I26 [a-b-1]")
-    return t1 + t2
+    t1 = _div(_serre(br, sa, sb), br[sa - sb + 1], "I26 [a-b+1]")
+    t2 = _div(_serre(br, sb, sa), br[sa - sb - 1], "I26 [a-b-1]")
+    return Fraction(*_plus(t1, t2))
 
 
 def _eval_i27(a: Assignment) -> Fraction:
-    br = lambda x: qbracket(x, a.qv)
+    br = _bracket_pairs(a.qv)
     sa = a.scalars["a"]
-    return br(sa - 1) - br(2) * br(sa) + br(sa + 1)
+    n, d = _mul(br[2], br[sa])
+    return Fraction(*_plus(br[sa - 1], (-n, d), br[sa + 1]))
 
 
 def _eval_a46(a: Assignment, side: str) -> Fraction:
-    br = lambda x: qbracket(x, a.qv)
+    br = _bracket_pairs(a.qv)
     sa, sb, sc, sd = (a.scalars[x] for x in "abcd")
     if side == "L":
-        t1 = _div(br(sa - sb) * br(sc - sd - 1), br(sc - sb - 1), "A46L [c-b-1]")
-        t2 = _div(br(sa - sc + 1) * br(sb - sd), br(sb - sc + 1), "A46L [b-c+1]")
-        return t1 + t2 - br(sa - sd)
-    t1 = _div(br(sa - sb + 1) * br(sc - sd), br(sc - sb + 1), "A46R [c-b+1]")
-    t2 = _div(br(sa - sc) * br(sb - sd - 1), br(sb - sc - 1), "A46R [b-c-1]")
-    return -t1 - t2 + br(sa - sd)
+        t1 = _div(_mul(br[sa - sb], br[sc - sd - 1]), br[sc - sb - 1], "A46L [c-b-1]")
+        t2 = _div(_mul(br[sa - sc + 1], br[sb - sd]), br[sb - sc + 1], "A46L [b-c+1]")
+        rn, rd = br[sa - sd]
+        return Fraction(*_plus(t1, t2, (-rn, rd)))
+    t1 = _div(_mul(br[sa - sb + 1], br[sc - sd]), br[sc - sb + 1], "A46R [c-b+1]")
+    t2 = _div(_mul(br[sa - sc], br[sb - sd - 1]), br[sb - sc - 1], "A46R [b-c-1]")
+    (n1, d1), (n2, d2) = t1, t2
+    return Fraction(*_plus((-n1, d1), (-n2, d2), br[sa - sd]))
 
 
 def _a21_factors(q: Fraction):
-    """A21's factor f(v, x, off) = x - q^(2 off) v and per-term weight
-    q^(1 - 2s)/(x y), both on integer pairs and unreduced."""
-    qn, qd = q.numerator, q.denominator
-    powers = {}  # each power of q once per evaluation
+    """A21's factor F as the kernel reads it, its base g and its weight.
 
-    def q_pow(e: int) -> tuple[int, int]:
-        pair = powers.get(e)
-        if pair is None:
-            pair = powers[e] = (qn ** e, qd ** e) if e >= 0 else (qd ** -e, qn ** -e)
-        return pair
+    At q = u/w and variables v = vn/vd, x = xn/xd as integer pairs,
+    F(v, x, off) = q^-off (x - q^(2 off) v) xd vd is an int over g^|off|,
+    g = |uw|: (w^(2 off) xn vd - u^(2 off) vn xd) / (uw)^off for off >= 0,
+    with u and w swapped for off < 0.  The weight is 1/(vn vd) at x and at
+    y.  Per term, the q^off and the 1/(xd vd) that F leaves out of each
+    factor multiply to q^(2t) K / (xd yd)^2 on A21's rows (lengths n - 2,
+    n - 1, n, n + 1), K being the product of the vd over A and B divided by
+    that over C and D.  So with sigma = +1 the double sum over F and this
+    weight, times q K, is the one over x - q^(2 off) v with the weight
+    q^(1 - 2s)/(xy)."""
+    u, w = q.numerator, q.denominator
+    coeffs = {}  # per offset, once per evaluation
 
-    def f(v, x, off):
-        (vn, vd), (xn, xd) = v, x
-        cn, cd = q_pow(2 * off)
-        return xn * cd * vd - cn * vn * xd, xd * cd * vd
+    def f(vs, x, off):
+        c = coeffs.get(off)
+        if c is None:
+            o = abs(off)
+            a, b = w ** (2 * o), u ** (2 * o)
+            if off < 0:
+                a, b = b, a
+            if u < 0 and o % 2:  # (uw)^off = -g^off
+                a, b = -a, -b
+            c = coeffs[off] = a, b, o
+        a, b, o = c
+        xa, xb = x[0] * a, x[1] * b
+        ns = []
+        for vn, vd in vs:
+            ns.append(xa * vd - vn * xb)
+        return ns, [o] * len(ns)
 
-    def weight(s, x, y):
-        cn, cd = q_pow(1 - 2 * s)
-        return cn * x[1] * y[1], cd * x[0] * y[0]
-
-    return f, weight
+    return f, abs(u * w), lambda v: (1, v[0] * v[1])
 
 
 def _eval_a21(a: Assignment, n: int) -> Fraction:
@@ -449,11 +512,17 @@ def _eval_a21(a: Assignment, n: int) -> Fraction:
     if any(vn == 0 for vn, _ in A + B + C + D):
         raise PoleError("A21 variables must be nonzero")
     _reject_ratio_poles((A, B), q, "A21")
-    f, weight = _a21_factors(q)
-    total = _double_sum(f, D, A, B, C, +1, "A21", weight=weight)
-    # prod(D + C) / prod(A + B) = (tn / td) / (bn / bd); neither side is empty
-    (tn, td), (bn, bd) = (map(math.prod, zip(*vs)) for vs in (D + C, A + B))
-    return total - (q - 1 / q) * (1 - q * q * Fraction(tn * bd, td * bn))
+    f, g, weight = _a21_factors(q)
+    sn, sd = _double_sum(f, g, D, A, B, C, +1, "A21", weight=weight)
+    # prod(D + C) = tn / td and prod(A + B) = bn / bd; neither side is empty
+    (tn, td), (bn, bd) = (map(prod, zip(*vs)) for vs in (D + C, A + B))
+    # with q = u/w the double sum is q K sn/sd = u bd sn / (w td sd), and the
+    # right-hand side (q - 1/q)(1 - q^2 (tn/td) / (bn/bd)) is
+    # rn / (u w^3 td bn); both go over w td sd m with m = u w^2 bn
+    u, w = q.numerator, q.denominator
+    m = u * w * w * bn
+    rn = (u * u - w * w) * (w * w * td * bn - u * u * tn * bd)
+    return Fraction(u * bd * sn * m - rn * sd, w * td * sd * m)
 
 
 def evaluate_identity(ident: IdentityId, a: Assignment) -> Fraction:
@@ -478,15 +547,17 @@ def evaluate_identity(ident: IdentityId, a: Assignment) -> Fraction:
 
 # --- sampling ------------------------------------------------------------
 
-# QValue objects, not rationals: every draw reuses one of these, so the
-# bracket-table lookup finds the key by identity and never runs the
-# dataclass __eq__
-_Q_POOL = tuple(QValue.quantum(q) for q in (Fraction(3, 2), 2, Fraction(5, 3),
-                                            Fraction(7, 4)))
 # a free slot's values -12 .. 12, as randrange bounds; randrange(a, b + 1)
 # is what randint(a, b) calls, so the stream, and every pinned report, is
 # randint's
 _RANGE = (-12, 13)
+# QValue objects, not rationals: every draw reuses one of these, so the
+# bracket-table lookup finds the key by identity and never runs the
+# dataclass __eq__.  Each comes with A21's variables q^(2e) for e in
+# _RANGE, built once.
+_Q_POOL = tuple((qv, tuple(qv.q ** (2 * e) for e in range(*_RANGE)))
+                for qv in map(QValue.quantum, (Fraction(3, 2), 2, Fraction(5, 3),
+                                               Fraction(7, 4))))
 
 
 def _randranges(rng: random.Random, start: int, stop: int,
@@ -520,7 +591,7 @@ def _sample_row(rng: random.Random, length: int, decreasing: bool) -> list[int]:
 
 
 def _sample_raw(ident: IdentityId, rng: random.Random) -> Assignment:
-    qv = rng.choice(_Q_POOL)
+    qv, q_powers = rng.choice(_Q_POOL)
     tag, k = ident.tag, ident.size
     if tag in ("I25", "I26", "I27", "A46L", "A46R"):
         names = {"I25": "abcde", "I26": "ab", "I27": "a",
@@ -538,10 +609,9 @@ def _sample_raw(ident: IdentityId, rng: random.Random) -> Assignment:
         labels = rng.sample(list(row_range(p[case.cut])), 2)
         return Assignment(qv, arrays=rows, excluded={"labels": tuple(labels)})
     if tag == "A21":
-        q = qv.q
         # powers of q keep the variables in the identity's natural image
         return Assignment(qv, arrays={
-            x: [q ** (2 * e) for e in _randranges(rng, *_RANGE, m)]
+            x: [q_powers[e - _RANGE[0]] for e in _randranges(rng, *_RANGE, m)]
             for x, m in zip("ABCD", (k - 1, k, k + 1, k - 2))
         })
     if tag == "A26":

@@ -22,6 +22,8 @@ from uhainf.identities import (
     IDENTITY_TAGS,
     _REJECTION_BUDGET,
     _ROWS,
+    _Q_POOL,
+    _RANGE,
     _ROW_SUMS,
     _SIZED,
     _a21_factors,
@@ -203,6 +205,13 @@ class TestSamplerStream:
                     want = [ref.randrange(start, stop) for _ in range(count)]
                     assert got == want, (seed, start, stop, count)
                     assert ours.getstate() == ref.getstate()
+
+    def test_a21_variables_are_powers_of_q(self):
+        """A21's variables come from each pool entry's table of q^(2e),
+        e in -12 .. 12."""
+        for qv, powers in _Q_POOL:
+            assert powers == tuple(qv.q ** (2 * e) for e in range(*_RANGE))
+            assert all(type(v) is Fraction for v in powers)
 
     def test_sampler_against_randrange(self, monkeypatch):
         import uhainf.identities as idm
@@ -407,15 +416,15 @@ class TestDoubleSumKernel:
 
     @staticmethod
     def _mutations(orig):
-        def flip_sigma(f, D, A, B, C, sigma, what, weight=None):
-            return orig(f, D, A, B, C, -sigma, what, weight)
+        def flip_sigma(f, g, D, A, B, C, sigma, what, weight=None):
+            return orig(f, g, D, A, B, C, -sigma, what, weight)
 
-        def drop_weight(f, D, A, B, C, sigma, what, weight=None):
-            return orig(f, D, A, B, C, sigma, what)
+        def drop_weight(f, g, D, A, B, C, sigma, what, weight=None):
+            return orig(f, g, D, A, B, C, sigma, what)
 
-        def shift_offset(f, D, A, B, C, sigma, what, weight=None):
-            return orig(lambda v, x, off: f(v, x, off + 1), D, A, B, C, sigma,
-                        what, weight)
+        def shift_offset(f, g, D, A, B, C, sigma, what, weight=None):
+            return orig(lambda vs, x, off: f(vs, x, off + 1), g, D, A, B, C,
+                        sigma, what, weight)
 
         return {"flip-sigma": flip_sigma, "drop-weight": drop_weight,
                 "shift-offset": shift_offset}
@@ -456,8 +465,8 @@ class TestPoleTest:
         seen = set()
         for a in draws:
             with monkeypatch.context() as m:  # the row test alone
-                m.setattr(idm, "_single_sum", lambda *args: Fraction(0))
-                m.setattr(idm, "_double_sum", lambda *args, **kw: Fraction(0))
+                m.setattr(idm, "_single_sum", lambda *args: (0, 1))
+                m.setattr(idm, "_double_sum", lambda *args, **kw: (0, 1))
                 rows = self._raises_pole(ident, a)
             with monkeypatch.context() as m:  # the kernel alone
                 m.setattr(idm, "_reject_poles", lambda rows, what: None)
@@ -508,7 +517,7 @@ class TestPoleTest:
         assert seen == {True, False}
 
 
-# Fraction-product references for the integer-pair kernels: the factor fr
+# Fraction-product references for the integer kernels: the factor fr
 # returns a Fraction and every product and quotient is taken in Fractions.
 
 def _ref_single_sum(fr, row, others, sigma):
@@ -540,8 +549,35 @@ def _ref_double_sum(fr, D, A, B, C, sigma, weight=None, halves=(0, 1)):
     return total
 
 
-def _pairs(fr):
-    return lambda v, x, off: fr(v, x, off).as_integer_ratio()
+def _base(qv):
+    """The kernels' base g at qv: |uw| at q = u/w, 1 classically."""
+    return 1 if qv.is_classical else abs(qv.q.numerator * qv.q.denominator)
+
+
+def _factor(fr, g):
+    """A Fraction-valued factor fr in the kernels' form: over vs, the ints
+    n and the exponents e with fr(v, x, off) = n / g^e, e read off fr's
+    denominator, which must be a power of g."""
+    def f(vs, x, off):
+        ns, es = [], []
+        for v in vs:
+            r = fr(v, x, off)
+            e = 0
+            while g > 1 and g ** e < r.denominator:
+                e += 1
+            assert r.denominator == g ** e, (r, g)
+            ns.append(r.numerator)
+            es.append(e)
+        return ns, es
+    return f
+
+
+def _a21_k(rows):
+    """K of _a21_factors: the product of the variables' denominators over
+    A and B divided by that over C and D, for rows D, A, B, C."""
+    D, A, B, C = rows
+    den = lambda vs: prod(Fraction(v).denominator for v in vs)
+    return Fraction(den(A + B), den(C + D))
 
 
 def _spread_row(rng, length):
@@ -551,8 +587,8 @@ def _spread_row(rng, length):
 
 
 class TestIntegerKernels:
-    """The integer-pair kernels equal the Fraction-product references
-    exactly, on rows and factors chosen so that the value is not zero."""
+    """The integer kernels equal the Fraction-product references exactly,
+    on rows and factors chosen so that the value is not zero."""
 
     @staticmethod
     def _bracket(qv, shift):
@@ -571,7 +607,9 @@ class TestIntegerKernels:
                 others = [rng.randint(-12, 12) for _ in range(2 * n - 1)]
                 want = _ref_single_sum(fr, row, others, sigma)
                 assert want != 0, (row, others)
-                assert _single_sum(_pairs(fr), row, others, sigma, "test") == want
+                g = _base(qv)
+                got = _single_sum(_factor(fr, g), g, row, others, sigma, "test")
+                assert Fraction(*got) == want
 
     @pytest.mark.parametrize("shift", [0, 1, -2])
     @pytest.mark.parametrize("sigma", [1, -1])
@@ -585,7 +623,9 @@ class TestIntegerKernels:
                 A, B = _spread_row(rng, k), _spread_row(rng, k + 1)
                 want = _ref_double_sum(fr, D, A, B, C, sigma)
                 assert want != 0, (D, A, B, C)
-                assert _double_sum(_pairs(fr), D, A, B, C, sigma, "test") == want
+                g = _base(qv)
+                got = _double_sum(_factor(fr, g), g, D, A, B, C, sigma, "test")
+                assert Fraction(*got) == want
 
     # Zero numerator factors: one entry is set so that a factor at s = 0 is
     # the zero bracket.  The leave-one-out products then vanish for every
@@ -605,7 +645,9 @@ class TestIntegerKernels:
                 assert fr(others[0], row[0], 0) == 0
                 want = _ref_single_sum(fr, row, others, sigma)
                 assert want != 0, (row, others)
-                assert _single_sum(_pairs(fr), row, others, sigma, "test") == want
+                g = _base(qv)
+                got = _single_sum(_factor(fr, g), g, row, others, sigma, "test")
+                assert Fraction(*got) == want
 
     @staticmethod
     def _zero_factor(where, D, A, B, C, sigma, shift):
@@ -643,39 +685,60 @@ class TestIntegerKernels:
                     break
                 assert fr(*zero) == 0
                 assert want != 0, (D, A, B, C)
-                assert _double_sum(_pairs(fr), D, A, B, C, sigma, "test") == want
+                g = _base(qv)
+                got = _double_sum(_factor(fr, g), g, D, A, B, C, sigma, "test")
+                assert Fraction(*got) == want
 
     @pytest.mark.parametrize("q", [Fraction(5, 3), Fraction(-3, 7)])
     @pytest.mark.parametrize("sigma", [1, -1])
     def test_a21_factors(self, sigma, q):
-        # A21's factor and weight, at variables off the identity's image
-        f, weight = _a21_factors(q)
+        """A21's factor, base and weight, at variables off the identity's
+        image: the double sum over them is the one over x - q^(2 off) v with
+        the weight q^(-2 sigma s)/(K x y), and at sigma = +1, times q K, the
+        one with A21's weight q^(1 - 2s)/(xy)."""
+        f, g, weight = _a21_factors(q)
         fr = lambda v, x, off: x - q ** (2 * off) * v
-        fr_weight = lambda s, x, y: q ** (1 - 2 * s) / (x * y)
         rng = random.Random(sigma)
         var = lambda: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
                                rng.randint(1, 9))
+        # each factor is exactly q^-off (x - q^(2 off) v) xd vd
+        for _ in range(20):
+            v, x = var(), var()
+            for off in range(-3, 4):
+                [n], [e] = f([v.as_integer_ratio()], x.as_integer_ratio(), off)
+                assert Fraction(n, g ** e) == (
+                    q ** -off * fr(v, x, off) * x.denominator * v.denominator)
         for n in range(2, 5):
             rows = [[var() for _ in range(m)] for m in (n - 2, n - 1, n, n + 1)]
-            want = _ref_double_sum(fr, *rows, sigma, fr_weight)
+            k = _a21_k(rows)
+            want = _ref_double_sum(fr, *rows, sigma, lambda s, x, y:
+                                   q ** (-2 * sigma * s) / (k * x * y))
             assert want != 0
             pairs = ([v.as_integer_ratio() for v in vs] for vs in rows)
-            assert _double_sum(f, *pairs, sigma, "test", weight=weight) == want
+            got = Fraction(*_double_sum(f, g, *pairs, sigma, "test", weight=weight))
+            assert got == want
+            if sigma == 1:
+                assert q * k * got == _ref_double_sum(
+                    fr, *rows, 1, lambda s, x, y: q ** (1 - 2 * s) / (x * y))
 
 
 class TestPairSums:
-    """The sums keep their running total as a reduced integer pair and build
-    one Fraction at the end.  On broken inputs, where the value is not 0,
-    that Fraction equals the per-term Fraction sum of the same factors, and
-    a failing draw's witness keeps the value string it had when each term
-    was summed as its own Fraction."""
+    """The sums add their terms as ints over one denominator and return an
+    integer pair, from which the caller builds one Fraction.  On broken
+    inputs, where the value is not 0, that Fraction equals the per-term
+    Fraction sum of the same factors, and a failing draw's witness keeps
+    the value string that sum gives."""
 
-    # (identity, broken input, the first witness's "value" at seed 3)
+    # (identity, broken input, the first witness's "value" at seed 3).  A21's
+    # kernel factor is q^-off (x - q^(2 off) v) xd vd, so shifting its
+    # offset by one divides the sum by q^2 against shifting x - q^(2 off) v:
+    # at this draw (q = 2) the witness reads S/4 - rhs where it read S - rhs
+    # when the kernel's factor was x - q^(2 off) v.
     WITNESSES = [
         ("I24b", "swap-summed-cut",
          "-9551063005759468637399405635141946860269/"
          "112054255551263532604650219215650816"),
-        ("A21", "shift-offset", "-34057476738393274683752448/1376671195471"),
+        ("A21", "shift-offset", "-54491959593397079607241671/11013369563768"),
     ]
 
     @staticmethod
@@ -703,9 +766,12 @@ class TestPairSums:
         return calls
 
     @staticmethod
-    def _fractions(pair_fn, shift=0):
-        """An integer-pair factor as a Fraction-valued one, at offset + shift."""
-        return lambda v, x, off: Fraction(*pair_fn(v, x, off + shift))
+    def _fractions(f, g, shift=0):
+        """A kernel factor as a Fraction-valued one, at offset + shift."""
+        def fr(v, x, off):
+            [n], [e] = f([v], x, off + shift)
+            return Fraction(n) / Fraction(g) ** e
+        return fr
 
     @pytest.mark.parametrize("tag", ["I24a", "I24b", "I24c", "I24d"])
     def test_single_sum_with_swapped_rows(self, monkeypatch, tag):
@@ -713,9 +779,11 @@ class TestPairSums:
                                                     "swap-summed-cut"))
         rep = fuzz_identity(IdentityId(tag, 2), trials=5, seed=3)
         assert len(rep.failures) == len(calls) == 5
-        for (f, row, others, sigma, _), _, value in calls:
+        for (f, g, row, others, sigma, _), _, value in calls:
+            value = Fraction(*value)
             assert value != 0
-            assert value == _ref_single_sum(self._fractions(f), row, others, sigma)
+            assert value == _ref_single_sum(self._fractions(f, g), row, others,
+                                            sigma)
 
     @pytest.mark.parametrize("tag,size", [("I23a", 2), ("I23b", 2), ("A21", 2),
                                           ("A21", 4)])
@@ -724,12 +792,13 @@ class TestPairSums:
                                                     "shift-offset"))
         rep = fuzz_identity(IdentityId(tag, size), trials=5, seed=3)
         assert len(rep.failures) == len(calls) == 5
-        for (f, D, A, B, C, sigma, _), kw, value in calls:
+        for (f, g, D, A, B, C, sigma, _), kw, value in calls:
             weight = kw.get("weight")
             fr_weight = None if weight is None else (
-                lambda s, x, y: Fraction(*weight(s, x, y)))
+                lambda s, x, y: Fraction(*weight(x)) * Fraction(*weight(y)))
+            value = Fraction(*value)
             assert value != 0
-            assert value == _ref_double_sum(self._fractions(f, shift=1),
+            assert value == _ref_double_sum(self._fractions(f, g, shift=1),
                                             D, A, B, C, sigma, fr_weight)
 
     @pytest.mark.parametrize("tag,broken,value", WITNESSES,
@@ -770,15 +839,109 @@ class TestA21Poles:
                 want = _ref_double_sum(fr, *rows, +1, fr_weight)
             except ZeroDivisionError:
                 want = None
-            f, weight = _a21_factors(q)
+            f, g, weight = _a21_factors(q)
             pairs = ([v.as_integer_ratio() for v in vs] for vs in rows)
             try:
-                got = _double_sum(f, *pairs, +1, "A21", weight=weight)
+                got = q * _a21_k(rows) * Fraction(
+                    *_double_sum(f, g, *pairs, +1, "A21", weight=weight))
             except PoleError:
                 got = None
             assert got == want, a.arrays
             seen.add(want is None)
         assert seen == {True, False}
+
+
+def _oracle(ident: IdentityId, a: Assignment) -> Fraction:
+    """LHS - RHS of the identity from its definition, multiplying qbracket
+    Fractions (A21: Fractions in q and its variables); ZeroDivisionError at
+    a pole."""
+    tag, qv, s = ident.tag, a.qv, a.scalars
+    br = lambda x: qbracket(x, qv)
+    fr = lambda v, x, off: br(v - x + off)
+    serre = lambda x, y: (br(x - 1) * br(y - 1) - br(2) * br(x) * br(y - 1)
+                          + br(x) * br(y))
+    if tag in _ROW_SUMS:
+        case = _ROW_SUMS[tag]
+        if case.summed is None:
+            D, A, B, C = (list(a.arrays[name]) for name in _ROWS)
+            rhs = br(case.sigma * (sum(A) + sum(B) - sum(C) - sum(D)) - 1)
+            return _ref_double_sum(fr, D, A, B, C, case.sigma) - rhs
+        [other] = (name for name in _ROWS
+                   if name not in (case.summed, case.cut, case.unused))
+        cut = row_range(_row_numbers(case, ident.size)[case.cut])
+        others = list(a.arrays[other]) + [
+            v for i, v in zip(cut, a.arrays[case.cut])
+            if i not in a.excluded["labels"]]
+        return _ref_single_sum(fr, list(a.arrays[case.summed]), others,
+                               case.sigma)
+    if tag == "A26":
+        return _ref_single_sum(fr, list(a.arrays["a"]),
+                               list(a.arrays["b"]) + list(a.arrays["c"]), +1)
+    if tag == "A21":
+        q = qv.q
+        D, A, B, C = (list(a.arrays[x]) for x in "DABC")
+        total = _ref_double_sum(lambda v, x, off: x - q ** (2 * off) * v,
+                                D, A, B, C, +1,
+                                lambda s, x, y: q ** (1 - 2 * s) / (x * y))
+        return total - (q - 1 / q) * (1 - q * q * prod(D + C) / prod(A + B))
+    if tag == "I27":
+        return br(s["a"] - 1) - br(2) * br(s["a"]) + br(s["a"] + 1)
+    if tag == "I26":
+        x, y = s["a"], s["b"]
+        return serre(x, y) / br(x - y + 1) + serre(y, x) / br(x - y - 1)
+    if tag == "I25":
+        sa, sb, sc, sd, se = (s[x] for x in "abcde")
+        q1 = (br(sa - sd) * br(sc - se - 1) / (br(sd - se - 1) * br(sc - sa - 1))
+              + br(sc - sd - 1) * br(sa - se) / (br(sd - se + 1) * br(sc - sa - 1)))
+        q2 = (br(sa - se - 1) * br(sc - sd) / (br(sd - se - 1) * br(sc - sa + 1))
+              + br(sa - sd - 1) * br(sc - se) / (br(sd - se + 1) * br(sc - sa + 1)))
+        return serre(sa - sb, sc - sb) * q1 + q2 * serre(sc - sb, sa - sb)
+    sa, sb, sc, sd = (s[x] for x in "abcd")
+    if tag == "A46L":
+        return (br(sa - sb) * br(sc - sd - 1) / br(sc - sb - 1)
+                + br(sa - sc + 1) * br(sb - sd) / br(sb - sc + 1) - br(sa - sd))
+    assert tag == "A46R"
+    return (-br(sa - sb + 1) * br(sc - sd) / br(sc - sb + 1)
+            - br(sa - sc) * br(sb - sd - 1) / br(sb - sc - 1) + br(sa - sd))
+
+
+class TestCorpusOracle:
+    """Every corpus entry's evaluation equals the Fraction oracle, or both
+    find a pole, on raw draws (rejected ones included) at seeds 1-3: at the
+    draw's own q, at q = -2/3 and classically (not A21, which needs a
+    rational q).  TestIntegerKernels and TestPairSums compare the kernels
+    with the same Fraction sums where their values are not 0."""
+
+    QS = (QValue.quantum(Fraction(-2, 3)), QValue.classical())
+
+    @staticmethod
+    def _outcome(fn, ident, a):
+        try:
+            return fn(ident, a)
+        except (PoleError, ZeroDivisionError):
+            return "pole"
+
+    @pytest.mark.parametrize("ident", CORPUS,
+                             ids=[f"{i.tag}-{i.size}" for i in CORPUS])
+    def test_evaluation_equals_oracle(self, ident):
+        qs, outcomes = set(), set()
+        for seed in (1, 2, 3):
+            rng = random.Random(seed)
+            for _ in range(20):
+                a = _sample_raw(ident, rng)
+                for qv in (a.qv, *self.QS):
+                    if qv.is_classical and ident.tag == "A21":
+                        continue
+                    qs.add(qv)
+                    b = Assignment(qv, a.scalars, a.arrays, a.excluded)
+                    got = self._outcome(evaluate_identity, ident, b)
+                    assert got == self._outcome(_oracle, ident, b), (
+                        seed, qv, b.scalars, b.arrays, b.excluded)
+                    outcomes.add(got)
+        assert qs >= {qv for qv, _ in _Q_POOL} | set(self.QS) - (
+            {QValue.classical()} if ident.tag == "A21" else set())
+        # poles and values both compared (I27 has no denominator)
+        assert outcomes == ({0} if ident.tag == "I27" else {0, "pole"})
 
 
 class TestCartanDiagonals:

@@ -86,6 +86,23 @@ class TestQBracket:
             assert qbracket(x, qv) == Fraction(n, d)
         assert _bracket_pairs(qv) is table
 
+    @pytest.mark.parametrize("q", [Fraction(3, 2), Fraction(2), Fraction(5, 3),
+                                   Fraction(7, 4), Fraction(2, 3), Fraction(-2, 3)],
+                             ids=str)
+    def test_bracket_denominator_is_a_power_of_uv(self, q):
+        """At q = u/v in lowest terms the reduced denominator of [n] is
+        |uv|^(|n| - 1), 1 at n = 0: the numerator, the sum of
+        u^(2i) v^(2(|n| - 1 - i)), is prime to u and to v.  The identity
+        kernels read each bracket as its numerator and this exponent."""
+        table = _bracket_pairs(QValue.quantum(q))
+        uv = abs(q.numerator * q.denominator)
+        for n in range(-40, 41):
+            assert table[n][1] == uv ** max(abs(n) - 1, 0), n
+
+    def test_classical_bracket_denominator_is_one(self):
+        table = _bracket_pairs(CL)
+        assert all(table[n][1] == 1 for n in range(-40, 41))
+
 
 class TestRadicalOf:
     def test_zero(self):
