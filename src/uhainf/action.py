@@ -16,9 +16,11 @@ pattern's.  One kernel (_Ladder) serves every index.  For index -1 the lower row
 pair is the empty row 0, so only the bottom entry moves and every factor
 read from row 0 or the row below it is an empty product.  The kernel
 multiplies each bracket as its pair of ints, read from q's one bracket
-table (qnum._bracket_pairs, which the identity corpus shares), so every
-E/F coefficient comes out as one monomial (n/d)·sqrt(k), k squarefree,
-given as the ints (k, n, d).
+table (qnum._bracket_pairs, which the identity corpus shares), and
+combines the brackets' square classes, read from the same table's
+kernels, so every E/F coefficient comes out as one monomial
+(n/d)·sqrt(k), k squarefree, given as the ints (k, n, d), and no product
+is ever factored.
 Diagonal generators multiply the pattern by an exact rational eigenvalue,
 the monomial with k = 1.  The relations' word sum and the matrix export
 read these ints directly (the export renders them through qnum._rendered).
@@ -33,11 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, isqrt
 from typing import Optional
 
-from .qnum import (QValue, RadicalSum, _bracket_pairs, _rendered,
-                   _square_decompose)
+from .qnum import QValue, RadicalSum, _bracket_pairs, _rendered
 from .patterns import (
     CPattern,
     ModuleParams,
@@ -257,15 +258,23 @@ def _each_moved(row: tuple[int, ...], slots: range, delta: int):
         yield i, row[:t] + (row[t] + delta,) + row[t + 1:] if row else row
 
 
-def _products(args: list[int], pairs: dict) -> tuple[int, int]:
-    """(product of numerators, product of denominators) of the brackets of
-    args, read from pairs, the bracket table of q (qnum._bracket_pairs)."""
+def _products(args: list[int], pairs: dict, k: int = 1) -> tuple[int, int, int]:
+    """(product of numerators, product of denominators, square class) of
+    the brackets of args, read from pairs, the bracket table of q
+    (qnum._bracket_pairs), and its kernels.  The square class is the
+    squarefree kernel of k times |n|·d of each bracket, combined without
+    factoring: sqrt(k)·sqrt(kx) = h·sqrt((k/h)·(kx/h)) with h = gcd(k, kx).
+    """
+    kernels = pairs.kernels
     n = d = 1
     for x in args:
         xn, xd = pairs[x]
         n *= xn
         d *= xd
-    return n, d
+        kx = kernels[x]
+        h = gcd(k, kx)
+        k = (k // h) * (kx // h)
+    return n, d, k
 
 
 @cache
@@ -290,9 +299,12 @@ def _ladder_window(
     pair that passes both).  For index -1, row_a is the empty row 0, which
     interlaces under any row, moves nothing and is returned as ().  The
     brackets of each candidate's arguments (_Ladder.arguments), read from
-    q's bracket table, are multiplied as int pairs into a/b over c/d;
-    |a·d| / |b·c| is reduced by one gcd to N/D, and N·D = s²·k gives the
-    coefficient ±(s/D)·sqrt(k), so no Fraction is built.
+    q's bracket table, are multiplied as int pairs into a/b over c/d, and
+    their kernels, from the same table, are combined into the squarefree
+    kernel k of |a|·b·|c|·d.  |a·d| / |b·c| is reduced by one gcd to N/D;
+    N·D differs from that product by a square, so N·D = s²·k with
+    s = isqrt(N·D // k), and the coefficient is ±(s/D)·sqrt(k).  No
+    product is factored and no Fraction is built.
 
     The window holds every row these steps read, and no pattern, so every
     pattern with the same four rows shares one entry.  _CASES and sign_s
@@ -315,17 +327,17 @@ def _ladder_window(
                 continue
             num_args, den_args = lad.arguments(j, l)
             # num/den = (a/b) / (c/d) = (a*d) / (b*c); b and d are positive
-            a, b = _products(num_args, pairs)
+            a, b, k = _products(num_args, pairs)
             if not a:
                 continue
-            c, d = _products(den_args, pairs)
+            c, d, k = _products(den_args, pairs, k)
             if not c:
                 out.append((j, l, ra_j, rb_l, 0, 0, 0))
                 return tuple(out)
             num, den = abs(a * d), abs(b * c)
             g = gcd(num, den)
             num, den = num // g, den // g
-            s, k = _square_decompose(num * den)
+            s = isqrt(num * den // k)
             g = gcd(s, den)
             out.append((j, l, ra_j, rb_l, k, -sign_s(j, l, lad.nu) * (s // g),
                         den // g))
@@ -426,15 +438,16 @@ def _eigenvalue(d: GeneratorLabel, p: CPattern,
 
 # The memos, captured at import, so that a name rebound later (a test patch,
 # a tracing wrapper) can neither hide one nor make clear_caches() raise.
-_MEMOS = (_bracket_pairs, _square_decompose, _rendered,
+_MEMOS = (_bracket_pairs, _rendered,
           module_params, Signature.row, enumerate_basis, _fillings,
           basis_rank, _canonical, label, _ladder_window, monomial_image)
 
 
 def clear_caches() -> None:
-    """Empty every memo, 12 in all: the bracket tables (_bracket_pairs, one
-    per q, which qbracket and both kernels read), _square_decompose, the
-    rendered coefficient strings and decimals of the matrix export
+    """Empty every memo, 11 in all: the bracket tables (_bracket_pairs, one
+    per q, which qbracket and both kernels read, each with the square
+    classes that only the ladder kernel reads), the rendered coefficient
+    strings and decimals of the matrix export
     (_rendered, keyed on the ints (k, n, d)), module_params, Signature.row,
     enumerate_basis, _fillings, basis_rank, the canonical patterns, labels,
     the ladder windows, and monomial_image, the one memo of g·p

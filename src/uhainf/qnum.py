@@ -86,12 +86,14 @@ class _BracketPairs(dict):
     """{x: the q-bracket [x] as its (numerator, denominator) pair of ints}
     for one q, the form the ladder and identity kernels multiply.  A
     missing x is computed once, on first read, so a hit is a plain dict
-    lookup that hashes no QValue."""
+    lookup that hashes no QValue.  ``kernels`` holds the square classes of
+    the same brackets; only the ladder kernel reads it."""
 
-    __slots__ = ("qv",)
+    __slots__ = ("qv", "kernels")
 
     def __init__(self, qv: QValue):
         self.qv = qv
+        self.kernels = _BracketKernels(qv)
 
     def __missing__(self, x: int) -> tuple[int, int]:
         qv = self.qv
@@ -103,6 +105,59 @@ class _BracketPairs(dict):
             b = (q ** (2 * x) - 1) / (q ** (x - 1) * (q * q - 1))
         pair = self[x] = b.numerator, b.denominator
         return pair
+
+
+class _BracketKernels(dict):
+    """{x: the squarefree kernel of |n|·d, where n/d is the reduced pair of
+    [x]}: the square class of the bracket, so sqrt|[x]| = (s/d)·sqrt(k)
+    with |n|·d = s²·k.  [0] = 0 = 0²·1 has kernel 1, and classically the
+    kernel of [x] is that of |x|.
+
+    At q = u/w in lowest terms, [x] = ±N/D with D = |uw|^(|x|-1) and
+    N = (u^(2|x|) - w^(2|x|)) / (u² - w²), the product of the homogeneous
+    cyclotomic values Φ_e(u, w) over the divisors e >= 3 of 2|x|
+    (_cyclotomic_values), each positive and prime to uw.  So the kernel is
+    found piece by piece, on ints of degree φ(e) rather than on N, and
+    combined without factoring: sqrt(k1)·sqrt(k2) = h·sqrt(k1·k2/h²) with
+    h = gcd(k1, k2).  D adds the kernel of |uw| when |x| is even.  A
+    missing x is computed once, on first read."""
+
+    __slots__ = ("qv",)
+
+    def __init__(self, qv: QValue):
+        self.qv = qv
+
+    def __missing__(self, x: int) -> int:
+        m = abs(x)
+        if not m:
+            k = 1
+        elif self.qv.is_classical:
+            k = _square_decompose(m)[1]
+        else:
+            u, w = self.qv.q.numerator, self.qv.q.denominator
+            k = 1 if m % 2 else _square_decompose(abs(u * w))[1]
+            for e, value in _cyclotomic_values(u, w, 2 * m).items():
+                if e >= 3:
+                    ke = _square_decompose(value)[1]
+                    h = gcd(k, ke)
+                    k = (k // h) * (ke // h)
+        self[x] = k
+        return k
+
+
+def _cyclotomic_values(u: int, w: int, n: int) -> dict[int, int]:
+    """{e: Φ_e(u, w)} for each divisor e of n, ascending: the homogeneous
+    cyclotomic values, u^e - w^e divided by Φ_f(u, w) over the proper
+    divisors f of e.  Each division is exact."""
+    values: dict[int, int] = {}
+    for e in range(1, n + 1):
+        if n % e == 0:
+            v = u ** e - w ** e
+            for f, vf in values.items():
+                if e % f == 0:
+                    v //= vf
+            values[e] = v
+    return values
 
 
 @cache
@@ -120,38 +175,28 @@ def qbracket(x: int, qv: QValue) -> Fraction:
 
 # --- squarefree decomposition -------------------------------------------------
 
-_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
-
-@cache
 def _square_decompose(n: int) -> tuple[int, int]:
-    """Write n > 0 as s^2 * k with k squarefree; returns (s, k) (memoised)."""
+    """Write n > 0 as s^2 * k with k squarefree; returns (s, k).
+
+    Trial division by 2 and the odd numbers up to the cube root of what is
+    left.  The rest has no factor below the last divisor p tried and is
+    below p^3, so it is 1, a prime, a prime square or a product of two
+    distinct primes: exact for every n, and fast for the small values it
+    is given (bracket pieces, and radical_of's radicands)."""
     if n <= 0:
         raise ValueError("positive integer required")
-    s, k, rem = 1, 1, n
-    for p in _SMALL_PRIMES:
-        if p ** 3 > rem:
-            break
-        e = 0
-        while rem % p == 0:
-            rem //= p
-            e += 1
-        s *= p ** (e // 2)
-        if e % 2:
-            k *= p
-    else:
-        if rem >= 53 ** 3:
-            # The small-prime table is not enough; fall back to a full
-            # factorization (sympy handles the occasional large cofactor).
-            from sympy import factorint
-
-            for p, e in factorint(rem).items():
-                s *= int(p) ** (e // 2)
-                if e % 2:
-                    k *= int(p)
-            return s, k
-    # rem < p^3 (p = 53 past the table) has no prime factor below p, so it
-    # is 1, a prime, a prime square or a product of two distinct primes
+    s, k, rem, p = 1, 1, n, 2
+    while p * p * p <= rem:
+        if rem % p == 0:
+            e = 0
+            while rem % p == 0:
+                rem //= p
+                e += 1
+            s *= p ** (e // 2)
+            if e % 2:
+                k *= p
+        p += 1 if p == 2 else 2
     r = isqrt(rem)
     if r * r == rem:
         return s * r, k
@@ -304,7 +349,11 @@ def radical_of(r: RationalLike) -> RadicalSum:
     """Canonical form of sqrt(r) for a nonnegative rational r.
 
     With r = a/b in lowest terms and a*b = k*s^2 (k squarefree), the result
-    is (s/b)*sqrt(k).
+    is (s/b)*sqrt(k): exact for every rational, by trial division of a*b
+    (_square_decompose), so its time grows with the size of a*b.  The
+    boundary suite's closed form calls it on one bracket rather than read
+    the bracket table's kernels, so that it stays independent of the
+    ladder kernel that it checks.
     """
     r = Fraction(r)
     if r < 0:

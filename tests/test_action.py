@@ -337,13 +337,15 @@ class TestMemo:
     def test_clear_caches_empties_all_four_memos(self, params_mid):
         hw = highest_weight_pattern(params_mid.signature)
         apply_word([E(0), F(0), F(-1)], hw, params_mid)
-        qnum.radical_of(12)
         enumerate_basis(params_mid.signature, 3)
-        memos = (qnum._bracket_pairs, qnum._square_decompose,
+        memos = (qnum._bracket_pairs, action._ladder_window,
                  action.monomial_image, enumerate_basis)
         assert all(m.cache_info().currsize > 0 for m in memos)
+        assert qnum._bracket_pairs(params_mid.qv).kernels
         clear_caches()
         assert [m.cache_info().currsize for m in memos] == [0, 0, 0, 0]
+        # the square classes hang off the bracket table, so they go with it
+        assert not qnum._bracket_pairs(params_mid.qv).kernels
 
     def test_clear_caches_empties_the_word_sum_and_module_memos(self, params_mid):
         hw = highest_weight_pattern(params_mid.signature)
@@ -381,17 +383,18 @@ class TestMemo:
 
     @staticmethod
     def _every_memo():
-        """The 12 memos, as the modules bind them before any patch."""
-        memos = (qnum._bracket_pairs, qnum._square_decompose,
-                 qnum._rendered, module_params, Signature.row,
-                 enumerate_basis, patterns._fillings, patterns.basis_rank,
-                 patterns._canonical, action.label, action._ladder_window,
-                 action.monomial_image)
-        assert len(memos) == 12  # the count the clear_caches docstring gives
+        """The 11 memos, as the modules bind them before any patch."""
+        memos = (qnum._bracket_pairs, qnum._rendered, module_params,
+                 Signature.row, enumerate_basis, patterns._fillings,
+                 patterns.basis_rank, patterns._canonical, action.label,
+                 action._ladder_window, action.monomial_image)
+        assert len(memos) == 11  # the count the clear_caches docstring gives
         # apply_generator is a view of monomial_image, and qbracket a view
-        # of the bracket table: neither is a memo
+        # of the bracket table: neither is a memo; nor is the squarefree
+        # decomposition, whose results the bracket table's kernels keep
         assert not hasattr(apply_generator, "cache_info")
         assert not hasattr(qnum.qbracket, "cache_info")
+        assert not hasattr(qnum._square_decompose, "cache_info")
         return memos
 
     @staticmethod
@@ -755,6 +758,11 @@ class TestSplicedTargets:
                             image.terms.items(), solved):
                         assert target is shift(p, _moves(lad, j, l))
                         assert d > 0 and gcd(n, d) == 1
+                        # the square of (n/d)·sqrt(k) is the bracket ratio
+                        num, den = lad.arguments(j, l)
+                        ratio = (prod(qbracket(x, params.qv) for x in num)
+                                 / prod(qbracket(x, params.qv) for x in den))
+                        assert Fraction(n, d) ** 2 * k_ == abs(ratio)
                         [(kernel, r)] = coeff.terms.items()
                         assert (kernel, r) == (k_, Fraction(n, d))
                         assert coeff == RadicalSum({k_: Fraction(n, d)})

@@ -1,21 +1,30 @@
+import ast
+import contextlib
 import decimal
+import io
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import uhainf
+from uhainf import identities
+from uhainf.action import clear_caches
+from uhainf.cli import main
 from uhainf.qnum import (
     InvalidQValueError,
     NegativeRadicandError,
     QValue,
     RadicalSum,
+    _BracketPairs,
     _bracket_pairs,
+    _cyclotomic_values,
     _square_decompose,
     qbracket,
     radical_of,
@@ -24,6 +33,13 @@ from uhainf.qnum import (
 Q2 = QValue.quantum(2)
 Q32 = QValue.quantum(Fraction(3, 2))
 CL = QValue.classical()
+_KERNEL_QS = [Q32, QValue.quantum(Fraction(7, 4)), QValue.quantum(Fraction(2, 3)),
+              QValue.quantum(Fraction(5, 3)), Q2, CL]
+_KERNEL_IDS = ["q3_2", "q7_4", "q2_3", "q5_3", "q2", "classical"]
+_MODULE = ["--signature=-1:1:2,1,0", "--xi0", "2", "--xi1", "0", "--q", "3/2"]
+# the five-entry window module of the CI pins
+_WIDE_MODULE = ["--signature=-2:2:3,3,1,0,-1", "--xi0", "3", "--xi1", "-1",
+                "--q", "7/4"]
 
 
 class TestQBracket:
@@ -145,9 +161,7 @@ def _square_split_oracle(n):
 
 
 class TestSquareDecompose:
-    # the undecorated function: these inputs must not depend on, or fill,
-    # the process-wide memo
-    decompose = staticmethod(_square_decompose.__wrapped__)
+    decompose = staticmethod(_square_decompose)
 
     def test_small_range_matches_factorint(self):
         for n in range(1, 20_001):
@@ -160,10 +174,11 @@ class TestSquareDecompose:
     @pytest.mark.parametrize("n", [13, 97, 2_809, 3_127, 20_467, 148_877, 165_731,
                                    190_747, 1621 * 2657 * 5261])
     def test_cofactors(self, n):
-        # 13 and 97 end the prime loop early; 2809 = 53^2, 3127 = 53*59 and
-        # 20467 = 97*211 survive every prime up to 47 and stop on p^3 > rem;
-        # 53^3, 53^2*59, 53*59*61 and 1621*2657*5261 need the full
-        # factorization
+        # 13 and 97 are left whole, primes, once p^3 > rem; so are
+        # 2809 = 53^2, 3127 = 53*59 and 20467 = 97*211, the square and the
+        # two products of two primes; 53^3, 53^2*59, 53*59*61 and
+        # 1621*2657*5261 have a prime factor below their cube root, which
+        # the trial division reaches
         assert self.decompose(n) == _square_split_oracle(n)
 
     def test_nonpositive_rejected(self):
@@ -171,8 +186,60 @@ class TestSquareDecompose:
             self.decompose(0)
 
 
-# The relation runs of the benchmark's relations workload; none of their
-# radicands has a composite cofactor without a prime factor up to 47.
+class TestBracketKernels:
+    """The bracket table's kernels: the square class of each [x], found
+    from its cyclotomic pieces, never from the product."""
+
+    @pytest.mark.parametrize("qv", _KERNEL_QS, ids=_KERNEL_IDS)
+    def test_kernels_are_the_square_classes(self, qv):
+        """kernels[x] is the squarefree kernel of |n|·d, [x] = n/d, by
+        sympy's factorization of the whole product, for x in -30..30;
+        [0] = 0 = 0²·1 has kernel 1."""
+        pytest.importorskip("sympy")
+        table = _BracketPairs(qv)  # a fresh table: no process-wide memo
+        assert not table.kernels
+        for x in range(-30, 31):
+            n, d = table[x]
+            want = _square_split_oracle(abs(n) * d)[1] if n else 1
+            assert table.kernels[x] == want, x
+
+    @pytest.mark.parametrize("q", [Fraction(3, 2), Fraction(7, 4), Fraction(2, 3),
+                                   Fraction(5, 3), Fraction(2), Fraction(-2, 3)],
+                             ids=str)
+    def test_cyclotomic_pieces_multiply_to_the_numerator(self, q):
+        """At q = u/w, _cyclotomic_values(u, w, 2m) holds w^φ(e)·Φ_e(u/w)
+        for each divisor e of 2m, by sympy's cyclotomic polynomials; the
+        pieces e >= 3 are positive, prime to uw, and multiply to the
+        numerator of [±m]."""
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        u, w = q.numerator, q.denominator
+        table = _BracketPairs(QValue.quantum(q))
+        for m in range(1, 31):
+            values = _cyclotomic_values(u, w, 2 * m)
+            assert list(values) == [e for e in range(1, 2 * m + 1)
+                                    if 2 * m % e == 0]
+            for e, value in values.items():
+                poly = sympy.Poly(sympy.cyclotomic_poly(e, t), t)
+                want = w ** poly.degree() * poly.eval(sympy.Rational(u, w))
+                assert value == want, (m, e)
+            pieces = [v for e, v in values.items() if e >= 3]
+            assert all(v > 0 and gcd(v, u * w) == 1 for v in pieces), m
+            assert prod(pieces) == abs(table[m][0]) == abs(table[-m][0]), m
+
+    def test_identity_pass_leaves_kernels_empty(self):
+        """The identity corpus reads the bracket tables but never the
+        kernels, so it does not pay for them."""
+        clear_caches()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["check", *_MODULE, "--suite", "identities",
+                         "--trials", "60", "--seed", "1"]) == 0
+        tables = [_bracket_pairs(qv) for qv, _ in identities._Q_POOL]
+        assert all(tables)
+        assert not any(table.kernels for table in tables)
+
+
+# The relation runs of the benchmark's relations workload.
 _RELATION_RUNS = [
     (["--suite", "cartan", "--level", "5", "--window", "2"], 0),
     (["--suite", "serre", "--level", "4", "--window", "4"], 0),
@@ -186,22 +253,20 @@ _RELATION_RUNS = [
 _NO_SYMPY_SCRIPT = """
 import contextlib, io, sys
 from uhainf.cli import main
-module = ["--signature=-1:1:2,1,0", "--xi0", "2", "--xi1", "0", "--q", "3/2"]
 for extra, code in {runs!r}:
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main([{command!r}, *module, *extra]) == code, extra
+        assert main([{command!r}, *{module!r}, *extra]) == code, extra
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "sympy")
 assert not loaded, loaded
 """
 
 
-def _assert_runs_never_import_sympy(command, runs):
+def _assert_runs_never_import_sympy(command, runs, module=_MODULE):
     src = os.path.dirname(os.path.dirname(os.path.abspath(uhainf.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-c", _NO_SYMPY_SCRIPT.format(command=command, runs=runs)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    script = _NO_SYMPY_SCRIPT.format(command=command, runs=runs, module=module)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -209,8 +274,7 @@ def test_relation_runs_never_import_sympy():
     _assert_runs_never_import_sympy("check", _RELATION_RUNS)
 
 
-# The matrix exports of the benchmark's export workload: every cofactor left
-# after the small primes is below 53^3, so none needs sympy either.
+# The matrix exports of the benchmark's export workload.
 _EXPORT_RUNS = [
     (["--level", "7", "--generator", g], 0)
     for g in ("E:0", "F:0", "E:1", "F:1", "E:-1", "F:-1", "E:-2", "F:-2", "H:0", "C")
@@ -219,6 +283,43 @@ _EXPORT_RUNS = [
 
 def test_export_runs_never_import_sympy():
     _assert_runs_never_import_sympy("matrix", _EXPORT_RUNS)
+
+
+# Runs whose ladder coefficients have large radicands: a Cartan run at
+# level 8 and every suite on the five-entry window module at q = 7/4.
+def test_large_radicand_runs_never_import_sympy():
+    _assert_runs_never_import_sympy(
+        "check", [(["--suite", "cartan", "--level", "8", "--window", "3"], 0)])
+    _assert_runs_never_import_sympy(
+        "check", [(["--suite", "all", "--level", "4", "--window", "3",
+                    "--trials", "20"], 0)], _WIDE_MODULE)
+
+
+def _imports_sympy(node) -> bool:
+    """Whether an ast node imports sympy: an import statement, or a call
+    such as __import__ or importlib.import_module on a literal name."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    elif isinstance(node, ast.Call):
+        names = [a.value for a in node.args
+                 if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+    else:
+        return False
+    return any(name.split(".")[0] == "sympy" for name in names)
+
+
+def test_no_source_file_imports_sympy():
+    """sympy is the tests' oracle only: no module of the package imports
+    it, at the top or inside a function."""
+    package = Path(uhainf.__file__).parent
+    files = sorted(package.rglob("*.py"))
+    assert len(files) >= 8
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found = [node.lineno for node in ast.walk(tree) if _imports_sympy(node)]
+        assert not found, (path.name, found)
 
 
 def _rand_radsum(rng):

@@ -22,9 +22,10 @@ and of the image memo ``action.monomial_image`` (``monomial_image``: one
 miss per distinct generator and pattern) is read, not wrapped, as hits,
 misses and size.
 The sizes run one after another, never in parallel.  The largest, level 9
-/ window 3 (V_9 = 8,820 patterns), takes about 15 seconds for its three
-passes (cold about 5.5 s, warm about 3.5 s) and peaks at about 132 MiB
-(Python 3.11.7, a 2-vCPU VM).
+/ window 3 (V_9 = 8,820 patterns), takes about 12 seconds for its three
+passes (cold about 4.0 to 4.5 s, warm about 2.7 to 3.0 s) and peaks at
+about 99 MiB; level 8 / window 3 peaks at about 45 MiB (Python 3.11.7, a
+2-vCPU VM).
 
 Prints one JSON document with the git SHA and the Python version.  A
 checkout without git history reports ``"git_sha": null``.
