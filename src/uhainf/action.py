@@ -32,13 +32,12 @@ restrictedness and boundary suites read it for their witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
 from typing import Optional
 
-from .qnum import QValue, RadicalSum, _bracket_pairs, _rendered
+from .qnum import QValue, RadicalSum, _bracket_pairs, _immutable, _rendered
 from .patterns import (
     CPattern,
     ModuleParams,
@@ -71,30 +70,39 @@ class ZeroDenominatorError(ArithmeticError):
     """A coefficient denominator vanished on a valid target: a bug signal."""
 
 
-@dataclass(frozen=True)
 class GeneratorLabel:
     """One of the generators: E/F carry an integer index, H too; C has none."""
 
-    kind: str  # "E" | "F" | "H" | "C"
-    index: Optional[int] = None
-    # hashed on every action-cache lookup
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "index", "_hash")  # kind: "E" | "F" | "H" | "C"
 
-    def __post_init__(self):
-        if self.kind not in ("E", "F", "H", "C"):
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.kind == "C":
-            if self.index is not None:
+    def __init__(self, kind: str, index: Optional[int] = None):
+        if kind not in ("E", "F", "H", "C"):
+            raise ValueError(f"unknown generator kind {kind!r}")
+        if kind == "C":
+            if index is not None:
                 raise ValueError("C carries no index")
-        elif self.index is None:
-            raise ValueError(f"{self.kind} requires an index")
-        # hash(-1) == hash(-2), so (kind, index) would make E_-1 and E_-2
-        # collide in every memo and compare fields; 2·index is never -1
-        index = None if self.index is None else 2 * self.index
-        object.__setattr__(self, "_hash", hash((self.kind, index)))
+        elif index is None:
+            raise ValueError(f"{kind} requires an index")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
+        # hashed on every action-cache lookup.  hash(-1) == hash(-2), so
+        # (kind, index) would make E_-1 and E_-2 collide in every memo and
+        # compare fields; 2·index is never -1
+        object.__setattr__(self, "_hash", hash(
+            (kind, None if index is None else 2 * index)))
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if not isinstance(other, GeneratorLabel):
+            return NotImplemented
+        return self.kind == other.kind and self.index == other.index
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"GeneratorLabel(kind={self.kind!r}, index={self.index!r})"
 
     def __str__(self) -> str:
         return self.kind if self.kind == "C" else f"{self.kind}_{self.index}"
@@ -201,8 +209,12 @@ def _window_rows(index: int) -> range:
 
 
 def _window(p: CPattern, index: int) -> tuple[tuple[int, ...], ...]:
-    """p's rows in _window_rows(index), the key of the ladder kernel."""
-    return tuple(map(p.row, _window_rows(index)))
+    """p's rows in _window_rows(index), the key of the ladder kernel: a
+    slice of the stored rows when the window lies inside them."""
+    rows = _window_rows(index)
+    if rows.start >= 1 and rows.stop <= len(p.rows) + 1:
+        return p.rows[rows.start - 1:rows.stop - 1]
+    return tuple(map(p.row, rows))
 
 
 def _l_row(row: tuple[int, ...]) -> dict[int, int]:

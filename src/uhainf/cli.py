@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -31,20 +30,39 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
 class RunConfig:
-    """One reproducible run: module parameters plus suite knobs."""
+    """One reproducible run: module parameters plus suite knobs.  A q of
+    None means classical mode."""
 
-    signature: Signature
-    xi0: Fraction = Fraction(0)
-    xi1: Fraction = Fraction(0)
-    q: Optional[Fraction] = Fraction(3, 2)  # None means classical mode
-    mode: str = "a_infinity"
-    level: int = 3
-    window: int = 4
-    trials: int = 100
-    seed: int = 42
-    out: Optional[str] = None
+    __slots__ = ("signature", "xi0", "xi1", "q", "mode", "level", "window",
+                 "trials", "seed", "out")
+    __hash__ = None
+
+    def __init__(self, signature: Signature, xi0: Fraction = Fraction(0),
+                 xi1: Fraction = Fraction(0),
+                 q: Optional[Fraction] = Fraction(3, 2), mode: str = "a_infinity",
+                 level: int = 3, window: int = 4, trials: int = 100,
+                 seed: int = 42, out: Optional[str] = None):
+        self.signature = signature
+        self.xi0 = xi0
+        self.xi1 = xi1
+        self.q = q
+        self.mode = mode
+        self.level = level
+        self.window = window
+        self.trials = trials
+        self.seed = seed
+        self.out = out
+
+    def __eq__(self, other):
+        if not isinstance(other, RunConfig):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        return "RunConfig({})".format(", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__))
 
     @property
     def qv(self) -> QValue:
@@ -143,7 +161,7 @@ def _path(value) -> str:
 
 
 # How RunConfig.build reads each field of the merged config; a field the
-# config leaves out takes its dataclass default, and any other key than
+# config leaves out takes its RunConfig default, and any other key than
 # these and "signature" is a usage error.
 _FIELD_PARSERS = {
     "q": _q, "xi0": _rational, "xi1": _rational, "mode": _mode,
@@ -192,7 +210,7 @@ def cmd_matrix(cfg: RunConfig, generator: str) -> int:
     interned module's signature, not cfg.signature: each command parses a
     new Signature, but ``params.signature`` is the one the first command
     of the process built, so a basis_rank entry made by an earlier command
-    is found by identity rather than by comparing dataclass fields."""
+    is found by identity rather than by comparing Signature fields."""
     g = _parse_generator(generator)
     params = cfg.params
     sig = params.signature

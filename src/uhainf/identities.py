@@ -68,11 +68,10 @@ from __future__ import annotations
 
 import random
 from math import lcm, prod
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .qnum import QValue, _bracket_pairs
+from .qnum import QValue, _bracket_pairs, _immutable
 from .patterns import row_range
 from .report import CheckReport
 
@@ -102,21 +101,32 @@ class PoleError(ArithmeticError):
     """An assignment hit a vanishing denominator; it is not generic."""
 
 
-@dataclass(frozen=True)
 class IdentityId:
-    tag: str
-    size: Optional[int] = None
+    __slots__ = ("tag", "size")
 
-    def __post_init__(self):
-        if self.tag not in IDENTITY_TAGS:
-            raise ValueError(f"unknown identity tag {self.tag!r}")
-        if self.tag in _SIZED:
-            if self.size is None or self.size < _SIZED[self.tag]:
-                raise ValueError(
-                    f"{self.tag} requires size >= {_SIZED[self.tag]}"
-                )
-        elif self.size is not None:
-            raise ValueError(f"{self.tag} takes no size parameter")
+    def __init__(self, tag: str, size: Optional[int] = None):
+        if tag not in IDENTITY_TAGS:
+            raise ValueError(f"unknown identity tag {tag!r}")
+        if tag in _SIZED:
+            if size is None or size < _SIZED[tag]:
+                raise ValueError(f"{tag} requires size >= {_SIZED[tag]}")
+        elif size is not None:
+            raise ValueError(f"{tag} takes no size parameter")
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "size", size)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if not isinstance(other, IdentityId):
+            return NotImplemented
+        return self.tag == other.tag and self.size == other.size
+
+    def __hash__(self) -> int:
+        return hash((self.tag, self.size))
+
+    def __repr__(self) -> str:
+        return f"IdentityId(tag={self.tag!r}, size={self.size!r})"
 
 
 # the corpus the identities suite fuzzes, in report order
@@ -128,20 +138,35 @@ CORPUS = (
 )
 
 
-@dataclass
 class Assignment:
     """Concrete values for an identity's slots.
 
     scalars: named integers (a, b, c, d, e).  arrays: named integer rows
     (the L-rows of the sum identities) or nonzero rationals (the
     multiplicative variables of the product-form identities).
-    excluded: identity-specific removed labels.
+    excluded: identity-specific removed labels.  Each dict left out is a
+    new empty one.
     """
 
-    qv: QValue
-    scalars: dict = field(default_factory=dict)
-    arrays: dict = field(default_factory=dict)
-    excluded: dict = field(default_factory=dict)
+    __slots__ = ("qv", "scalars", "arrays", "excluded")
+    __hash__ = None
+
+    def __init__(self, qv: QValue, scalars: Optional[dict] = None,
+                 arrays: Optional[dict] = None, excluded: Optional[dict] = None):
+        self.qv = qv
+        self.scalars = {} if scalars is None else scalars
+        self.arrays = {} if arrays is None else arrays
+        self.excluded = {} if excluded is None else excluded
+
+    def __eq__(self, other):
+        if not isinstance(other, Assignment):
+            return NotImplemented
+        return ((self.qv, self.scalars, self.arrays, self.excluded)
+                == (other.qv, other.scalars, other.arrays, other.excluded))
+
+    def __repr__(self) -> str:
+        return (f"Assignment(qv={self.qv!r}, scalars={self.scalars!r}, "
+                f"arrays={self.arrays!r}, excluded={self.excluded!r})")
 
 
 # --- row sums ------------------------------------------------------------
@@ -354,20 +379,20 @@ def _double_sum(f, g: int, D: list, A: list, B: list, C: list, sigma: int,
 
 
 def _eval_row_sum(a: Assignment, tag: str, k: int) -> Fraction:
-    """The summed rows are tested for poles before the other rows are read,
-    so a rejected draw costs no more than that test."""
+    """The summed rows are tested for poles before the other rows are read
+    and the bracket factor is built, so a rejected draw costs no more than
+    that test."""
     case = _ROW_SUMS[tag]
     p = _row_numbers(case, k)
 
     def row(name):
         return _as_row(p[name], a.arrays[name])
 
-    f, g = _brackets(a.qv)
     if case.summed is None:
         A, B = row("row_a"), row("row_b")
         _reject_poles((A, B), tag)
         D, C = row("row_below"), row("row_above")
-        n, d = _double_sum(f, g, D, A, B, C, case.sigma, tag)
+        n, d = _double_sum(*_brackets(a.qv), D, A, B, C, case.sigma, tag)
         rn, rd = _bracket_pairs(a.qv)[
             case.sigma * (sum(A) + sum(B) - sum(C) - sum(D)) - 1]
         return Fraction(n * rd - rn * d, d * rd)
@@ -378,7 +403,8 @@ def _eval_row_sum(a: Assignment, tag: str, k: int) -> Fraction:
     labels = a.excluded["labels"]
     others = row(other) + [v for i, v in zip(row_range(p[case.cut]), row(case.cut))
                            if i not in labels]
-    return Fraction(*_single_sum(f, g, summed, others, case.sigma, tag))
+    return Fraction(*_single_sum(*_brackets(a.qv), summed, others, case.sigma,
+                                 tag))
 
 
 def _eval_a26(a: Assignment, n: int) -> Fraction:
@@ -552,8 +578,8 @@ def evaluate_identity(ident: IdentityId, a: Assignment) -> Fraction:
 # randint's
 _RANGE = (-12, 13)
 # QValue objects, not rationals: every draw reuses one of these, so the
-# bracket-table lookup finds the key by identity and never runs the
-# dataclass __eq__.  Each comes with A21's variables q^(2e) for e in
+# bracket-table lookup finds the key by identity and never runs
+# QValue.__eq__.  Each comes with A21's variables q^(2e) for e in
 # _RANGE, built once.
 _Q_POOL = tuple((qv, tuple(qv.q ** (2 * e) for e in range(*_RANGE)))
                 for qv in map(QValue.quantum, (Fraction(3, 2), 2, Fraction(5, 3),

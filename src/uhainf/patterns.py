@@ -16,12 +16,11 @@ formulas need them: the ladder coefficients, sign_s and shift.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Optional, Sequence
 
-from .qnum import QValue
+from .qnum import QValue, _immutable
 
 __all__ = [
     "Signature",
@@ -69,36 +68,45 @@ def _integer(value) -> int:
     return value
 
 
-@dataclass(frozen=True)
 class Signature:
     """Nonincreasing boundary sequence with constant tails outside [m, n].
 
     values[j] is M_{m+j}; M_i = M_m for i < m and M_i = M_n for i > n.
     """
 
-    m: int
-    n: int
-    values: tuple[int, ...]
-    # hashed on every pattern build and every enumerate_basis lookup
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("m", "n", "values", "_hash")
 
-    def __post_init__(self):
-        _integer(self.m)
-        _integer(self.n)
-        object.__setattr__(self, "values", tuple(map(_integer, self.values)))
-        if self.m > self.n:
+    def __init__(self, m: int, n: int, values: tuple[int, ...]):
+        _integer(m)
+        _integer(n)
+        values = tuple(map(_integer, values))
+        if m > n:
             raise ValueError("window requires m <= n")
-        if len(self.values) != self.n - self.m + 1:
+        if len(values) != n - m + 1:
             raise ValueError(
-                f"expected {self.n - self.m + 1} values for window "
-                f"[{self.m}, {self.n}], got {len(self.values)}"
+                f"expected {n - m + 1} values for window "
+                f"[{m}, {n}], got {len(values)}"
             )
-        if any(a < b for a, b in zip(self.values, self.values[1:])):
+        if any(a < b for a, b in zip(values, values[1:])):
             raise ValueError("signature values must be nonincreasing")
-        object.__setattr__(self, "_hash", hash((self.m, self.n, self.values)))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "values", values)
+        # hashed on every pattern build and every enumerate_basis lookup
+        object.__setattr__(self, "_hash", hash((m, n, values)))
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if not isinstance(other, Signature):
+            return NotImplemented
+        return (self.m, self.n, self.values) == (other.m, other.n, other.values)
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"Signature(m={self.m!r}, n={self.n!r}, values={self.values!r})"
 
     def value(self, i: int) -> int:
         if i < self.m:
@@ -124,38 +132,49 @@ class Signature:
 MODES = ("a_infinity", "A_infinity")
 
 
-@dataclass(frozen=True)
 class ModuleParams:
     """Module labels: signature, the two scalar labels, and the q setting."""
 
-    signature: Signature
-    xi0: Fraction
-    xi1: Fraction
-    qv: QValue
-    mode: str = "a_infinity"  # "a_infinity" | "A_infinity"
-    # every action-cache lookup hashes the params; the Fractions are slow to hash
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("signature", "xi0", "xi1", "qv", "mode", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "xi0", Fraction(self.xi0))
-        object.__setattr__(self, "xi1", Fraction(self.xi1))
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+    def __init__(self, signature: Signature, xi0: Fraction, xi1: Fraction,
+                 qv: QValue, mode: str = "a_infinity"):
+        xi0, xi1 = Fraction(xi0), Fraction(xi1)
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
         # for q < 0 brackets change sign with parity, and the coefficients,
         # square roots of bracket ratios, no longer satisfy the relations
-        if self.qv.q is not None and self.qv.q < 0:
-            raise ValueError(f"q must be positive for a module (got {self.qv.q})")
-        if self.mode == "A_infinity":
-            sig = self.signature
-            if self.xi0 != sig.value(sig.m) or self.xi1 != sig.value(sig.n):
+        if qv.q is not None and qv.q < 0:
+            raise ValueError(f"q must be positive for a module (got {qv.q})")
+        if mode == "A_infinity":
+            if (xi0 != signature.value(signature.m)
+                    or xi1 != signature.value(signature.n)):
                 raise ValueError(
                     "A_infinity mode requires xi0 = M_m and xi1 = M_n"
                 )
-        object.__setattr__(self, "_hash", hash(
-            (self.signature, self.xi0, self.xi1, self.qv, self.mode)))
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "xi0", xi0)
+        object.__setattr__(self, "xi1", xi1)
+        object.__setattr__(self, "qv", qv)
+        object.__setattr__(self, "mode", mode)
+        # every action-cache lookup hashes the params; the Fractions are
+        # slow to hash
+        object.__setattr__(self, "_hash", hash((signature, xi0, xi1, qv, mode)))
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if not isinstance(other, ModuleParams):
+            return NotImplemented
+        return ((self.signature, self.xi0, self.xi1, self.qv, self.mode)
+                == (other.signature, other.xi0, other.xi1, other.qv, other.mode))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return (f"ModuleParams(signature={self.signature!r}, xi0={self.xi0!r}, "
+                f"xi1={self.xi1!r}, qv={self.qv!r}, mode={self.mode!r})")
 
 
 @cache
@@ -166,7 +185,7 @@ def module_params(signature: Signature, xi0: Fraction, xi1: Fraction,
 
     The memo keyed on a module (action.monomial_image) then finds an entry
     made by an earlier command by identity, without comparing the
-    dataclass fields; qnum._bracket_pairs does the same with the shared
+    fields; qnum._bracket_pairs does the same with the shared
     ``qv``.
     """
     return ModuleParams(signature, xi0, xi1, qv, mode)
@@ -208,8 +227,7 @@ class CPattern:
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "_hash", hash((sig, self.rows)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CPattern is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     @property
     def N(self) -> int:

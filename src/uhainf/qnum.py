@@ -11,10 +11,10 @@ every verification verdict in this package decidable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
+from itertools import chain, count
 from math import gcd, isqrt
 from typing import Iterable, Mapping, Optional, Union
 
@@ -38,7 +38,12 @@ class NegativeRadicandError(ValueError):
     """Raised when a square root of a negative rational is requested."""
 
 
-@dataclass(frozen=True)
+def _immutable(self, *args):
+    """__setattr__ and __delattr__ of the frozen value classes: their
+    __init__ stores each slot through object.__setattr__, once."""
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class QValue:
     """Deformation parameter: either a fixed rational q, or the classical limit.
 
@@ -47,27 +52,37 @@ class QValue:
     bracket of x is x itself.
     """
 
-    mode: str  # "quantum" | "classical"
-    q: Optional[Fraction] = None
-    # every memo keyed on a QValue hashes it; the Fraction is slow to hash
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("mode", "q", "_hash")  # mode: "quantum" | "classical"
 
-    def __post_init__(self):
-        if self.mode == "quantum":
-            if self.q is None:
+    def __init__(self, mode: str, q: Optional[Fraction] = None):
+        if mode == "quantum":
+            if q is None:
                 raise InvalidQValueError("quantum mode requires a rational q")
-            object.__setattr__(self, "q", Fraction(self.q))
-            if self.q in (0, 1, -1):
-                raise InvalidQValueError(f"q must not be 0, 1 or -1 (got {self.q})")
-        elif self.mode == "classical":
-            if self.q is not None:
+            q = Fraction(q)
+            if q in (0, 1, -1):
+                raise InvalidQValueError(f"q must not be 0, 1 or -1 (got {q})")
+        elif mode == "classical":
+            if q is not None:
                 raise InvalidQValueError("classical mode takes no q")
         else:
-            raise InvalidQValueError(f"unknown mode {self.mode!r}")
-        object.__setattr__(self, "_hash", hash((self.mode, self.q)))
+            raise InvalidQValueError(f"unknown mode {mode!r}")
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "q", q)
+        # every memo keyed on a QValue hashes it; the Fraction is slow to hash
+        object.__setattr__(self, "_hash", hash((mode, q)))
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if not isinstance(other, QValue):
+            return NotImplemented
+        return self.mode == other.mode and self.q == other.q
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"QValue(mode={self.mode!r}, q={self.q!r})"
 
     @classmethod
     def quantum(cls, q: RationalLike) -> "QValue":
@@ -138,7 +153,7 @@ class _BracketKernels(dict):
             k = 1 if m % 2 else _square_decompose(abs(u * w))[1]
             for e, value in _cyclotomic_values(u, w, 2 * m).items():
                 if e >= 3:
-                    ke = _square_decompose(value)[1]
+                    ke = _piece_kernel(value, e)
                     h = gcd(k, ke)
                     k = (k // h) * (ke // h)
         self[x] = k
@@ -158,6 +173,33 @@ def _cyclotomic_values(u: int, w: int, n: int) -> dict[int, int]:
                     v //= vf
             values[e] = v
     return values
+
+
+def _piece_kernel(v: int, e: int) -> int:
+    """The squarefree kernel of v = Φ_e(u, w), e >= 3, u and w coprime.
+
+    A prime that divides v and not e has u/w of order e modulo it, so it
+    is 1 mod e, and 1 mod 2e for odd e.  So v is divided by the divisors
+    of e, then by 1 + t·e (1 + t·2e for odd e), up to the cube root of
+    what is left.  A composite candidate never divides the rest, since its
+    prime factors are smaller candidates already divided out; so the rest
+    is 1, a prime, a prime square or a product of two distinct primes, as
+    in _square_decompose."""
+    step = e if e % 2 == 0 else 2 * e
+    k = 1
+    for p in chain((f for f in range(2, e + 1) if e % f == 0),
+                   count(1 + step, step)):
+        if p * p * p > v:
+            break
+        if v % p == 0:
+            odd = False
+            while v % p == 0:
+                v //= p
+                odd = not odd
+            if odd:
+                k *= p
+    r = isqrt(v)
+    return k if r * r == v else k * v
 
 
 @cache

@@ -2,24 +2,39 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Optional
 
 __all__ = ["CheckReport"]
 
 
-@dataclass
 class CheckReport:
     """Outcome of one verification run: counts plus failure witnesses.
 
     A witness pattern is stored through its ``to_json()``; a residual is
     stored as given when it is a plain dict, and otherwise (a pattern
-    vector) through its ``to_json()``.
+    vector) through its ``to_json()``.  A params dict or failures list left
+    out is a new empty one.
     """
 
-    relation: str
-    params: dict = field(default_factory=dict)
-    checked: int = 0
-    failures: list = field(default_factory=list)
+    __slots__ = ("relation", "params", "checked", "failures")
+    __hash__ = None
+
+    def __init__(self, relation: str, params: Optional[dict] = None,
+                 checked: int = 0, failures: Optional[list] = None):
+        self.relation = relation
+        self.params = {} if params is None else params
+        self.checked = checked
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other):
+        if not isinstance(other, CheckReport):
+            return NotImplemented
+        return ((self.relation, self.params, self.checked, self.failures)
+                == (other.relation, other.params, other.checked, other.failures))
+
+    def __repr__(self) -> str:
+        return (f"CheckReport(relation={self.relation!r}, params={self.params!r}, "
+                f"checked={self.checked!r}, failures={self.failures!r})")
 
     @property
     def passed(self) -> bool:

@@ -694,6 +694,24 @@ class TestLadderWindow:
         # windows are shared between patterns
         assert after.currsize < len(labels) * len(basis)
 
+    @pytest.mark.parametrize("sig", [Signature(-1, 1, (2, 1, 0)),
+                                     Signature(-2, 2, (3, 3, 1, 0, -1))],
+                             ids=["mid", "wide"])
+    def test_window_is_the_row_map(self, sig):
+        """_window slices the stored rows when the window lies inside them
+        and maps p.row otherwise; both give p.row over _window_rows on
+        every pattern of V_6, at indices -4..4."""
+        basis = enumerate_basis(sig, 6)
+        sliced = 0
+        for p in basis:
+            for k in range(-4, 5):
+                rows = action._window_rows(k)
+                want = tuple(map(p.row, rows))
+                assert _window(p, k) == want, (p, k)
+                assert all(type(r) is tuple for r in _window(p, k))
+                sliced += 1 <= rows.start and rows.stop <= len(p.rows) + 1
+        assert 0 < sliced < 9 * len(basis)  # both branches are taken
+
     def test_replayed_zero_denominator_names_its_pattern(self, params_mid):
         """Under the E+side-d1-1 offset mutation E_k divides by zero on some
         window that two patterns of V_5 share.  Both calls raise, and each

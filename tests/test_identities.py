@@ -483,6 +483,23 @@ class TestPoleTest:
             seen |= self._compare(monkeypatch, IdentityId(tag, size), seed=size)
         assert seen == {True, False}
 
+    @pytest.mark.parametrize("tag", [*_ROW_SUMS, "A26"])
+    def test_rejected_draws_build_no_bracket_factor(self, monkeypatch, tag):
+        """A draw that the row test rejects never builds the bracket
+        factor: _brackets runs once per accepted draw and on no other."""
+        import uhainf.identities as idm
+        built = []
+        brackets = idm._brackets
+        monkeypatch.setattr(idm, "_brackets",
+                            lambda qv: built.append(qv) or brackets(qv))
+        rng = random.Random(1)
+        ident = IdentityId(tag, max(_SIZED[tag], 2))
+        accepted = 0
+        for _ in range(self.DRAWS):
+            accepted += not self._raises_pole(ident, _sample_raw(ident, rng))
+        assert 0 < accepted < self.DRAWS
+        assert len(built) == accepted
+
     def test_a21_off_the_image(self, monkeypatch):
         """A21 at signed rational variables, with the last entry of A or B
         set equal to, or q^2 or q^-2 times, its first on most draws."""

@@ -25,6 +25,7 @@ from uhainf.qnum import (
     _BracketPairs,
     _bracket_pairs,
     _cyclotomic_values,
+    _piece_kernel,
     _square_decompose,
     qbracket,
     radical_of,
@@ -226,6 +227,42 @@ class TestBracketKernels:
             pieces = [v for e, v in values.items() if e >= 3]
             assert all(v > 0 and gcd(v, u * w) == 1 for v in pieces), m
             assert prod(pieces) == abs(table[m][0]) == abs(table[-m][0]), m
+
+    @pytest.mark.parametrize("q", [Fraction(3, 2), Fraction(2), Fraction(5, 3),
+                                   Fraction(7, 4)], ids=str)
+    def test_piece_kernels_match_trial_division(self, q):
+        """_piece_kernel, which divides Φ_e(u, w) only by the divisors of e
+        and by 1 + t·e (t·2e for odd e), finds the kernel that plain trial
+        division finds, on every piece of [x] for |x| <= 30."""
+        u, w = q.numerator, q.denominator
+        for m in range(1, 31):
+            for e, value in _cyclotomic_values(u, w, 2 * m).items():
+                if e >= 3:
+                    assert _piece_kernel(value, e) == _square_decompose(value)[1], (m, e)
+
+    @pytest.mark.parametrize("q", [Fraction(3, 2), Fraction(2), Fraction(5, 3),
+                                   Fraction(7, 4)], ids=str)
+    def test_piece_kernels_match_factorint(self, q):
+        """The same pieces against sympy's factorization."""
+        pytest.importorskip("sympy")
+        u, w = q.numerator, q.denominator
+        for m in range(1, 31):
+            for e, value in _cyclotomic_values(u, w, 2 * m).items():
+                if e >= 3:
+                    assert _piece_kernel(value, e) == _square_split_oracle(value)[1], (m, e)
+
+    def test_piece_kernel_rests(self):
+        """What the division leaves is 1, a prime, a prime square or a
+        product of two primes: Φ_3(2, 1) = 7 and Φ_4(8, 1) = 65 = 5·13 are
+        left whole, Φ_3(18, 1) = 343 = 7^3 leaves 1, Φ_4(7, 1) = 50 = 2·5²
+        and Φ_4(41, 1) = 1682 = 2·29² leave a square, and
+        Φ_6(59, 1) = 3423 = 3·7·163 is divided by 3, a divisor of 6, and
+        by 7 = 1 + 6, leaving the prime 163.  Φ_4(18, 1) = 325 = 5²·13 needs
+        the candidate 5, which is 1 mod 4 but not 1 mod 8: the step is 2e
+        for odd e only."""
+        cases = [(7, 3), (65, 4), (343, 3), (50, 4), (1682, 4), (3423, 6),
+                 (325, 4)]
+        assert [_piece_kernel(v, e) for v, e in cases] == [7, 65, 7, 2, 2, 3423, 13]
 
     def test_identity_pass_leaves_kernels_empty(self):
         """The identity corpus reads the bracket tables but never the
