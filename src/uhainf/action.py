@@ -9,14 +9,16 @@ is decided on integers, before any arithmetic and before any pattern is
 built, by patterns._interlaces on the moved rows and their neighbours, and
 only a candidate that passes becomes a target pattern.
 All of that reads only four rows of the pattern, the window around the two
-rows that move (_window), so it is solved once per window (_ladder_window):
-the solution is each target's two moved rows and its coefficient, and
-monomial_image, the one memo of g·p, splices those rows into a copy of the
-pattern's.  One kernel (_Ladder) serves every index.  For index -1 the lower row of the
-pair is the empty row 0, so only the bottom entry moves and every factor
-read from row 0 or the row below it is an empty product.  The kernel
-multiplies each bracket as its pair of ints, read from q's one bracket
-table (qnum._bracket_pairs, which the identity corpus shares), and
+rows that move (_window), so it is solved once per window (_ladder_window),
+whose L-values are read only if some candidate interlaces.  The solution is
+each target's two moved rows and its coefficient; monomial_image, the one
+memo of g·p, splices them between slices of the pattern's rows and looks
+the result up in patterns._canonical, so a target met before is not built
+again.  One kernel (_Ladder) serves every index.  For index -1 the lower
+row of the pair is the empty row 0, so only the bottom entry moves and
+every factor read from row 0 or the row below it is an empty product.
+The kernel multiplies each bracket as its pair of ints, read from q's one
+bracket table (qnum._bracket_pairs, which the identity corpus shares), and
 combines the brackets' square classes, read from the same table's
 kernels, so every E/F coefficient comes out as one monomial
 (n/d)·sqrt(k), k squarefree, given as the ints (k, n, d), and no product
@@ -45,6 +47,7 @@ from .patterns import (
     _canonical,
     _fillings,
     _interlaces,
+    _trimmed,
     basis_rank,
     enumerate_basis,
     module_params,
@@ -210,11 +213,14 @@ def _window_rows(index: int) -> range:
 
 def _window(p: CPattern, index: int) -> tuple[tuple[int, ...], ...]:
     """p's rows in _window_rows(index), the key of the ladder kernel: a
-    slice of the stored rows when the window lies inside them."""
+    slice of the stored rows when the window ends inside them, after as
+    many empty rows as it holds rows below row 1."""
     rows = _window_rows(index)
-    if rows.start >= 1 and rows.stop <= len(p.rows) + 1:
+    if rows.stop > len(p.rows) + 1:
+        return tuple(map(p.row, rows))
+    if rows.start >= 1:
         return p.rows[rows.start - 1:rows.stop - 1]
-    return tuple(map(p.row, rows))
+    return ((),) * (1 - rows.start) + p.rows[:rows.stop - 1]
 
 
 def _l_row(row: tuple[int, ...]) -> dict[int, int]:
@@ -310,7 +316,8 @@ def _ladder_window(
     under the row above it (once per l), and the two moved rows (once per
     pair that passes both).  For index -1, row_a is the empty row 0, which
     interlaces under any row, moves nothing and is returned as ().  The
-    brackets of each candidate's arguments (_Ladder.arguments), read from
+    checks run first, and _Ladder reads the L-values only if a pair passes.
+    The brackets of each candidate's arguments (_Ladder.arguments), read from
     q's bracket table, are multiplied as int pairs into a/b over c/d, and
     their kernels, from the same table, are combined into the squarefree
     kernel k of |a|·b·|c|·d.  |a·d| / |b·c| is reduced by one gcd to N/D;
@@ -324,35 +331,37 @@ def _ladder_window(
     once clear_caches() has emptied it.  Memoised for the life of the
     process.
     """
-    lad = _Ladder(kind, index, window)
+    row_a, delta = _ladder_rows(index)[0], _CASES[(kind, index < 0)][4]
     below, ra, rb, above = window
-    js = [(j, ra_j) for j, ra_j in _each_moved(ra, lad.slots_a, lad.delta)
+    slots_a = row_range(row_a) or range(1)
+    js = [(j, ra_j) for j, ra_j in _each_moved(ra, slots_a, delta)
           if _interlaces(below, ra_j)]
-    ls = [(l, rb_l)
-          for l, rb_l in _each_moved(rb, row_range(lad.row_b), lad.delta)
+    ls = [(l, rb_l) for l, rb_l in _each_moved(rb, row_range(row_a + 1), delta)
           if _interlaces(rb_l, above)]
+    passed = [(j, l, ra_j, rb_l) for j, ra_j in js for l, rb_l in ls
+              if _interlaces(ra_j, rb_l)]
+    if not passed:
+        return ()
+    lad = _Ladder(kind, index, window)
     pairs = _bracket_pairs(qv)
     out = []
-    for j, ra_j in js:
-        for l, rb_l in ls:
-            if not _interlaces(ra_j, rb_l):
-                continue
-            num_args, den_args = lad.arguments(j, l)
-            # num/den = (a/b) / (c/d) = (a*d) / (b*c); b and d are positive
-            a, b, k = _products(num_args, pairs)
-            if not a:
-                continue
-            c, d, k = _products(den_args, pairs, k)
-            if not c:
-                out.append((j, l, ra_j, rb_l, 0, 0, 0))
-                return tuple(out)
-            num, den = abs(a * d), abs(b * c)
-            g = gcd(num, den)
-            num, den = num // g, den // g
-            s = isqrt(num * den // k)
-            g = gcd(s, den)
-            out.append((j, l, ra_j, rb_l, k, -sign_s(j, l, lad.nu) * (s // g),
-                        den // g))
+    for j, l, ra_j, rb_l in passed:
+        num_args, den_args = lad.arguments(j, l)
+        # num/den = (a/b) / (c/d) = (a*d) / (b*c); b and d are positive
+        a, b, k = _products(num_args, pairs)
+        if not a:
+            continue
+        c, d, k = _products(den_args, pairs, k)
+        if not c:
+            out.append((j, l, ra_j, rb_l, 0, 0, 0))
+            return tuple(out)
+        num, den = abs(a * d), abs(b * c)
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        s = isqrt(num * den // k)
+        g = gcd(s, den)
+        out.append((j, l, ra_j, rb_l, k, -sign_s(j, l, lad.nu) * (s // g),
+                    den // g))
     return tuple(out)
 
 
@@ -403,10 +412,12 @@ def monomial_image(
     d > 0 and gcd(n, d) = 1: one entry per canonical target, in the
     kernel's (j, l) order.  H and C give (p, 1, n, d), or nothing for a zero
     eigenvalue.  E and F splice the moved rows of p's window solution
-    (_ladder_window) into one copy of p's rows, padded with signature rows
-    up to row_b; a zero denominator raises on every call, naming (j, l) and
-    p.  Ints and shared patterns only, so no caller can change what a later
-    call returns.  Memoised for the life of the process.
+    (_ladder_window) between slices of p's rows, padded with signature rows
+    up to row_b, and look the result up in patterns._canonical, which
+    builds a pattern only for rows it has not met; a zero denominator
+    raises on every call, naming (j, l) and p.  Ints and shared patterns
+    only, so no caller can change what a later call returns.  Memoised for
+    the life of the process.
     """
     if g.kind in ("H", "C"):
         r = (weight_eigenvalue(p, g.index, params) if g.kind == "H"
@@ -417,7 +428,8 @@ def monomial_image(
         return ()
     row_a = _ladder_rows(g.index)[0]
     sig = p.sig
-    rows = [*p.rows, *map(sig.row, range(len(p.rows) + 1, row_a + 2))]
+    rows = p.rows + tuple(map(sig.row, range(len(p.rows) + 1, row_a + 2)))
+    head, tail = rows[:row_a - 1] if row_a else (), rows[row_a + 1:]
     out = []
     for j, l, ra_j, rb_l, k, n, d in solved:
         if not d:
@@ -425,11 +437,9 @@ def monomial_image(
                 f"{g}: zero denominator on valid target "
                 f"(j={j}, l={l}) of {p!r}"
             )
-        target = rows.copy()
-        if row_a:
-            target[row_a - 1] = ra_j
-        target[row_a] = rb_l
-        out.append((_canonical(CPattern._of_rows(sig, target)), k, n, d))
+        moved = (ra_j, rb_l) if row_a else (rb_l,)
+        out.append((_canonical(sig, _trimmed(sig, head + moved + tail)),
+                    k, n, d))
     return tuple(out)
 
 

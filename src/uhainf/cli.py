@@ -171,7 +171,9 @@ _FIELD_PARSERS = {
 
 
 def _dump(doc: dict, cfg: RunConfig) -> str:
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    # every document is a tree built fresh for this call, so no cycle
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                      check_circular=False) + "\n"
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -220,10 +222,14 @@ def cmd_matrix(cfg: RunConfig, generator: str) -> int:
     count = basis_count(sig, enlarged)
     entries = []
     for col, p in enumerate(basis):
+        image = monomial_image(g, p, params)
+        if not image:
+            continue
         # each target's row, None beyond V_{N+2}, from the basis_rank memo
         ranked = [(basis_rank(sig, enlarged, p2), p2, k, n, d)
-                  for p2, k, n, d in monomial_image(g, p, params)]
-        ranked.sort(key=lambda t: count if t[0] is None else t[0])  # None last
+                  for p2, k, n, d in image]
+        if len(ranked) > 1:  # None last
+            ranked.sort(key=lambda t: count if t[0] is None else t[0])
         for row, p2, k, n, d in ranked:
             # each distinct coefficient is rendered once, keyed on its ints
             coeff, decimal = _rendered(k, n, d)

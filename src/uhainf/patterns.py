@@ -210,22 +210,12 @@ class CPattern:
         for p, r in enumerate(rows, start=1):
             if len(r) != p:
                 raise ValueError(f"row {p} must have {p} entries, got {len(r)}")
-        self._store(sig, rows)
+        self._store(sig, _trimmed(sig, rows))
 
-    @classmethod
-    def _of_rows(cls, sig: Signature, rows: list[tuple[int, ...]]) -> "CPattern":
-        """A pattern of rows already in stored form (int tuples, row p of
-        length p), built without converting or checking them again."""
-        p = object.__new__(cls)
-        p._store(sig, rows)
-        return p
-
-    def _store(self, sig: Signature, rows: list[tuple[int, ...]]) -> None:
-        while len(rows) > 1 and rows[-1] == sig.row(len(rows)):
-            rows.pop()
+    def _store(self, sig: Signature, rows: tuple) -> None:
         object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "_hash", hash((sig, self.rows)))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_hash", hash((sig, rows)))
 
     __setattr__ = __delattr__ = _immutable
 
@@ -271,18 +261,30 @@ class CPattern:
         return cls(Signature.from_json(data["signature"]), data["rows"])
 
 
+def _trimmed(sig: Signature, rows: Sequence[tuple[int, ...]]) -> tuple:
+    """rows (int tuples, row p of length p) in stored form: without the
+    trailing rows that equal the signature's, row 1 always kept."""
+    n = len(rows)
+    while n > 1 and rows[n - 1] == sig.row(n):
+        n -= 1
+    return tuple(rows[:n])
+
+
 @cache
-def _canonical(p: CPattern) -> CPattern:
-    """The first pattern equal to p that was built, so that the patterns
-    shift, enumerate_basis, highest_weight_pattern and the ladder branch of
-    action.monomial_image return are one object per (signature, rows).  One
-    of three interners, with module_params and action.label.
+def _canonical(sig: Signature, rows: tuple[tuple[int, ...], ...]) -> CPattern:
+    """The one pattern of sig and rows, given in stored form (_trimmed),
+    built on the first call, so that the patterns shift, enumerate_basis,
+    highest_weight_pattern and the ladder branch of action.monomial_image
+    return are one object per (signature, rows), and a hit builds none.
+    One of three interners, with module_params and action.label.
 
     The memos keyed on patterns (action.monomial_image, basis_rank) and a
     PatternVector's terms then find a ladder target by identity, without
     comparing rows.  Memoised for the life of the process (see
     ``action.clear_caches``).
     """
+    p = object.__new__(CPattern)
+    p._store(sig, rows)
     return p
 
 
@@ -329,7 +331,7 @@ def shift(p: CPattern, moves: Sequence[tuple[int, int, int]]) -> CPattern:
     rows = [*p.rows, *map(p.sig.row, range(len(p.rows) + 1, top + 1))]
     for row, r in moved.items():
         rows[row - 1] = tuple(r)
-    return _canonical(CPattern._of_rows(p.sig, rows))
+    return _canonical(p.sig, _trimmed(p.sig, rows))
 
 
 def shifted_if_valid(
@@ -361,7 +363,7 @@ def shifted_if_valid(
 
 def highest_weight_pattern(sig: Signature) -> CPattern:
     """The pattern with every row equal to the signature (canonical)."""
-    return _canonical(CPattern(sig, [sig.row(1)]))
+    return _canonical(sig, (sig.row(1),))
 
 
 def _entry_intervals(above: Sequence[int]) -> list[range]:
@@ -394,8 +396,8 @@ def enumerate_basis(sig: Signature, N: int) -> tuple[CPattern, ...]:
         above = upper_rows[-1] if upper_rows else sig.row(N)
         for combo in itertools.product(*_entry_intervals(above)):
             if p == 1:
-                rows = [combo, *reversed(upper_rows)]
-                out.append(_canonical(CPattern._of_rows(sig, rows)))
+                rows = (combo, *reversed(upper_rows))
+                out.append(_canonical(sig, _trimmed(sig, rows)))
             else:
                 fill(p - 1, upper_rows + [combo])
 

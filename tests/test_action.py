@@ -539,6 +539,37 @@ class TestMemo:
         # every lookup above hit: these are the memo's 28 entries
         assert qnum._rendered.cache_info().misses == 28
 
+    def test_export_builds_only_the_basis(self, capsys, monkeypatch,
+                                          params_mid):
+        """A cold export of the ten generators on V_7 builds its 784 basis
+        patterns and no other: every ladder target is a V_7 pattern, found
+        in the interner by its signature and rows without a CPattern being
+        built for the lookup, and is the very object the basis holds."""
+        stores = []
+        store = CPattern._store
+
+        def counted(self, sig, rows):
+            stores.append(rows)
+            store(self, sig, rows)
+
+        clear_caches()
+        monkeypatch.setattr(CPattern, "_store", counted)
+        for generator in self.EXPORT:
+            assert cli.main(["matrix", *MID, "--level", "7",
+                             "--generator", generator]) == 0
+        assert '"entries":[{' in capsys.readouterr().out
+        assert len(stores) == 784  # 4,348 when each target was built
+        assert len(set(map(tuple, stores))) == 784
+        basis = enumerate_basis(params_mid.signature, 7)
+        assert len(basis) == 784
+        members = {id(p) for p in basis}
+        targets = [t for generator in self.EXPORT for p in basis
+                   for t, *_ in action.monomial_image(
+                       cli._parse_generator(generator), p, params_mid)]
+        assert len(targets) == 4922
+        assert all(id(t) in members for t in targets)
+        assert len(stores) == 784  # the lookups above built nothing either
+
     @pytest.mark.parametrize("argv", [
         [*MID, "--level", "5", "--generator", "E:1"],
         [*MID, "--level", "3", "--generator", "F:1"],  # targets escape V_3
@@ -698,19 +729,25 @@ class TestLadderWindow:
                                      Signature(-2, 2, (3, 3, 1, 0, -1))],
                              ids=["mid", "wide"])
     def test_window_is_the_row_map(self, sig):
-        """_window slices the stored rows when the window lies inside them
-        and maps p.row otherwise; both give p.row over _window_rows on
+        """_window slices the stored rows when the window lies inside them,
+        pads the slice with empty rows when the window starts below row 1
+        (E_0, F_0, E_-1 and F_-1 read rows 0 and -1) and maps p.row when
+        it ends above them; all three give p.row over _window_rows on
         every pattern of V_6, at indices -4..4."""
         basis = enumerate_basis(sig, 6)
-        sliced = 0
+        ways = {"sliced": 0, "padded": 0, "mapped": 0}
         for p in basis:
             for k in range(-4, 5):
                 rows = action._window_rows(k)
                 want = tuple(map(p.row, rows))
                 assert _window(p, k) == want, (p, k)
                 assert all(type(r) is tuple for r in _window(p, k))
-                sliced += 1 <= rows.start and rows.stop <= len(p.rows) + 1
-        assert 0 < sliced < 9 * len(basis)  # both branches are taken
+                if rows.stop > len(p.rows) + 1:
+                    ways["mapped"] += 1
+                else:
+                    ways["sliced" if rows.start >= 1 else "padded"] += 1
+        assert all(ways.values()), ways  # every branch is taken
+        assert sum(ways.values()) == 9 * len(basis)
 
     def test_replayed_zero_denominator_names_its_pattern(self, params_mid):
         """Under the E+side-d1-1 offset mutation E_k divides by zero on some

@@ -1,4 +1,5 @@
-"""End-to-end time of `uhainf check --suite all` at six module sizes.
+"""End-to-end time of `uhainf check --suite all` at six module sizes, and of
+the ten-generator matrix export at two.
 
 usage: python3 tools/bench_levels.py
 
@@ -21,11 +22,21 @@ passes run unwrapped.  After it, the ``cache_info()`` of the ladder kernel
 and of the image memo ``action.monomial_image`` (``monomial_image``: one
 miss per distinct generator and pattern) is read, not wrapped, as hits,
 misses and size.
+Each of EXPORT_LEVELS (8 and 9) gets an export row as well: a fresh
+interpreter runs `matrix` for the ten generators of the export benchmark
+(GENERATORS) on V_level of the same module, all ten with every memo empty
+(cold) and then all ten again (warm).  The row gives the summed wall
+seconds of each pass, the peak RSS after both, the exit codes, the sha256
+of the ten cold stdouts concatenated in GENERATORS order, and, read from
+``cache_info()`` after both passes, the patterns the interner
+``patterns._canonical`` built and the windows ``action._ladder_window``
+solved; neither count depends on timing.
 The sizes run one after another, never in parallel.  The largest, level 9
 / window 3 (V_9 = 8,820 patterns), takes about 12 seconds for its three
 passes (cold about 4.0 to 4.5 s, warm about 2.7 to 3.0 s) and peaks at
-about 99 MiB; level 8 / window 3 peaks at about 45 MiB (Python 3.11.7, a
-2-vCPU VM).
+about 99 MiB; level 8 / window 3 peaks at about 45 MiB.  The export rows
+take about 0.16 s (level 8) and 0.65 s (level 9) cold and peak at about 32
+and 62 MiB (Python 3.11.7, a 2-vCPU VM).
 
 Prints one JSON document with the git SHA and the Python version.  A
 checkout without git history reports ``"git_sha": null``.
@@ -47,6 +58,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = ((3, 4), (5, 6), (6, 6), (7, 3), (8, 3), (9, 3))
+EXPORT_LEVELS = (8, 9)
+GENERATORS = ("E:0", "F:0", "E:1", "F:1", "E:-1", "F:-1", "E:-2", "F:-2",
+              "H:0", "C")
 MODULE = ("--signature=-1:1:2,1,0", "--xi0", "2", "--xi1", "0")
 
 
@@ -111,6 +125,28 @@ def _child(level: int, window: int) -> dict:
     }
 
 
+def _export_child(level: int) -> dict:
+    from uhainf import action, patterns
+
+    argvs = [["matrix", *MODULE, "--level", str(level), "--generator", g]
+             for g in GENERATORS]
+    cold, warm = [_run(a) for a in argvs], [_run(a) for a in argvs]
+    peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return {
+        "level": level,
+        "generators": len(GENERATORS),
+        "cold_s": round(sum(t for t, _, _ in cold), 3),
+        "warm_s": round(sum(t for t, _, _ in warm), 3),
+        "peak_rss_mib": round(peak_rss / 1024, 1),
+        "exit_codes": sorted({code for _, code, _ in cold + warm}),
+        "warm_equals_cold": [r[1:] for r in warm] == [r[1:] for r in cold],
+        "stdout_sha256": hashlib.sha256(
+            "".join(out for _, _, out in cold).encode()).hexdigest(),
+        "patterns_built": patterns._canonical.cache_info().currsize,
+        "windows_solved": action._ladder_window.cache_info().misses,
+    }
+
+
 def _git_sha() -> str | None:
     try:
         proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
@@ -124,18 +160,28 @@ def main() -> int:
     if sys.argv[1:2] == ["--child"]:
         print(json.dumps(_child(int(sys.argv[2]), int(sys.argv[3]))))
         return 0
+    if sys.argv[1:2] == ["--export-child"]:
+        print(json.dumps(_export_child(int(sys.argv[2]))))
+        return 0
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    runs = []
-    for level, window in SIZES:
-        proc = subprocess.run(
-            [sys.executable, __file__, "--child", str(level), str(window)],
-            cwd=ROOT, env=env, capture_output=True, text=True, check=True)
-        runs.append(json.loads(proc.stdout))
+
+    def child(*args: object) -> dict:
+        proc = subprocess.run([sys.executable, __file__, *map(str, args)],
+                              cwd=ROOT, env=env, capture_output=True,
+                              text=True, check=True)
+        return json.loads(proc.stdout)
+
+    runs = [child("--child", level, window) for level, window in SIZES]
+    exports = [child("--export-child", level) for level in EXPORT_LEVELS]
     print(json.dumps({
         "git_sha": _git_sha(),
         "python": platform.python_version(),
         "command": "uhainf check " + " ".join(MODULE) + " --suite all",
         "sizes": runs,
+        "export_command": ("uhainf matrix " + " ".join(MODULE)
+                           + " --level N --generator G, for G in "
+                           + " ".join(GENERATORS)),
+        "export": exports,
     }, indent=2))
     return 0
 
