@@ -39,7 +39,7 @@ from functools import cache
 from math import gcd, isqrt
 from typing import Optional
 
-from .qnum import QValue, RadicalSum, _bracket_pairs, _immutable, _rendered
+from .qnum import QValue, RadicalSum, _bracket_pairs, _Frozen, _rendered
 from .patterns import (
     CPattern,
     ModuleParams,
@@ -73,10 +73,10 @@ class ZeroDenominatorError(ArithmeticError):
     """A coefficient denominator vanished on a valid target: a bug signal."""
 
 
-class GeneratorLabel:
+class GeneratorLabel(_Frozen):
     """One of the generators: E/F carry an integer index, H too; C has none."""
 
-    __slots__ = ("kind", "index", "_hash")  # kind: "E" | "F" | "H" | "C"
+    __slots__ = ("kind", "index")  # kind: "E" | "F" | "H" | "C"
 
     def __init__(self, kind: str, index: Optional[int] = None):
         if kind not in ("E", "F", "H", "C"):
@@ -86,26 +86,13 @@ class GeneratorLabel:
                 raise ValueError("C carries no index")
         elif index is None:
             raise ValueError(f"{kind} requires an index")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "index", index)
         # hashed on every action-cache lookup.  hash(-1) == hash(-2), so
         # (kind, index) would make E_-1 and E_-2 collide in every memo and
         # compare fields; 2·index is never -1
-        object.__setattr__(self, "_hash", hash(
-            (kind, None if index is None else 2 * index)))
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other):
-        if not isinstance(other, GeneratorLabel):
-            return NotImplemented
-        return self.kind == other.kind and self.index == other.index
+        self._set(kind, index, key=(kind, None if index is None else 2 * index))
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __repr__(self) -> str:
-        return f"GeneratorLabel(kind={self.kind!r}, index={self.index!r})"
 
     def __str__(self) -> str:
         return self.kind if self.kind == "C" else f"{self.kind}_{self.index}"

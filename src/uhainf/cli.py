@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .qnum import QValue, _rendered
+from .qnum import QValue, _Value, _rendered
 from .patterns import (MODES, ModuleParams, Signature, _integer, basis_count,
                        basis_rank, enumerate_basis, module_params)
 from .action import GeneratorLabel, label, monomial_image
@@ -30,13 +30,12 @@ class ConfigError(ValueError):
     pass
 
 
-class RunConfig:
+class RunConfig(_Value):
     """One reproducible run: module parameters plus suite knobs.  A q of
     None means classical mode."""
 
     __slots__ = ("signature", "xi0", "xi1", "q", "mode", "level", "window",
                  "trials", "seed", "out")
-    __hash__ = None
 
     def __init__(self, signature: Signature, xi0: Fraction = Fraction(0),
                  xi1: Fraction = Fraction(0),
@@ -53,16 +52,6 @@ class RunConfig:
         self.trials = trials
         self.seed = seed
         self.out = out
-
-    def __eq__(self, other):
-        if not isinstance(other, RunConfig):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name)
-                   for name in self.__slots__)
-
-    def __repr__(self) -> str:
-        return "RunConfig({})".format(", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__))
 
     @property
     def qv(self) -> QValue:

@@ -71,7 +71,7 @@ from math import lcm, prod
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .qnum import QValue, _bracket_pairs, _immutable
+from .qnum import QValue, _bracket_pairs, _Frozen, _Value
 from .patterns import row_range
 from .report import CheckReport
 
@@ -101,7 +101,7 @@ class PoleError(ArithmeticError):
     """An assignment hit a vanishing denominator; it is not generic."""
 
 
-class IdentityId:
+class IdentityId(_Frozen):
     __slots__ = ("tag", "size")
 
     def __init__(self, tag: str, size: Optional[int] = None):
@@ -112,21 +112,10 @@ class IdentityId:
                 raise ValueError(f"{tag} requires size >= {_SIZED[tag]}")
         elif size is not None:
             raise ValueError(f"{tag} takes no size parameter")
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "size", size)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other):
-        if not isinstance(other, IdentityId):
-            return NotImplemented
-        return self.tag == other.tag and self.size == other.size
+        self._set(tag, size)
 
     def __hash__(self) -> int:
-        return hash((self.tag, self.size))
-
-    def __repr__(self) -> str:
-        return f"IdentityId(tag={self.tag!r}, size={self.size!r})"
+        return self._hash
 
 
 # the corpus the identities suite fuzzes, in report order
@@ -138,7 +127,7 @@ CORPUS = (
 )
 
 
-class Assignment:
+class Assignment(_Value):
     """Concrete values for an identity's slots.
 
     scalars: named integers (a, b, c, d, e).  arrays: named integer rows
@@ -149,7 +138,6 @@ class Assignment:
     """
 
     __slots__ = ("qv", "scalars", "arrays", "excluded")
-    __hash__ = None
 
     def __init__(self, qv: QValue, scalars: Optional[dict] = None,
                  arrays: Optional[dict] = None, excluded: Optional[dict] = None):
@@ -157,16 +145,6 @@ class Assignment:
         self.scalars = {} if scalars is None else scalars
         self.arrays = {} if arrays is None else arrays
         self.excluded = {} if excluded is None else excluded
-
-    def __eq__(self, other):
-        if not isinstance(other, Assignment):
-            return NotImplemented
-        return ((self.qv, self.scalars, self.arrays, self.excluded)
-                == (other.qv, other.scalars, other.arrays, other.excluded))
-
-    def __repr__(self) -> str:
-        return (f"Assignment(qv={self.qv!r}, scalars={self.scalars!r}, "
-                f"arrays={self.arrays!r}, excluded={self.excluded!r})")
 
 
 # --- row sums ------------------------------------------------------------

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Optional, Sequence
 
-from .qnum import QValue, _immutable
+from .qnum import QValue, _Frozen, _immutable
 
 __all__ = [
     "Signature",
@@ -68,13 +68,13 @@ def _integer(value) -> int:
     return value
 
 
-class Signature:
+class Signature(_Frozen):
     """Nonincreasing boundary sequence with constant tails outside [m, n].
 
     values[j] is M_{m+j}; M_i = M_m for i < m and M_i = M_n for i > n.
     """
 
-    __slots__ = ("m", "n", "values", "_hash")
+    __slots__ = ("m", "n", "values")
 
     def __init__(self, m: int, n: int, values: tuple[int, ...]):
         _integer(m)
@@ -89,24 +89,11 @@ class Signature:
             )
         if any(a < b for a, b in zip(values, values[1:])):
             raise ValueError("signature values must be nonincreasing")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "values", values)
         # hashed on every pattern build and every enumerate_basis lookup
-        object.__setattr__(self, "_hash", hash((m, n, values)))
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other):
-        if not isinstance(other, Signature):
-            return NotImplemented
-        return (self.m, self.n, self.values) == (other.m, other.n, other.values)
+        self._set(m, n, values)
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __repr__(self) -> str:
-        return f"Signature(m={self.m!r}, n={self.n!r}, values={self.values!r})"
 
     def value(self, i: int) -> int:
         if i < self.m:
@@ -132,10 +119,10 @@ class Signature:
 MODES = ("a_infinity", "A_infinity")
 
 
-class ModuleParams:
+class ModuleParams(_Frozen):
     """Module labels: signature, the two scalar labels, and the q setting."""
 
-    __slots__ = ("signature", "xi0", "xi1", "qv", "mode", "_hash")
+    __slots__ = ("signature", "xi0", "xi1", "qv", "mode")
 
     def __init__(self, signature: Signature, xi0: Fraction, xi1: Fraction,
                  qv: QValue, mode: str = "a_infinity"):
@@ -152,29 +139,12 @@ class ModuleParams:
                 raise ValueError(
                     "A_infinity mode requires xi0 = M_m and xi1 = M_n"
                 )
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "xi0", xi0)
-        object.__setattr__(self, "xi1", xi1)
-        object.__setattr__(self, "qv", qv)
-        object.__setattr__(self, "mode", mode)
         # every action-cache lookup hashes the params; the Fractions are
         # slow to hash
-        object.__setattr__(self, "_hash", hash((signature, xi0, xi1, qv, mode)))
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other):
-        if not isinstance(other, ModuleParams):
-            return NotImplemented
-        return ((self.signature, self.xi0, self.xi1, self.qv, self.mode)
-                == (other.signature, other.xi0, other.xi1, other.qv, other.mode))
+        self._set(signature, xi0, xi1, qv, mode)
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __repr__(self) -> str:
-        return (f"ModuleParams(signature={self.signature!r}, xi0={self.xi0!r}, "
-                f"xi1={self.xi1!r}, qv={self.qv!r}, mode={self.mode!r})")
 
 
 @cache
@@ -231,13 +201,12 @@ class CPattern:
             return self.rows[p - 1]
         return self.sig.row(p)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CPattern)
-            and self._hash == other._hash
-            and (self.sig is other.sig or self.sig == other.sig)
-            and self.rows == other.rows
-        )
+    def __eq__(self, other):
+        if not isinstance(other, CPattern):
+            return NotImplemented
+        return (self._hash == other._hash
+                and (self.sig is other.sig or self.sig == other.sig)
+                and self.rows == other.rows)
 
     def __hash__(self) -> int:
         return self._hash

@@ -39,12 +39,59 @@ class NegativeRadicandError(ValueError):
 
 
 def _immutable(self, *args):
-    """__setattr__ and __delattr__ of the frozen value classes: their
-    __init__ stores each slot through object.__setattr__, once."""
+    """__setattr__ and __delattr__ of _Frozen and CPattern, which store
+    each slot once, through object.__setattr__."""
     raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-class QValue:
+class _Value:
+    """Base of the slotted value classes: equality and the dataclass-style
+    repr over the class's own ``__slots__``, its fields, in order.
+
+    Equality compares the field tuples, so a field shared by both
+    instances (an interned Signature, QValue or ModuleParams) is matched
+    by identity without a call of its own ``__eq__``; another class gets
+    NotImplemented.  Defining ``__eq__`` leaves ``__hash__`` None, so a
+    subclass is unhashable unless it defines its own.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "{}({})".format(type(self).__name__, ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__))
+
+
+class _Frozen(_Value):
+    """An immutable, hashable value: __init__ validates, then stores its
+    fields and their hash once through ``_set``.
+
+    Each subclass keeps its own two-line ``__hash__`` returning ``_hash``:
+    every memo hit hashes its key, and one inherited ``__hash__`` shared by
+    the key classes measured slower on the warm passes.
+    """
+
+    __slots__ = ("_hash",)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def _set(self, *values, key=None) -> None:
+        """Store ``values`` as the fields, in ``__slots__`` order, and the
+        hash of ``key``, the fields themselves when it is None."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash(values if key is None else key))
+
+
+class QValue(_Frozen):
     """Deformation parameter: either a fixed rational q, or the classical limit.
 
     A rational q with ``|q| not in {0, 1}`` is never a root of unity, so
@@ -52,7 +99,7 @@ class QValue:
     bracket of x is x itself.
     """
 
-    __slots__ = ("mode", "q", "_hash")  # mode: "quantum" | "classical"
+    __slots__ = ("mode", "q")  # mode: "quantum" | "classical"
 
     def __init__(self, mode: str, q: Optional[Fraction] = None):
         if mode == "quantum":
@@ -66,23 +113,11 @@ class QValue:
                 raise InvalidQValueError("classical mode takes no q")
         else:
             raise InvalidQValueError(f"unknown mode {mode!r}")
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "q", q)
         # every memo keyed on a QValue hashes it; the Fraction is slow to hash
-        object.__setattr__(self, "_hash", hash((mode, q)))
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other):
-        if not isinstance(other, QValue):
-            return NotImplemented
-        return self.mode == other.mode and self.q == other.q
+        self._set(mode, q)
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __repr__(self) -> str:
-        return f"QValue(mode={self.mode!r}, q={self.q!r})"
 
     @classmethod
     def quantum(cls, q: RationalLike) -> "QValue":
@@ -179,27 +214,14 @@ def _piece_kernel(v: int, e: int) -> int:
     """The squarefree kernel of v = Φ_e(u, w), e >= 3, u and w coprime.
 
     A prime that divides v and not e has u/w of order e modulo it, so it
-    is 1 mod e, and 1 mod 2e for odd e.  So v is divided by the divisors
-    of e, then by 1 + t·e (1 + t·2e for odd e), up to the cube root of
-    what is left.  A composite candidate never divides the rest, since its
-    prime factors are smaller candidates already divided out; so the rest
-    is 1, a prime, a prime square or a product of two distinct primes, as
-    in _square_decompose."""
+    is 1 mod e, and 1 mod 2e for odd e.  So the trial divisors are the
+    divisors of e, then 1 + t·e (1 + t·2e for odd e).  A composite
+    candidate never divides the rest, since its prime factors are smaller
+    candidates already divided out, so _square_decompose's closing test
+    holds for this sequence too."""
     step = e if e % 2 == 0 else 2 * e
-    k = 1
-    for p in chain((f for f in range(2, e + 1) if e % f == 0),
-                   count(1 + step, step)):
-        if p * p * p > v:
-            break
-        if v % p == 0:
-            odd = False
-            while v % p == 0:
-                v //= p
-                odd = not odd
-            if odd:
-                k *= p
-    r = isqrt(v)
-    return k if r * r == v else k * v
+    divisors = (f for f in range(2, e + 1) if e % f == 0)
+    return _square_decompose(v, chain(divisors, count(1 + step, step)))[1]
 
 
 @cache
@@ -218,18 +240,22 @@ def qbracket(x: int, qv: QValue) -> Fraction:
 # --- squarefree decomposition -------------------------------------------------
 
 
-def _square_decompose(n: int) -> tuple[int, int]:
+def _square_decompose(n: int, candidates: Optional[Iterable[int]] = None
+                      ) -> tuple[int, int]:
     """Write n > 0 as s^2 * k with k squarefree; returns (s, k).
 
-    Trial division by 2 and the odd numbers up to the cube root of what is
-    left.  The rest has no factor below the last divisor p tried and is
-    below p^3, so it is 1, a prime, a prime square or a product of two
-    distinct primes: exact for every n, and fast for the small values it
-    is given (bracket pieces, and radical_of's radicands)."""
+    Trial division by the ascending candidates, by default 2 and the odd
+    numbers, up to the cube root of what is left.  The rest has no factor
+    below the last divisor p tried and is below p^3, so it is 1, a prime,
+    a prime square or a product of two distinct primes: exact for every n,
+    and fast for the small values it is given (bracket pieces, and
+    radical_of's radicands)."""
     if n <= 0:
         raise ValueError("positive integer required")
-    s, k, rem, p = 1, 1, n, 2
-    while p * p * p <= rem:
+    s, k, rem = 1, 1, n
+    for p in chain((2,), count(3, 2)) if candidates is None else candidates:
+        if p * p * p > rem:
+            break
         if rem % p == 0:
             e = 0
             while rem % p == 0:
@@ -238,7 +264,6 @@ def _square_decompose(n: int) -> tuple[int, int]:
             s *= p ** (e // 2)
             if e % 2:
                 k *= p
-        p += 1 if p == 2 else 2
     r = isqrt(rem)
     if r * r == rem:
         return s * r, k

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .qnum import _Value
+
 __all__ = ["CheckReport"]
 
 
-class CheckReport:
+class CheckReport(_Value):
     """Outcome of one verification run: counts plus failure witnesses.
 
     A witness pattern is stored through its ``to_json()``; a residual is
@@ -17,7 +19,6 @@ class CheckReport:
     """
 
     __slots__ = ("relation", "params", "checked", "failures")
-    __hash__ = None
 
     def __init__(self, relation: str, params: Optional[dict] = None,
                  checked: int = 0, failures: Optional[list] = None):
@@ -25,16 +26,6 @@ class CheckReport:
         self.params = {} if params is None else params
         self.checked = checked
         self.failures = [] if failures is None else failures
-
-    def __eq__(self, other):
-        if not isinstance(other, CheckReport):
-            return NotImplemented
-        return ((self.relation, self.params, self.checked, self.failures)
-                == (other.relation, other.params, other.checked, other.failures))
-
-    def __repr__(self) -> str:
-        return (f"CheckReport(relation={self.relation!r}, params={self.params!r}, "
-                f"checked={self.checked!r}, failures={self.failures!r})")
 
     @property
     def passed(self) -> bool:

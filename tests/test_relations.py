@@ -872,7 +872,7 @@ EXACTNESS_ACTIONS = {"intact": lambda mp: None, "F_0*sqrt2": _f0_times_root2,
                         for name in ("E+side-o1+1", "F-side-d1-1")}}
 
 
-class TestRationalGauge:
+class TestWordSum:
     """The exact word sum, relations._word_sum, as _record_residual decides
     and records it, and its memo action.monomial_image."""
 

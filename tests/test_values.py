@@ -12,7 +12,7 @@ import uhainf
 from uhainf.action import GeneratorLabel
 from uhainf.cli import RunConfig
 from uhainf.identities import Assignment, IdentityId
-from uhainf.patterns import ModuleParams, Signature
+from uhainf.patterns import CPattern, ModuleParams, Signature
 from uhainf.qnum import InvalidQValueError, QValue
 from uhainf.report import CheckReport
 
@@ -42,6 +42,10 @@ _CASES = {
     "GeneratorLabel C": (lambda: GeneratorLabel("C"),
                          lambda: GeneratorLabel("H", 0),
                          "GeneratorLabel(kind='C', index=None)"),
+    # the trailing signature row (2, 1) is trimmed, and the signature is a
+    # new, equal one on each call
+    "CPattern": (lambda: CPattern(Signature(-1, 1, (2, 1, 0)), [[1], [2, 1]]),
+                 lambda: CPattern(SIG, [[2]]), "CPattern(N=2, rows=[(1,)])"),
     "IdentityId": (lambda: IdentityId("A21", 2), lambda: IdentityId("A21", 4),
                    "IdentityId(tag='A21', size=2)"),
     "IdentityId unsized": (lambda: IdentityId("I25"), lambda: IdentityId("I26"),
@@ -67,6 +71,7 @@ _FROZEN = {
     "QValue": ("mode", "q"), "Signature": ("m", "n", "values"),
     "ModuleParams": ("signature", "xi0", "xi1", "qv", "mode"),
     "GeneratorLabel": ("kind", "index"), "IdentityId": ("tag", "size"),
+    "CPattern": ("sig", "rows"),
 }
 _MUTABLE = ("Assignment", "CheckReport", "RunConfig")
 
@@ -113,6 +118,7 @@ def test_cached_hashes_are_the_field_hashes():
     assert hash(QValue("quantum", Fraction(6, 4))) == hash(("quantum", Fraction(3, 2)))
     assert hash(SIG) == hash((-1, 1, (2, 1, 0)))
     assert hash(IdentityId("A21", 2)) == hash(("A21", 2))
+    assert hash(CPattern(SIG, [[1]])) == hash((SIG, ((1,),)))
     # 2·index, so that E_-1 and E_-2 do not collide (hash(-1) == hash(-2))
     assert hash(GeneratorLabel("E", -1)) == hash(("E", -2))
     assert hash(GeneratorLabel("E", -1)) != hash(GeneratorLabel("E", -2))
