@@ -14,9 +14,10 @@ whose L-values are read only if some candidate interlaces.  The solution is
 each target's two moved rows and its coefficient; monomial_image, the one
 memo of g·p, splices them between slices of the pattern's rows and looks
 the result up in patterns._canonical, so a target met before is not built
-again.  One kernel (_Ladder) serves every index.  For index -1 the lower
-row of the pair is the empty row 0, so only the bottom entry moves and
-every factor read from row 0 or the row below it is an empty product.
+again.  One kernel, _ladder_window, builds every E/F coefficient from
+_Ladder's bracket arguments.  For index -1 the lower row of the pair is
+the empty row 0, so only the bottom entry moves and every factor read
+from row 0 or the row below it is an empty product.
 The kernel multiplies each bracket as its pair of ints, read from q's one
 bracket table (qnum._bracket_pairs, which the identity corpus shares), and
 combines the brackets' square classes, read from the same table's
@@ -112,12 +113,7 @@ class PatternVector:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[dict] = None):
-        t = {}
-        if terms:
-            for p, c in terms.items():
-                if c:
-                    t[p] = c
-        self.terms = t
+        self.terms = {p: c for p, c in (terms or {}).items() if c}
 
     @classmethod
     def unit(cls, p: CPattern) -> "PatternVector":
@@ -127,24 +123,20 @@ class PatternVector:
         return not self.terms
 
     def add_term(self, p: CPattern, c: RadicalSum) -> None:
-        if not c:
-            return
         cur = self.terms.get(p)
         new = cur + c if cur is not None else c
         if new:
             self.terms[p] = new
         else:
-            del self.terms[p]
+            self.terms.pop(p, None)
 
     def __add__(self, other: "PatternVector") -> "PatternVector":
-        out = PatternVector(dict(self.terms))
+        out = PatternVector(self.terms)
         for p, c in other.terms.items():
             out.add_term(p, c)
         return out
 
     def scale(self, c: RadicalSum) -> "PatternVector":
-        if not c:
-            return PatternVector()
         return PatternVector({p: v * c for p, v in self.terms.items()})
 
     def scale_rational(self, r) -> "PatternVector":

@@ -73,7 +73,10 @@ class RunConfig(_Value):
         raw: dict = {}
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
+                try:
+                    raw = json.load(fh)
+                except (ValueError, RecursionError) as exc:
+                    raise ConfigError(str(exc)) from exc
             if not isinstance(raw, dict):
                 raise ConfigError("a config file must hold a JSON object")
         if args.signature is not None:
@@ -362,7 +365,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "check":
             return cmd_check(cfg, args.suite)
         return cmd_check(cfg, "identities")  # argparse allows no other command
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -15,9 +15,9 @@ formulas need them: the ladder coefficients, sign_s and shift.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import cache
+from itertools import pairwise, product
 from typing import Callable, Optional, Sequence
 
 from .qnum import QValue, _Frozen, _immutable
@@ -335,22 +335,14 @@ def highest_weight_pattern(sig: Signature) -> CPattern:
     return _canonical(sig, (sig.row(1),))
 
 
-def _entry_intervals(above: Sequence[int]) -> list[range]:
-    """The integer interval of each entry of the row under the row above:
-    position t lies between above[t] and above[t+1], independently of its
-    row-mates."""
-    return [range(c, a + 1) for a, c in zip(above, above[1:])]
-
-
 @cache
 def enumerate_basis(sig: Signature, N: int) -> tuple[CPattern, ...]:
     """All valid patterns with stabilization level <= N, in deterministic order.
 
-    Rows are filled top-down: given row p+1 (above), position t of row p
-    ranges over above[t+1]..above[t], independently of its row-mates, and
-    each filling of rows N-1..1 is stored bottom-up.  The order is
-    lexicographic in (row N-1, row N-2, ..., row 1) with entries compared
-    left to right.
+    Rows are filled top-down: under row p+1 (above), row p runs over the
+    keys of _fillings(p, above), and each filling of rows N-1..1 is stored
+    bottom-up.  The order is lexicographic in (row N-1, row N-2, ..., row 1)
+    with entries compared left to right, the order basis_rank counts.
 
     Memoised for the life of the process (see ``action.clear_caches``); the
     tuple is shared by every caller with an equal signature and level, and
@@ -363,12 +355,12 @@ def enumerate_basis(sig: Signature, N: int) -> tuple[CPattern, ...]:
     def fill(p: int, upper_rows: list[tuple[int, ...]]):
         # upper_rows holds rows N-1 down to p+1; row p+1 is upper_rows[-1]
         above = upper_rows[-1] if upper_rows else sig.row(N)
-        for combo in itertools.product(*_entry_intervals(above)):
+        for row in _fillings(p, above)[0]:
             if p == 1:
-                rows = (combo, *reversed(upper_rows))
+                rows = (row, *reversed(upper_rows))
                 out.append(_canonical(sig, _trimmed(sig, rows)))
             else:
-                fill(p - 1, upper_rows + [combo])
+                fill(p - 1, upper_rows + [row])
 
     fill(N - 1, [])
     return tuple(out)
@@ -379,13 +371,16 @@ def _fillings(p: int, above: tuple[int, ...]) -> tuple[dict, int]:
     """Given row p + 1: ({row p: fillings of rows p..1 listed before it},
     total fillings of rows p..1).
 
+    The keys are the rows p in basis order, as enumerate_basis and
+    basis_rank read them: entry t runs over above[t+1]..above[t].
+
     Depends on the row above only, not on the signature, so every module
     and level shares one table.  Memoised for the life of the process (see
     ``action.clear_caches``).
     """
     offsets: dict[tuple[int, ...], int] = {}
     total = 0
-    for row in itertools.product(*_entry_intervals(above)):
+    for row in product(*(range(c, a + 1) for a, c in pairwise(above))):
         offsets[row] = total
         total += _fillings(p - 1, row)[1] if p > 1 else 1
     return offsets, total

@@ -6,7 +6,8 @@ in :class:`RadicalSum`, a finite sum ``sum_i c_i * sqrt(k_i)`` with rational
 coefficients ``c_i`` and distinct squarefree integer kernels ``k_i``.  Since
 square roots of distinct squarefree integers are linearly independent over
 the rationals, a RadicalSum is zero exactly when it has no terms, which makes
-every verification verdict in this package decidable.
+every verification verdict in this package decidable.  The constructor is
+the only place that drops a zero term; every operation builds through it.
 """
 
 from __future__ import annotations
@@ -293,8 +294,7 @@ class RadicalSum:
 
     @classmethod
     def from_rational(cls, r: RationalLike) -> "RadicalSum":
-        r = Fraction(r)
-        return cls({1: r}) if r else _ZERO
+        return cls({1: Fraction(r)})
 
     # -- predicates --
 
@@ -308,17 +308,9 @@ class RadicalSum:
     # -- arithmetic --
 
     def __add__(self, other: "RadicalSum") -> "RadicalSum":
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
         merged = dict(self._terms)
         for k, c in other._terms.items():
-            nc = merged.get(k, Fraction(0)) + c
-            if nc:
-                merged[k] = nc
-            else:
-                merged.pop(k, None)
+            merged[k] = merged.get(k, 0) + c
         return RadicalSum(merged)
 
     def __neg__(self) -> "RadicalSum":
@@ -328,8 +320,6 @@ class RadicalSum:
         return self + (-other)
 
     def __mul__(self, other: "RadicalSum") -> "RadicalSum":
-        if not self._terms or not other._terms:
-            return _ZERO
         out: dict[int, Fraction] = {}
         for k1, c1 in self._terms.items():
             for k2, c2 in other._terms.items():
@@ -337,20 +327,13 @@ class RadicalSum:
                 # the cofactors are coprime and squarefree, so no factoring.
                 g = gcd(k1, k2)
                 k = (k1 // g) * (k2 // g)
-                c = c1 * c2 * g
-                nc = out.get(k, Fraction(0)) + c
-                if nc:
-                    out[k] = nc
-                else:
-                    out.pop(k, None)
+                out[k] = out.get(k, 0) + c1 * c2 * g
         return RadicalSum(out)
 
     def scale(self, r: RationalLike) -> "RadicalSum":
         if r == 1:
             return self  # immutable, so the caller may share it
         r = Fraction(r)
-        if r == 0:
-            return _ZERO
         return RadicalSum({k: c * r for k, c in self._terms.items()})
 
     # -- comparisons and rendering --
@@ -395,9 +378,6 @@ class RadicalSum:
         return cls({int(t["kernel"]): Fraction(t["coeff"]) for t in data})
 
 
-_ZERO = RadicalSum()
-
-
 @cache
 def _rendered(k: int, n: int, d: int) -> tuple[str, str]:
     """The coefficient string and the decimal of the monomial (n/d)·sqrt(k),
@@ -426,7 +406,7 @@ def radical_of(r: RationalLike) -> RadicalSum:
     if r < 0:
         raise NegativeRadicandError(f"negative radicand {r}")
     if r == 0:
-        return _ZERO
+        return RadicalSum()
     a, b = r.numerator, r.denominator
     s, k = _square_decompose(a * b)
     return RadicalSum({k: Fraction(s, b)})

@@ -70,6 +70,14 @@ class TestPatternVector:
         assert v.is_zero()
         v = PatternVector.unit(hw) + PatternVector.unit(hw).scale_rational(-1)
         assert v.is_zero()
+        assert PatternVector.unit(hw).scale(RadicalSum()).is_zero()
+        other = CPattern(sig_mid, [(2,)])
+        v = PatternVector.unit(hw)
+        v.add_term(other, RadicalSum())  # absent pattern
+        v.add_term(hw, RadicalSum())  # present pattern
+        assert v.terms == {hw: ONE}
+        v.add_term(hw, -ONE)  # the term's negation removes the pattern
+        assert v.terms == {}
 
     def test_linear_ops(self, sig_mid):
         hw = highest_weight_pattern(sig_mid)

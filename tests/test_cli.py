@@ -138,6 +138,18 @@ class TestConfigHandling:
         assert (code, out) == (2, "")
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("content", [
+        b"\xff",  # not UTF-8: UnicodeDecodeError
+        b"[" * 100_000 + b"]" * 100_000,  # too deep: RecursionError
+    ], ids=["not-utf8", "nested-100000"])
+    def test_unreadable_config_is_usage_error(self, capsys, tmp_path,
+                                              content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        code, out, err = run(capsys, ["basis", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_bad_q_is_usage_error(self, capsys):
         for q in ("abc", "1/0", "-2/3", "-3/2"):
             code, out, err = run(capsys, [

@@ -411,12 +411,19 @@ class TestRadicalSum:
         assert RadicalSum().is_zero()
         assert not RadicalSum({2: Fraction(1)}).is_zero()
         assert RadicalSum({2: Fraction(0), 3: Fraction(1)}).terms == {3: Fraction(1)}
+        # the constructor alone drops the terms that cancel: (1+√2)(1−√2)
+        a = RadicalSum({1: Fraction(1), 2: Fraction(1)})
+        b = RadicalSum({1: Fraction(1), 2: Fraction(-1)})
+        assert a * b == RadicalSum({1: Fraction(-1)})
+        assert (a + a.scale(-1)).terms == {}
+        assert RadicalSum.from_rational(0).terms == {}
 
     def test_scale(self):
         s = RadicalSum({1: Fraction(-3, 4), 6: Fraction(2, 3)})
         assert s.scale(1) is s  # immutable, so no copy is built
         assert s.scale(Fraction(-2)) == RadicalSum({1: Fraction(3, 2), 6: Fraction(-4, 3)})
         assert s.scale(0).is_zero()
+        assert (s * RadicalSum()).terms == {} and (RadicalSum() * s).terms == {}
 
     def test_json_roundtrip(self):
         s = RadicalSum({1: Fraction(-3, 4), 6: Fraction(2, 3)})
