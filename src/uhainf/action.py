@@ -26,7 +26,8 @@ kernels, so every E/F coefficient comes out as one monomial
 is ever factored.
 Diagonal generators multiply the pattern by an exact rational eigenvalue,
 the monomial with k = 1.  The relations' word sum and the matrix export
-read these ints directly (the export renders them through qnum._rendered).
+read these ints directly (the export encodes each distinct coefficient
+once, as JSON text, through qnum._rendered).
 apply_generator builds a fresh PatternVector of RadicalSums from
 monomial_image; with apply_to_vector and apply_word it is the RadicalSum
 oracle that the suites' int word sum is tested against, and the hw,
@@ -447,8 +448,8 @@ _MEMOS = (_bracket_pairs, _rendered,
 def clear_caches() -> None:
     """Empty every memo, 11 in all: the bracket tables (_bracket_pairs, one
     per q, which qbracket and both kernels read, each with the square
-    classes that only the ladder kernel reads), the rendered coefficient
-    strings and decimals of the matrix export
+    classes that only the ladder kernel reads), the JSON-encoded
+    coefficients and decimals of the matrix export
     (_rendered, keyed on the ints (k, n, d)), module_params, Signature.row,
     enumerate_basis, _fillings, basis_rank, the canonical patterns, labels,
     the ladder windows, and monomial_image, the one memo of g·p

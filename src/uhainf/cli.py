@@ -22,6 +22,10 @@ from . import relations as rel
 from .identities import CORPUS, fuzz_identity
 
 SCHEMA = "uhainf/1"
+# the bounds of --level: a level above MAX_LEVEL, or whose V_N has more
+# than MAX_PATTERNS patterns, is a usage error
+MAX_LEVEL = 50
+MAX_PATTERNS = 100_000
 
 __all__ = ["RunConfig", "main"]
 
@@ -122,6 +126,14 @@ class RunConfig(_Value):
             raise ConfigError(str(exc)) from exc
         if cfg.level < 2:
             raise ConfigError("level must exceed 1")
+        if cfg.level > MAX_LEVEL:
+            raise ConfigError(f"level must not exceed {MAX_LEVEL}")
+        # V_2 ⊆ V_3 ⊆ ..., so counting up stops at the first V_n too large;
+        # each count fills the _fillings entries the basis itself reads
+        if any(basis_count(sig, n) > MAX_PATTERNS
+               for n in range(2, cfg.level + 1)):
+            raise ConfigError(f"level {cfg.level} is too large: V_{cfg.level} "
+                              f"has more than {MAX_PATTERNS:,} patterns")
         if cfg.window < 0:
             raise ConfigError("window must be nonnegative")
         if cfg.trials < 1:
@@ -162,10 +174,16 @@ _FIELD_PARSERS = {
 }
 
 
-def _dump(doc: dict, cfg: RunConfig) -> str:
-    # every document is a tree built fresh for this call, so no cycle
+def _dump(doc: dict, cfg: RunConfig,
+          entries: Optional[list[str]] = None) -> str:
+    # every document is a tree built fresh for this call, so no cycle; a
+    # matrix's entries come as JSON texts, and only ints sort before that
+    # key, so the first "entries":[] is their slot
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"),
                       check_circular=False) + "\n"
+    if entries:
+        text = text.replace('"entries":[]',
+                            '"entries":[' + ",".join(entries) + "]", 1)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -200,6 +218,10 @@ def cmd_basis(cfg: RunConfig) -> int:
 def cmd_matrix(cfg: RunConfig, generator: str) -> int:
     """Export one generator on V_N as sparse JSON, rows numbered in V_{N+2}.
 
+    Each entry is written as JSON text, its keys in sorted order, around
+    its coefficient's values as qnum._rendered encodes them, once per
+    distinct coefficient; _dump splices the entries into the document.
+
     The basis, the enlarged count and every rank are read through the
     interned module's signature, not cfg.signature: each command parses a
     new Signature, but ``params.signature`` is the one the first command
@@ -223,17 +245,12 @@ def cmd_matrix(cfg: RunConfig, generator: str) -> int:
         if len(ranked) > 1:  # None last
             ranked.sort(key=lambda t: count if t[0] is None else t[0])
         for row, p2, k, n, d in ranked:
-            # each distinct coefficient is rendered once, keyed on its ints
+            # each distinct coefficient is encoded once, keyed on its ints
             coeff, decimal = _rendered(k, n, d)
-            entry = {
-                "row": row,
-                "col": col,
-                "coeff": [{"coeff": coeff, "kernel": k}],
-                "decimal": decimal,
-            }
-            if p2.N > cfg.level:  # targets are valid, so this means outside V_N
-                entry["escaped"] = True
-            entries.append(entry)
+            # targets are valid, so a higher level means outside V_N
+            escaped = ',"escaped":true' if p2.N > cfg.level else ""
+            entries.append(f'{{"coeff":{coeff},"col":{col},"decimal":{decimal}'
+                           f'{escaped},"row":{"null" if row is None else row}}}')
     doc = {
         "schema": SCHEMA,
         "kind": "matrix",
@@ -241,9 +258,9 @@ def cmd_matrix(cfg: RunConfig, generator: str) -> int:
         "level": cfg.level,
         "basis_count": len(basis),
         "enlarged_count": count,
-        "entries": entries,
+        "entries": [],
     }
-    sys.stdout.write(_dump(doc, cfg))
+    sys.stdout.write(_dump(doc, cfg, entries))
     return 0
 
 

@@ -387,10 +387,14 @@ def _fillings(p: int, above: tuple[int, ...]) -> tuple[dict, int]:
 
 
 def basis_count(sig: Signature, M: int) -> int:
-    """len(enumerate_basis(sig, M)), found by counting, not listing."""
+    """len(enumerate_basis(sig, M)), found by counting, not listing.
+
+    Row M is read past the Signature.row memo: cli.RunConfig.build counts
+    with each command's new Signature, which a memo hit would compare field
+    by field with the first command's."""
     if M < 2:
         raise ValueError("M must exceed 1")
-    return _fillings(M - 1, sig.row(M))[1]
+    return _fillings(M - 1, Signature.row.__wrapped__(sig, M))[1]
 
 
 @cache

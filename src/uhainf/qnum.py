@@ -12,6 +12,7 @@ the only place that drops a zero term; every operation builds through it.
 
 from __future__ import annotations
 
+import json
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
@@ -380,16 +381,17 @@ class RadicalSum:
 
 @cache
 def _rendered(k: int, n: int, d: int) -> tuple[str, str]:
-    """The coefficient string and the decimal of the monomial (n/d)·sqrt(k),
-    k squarefree, d > 0 and gcd(n, d) = 1, n != 0: the "coeff" and
-    "decimal" of a matrix entry, read from RadicalSum.to_json and
-    to_decimal.  Keyed on the ints that action.monomial_image holds, so a
-    repeated coefficient is found without building a sum.  Memoised for
-    the life of the process (see ``action.clear_caches``); strings, so no
-    caller can change them."""
+    """The "coeff" and "decimal" values of a matrix entry whose coefficient
+    is the monomial (n/d)·sqrt(k), k squarefree, d > 0, gcd(n, d) = 1 and
+    n != 0, each already encoded as canonical JSON text: the list of
+    RadicalSum.to_json and the string of to_decimal.  Keyed on the ints
+    that action.monomial_image holds, so a repeated coefficient is found
+    without building a sum and is encoded once.  Memoised for the life of
+    the process (see ``action.clear_caches``); strings, so no caller can
+    change them."""
     s = RadicalSum({k: Fraction(n, d)})
-    [term] = s.to_json()
-    return term["coeff"], s.to_decimal()
+    return (json.dumps(s.to_json(), sort_keys=True, separators=(",", ":")),
+            json.dumps(s.to_decimal()))
 
 
 def radical_of(r: RationalLike) -> RadicalSum:

@@ -175,10 +175,14 @@ def _decide_words(report: CheckReport, letters: tuple[GeneratorLabel, ...],
 
     Letters that are _apart (Serre b/c and Cartan i == j never are) form a
     commutator, and a new key of theirs is proved by locality without the
-    sum unless a letter raises at p (_commute_by_locality).
+    sum unless a letter raises at p (_commute_by_locality).  Two equal
+    letters (Serre a at i == j) form [a, a], whose two words are the same:
+    a new key is proved by applying the word once, a·p and then a on each
+    target, with no sum; a zero denominator there is recorded as
+    _record_residual records it.
     """
     a, b = letters
-    apart = _apart(a.index, b.index)
+    same, apart = a == b, _apart(a.index, b.index)
     rows = sorted({r for g in letters for r in _window_rows(g.index)
                    if r >= 1})
     key_of = itemgetter(*(r - 1 for r in rows))
@@ -189,7 +193,12 @@ def _decide_words(report: CheckReport, letters: tuple[GeneratorLabel, ...],
         key = key_of(p.rows + sig_rows[len(p.rows):])
         if key in decided:
             return
-        if ((apart and _commute_by_locality(a, b, p, params))
+        if same:
+            with _witness_zero_denominator(report, p):
+                for target, *_ in monomial_image(a, p, params):
+                    monomial_image(a, target, params)
+                decided.add(key)
+        elif ((apart and _commute_by_locality(a, b, p, params))
                 or _record_residual(report, terms, p, params, note)):
             decided.add(key)
 

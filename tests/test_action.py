@@ -519,7 +519,8 @@ class TestMemo:
                                                            params_mid):
         """The ten exports hold 4,922 entries and 28 distinct coefficients:
         _rendered misses once per distinct (k, n, d), hits on every other
-        entry, and each entry it holds is the RadicalSum rendering."""
+        entry, and each entry it holds is the RadicalSum rendering, encoded
+        as canonical JSON text."""
         clear_caches()
         pairs, entries = set(), 0
         for generator in self.EXPORT:
@@ -542,8 +543,9 @@ class TestMemo:
         assert len(monomials) == 28
         for k, n, d in monomials:
             s = RadicalSum({k: Fraction(n, d)})
-            assert qnum._rendered(k, n, d) == (s.to_json()[0]["coeff"],
-                                               s.to_decimal())
+            assert qnum._rendered(k, n, d) == (
+                json.dumps(s.to_json(), separators=(",", ":")),
+                json.dumps(s.to_decimal()))
         # every lookup above hit: these are the memo's 28 entries
         assert qnum._rendered.cache_info().misses == 28
 

@@ -82,6 +82,29 @@ class TestConfigHandling:
         code, _, _ = run(capsys, ["basis", *BASE, "--level", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("signature,level,bound", [
+        (SIG, "1200", "not exceed 50"),
+        (SIG, "51", "not exceed 50"),
+        (SIG, "11", "more than 100,000 patterns"),  # |V_11| = 104,544
+        ("-2:2:3,3,1,0,-1", "50", "more than 100,000 patterns"),
+    ], ids=["level-1200", "level-51", "V_11", "wide-level-50"])
+    def test_level_past_its_bound_is_usage_error(self, capsys, signature,
+                                                 level, bound):
+        code, out, err = run(capsys, ["basis", f"--signature={signature}",
+                                      "--level", level])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and bound in err, err
+
+    def test_level_bounds_admit_level_10_and_level_50(self, capsys):
+        # |V_10| = 27,720; a signature of equal values has one pattern at
+        # every level
+        args = _build_parser().parse_args(["check", *BASE, "--level", "10",
+                                           "--window", "3"])
+        assert RunConfig.build(args).level == 10
+        code, out, _ = run(capsys, ["basis", "--signature=-1:1:0,0,0",
+                                    "--level", "50"])
+        assert (code, json.loads(out)["count"]) == (0, 1)
+
     def test_missing_config_file(self, capsys):
         code, _, _ = run(capsys, ["basis", "--config", "/nonexistent.json"])
         assert code == 2
@@ -269,6 +292,42 @@ class TestMatrix:
         for e in doc["entries"]:
             # the rendering is the coefficient's own 50-digit expansion
             assert e["decimal"] == RadicalSum.from_json(e["coeff"]).to_decimal()
+
+    # the golden matrix runs: escaped entries (F:-3, F:1), "row": null
+    # (-3:0:5,2,2,0), the classical limit, q = 2/3 and the five-entry
+    # window module; and one with no entries
+    WRITER_RUNS = {
+        "escaped-Fm3": [*BASE, "--level", "5", "--generator", "F:-3"],
+        "escaped-F1": [*BASE, "--level", "3", "--generator", "F:1"],
+        "row-null": ["--signature=-3:0:5,2,2,0", "--xi0", "2", "--xi1", "0",
+                     "--level", "3", "--generator", "F:-3"],
+        "classical": [*BASE[:-1], "classical", "--level", "6",
+                      "--generator", "F:-1"],
+        "q-below-1": [*BASE[:-1], "2/3", "--level", "6", "--generator", "E:1"],
+        "wide": ["--signature=-2:2:3,3,1,0,-1", "--xi0", "3", "--xi1", "-1",
+                 "--q", "7/4", "--level", "5", "--generator", "F:-2"],
+        "empty": ["--signature=-1:1:0,0,0", "--level", "3", "--generator",
+                  "E:0"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(WRITER_RUNS))
+    def test_entries_written_as_json_dumps_writes_them(self, capsys,
+                                                       tmp_path, name):
+        # the pre-encoded entries are the bytes json.dumps gives the parsed
+        # document, and --out writes the stdout document
+        dest = tmp_path / "matrix.json"
+        code, out, _ = run(capsys, ["matrix", *self.WRITER_RUNS[name],
+                                    "--out", str(dest)])
+        assert code == 0
+        doc = json.loads(out)
+        assert json.dumps(doc, sort_keys=True,
+                          separators=(",", ":")) + "\n" == out
+        assert dest.read_text(encoding="utf-8") == out
+        assert bool(doc["entries"]) == (name != "empty")
+        if name == "row-null":
+            assert all(e["row"] is None for e in doc["entries"])
+        if name.startswith("escaped"):
+            assert any(e.get("escaped") for e in doc["entries"])
 
     def test_bad_generator(self, capsys):
         code, _, err = run(capsys, [

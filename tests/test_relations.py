@@ -963,7 +963,8 @@ class TestWordSum:
     def test_decides_every_word_relation(self, request, fixture, level):
         # every instance is proved, with no witness recorded, once per
         # window key of each report: by locality when the letters are far
-        # apart, by the exact sum otherwise
+        # apart, with no sum when they are equal (Serre a at i == j), by
+        # the exact sum otherwise
         params = request.getfixturevalue(fixture)
         basis = enumerate_basis(params.signature, level)
         runs = _word_checks()
@@ -974,10 +975,34 @@ class TestWordSum:
             assert report.passed and report.checked == len(basis)
             keys = len({_window_key(p, indices) for p in basis})
             local = keys if _far_apart(*indices) else 0
-            assert counts == {True: keys - local, False: 0,
+            same = report.relation.startswith("serre") and len(set(indices)) == 1
+            assert counts == {True: 0 if same else keys - local, False: 0,
                               "locality": local}, (report.relation, indices)
             proofs += keys
         assert proofs < len(runs) * len(basis)
+
+    @pytest.mark.parametrize("fixture,level", DECIDER_MODULES)
+    def test_variant_a_at_equal_indices_sums_no_words(self, request, monkeypatch,
+                                                      fixture, level):
+        # [x_i, x_i] has two identical words: each key is proved by applying
+        # the word once, and no word sum is built
+        params = request.getfixturevalue(fixture)
+        basis = enumerate_basis(params.signature, level)
+        calls = []
+        orig = relations._word_sum
+
+        def spy(terms, p, params):
+            calls.append(p)
+            return orig(terms, p, params)
+
+        monkeypatch.setattr(relations, "_word_sum", spy)
+        for fam in ("E", "F"):
+            for i in WINDOW:
+                rep = check_serre(fam, "a", i, i, basis, params)
+                assert rep.passed and rep.checked == len(basis)
+        assert calls == []
+        assert check_serre("E", "b", 0, None, basis, params).passed
+        assert calls  # the spy sees the sums of other relations
 
     def test_far_apart_windows_leave_the_rows_between(self, params_mid):
         # E_-1/F_-1 read rows 1, 2 and E_2/F_2 rows 4 to 7; row 3 is read by

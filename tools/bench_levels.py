@@ -31,12 +31,16 @@ of the ten cold stdouts concatenated in GENERATORS order, and, read from
 ``cache_info()`` after both passes, the patterns the interner
 ``patterns._canonical`` built and the windows ``action._ladder_window``
 solved; neither count depends on timing.
-The sizes run one after another, never in parallel.  The largest, level 9
-/ window 3 (V_9 = 8,820 patterns), takes about 12 seconds for its three
-passes (cold about 4.0 to 4.5 s, warm about 2.7 to 3.0 s) and peaks at
-about 99 MiB; level 8 / window 3 peaks at about 45 MiB.  The export rows
-take about 0.16 s (level 8) and 0.65 s (level 9) cold and peak at about 32
-and 62 MiB (Python 3.11.7, a 2-vCPU VM).
+The sizes run one after another, never in parallel.  Measured on
+2026-10-21 (Python 3.11.7, a noisy 2-vCPU VM): three runs of level 9 /
+window 3 (V_9 = 8,820 patterns) read 4.5 to 6.8 s cold and 3.3 to 4.9 s
+warm, peaking at 97.3 MiB, and three of level 8 / window 3 peaked at 44.3
+to 44.6 MiB.  Five runs of each export row read 0.22 to 0.25 s cold and
+0.06 to 0.07 s warm at level 8, peaking at 29.4 to 29.5 MiB, and 0.74 to
+0.88 s cold and 0.22 to 0.26 s warm at level 9, peaking at 54.0 to 54.1
+MiB.  Times on such a machine vary by half as much again from one day to
+the next, so two commits are compared only in alternating runs made
+together.
 
 Prints one JSON document with the git SHA and the Python version.  A
 checkout without git history reports ``"git_sha": null``.
