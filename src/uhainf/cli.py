@@ -1,8 +1,13 @@
 """Command-line front end: basis listing, matrix export, verification suites.
 
-All output is deterministic UTF-8 JSON with an embedded schema tag, so two
-runs with the same config and seed produce byte-identical files.  Exit
-codes: 0 all checks pass, 1 a verification failed, 2 usage/config error.
+Every command ends in one document, written by _write: the command's own
+fields, tagged with the schema and the command's kind, encoded as canonical
+JSON (qnum._canonical_json: sorted keys, no spaces) and a newline, to --out
+and then to stdout.  So two runs with the same config and seed produce
+byte-identical files.  Exit codes: 0 all checks pass, 1 a verification
+failed, 2 usage/config error.  An input past its bound is a usage error: a
+level above MAX_LEVEL, or one whose V_N has more than MAX_PATTERNS
+patterns, which patterns.basis_count counts without listing any.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .qnum import QValue, _Value, _rendered
+from .qnum import QValue, _Value, _canonical_json, _rendered
 from .patterns import (MODES, ModuleParams, Signature, _integer, basis_count,
                        basis_rank, enumerate_basis, module_params)
 from .action import GeneratorLabel, label, monomial_image
@@ -128,12 +133,12 @@ class RunConfig(_Value):
             raise ConfigError("level must exceed 1")
         if cfg.level > MAX_LEVEL:
             raise ConfigError(f"level must not exceed {MAX_LEVEL}")
-        # V_2 ⊆ V_3 ⊆ ..., so counting up stops at the first V_n too large;
-        # each count fills the _fillings entries the basis itself reads
-        if any(basis_count(sig, n) > MAX_PATTERNS
-               for n in range(2, cfg.level + 1)):
-            raise ConfigError(f"level {cfg.level} is too large: V_{cfg.level} "
-                              f"has more than {MAX_PATTERNS:,} patterns")
+        # counted, not listed: at a small level, a signature with widely
+        # spread values has a V_N too large to list
+        if basis_count(sig, cfg.level) > MAX_PATTERNS:
+            raise ConfigError(f"level {cfg.level} is too large for this "
+                              f"signature: V_{cfg.level} has more than "
+                              f"{MAX_PATTERNS:,} patterns")
         if cfg.window < 0:
             raise ConfigError("window must be nonnegative")
         if cfg.trials < 1:
@@ -174,20 +179,25 @@ _FIELD_PARSERS = {
 }
 
 
-def _dump(doc: dict, cfg: RunConfig,
-          entries: Optional[list[str]] = None) -> str:
-    # every document is a tree built fresh for this call, so no cycle; a
-    # matrix's entries come as JSON texts, and only ints sort before that
-    # key, so the first "entries":[] is their slot
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                      check_circular=False) + "\n"
+def _write(cfg: RunConfig, kind: str, fields: dict,
+           entries: Optional[list[str]] = None) -> None:
+    """Write the document of one command, tagged with the schema and its
+    kind, as canonical JSON text and a newline: to --out, then to stdout.
+
+    A matrix passes its entries as JSON texts.  They go in an "entries"
+    list, and only ints sort before that key, so the first "entries":[]
+    of the encoded document is their slot."""
+    doc = {"schema": SCHEMA, "kind": kind, **fields}
+    if entries is not None:
+        doc["entries"] = []
+    text = _canonical_json(doc) + "\n"
     if entries:
         text = text.replace('"entries":[]',
                             '"entries":[' + ",".join(entries) + "]", 1)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    return text
+    sys.stdout.write(text)
 
 
 def _parse_generator(spec: str) -> GeneratorLabel:
@@ -204,14 +214,8 @@ def _parse_generator(spec: str) -> GeneratorLabel:
 
 def cmd_basis(cfg: RunConfig) -> int:
     basis = enumerate_basis(cfg.signature, cfg.level)
-    doc = {
-        "schema": SCHEMA,
-        "kind": "basis",
-        "level": cfg.level,
-        "count": len(basis),
-        "patterns": [p.to_json() for p in basis],
-    }
-    sys.stdout.write(_dump(doc, cfg))
+    _write(cfg, "basis", {"level": cfg.level, "count": len(basis),
+                          "patterns": [p.to_json() for p in basis]})
     return 0
 
 
@@ -220,7 +224,7 @@ def cmd_matrix(cfg: RunConfig, generator: str) -> int:
 
     Each entry is written as JSON text, its keys in sorted order, around
     its coefficient's values as qnum._rendered encodes them, once per
-    distinct coefficient; _dump splices the entries into the document.
+    distinct coefficient; _write splices the entries into the document.
 
     The basis, the enlarged count and every rank are read through the
     interned module's signature, not cfg.signature: each command parses a
@@ -251,16 +255,9 @@ def cmd_matrix(cfg: RunConfig, generator: str) -> int:
             escaped = ',"escaped":true' if p2.N > cfg.level else ""
             entries.append(f'{{"coeff":{coeff},"col":{col},"decimal":{decimal}'
                            f'{escaped},"row":{"null" if row is None else row}}}')
-    doc = {
-        "schema": SCHEMA,
-        "kind": "matrix",
-        "generator": str(g),
-        "level": cfg.level,
-        "basis_count": len(basis),
-        "enlarged_count": count,
-        "entries": [],
-    }
-    sys.stdout.write(_dump(doc, cfg, entries))
+    _write(cfg, "matrix", {"generator": str(g), "level": cfg.level,
+                           "basis_count": len(basis),
+                           "enlarged_count": count}, entries)
     return 0
 
 
@@ -316,15 +313,8 @@ def cmd_check(cfg: RunConfig, suite: str) -> int:
             f"window {cfg.window}"
         )
     ok = all(r.passed for r in reports)
-    doc = {
-        "schema": SCHEMA,
-        "kind": "check",
-        "suite": suite,
-        "seed": cfg.seed,
-        "passed": ok,
-        "reports": [r.to_json() for r in reports],
-    }
-    sys.stdout.write(_dump(doc, cfg))
+    _write(cfg, "check", {"suite": suite, "seed": cfg.seed, "passed": ok,
+                          "reports": [r.to_json() for r in reports]})
     return 0 if ok else 1
 
 

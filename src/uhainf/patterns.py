@@ -11,13 +11,18 @@ basis of the module, and the finite truncation V_N (all patterns
 stabilizing at or below N) is finite dimensional, which is what makes
 exhaustive verification possible.  Entry indices i appear only where the
 formulas need them: the ladder coefficients, sign_s and shift.
+
+V_N is listed by enumerate_basis, which walks the fillings table
+(_fillings) level by level, top row first; numbered by basis_rank, from
+the same table; and counted by basis_count, with Weyl's dimension formula,
+without listing a row, so that a V_N too large to list can be refused.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import pairwise, product
+from itertools import combinations, pairwise, product
 from typing import Callable, Optional, Sequence
 
 from .qnum import QValue, _Frozen, _immutable
@@ -339,10 +344,11 @@ def highest_weight_pattern(sig: Signature) -> CPattern:
 def enumerate_basis(sig: Signature, N: int) -> tuple[CPattern, ...]:
     """All valid patterns with stabilization level <= N, in deterministic order.
 
-    Rows are filled top-down: under row p+1 (above), row p runs over the
-    keys of _fillings(p, above), and each filling of rows N-1..1 is stored
-    bottom-up.  The order is lexicographic in (row N-1, row N-2, ..., row 1)
-    with entries compared left to right, the order basis_rank counts.
+    Rows are filled top-down, one level at a time: each walk (row N, row
+    N-1, ..., row p+1) is extended by every key of _fillings(p, row p+1),
+    in order, and each full walk is stored bottom-up without row N.  The
+    order is lexicographic in (row N-1, row N-2, ..., row 1) with entries
+    compared left to right, the order basis_rank counts.
 
     Memoised for the life of the process (see ``action.clear_caches``); the
     tuple is shared by every caller with an equal signature and level, and
@@ -350,20 +356,10 @@ def enumerate_basis(sig: Signature, N: int) -> tuple[CPattern, ...]:
     """
     if N < 2:
         raise ValueError("N must exceed 1")
-    out: list[CPattern] = []
-
-    def fill(p: int, upper_rows: list[tuple[int, ...]]):
-        # upper_rows holds rows N-1 down to p+1; row p+1 is upper_rows[-1]
-        above = upper_rows[-1] if upper_rows else sig.row(N)
-        for row in _fillings(p, above)[0]:
-            if p == 1:
-                rows = (row, *reversed(upper_rows))
-                out.append(_canonical(sig, _trimmed(sig, rows)))
-            else:
-                fill(p - 1, upper_rows + [row])
-
-    fill(N - 1, [])
-    return tuple(out)
+    walks = [(sig.row(N),)]
+    for p in range(N - 1, 0, -1):
+        walks = [w + (row,) for w in walks for row in _fillings(p, w[-1])[0]]
+    return tuple(_canonical(sig, _trimmed(sig, w[:0:-1])) for w in walks)
 
 
 @cache
@@ -387,14 +383,24 @@ def _fillings(p: int, above: tuple[int, ...]) -> tuple[dict, int]:
 
 
 def basis_count(sig: Signature, M: int) -> int:
-    """len(enumerate_basis(sig, M)), found by counting, not listing.
+    """len(enumerate_basis(sig, M)), found without listing a pattern or a
+    row, so in time and memory that grow with M only.
+
+    V_M holds every interlacing filling of rows M-1..1 under row M, and
+    for that row (l_0, l_1, ...) Weyl's dimension formula counts them: the
+    product over positions s < t of (l_s - l_t + t - s) / (t - s).
 
     Row M is read past the Signature.row memo: cli.RunConfig.build counts
     with each command's new Signature, which a memo hit would compare field
     by field with the first command's."""
     if M < 2:
         raise ValueError("M must exceed 1")
-    return _fillings(M - 1, Signature.row.__wrapped__(sig, M))[1]
+    num = den = 1
+    for (s, a), (t, b) in combinations(
+            enumerate(Signature.row.__wrapped__(sig, M)), 2):
+        num *= a - b + t - s
+        den *= t - s
+    return num // den
 
 
 @cache

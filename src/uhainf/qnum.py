@@ -379,6 +379,13 @@ class RadicalSum:
         return cls({int(t["kernel"]): Fraction(t["coeff"]) for t in data})
 
 
+# The canonical JSON text of a value: sorted keys, no spaces.  Every
+# document and every pre-encoded matrix entry is encoded by it; the values
+# are trees built fresh for each call, so no cycle needs checking.
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                   check_circular=False).encode
+
+
 @cache
 def _rendered(k: int, n: int, d: int) -> tuple[str, str]:
     """The "coeff" and "decimal" values of a matrix entry whose coefficient
@@ -390,8 +397,7 @@ def _rendered(k: int, n: int, d: int) -> tuple[str, str]:
     the process (see ``action.clear_caches``); strings, so no caller can
     change them."""
     s = RadicalSum({k: Fraction(n, d)})
-    return (json.dumps(s.to_json(), sort_keys=True, separators=(",", ":")),
-            json.dumps(s.to_decimal()))
+    return _canonical_json(s.to_json()), _canonical_json(s.to_decimal())
 
 
 def radical_of(r: RationalLike) -> RadicalSum:

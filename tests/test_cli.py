@@ -95,6 +95,30 @@ class TestConfigHandling:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and bound in err, err
 
+    @pytest.mark.parametrize("argv", [
+        ["basis", "--signature=-1:1:600,300,0", "--level", "3"],
+        ["check", "--signature=-1:1:600,300,0", "--suite", "identities"],
+    ], ids=["basis", "check-identities"])
+    def test_spread_signature_is_usage_error_within_1_gib(self, argv):
+        """|V_3| = 27,270,901 on 600,300,0, at the default level too: the
+        bound refuses it before a pattern or a row is listed, in a child
+        whose address space alone is limited to 1 GiB."""
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(uhainf.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "uhainf.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=60, preexec_fn=limit,
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert proc.stderr.startswith("error:"), proc.stderr
+        assert "more than 100,000 patterns" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_level_bounds_admit_level_10_and_level_50(self, capsys):
         # |V_10| = 27,720; a signature of equal values has one pattern at
         # every level
@@ -484,6 +508,20 @@ class TestCheck:
         empty = [r for r in doc["reports"] if r["checked"] == 0]
         assert [r["params"]["tag"] for r in empty] == ["I27"]
         assert all(not r["failures"] for r in doc["reports"])
+
+    @pytest.mark.parametrize("argv,want", [
+        (["check", f"--signature={SIG}", "--xi0", "5/2", "--xi1", "0",
+          "--q", "3/2", "--suite", "all", "--level", "3", "--window", "2",
+          "--trials", "2"], 1),
+        (["identities", *BASE, "--trials", "2", "--seed", "3"], 0),
+    ], ids=["failing-check", "identities"])
+    def test_out_file(self, capsys, tmp_path, argv, want):
+        # the file holds the stdout document, whatever the verdict
+        dest = tmp_path / "check.json"
+        code, out, _ = run(capsys, [*argv, "--out", str(dest)])
+        assert code == want
+        assert json.loads(out)["passed"] is (want == 0)
+        assert dest.read_text(encoding="utf-8") == out
 
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit):

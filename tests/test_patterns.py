@@ -13,6 +13,7 @@ from uhainf import (
     enumerate_basis,
     highest_weight_pattern,
 )
+from uhainf import patterns
 from uhainf.patterns import (
     _interlaces,
     _position,
@@ -347,6 +348,14 @@ class TestBasisIndex:
         higher = [p for p in enumerate_basis(sig, M + 2) if p.N > M]
         assert all(basis_rank(sig, M, p) is None for p in higher)
         assert higher or sig_args == (0, 0, (0,))  # V_N of 0:0:0 is one pattern
+
+    def test_count_lists_no_row(self):
+        """On 600,300,0, V_3 has the rows 2 (a, b), 300 <= a <= 600 and
+        0 <= b <= 300, each over a - b + 1 rows 1, 301 on average: 301**3
+        patterns, counted without a _fillings entry."""
+        patterns._fillings.cache_clear()
+        assert basis_count(Signature(-1, 1, (600, 300, 0)), 3) == 301 ** 3
+        assert patterns._fillings.cache_info().currsize == 0
 
     def test_rejects_level_below_two(self, sig_mid):
         with pytest.raises(ValueError):
