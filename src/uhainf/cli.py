@@ -5,8 +5,8 @@ fields, tagged with the schema and the command's kind, encoded as canonical
 JSON (qnum._canonical_json: sorted keys, no spaces) and a newline, to --out
 and then to stdout.  So two runs with the same config and seed produce
 byte-identical files.  Exit codes: 0 all checks pass, 1 a verification
-failed, 2 usage/config error.  An input past its bound is a usage error: a
-level above MAX_LEVEL, or one whose V_N has more than MAX_PATTERNS
+failed, 2 usage/config error.  An input past its bound in _FIELDS is a
+usage error, and so is a level whose V_N has more than MAX_PATTERNS
 patterns, which patterns.basis_count counts without listing any.
 """
 
@@ -39,111 +39,19 @@ class ConfigError(ValueError):
     pass
 
 
-class RunConfig(_Value):
-    """One reproducible run: module parameters plus suite knobs.  A q of
-    None means classical mode."""
-
-    __slots__ = ("signature", "xi0", "xi1", "q", "mode", "level", "window",
-                 "trials", "seed", "out")
-
-    def __init__(self, signature: Signature, xi0: Fraction = Fraction(0),
-                 xi1: Fraction = Fraction(0),
-                 q: Optional[Fraction] = Fraction(3, 2), mode: str = "a_infinity",
-                 level: int = 3, window: int = 4, trials: int = 100,
-                 seed: int = 42, out: Optional[str] = None):
-        self.signature = signature
-        self.xi0 = xi0
-        self.xi1 = xi1
-        self.q = q
-        self.mode = mode
-        self.level = level
-        self.window = window
-        self.trials = trials
-        self.seed = seed
-        self.out = out
-
-    @property
-    def qv(self) -> QValue:
-        return QValue.classical() if self.q is None else QValue.quantum(self.q)
-
-    @property
-    def params(self) -> ModuleParams:
-        """The module, one shared instance per distinct module (see
-        patterns.module_params); built, and so validated, only by the
-        commands and suites that act on one (the identity corpus does not)."""
-        try:
-            return module_params(self.signature, self.xi0, self.xi1, self.qv,
-                                 self.mode)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    @classmethod
-    def build(cls, args: argparse.Namespace) -> "RunConfig":
-        raw: dict = {}
-        if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                try:
-                    raw = json.load(fh)
-                except (ValueError, RecursionError) as exc:
-                    raise ConfigError(str(exc)) from exc
-            if not isinstance(raw, dict):
-                raise ConfigError("a config file must hold a JSON object")
-        if args.signature is not None:
-            raw["signature"] = args.signature
-        for key in _FIELD_PARSERS:  # "mode" has no flag, so it reads None
-            val = getattr(args, key, None)
-            if val is not None:
-                raw[key] = val
-        unknown = sorted(set(raw) - {"signature", *_FIELD_PARSERS})
-        if unknown:
-            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-        if "signature" not in raw:
-            raise ConfigError("a signature is required (--signature or config)")
-        sig_raw = raw["signature"]
-        if isinstance(sig_raw, str):
-            try:
-                head, values = sig_raw.rsplit(":", 1)
-                m_s, n_s = head.split(":")
-                sig = Signature(
-                    int(m_s), int(n_s), tuple(int(v) for v in values.split(","))
-                )
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"bad signature {sig_raw!r}: {exc}") from exc
-        elif isinstance(sig_raw, dict):
-            try:
-                sig = Signature.from_json(sig_raw)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"bad signature: {exc}") from exc
-        else:
-            raise ConfigError("bad signature: expected a string or an object, "
-                              f"got {json.dumps(sig_raw)}")
-        fields = {}
-        for key, parse in _FIELD_PARSERS.items():
-            if key in raw:
-                try:
-                    fields[key] = parse(raw[key])
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ConfigError(f"bad {key}: {exc}") from exc
-        cfg = cls(signature=sig, **fields)
-        try:
-            cfg.qv  # q = 0, 1 or -1 is a usage error for every command
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if cfg.level < 2:
-            raise ConfigError("level must exceed 1")
-        if cfg.level > MAX_LEVEL:
-            raise ConfigError(f"level must not exceed {MAX_LEVEL}")
-        # counted, not listed: at a small level, a signature with widely
-        # spread values has a V_N too large to list
-        if basis_count(sig, cfg.level) > MAX_PATTERNS:
-            raise ConfigError(f"level {cfg.level} is too large for this "
-                              f"signature: V_{cfg.level} has more than "
-                              f"{MAX_PATTERNS:,} patterns")
-        if cfg.window < 0:
-            raise ConfigError("window must be nonnegative")
-        if cfg.trials < 1:
-            raise ConfigError("trials must be positive")
-        return cfg
+def _signature(value) -> Signature:
+    """A signature from "m:n:v1,v2,..." or from its JSON object."""
+    if isinstance(value, dict):
+        return Signature.from_json(value)
+    if not isinstance(value, str):
+        raise ValueError("expected a string or an object, "
+                         f"got {json.dumps(value)}")
+    try:
+        head, values = value.rsplit(":", 1)
+        m, n = head.split(":")
+        return Signature(int(m), int(n), tuple(int(v) for v in values.split(",")))
+    except ValueError as exc:
+        raise ValueError(f"{value!r}: {exc}") from exc
 
 
 def _rational(value) -> Fraction:
@@ -169,14 +77,110 @@ def _path(value) -> str:
     return value
 
 
-# How RunConfig.build reads each field of the merged config; a field the
-# config leaves out takes its RunConfig default, and any other key than
-# these and "signature" is a usage error.
-_FIELD_PARSERS = {
-    "q": _q, "xi0": _rational, "xi1": _rational, "mode": _mode,
-    "level": _integer, "window": _integer, "trials": _integer,
-    "seed": _integer, "out": _path,
+_REQUIRED = object()  # the default of a field that has none
+
+# The fields of a run, in RunConfig's positional order: each one's parser,
+# default, (least, greatest) bound, and the help of its flag ("" for none;
+# None for a field with no flag, which only a config file sets).  A config
+# key other than these is a usage error.
+_FIELDS = {
+    "signature": (_signature, _REQUIRED, None,
+                  'window and values as "m:n:v1,v2,..."'),
+    "xi0": (_rational, Fraction(0), None, ""),
+    "xi1": (_rational, Fraction(0), None, ""),
+    "q": (_q, Fraction(3, 2), None, 'rational like 3/2, or "classical"'),
+    "mode": (_mode, "a_infinity", None, None),
+    "level": (_integer, 3, (2, MAX_LEVEL), "truncation level N"),
+    "window": (_integer, 4, (0, None), "generator index window"),
+    "trials": (_integer, 100, (1, None), ""),
+    "seed": (_integer, 42, None, ""),
+    "out": (_path, None, None, "write the JSON document here too"),
 }
+
+
+class RunConfig(_Value):
+    """One reproducible run: module parameters plus suite knobs.  A q of
+    None means classical mode."""
+
+    __slots__ = tuple(_FIELDS)
+
+    def __init__(self, *values, **named):
+        """The fields in table order, or by name; a field left out takes its
+        default, and the signature, which has none, is required."""
+        given = dict(zip(_FIELDS, values))
+        unset = _FIELDS.keys() - given.keys()
+        if len(values) > len(_FIELDS) or not named.keys() <= unset:
+            raise TypeError(f"RunConfig takes each of {', '.join(_FIELDS)} once")
+        given.update(named)
+        for name, (_, default, _, _) in _FIELDS.items():
+            value = given.get(name, default)
+            if value is _REQUIRED:
+                raise TypeError(f"RunConfig needs a {name}")
+            setattr(self, name, value)
+
+    @property
+    def qv(self) -> QValue:
+        return QValue.classical() if self.q is None else QValue.quantum(self.q)
+
+    @property
+    def params(self) -> ModuleParams:
+        """The module, one shared instance per distinct module (see
+        patterns.module_params); built, and so validated, only by the
+        commands and suites that act on one (the identity corpus does not)."""
+        try:
+            return module_params(self.signature, self.xi0, self.xi1, self.qv,
+                                 self.mode)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    @classmethod
+    def build(cls, args: argparse.Namespace) -> "RunConfig":
+        """The config file's fields under the flags', parsed and bounded."""
+        raw: dict = {}
+        if args.config:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                try:
+                    raw = json.load(fh)
+                except (ValueError, RecursionError) as exc:
+                    raise ConfigError(str(exc)) from exc
+            if not isinstance(raw, dict):
+                raise ConfigError("a config file must hold a JSON object")
+        unknown = sorted(raw.keys() - _FIELDS.keys())
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+        fields = {}
+        for name, (parse, default, bound, _) in _FIELDS.items():
+            value = getattr(args, name, None)  # None: no flag, or not given
+            if value is None:
+                if name not in raw:
+                    if default is _REQUIRED:
+                        raise ConfigError(f"a {name} is required "
+                                          f"(--{name} or config)")
+                    continue
+                value = raw[name]
+            try:
+                value = parse(value)
+            except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
+                raise ConfigError(f"bad {name}: {exc}") from exc
+            if bound is not None:
+                least, greatest = bound
+                if value < least:
+                    raise ConfigError(f"{name} must be at least {least}")
+                if greatest is not None and value > greatest:
+                    raise ConfigError(f"{name} must not exceed {greatest}")
+            fields[name] = value
+        cfg = cls(**fields)
+        try:
+            cfg.qv  # q = 0, 1 or -1 is a usage error for every command
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        # counted, not listed: at a small level, a signature with widely
+        # spread values has a V_N too large to list
+        if basis_count(cfg.signature, cfg.level) > MAX_PATTERNS:
+            raise ConfigError(f"level {cfg.level} is too large for this "
+                              f"signature: V_{cfg.level} has more than "
+                              f"{MAX_PATTERNS:,} patterns")
+        return cfg
 
 
 def _write(cfg: RunConfig, kind: str, fields: dict,
@@ -337,15 +341,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--signature", help='window and values as "m:n:v1,v2,..."')
-        p.add_argument("--xi0")
-        p.add_argument("--xi1")
-        p.add_argument("--q", help='rational like 3/2, or "classical"')
-        p.add_argument("--level", type=int, help="truncation level N")
-        p.add_argument("--window", type=int, help="generator index window")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="write the JSON document here too")
+        for name, (parse, _, _, flag_help) in _FIELDS.items():
+            if flag_help is not None:
+                p.add_argument(f"--{name}", help=flag_help or None,
+                               type=int if parse is _integer else None)
 
     p = sub.add_parser("basis", help="enumerate the truncated basis")
     common(p)

@@ -519,18 +519,20 @@ def check_boundary_f(params: ModuleParams, N: int, k: int) -> CheckReport:
     report = CheckReport("boundary-f", {"N": N, "k": k})
     basis = enumerate_basis(sig, N)
     mk, mk1 = sig.value(k), sig.value(k + 1)
+    # the closed form is -root·target, and root is the same for every pattern
+    root = radical_of(abs(qbracket(mk1 - mk, params.qv))) if mk1 != mk else None
     for p in basis:
         report.checked += 1
         with _witness_zero_denominator(report, p):
-            general = apply_generator(_F(k), p, params)
-            if k >= sig.n and not general.is_zero():
-                report.record(p, general, note=f"f_{k} nonzero with k >= n")
-            # general minus the closed form -sqrt|[M_{k+1} - M_k]|·target
-            res = PatternVector(general.terms)
-            if mk1 != mk:
+            # a new vector, and record encodes a witness at once: build in it
+            res = apply_generator(_F(k), p, params)
+            if k >= sig.n and not res.is_zero():
+                report.record(p, res, note=f"f_{k} nonzero with k >= n")
+            # the general action minus the closed form
+            if root is not None:
                 target = shifted_if_valid(p, [(k, 2 * k + 1, -1), (k, 2 * k + 2, -1)])
                 if target is not None:
-                    res.add_term(target, radical_of(abs(qbracket(mk1 - mk, params.qv))))
+                    res.add_term(target, root)
             if not res.is_zero():
                 report.record(p, res, note="general vs closed form mismatch")
     return report

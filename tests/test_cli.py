@@ -16,7 +16,7 @@ from uhainf import (
     apply_generator,
     enumerate_basis,
 )
-from uhainf import patterns
+from uhainf import cli, patterns
 from uhainf.action import clear_caches
 from uhainf.cli import RunConfig, _build_parser, main
 
@@ -262,6 +262,63 @@ class TestConfigHandling:
             "--suite", "hw",
         ])
         assert code == 0
+
+
+# for each flagged field of the run table, a value other than its default:
+# (the flag's argument, the same value as JSON in a config file)
+_NON_DEFAULT = {
+    "signature": ("-1:1:3,1,0", {"m": -1, "n": 1, "values": [3, 1, 0]}),
+    "xi0": ("5/2", "5/2"),
+    "xi1": ("1", 1),
+    "q": ("classical", "classical"),
+    "level": ("4", 4),
+    "window": ("2", 2),
+    "trials": ("5", 5),
+    "seed": ("3", 3),
+    "out": ("doc.json", "doc.json"),
+}
+_FLAGGED = [name for name, row in cli._FIELDS.items() if row[3] is not None]
+
+
+class TestConfigFields:
+    def test_every_flagged_field_has_a_case(self):
+        assert sorted(_NON_DEFAULT) == sorted(_FLAGGED)
+        assert "mode" in cli._FIELDS and "mode" not in _FLAGGED
+
+    @pytest.mark.parametrize("name", _FLAGGED)
+    def test_config_field_equals_its_flag(self, tmp_path, name):
+        flag, value = _NON_DEFAULT[name]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"signature": SIG, name: value}),
+                       encoding="utf-8")
+        parse = _build_parser().parse_args
+        # the later --signature wins, so the signature's own case overrides SIG
+        from_file = RunConfig.build(parse(["check", "--config", str(cfg)]))
+        from_flag = RunConfig.build(parse(
+            ["check", f"--signature={SIG}", f"--{name}={flag}"]))
+        assert from_file == from_flag
+        assert getattr(from_file, name) != cli._FIELDS[name][1]
+
+    # A_infinity is reachable only through a config file
+    CAPITAL = ["check", "--suite", "all", "--level", "3", "--window", "1"]
+
+    def _capital(self, capsys, tmp_path, xi0):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"signature": SIG, "mode": "A_infinity",
+                                   "xi0": xi0, "xi1": 0}), encoding="utf-8")
+        return run(capsys, [*self.CAPITAL, "--config", str(cfg)])
+
+    def test_capital_mode_with_tail_labels_prints_a_infinity_run(
+            self, capsys, tmp_path):
+        code, out, err = self._capital(capsys, tmp_path, 2)
+        assert (code, err) == (0, "")
+        assert run(capsys, [*self.CAPITAL, *BASE]) == (0, out, "")
+
+    def test_capital_mode_with_other_labels_is_usage_error(self, capsys,
+                                                            tmp_path):
+        code, out, err = self._capital(capsys, tmp_path, 3)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "A_infinity mode requires" in err
 
 
 class TestMatrix:
